@@ -358,13 +358,42 @@ else
   echo "WARNING: python3 not found; skipping perf gate" >&2
 fi
 
+# Perfbench job: the host-time benchmark's self-test, then one untraced
+# pass of each workload (perfbench/README.md). Every trial checks its
+# routes and hashes its deterministic outputs (events, counters, log
+# volume, model bytes) against the committed perfbench/fingerprints.json,
+# so this is the local gate that a speed change left simulated behaviour
+# alone. A result with any failed trial fails the job.
+echo "===== perfbench (self-test, one pass per workload)"
+if command -v python3 > /dev/null 2>&1; then
+  python3 perfbench/test_perfbench.py
+  for w in internet_bgp internet_hybrid fig2_sweep; do
+    python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0 \
+      > "build/json/perfbench_$w.out"
+  done
+  python3 - <<'EOF'
+import json, sys
+for w in ("internet_bgp", "internet_hybrid", "fig2_sweep"):
+    with open(f"build/json/perfbench_{w}.out") as f:
+        result = json.loads(f.read().strip().splitlines()[-1])
+    if result["attempted"] == 0 or result["failed"] != 0:
+        sys.exit(f"perfbench {w}: {result['failed']} of "
+                 f"{result['attempted']} trials failed")
+    print(f"perfbench {w}: {result['attempted']} trials, none failed")
+EOF
+else
+  echo "WARNING: python3 not found; skipping perfbench job" >&2
+fi
+
 # ASan+UBSan job: the fault-injection, crash-recovery and corruption-fuzz
 # paths deliberately feed sessions garbage bytes and tear subsystems down
 # mid-flight — exactly where lifetime and UB bugs would hide. Rebuild with
 # both sanitizers and run every fault/chaos/fuzz test, plus the refcounted
 # hot-path machinery: the attribute-interning pool (weak_ptr sweep,
-# canonical lifetime), the shared encode buffers, the COW byte payloads,
-# and the slot-slab event loop under churn.
+# canonical lifetime, the per-experiment sweep), the shared encode
+# buffers, the COW byte payloads, the slot-slab event loop under churn,
+# and the router's export fan-out (borrowed Loc-RIB winners, flat dirty
+# sets).
 echo "===== asan+ubsan"
 cmake -B build-asan "${GENERATOR[@]}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -373,14 +402,14 @@ cmake -B build-asan "${GENERATOR[@]}" \
 cmake --build build-asan -j "$(nproc)" \
   --target test_framework test_bgp test_net test_core test_controller bgpsdn_run
 ./build-asan/tests/test_framework \
-  --gtest_filter='FaultPlanParse.*:FaultInjector.*:FaultDsl.*:FaultDeterminism.*:CrashRecovery.*'
+  --gtest_filter='FaultPlanParse.*:FaultInjector.*:FaultDsl.*:FaultDeterminism.*:CrashRecovery.*:HybridExperiment.DestructionSweepsTheAttributePool'
 ./build-asan/tests/test_controller --gtest_filter='ReplicaSet*'
 # The HA chaos scenario + plan under ASan: elections, partition deposal and
 # the degrade/recover hooks all tear subsystems down mid-flight.
 ./build-asan/tools/bgpsdn_run --faults scenarios/ha_chaos.plan \
   scenarios/ha_chaos.bgpsdn > /dev/null
 ./build-asan/tests/test_bgp \
-  --gtest_filter='*CodecFuzz*:*LiveSessionFuzz*:AttrIntern.*:EncodeShared.*'
+  --gtest_filter='*CodecFuzz*:*LiveSessionFuzz*:AttrIntern.*:EncodeShared.*:ExportMapPeers.*:ExportFanOut.*:PrefixSet.*:MraiWindow.*'
 ./build-asan/tests/test_net \
   --gtest_filter='*LinkParams*:*RuntimeLoss*:*Corruption*:Bytes.*'
 ./build-asan/tests/test_core --gtest_filter='EventLoop.*'

@@ -82,8 +82,9 @@ AttrPoolStats attr_pool_stats();
 /// the figure depends only on the simulated workload).
 std::uint64_t attr_pool_live_bytes();
 
-/// Sweep expired entries now (tests; normal operation relies on the
-/// amortized lazy sweep).
+/// Sweep expired entries now. framework::Experiment calls this when it is
+/// destroyed, so one experiment's dead bundles do not outlive it; within a
+/// run the amortized lazy sweep applies.
 void attr_pool_purge();
 
 }  // namespace bgpsdn::bgp

@@ -24,10 +24,11 @@ bool PolicyEngine::apply_import(const PeerPolicy& policy, const net::Prefix& pre
   return true;
 }
 
-bool PolicyEngine::apply_export(const PeerPolicy& policy,
-                                std::optional<Relationship> learned_rel,
-                                const net::Prefix& prefix, PathAttributes& attrs,
-                                core::AsNumber local_as) {
+// lint: hotpath(the export filters run for every peer on every best-path
+// change, ahead of any attribute copy)
+bool PolicyEngine::export_allowed(const PeerPolicy& policy,
+                                  std::optional<Relationship> learned_rel,
+                                  const net::Prefix& prefix) {
   if (denied(policy.export_deny, prefix)) return false;
   if (policy.mode == PolicyMode::kGaoRexford && learned_rel.has_value()) {
     // Valley-free rule: a route learned from a peer or provider is only
@@ -36,6 +37,11 @@ bool PolicyEngine::apply_export(const PeerPolicy& policy,
     const bool to_customer = policy.relationship == Relationship::kCustomer;
     if (!from_customer && !to_customer) return false;
   }
+  return true;
+}
+
+bool PolicyEngine::rewrite_export(const PeerPolicy& policy, PathAttributes& attrs,
+                                  core::AsNumber local_as) {
   // eBGP export: LOCAL_PREF is not sent; MED is not propagated to third
   // parties (we simply drop it, as all our sessions are eBGP).
   attrs.local_pref.reset();
@@ -47,8 +53,15 @@ bool PolicyEngine::apply_export(const PeerPolicy& policy,
       attrs.as_path = attrs.as_path.prepend(local_as);
     }
   }
-  if (policy.export_map && !policy.export_map(attrs)) return false;
-  return true;
+  return !policy.export_map || policy.export_map(attrs);
+}
+
+bool PolicyEngine::apply_export(const PeerPolicy& policy,
+                                std::optional<Relationship> learned_rel,
+                                const net::Prefix& prefix, PathAttributes& attrs,
+                                core::AsNumber local_as) {
+  return export_allowed(policy, learned_rel, prefix) &&
+         rewrite_export(policy, attrs, local_as);
 }
 
 }  // namespace bgpsdn::bgp

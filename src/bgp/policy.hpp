@@ -47,11 +47,25 @@ class PolicyEngine {
   static bool apply_import(const PeerPolicy& policy, const net::Prefix& prefix,
                            PathAttributes& attrs);
 
-  /// Decide whether `route` (best in Loc-RIB, learned via a session whose
-  /// relationship is `learned_rel`, or locally originated) may be exported
-  /// to a peer with `policy`; if so, rewrite `attrs` for export (strip
+  /// The export filters alone: whether a route for `prefix` (best in
+  /// Loc-RIB, learned via a session whose relationship is `learned_rel`,
+  /// or locally originated when nullopt) passes `export_deny` and the
+  /// valley-free rule towards a peer with `policy`. Reads no attributes
+  /// and allocates nothing, so it can run for every peer on every
+  /// best-path change; the export map is not consulted.
+  static bool export_allowed(const PeerPolicy& policy,
+                             std::optional<Relationship> learned_rel,
+                             const net::Prefix& prefix);
+
+  /// Rewrite `attrs` for export to a peer with `policy`: strip
   /// LOCAL_PREF/MED, apply prepending with `local_as`, run the export
-  /// map). Returns false to suppress.
+  /// map. Returns false when the export map rejects the route.
+  static bool rewrite_export(const PeerPolicy& policy, PathAttributes& attrs,
+                             core::AsNumber local_as = core::AsNumber{0});
+
+  /// export_allowed() then rewrite_export(): decide whether the route may
+  /// be exported and, if so, rewrite `attrs` for export. Returns false to
+  /// suppress.
   static bool apply_export(const PeerPolicy& policy,
                            std::optional<Relationship> learned_rel,
                            const net::Prefix& prefix, PathAttributes& attrs,

@@ -132,7 +132,7 @@ void BgpRouter::session_established(Session& session) {
   } else {
     TxBatch batch{*this};
     for (const auto& prefix : loc_rib_.prefixes()) {
-      schedule_peer_update(*peer, prefix);
+      schedule_peer_update(*peer, prefix, export_source(loc_rib_.find(prefix)));
     }
   }
 }
@@ -148,6 +148,9 @@ void BgpRouter::session_down(Session& session, const std::string& reason) {
   peer->batch_dirty.clear();
   if (peer->mrai_timer.is_valid()) loop().cancel(peer->mrai_timer);
   peer->mrai_running = false;
+  // The reset ends the MRAI window unsampled: the next session's first
+  // flush is not paced by the cancelled timer.
+  peer->mrai_span_open = false;
   dampener_.clear_session(session.id());
   TxBatch batch{*this};
   for (const auto& prefix : adj_rib_in_.erase_session(session.id())) {
@@ -355,83 +358,83 @@ void BgpRouter::recompute(const net::Prefix& prefix) {
     }
   }
 
-  for (auto& [port, peer] : peers_) schedule_peer_update(peer, prefix);
+  // The winner and its learned relationship are resolved once for the
+  // whole fan-out.
+  const ExportSource source = export_source(have_best ? &best : nullptr);
+  for (auto& [port, peer] : peers_) schedule_peer_update(peer, prefix, source);
 }
 
 // --- advertisement / MRAI ---------------------------------------------------
 
-std::optional<Relationship> BgpRouter::relationship_of_best(const Route& best) {
-  if (best.is_local()) return std::nullopt;
-  return peers_by_session_.at(best.learned_from.value())
-      ->config.policy.relationship;
+BgpRouter::ExportSource BgpRouter::export_source(const Route* best) const {
+  ExportSource source;
+  source.best = best;
+  if (best != nullptr && !best->is_local()) {
+    source.learned_rel = peers_by_session_.at(best->learned_from.value())
+                             ->config.policy.relationship;
+  }
+  return source;
 }
 
-BgpRouter::ExportAction BgpRouter::evaluate_export(Peer& peer,
-                                                   const net::Prefix& prefix,
-                                                   AttrSetRef& out_attrs) {
-  const Route* best = loc_rib_.find(prefix);
-  if (best == nullptr) return ExportAction::kWithdraw;
-  if (config_.split_horizon && best->learned_from == peer.session->id()) {
-    return ExportAction::kWithdraw;
+// lint: hotpath(the export verdict runs for every peer on every best-path
+// change; only export-map peers pay for an attribute build)
+bool BgpRouter::export_verdict(const Peer& peer, const net::Prefix& prefix,
+                               const ExportSource& source) const {
+  if (source.best == nullptr) return false;
+  if (config_.split_horizon &&
+      source.best->learned_from == peer.session->id()) {
+    return false;
   }
+  if (!PolicyEngine::export_allowed(peer.config.policy, source.learned_rel,
+                                    prefix)) {
+    return false;
+  }
+  return !peer.config.policy.export_map ||
+         build_export(peer, *source.best).has_value();
+}
+
+std::optional<AttrSetRef> BgpRouter::build_export(const Peer& peer,
+                                                  const Route& best) const {
   // Copy-out / edit / re-intern: the canonical bundle is immutable.
-  PathAttributes attrs = *best->attributes;
-  if (!PolicyEngine::apply_export(peer.config.policy, relationship_of_best(*best),
-                                  prefix, attrs, config_.asn)) {
-    return ExportAction::kWithdraw;
+  PathAttributes attrs = *best.attributes;
+  if (!PolicyEngine::rewrite_export(peer.config.policy, attrs, config_.asn)) {
+    return std::nullopt;
   }
   attrs.as_path = attrs.as_path.prepend(config_.asn);
   attrs.next_hop = peer.config.local_address;
-  out_attrs = AttrSetRef::intern(std::move(attrs));
-  return ExportAction::kAnnounce;
+  return AttrSetRef::intern(std::move(attrs));
 }
 
 core::Duration BgpRouter::peer_mrai(const Peer& peer) const {
   return peer.config.mrai.value_or(config_.timers.mrai);
 }
 
-void BgpRouter::schedule_peer_update(Peer& peer, const net::Prefix& prefix) {
+bool BgpRouter::gated(const Peer& peer, bool announce) const {
+  return (announce || config_.timers.mrai_applies_to_withdrawals) &&
+         peer_mrai(peer) > core::Duration::zero();
+}
+
+// lint: hotpath(export fan-out: runs for every peer on every best-path
+// change, and most verdicts are withdrawals with nothing to send)
+void BgpRouter::schedule_peer_update(Peer& peer, const net::Prefix& prefix,
+                                     const ExportSource& source) {
   if (!peer.session->established()) return;
-  AttrSetRef attrs;
-  const ExportAction action = evaluate_export(peer, prefix, attrs);
-  const bool announce = action == ExportAction::kAnnounce;
-  const bool gated = (announce || config_.timers.mrai_applies_to_withdrawals) &&
-                     peer_mrai(peer) > core::Duration::zero();
-  if (!gated) {
-    // Ungated (withdrawal, or MRAI disabled): send right away, leaving any
-    // MRAI-gated announcements queued. Inside a TxBatch the send is
-    // deferred to the batch flush so same-bundle prefixes pack into one
-    // multi-NLRI UPDATE.
+  const bool announce = export_verdict(peer, prefix, source);
+  if (!gated(peer, announce)) {
+    // Ungated (withdrawal, or MRAI disabled): leave any MRAI-gated
+    // announcements queued and defer the send to the batch flush, where
+    // same-bundle prefixes pack into one multi-NLRI UPDATE.
     peer.pending.erase(prefix);
-    if (tx_batch_depth_ > 0) {
+    // A withdrawal of something never advertised would find nothing to
+    // send at the flush, so it needs no entry. Immediate-then-gate pacing
+    // with a positive MRAI keeps it: should a later change in this batch
+    // announce the prefix, the flush re-queues it behind the MRAI gate.
+    const bool may_requeue =
+        config_.timers.mrai_style == MraiStyle::kImmediateThenGate &&
+        peer_mrai(peer) > core::Duration::zero();
+    if (announce || may_requeue || peer.rib_out.advertised(prefix) != nullptr) {
       peer.batch_dirty.insert(prefix);
-      return;
     }
-    UpdateMessage msg;
-    if (announce) {
-      if (!peer.rib_out.advertise(prefix, attrs)) return;  // duplicate
-      msg.attributes = *attrs;
-      msg.nlri.push_back(prefix);
-    } else {
-      if (!peer.rib_out.withdraw(prefix)) return;  // never advertised
-      msg.withdrawn.push_back(prefix);
-    }
-    ++counters_.updates_tx;
-    init_metrics();
-    if (updates_tx_metric_ != nullptr) updates_tx_metric_->inc();
-    logger().log(loop().now(), core::LogLevel::kDebug, session_log_name(),
-                 "update_tx",
-                 "to " + peer.session->peer_as().to_string() + " " +
-                     msg.to_string());
-    if (auto* tel = telemetry(); tel != nullptr && tel->tracing()) {
-      auto span = telemetry::TraceSpan::instant(loop().now(), "bgp",
-                                                "update_tx", session_log_name());
-      span.arg("to", peer.session->peer_as().to_string())
-          .arg("nlri", static_cast<std::int64_t>(msg.nlri.size()))
-          .arg("withdrawn", static_cast<std::int64_t>(msg.withdrawn.size()));
-      tel->emit(span);
-    }
-    peer.session->send_update(msg);
     return;
   }
   peer.pending.insert(prefix);
@@ -475,16 +478,19 @@ void BgpRouter::flush_peer(Peer& peer) {
   withdrawals.reserve(peer.pending.size());
   // Announcement groups keyed by attribute bundle (one bundle per UPDATE).
   // Interned handles make the group lookup a pointer compare.
-  std::vector<std::pair<AttrSetRef, std::vector<net::Prefix>>> groups;
+  UpdateGroups groups;
   groups.reserve(peer.pending.size());
   for (const auto& prefix : peer.pending) {
-    AttrSetRef attrs;
-    if (evaluate_export(peer, prefix, attrs) == ExportAction::kAnnounce) {
-      if (!peer.rib_out.advertise(prefix, attrs)) continue;  // unchanged
+    const ExportSource source = export_source(loc_rib_.find(prefix));
+    const auto attrs = export_verdict(peer, prefix, source)
+                           ? build_export(peer, *source.best)
+                           : std::nullopt;
+    if (attrs) {
+      if (!peer.rib_out.advertise(prefix, *attrs)) continue;  // unchanged
       auto it = std::find_if(groups.begin(), groups.end(),
-                             [&](const auto& g) { return g.first == attrs; });
+                             [&](const auto& g) { return g.first == *attrs; });
       if (it == groups.end()) {
-        groups.push_back({attrs, {prefix}});
+        groups.push_back({*attrs, {prefix}});
       } else {
         // lint: alloc-ok(grows the per-bundle NLRI list; amortized across
         // the burst and bounded by the pending set just reserved for)
@@ -540,37 +546,36 @@ void BgpRouter::emit_updates(Peer& peer, UpdateGroups& groups,
 void BgpRouter::flush_tx_batches() {
   for (auto& [port, peer] : peers_) {
     if (peer.batch_dirty.empty()) continue;
-    std::set<net::Prefix> dirty;
-    dirty.swap(peer.batch_dirty);
-    if (!peer.session->established()) continue;
+    if (!peer.session->established()) {
+      peer.batch_dirty.clear();
+      continue;
+    }
     // Export state is re-evaluated now, against the final Loc-RIB of the
     // burst — intermediate states within one batch never hit the wire
     // (exactly the coalescing the MRAI flush path always did).
     std::vector<net::Prefix> withdrawals;
-    withdrawals.reserve(dirty.size());
+    withdrawals.reserve(peer.batch_dirty.size());
     UpdateGroups groups;
-    groups.reserve(dirty.size());
+    groups.reserve(peer.batch_dirty.size());
     bool spilled = false;
-    for (const auto& prefix : dirty) {
-      AttrSetRef attrs;
-      const ExportAction action = evaluate_export(peer, prefix, attrs);
-      const bool announce = action == ExportAction::kAnnounce;
-      const bool gated =
-          (announce || config_.timers.mrai_applies_to_withdrawals) &&
-          peer_mrai(peer) > core::Duration::zero();
-      if (gated) {
+    for (const auto& prefix : peer.batch_dirty) {
+      const ExportSource source = export_source(loc_rib_.find(prefix));
+      const bool announce = export_verdict(peer, prefix, source);
+      if (gated(peer, announce)) {
         // The export flipped announce/withdraw since it was queued and is
         // now subject to MRAI: hand it to the gated machinery.
         peer.pending.insert(prefix);
         spilled = true;
         continue;
       }
-      if (announce) {
-        if (!peer.rib_out.advertise(prefix, attrs)) continue;  // duplicate
+      const auto attrs =
+          announce ? build_export(peer, *source.best) : std::nullopt;
+      if (attrs) {
+        if (!peer.rib_out.advertise(prefix, *attrs)) continue;  // duplicate
         auto it = std::find_if(groups.begin(), groups.end(),
-                               [&](const auto& g) { return g.first == attrs; });
+                               [&](const auto& g) { return g.first == *attrs; });
         if (it == groups.end()) {
-          groups.push_back({attrs, {prefix}});
+          groups.push_back({*attrs, {prefix}});
         } else {
           // lint: alloc-ok(grows the per-bundle NLRI list; amortized
           // across the burst and bounded by the dirty set reserved for)
@@ -580,6 +585,7 @@ void BgpRouter::flush_tx_batches() {
         if (peer.rib_out.withdraw(prefix)) withdrawals.push_back(prefix);
       }
     }
+    peer.batch_dirty.clear();
     emit_updates(peer, groups, withdrawals);
     if (spilled && config_.timers.mrai_style == MraiStyle::kImmediateThenGate &&
         !peer.mrai_running) {
@@ -611,10 +617,14 @@ void BgpRouter::arm_mrai(Peer& peer) {
   peer.mrai_timer = loop().schedule(delay, [this, p, epoch] {
     if (p->epoch != epoch) return;
     p->mrai_running = false;
-    if (!p->pending.empty()) {
-      flush_peer(*p);
-      arm_mrai(*p);
+    if (p->pending.empty()) {
+      // Idle expiry: the window closes with nothing sent, so it records no
+      // wait; the next change goes out immediately.
+      p->mrai_span_open = false;
+      return;
     }
+    flush_peer(*p);
+    arm_mrai(*p);
   });
 }
 

@@ -13,13 +13,13 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
 #include "bgp/damping.hpp"
 #include "bgp/decision.hpp"
 #include "bgp/policy.hpp"
+#include "bgp/prefix_set.hpp"
 #include "bgp/rib.hpp"
 #include "bgp/session.hpp"
 #include "bgp/types.hpp"
@@ -143,15 +143,16 @@ class BgpRouter : public net::Node, public SessionHost {
     std::unique_ptr<Session> session;
     AdjRibOut rib_out;
     /// Prefixes whose export state must be re-evaluated at next flush.
-    std::set<net::Prefix> pending;
+    PrefixSet pending;
     /// Prefixes touched inside the current TxBatch whose ungated UPDATE is
     /// deferred to the batch flush (where same-bundle prefixes coalesce
     /// into one multi-NLRI message).
-    std::set<net::Prefix> batch_dirty;
+    PrefixSet batch_dirty;
     bool mrai_running{false};
     core::TimerId mrai_timer{core::TimerId::invalid()};
     std::uint64_t epoch{0};
-    /// Open "mrai_wait" span: armed instant, closed at the gated flush.
+    /// Open "mrai_wait" span: armed instant, closed at the gated flush (or,
+    /// without a sample, at an idle expiry or a session reset).
     core::TimePoint mrai_armed_at{};
     bool mrai_span_open{false};
   };
@@ -171,13 +172,36 @@ class BgpRouter : public net::Node, public SessionHost {
   /// reuse-time re-evaluation.
   void note_flap(core::SessionId session, const net::Prefix& prefix,
                  bool withdrawal);
-  /// Queue (or immediately send) the current state of `prefix` to `peer`.
-  void schedule_peer_update(Peer& peer, const net::Prefix& prefix);
-  /// Evaluate export policy: the UPDATE content for `prefix` towards `peer`
-  /// right now (announce with attrs / withdraw / nothing).
-  enum class ExportAction { kAnnounce, kWithdraw, kNone };
-  ExportAction evaluate_export(Peer& peer, const net::Prefix& prefix,
-                               AttrSetRef& out_attrs);
+  /// The Loc-RIB winner of one prefix as export sees it: the route (null
+  /// when there is none) and the relationship of the session it was
+  /// learned over (nullopt for a local route). `best` may point at the
+  /// Loc-RIB's scratch slot, so a source is only valid until the next
+  /// Loc-RIB call.
+  struct ExportSource {
+    const Route* best{nullptr};
+    std::optional<Relationship> learned_rel;
+  };
+  ExportSource export_source(const Route* best) const;
+
+  /// Queue the export state of `prefix`, whose winner is `source`, for
+  /// `peer`: MRAI-gated changes go to `pending`, ungated ones to
+  /// `batch_dirty` for the enclosing TxBatch to send.
+  void schedule_peer_update(Peer& peer, const net::Prefix& prefix,
+                            const ExportSource& source);
+  /// The export verdict: true to announce the winner to `peer`, false to
+  /// withdraw. Covers the route's presence, split horizon and the policy
+  /// filters without touching attributes; a peer with an export map keeps
+  /// the full evaluation, since the map judges the rewritten bundle.
+  bool export_verdict(const Peer& peer, const net::Prefix& prefix,
+                      const ExportSource& source) const;
+  /// The bundle announced to `peer` for winner `best`: copied out,
+  /// rewritten for export, prefixed with the local AS and next hop, then
+  /// interned. Nullopt when the export map rejects the route. Runs only
+  /// where an UPDATE is packed (and in an export-map peer's verdict).
+  std::optional<AttrSetRef> build_export(const Peer& peer,
+                                         const Route& best) const;
+  /// Whether an announcement (or withdrawal) to `peer` waits for MRAI.
+  bool gated(const Peer& peer, bool announce) const;
   /// Send everything pending for the peer; groups NLRI by attribute bundle.
   void flush_peer(Peer& peer);
   void arm_mrai(Peer& peer);
@@ -207,7 +231,6 @@ class BgpRouter : public net::Node, public SessionHost {
   void flush_tx_batches();
 
   void forward_data(const net::Packet& packet);
-  std::optional<Relationship> relationship_of_best(const Route& best);
 
   RouterConfig config_;
   bool started_{false};

@@ -13,6 +13,8 @@ constexpr std::uint32_t kCollectorAs = 64512;
 const net::LinkParams kControlLink{core::Duration::micros(100), 0, 0.0};
 }  // namespace
 
+Experiment::AttrPoolSweep::~AttrPoolSweep() { bgp::attr_pool_purge(); }
+
 Experiment::Experiment(const topology::TopologySpec& spec,
                        std::set<core::AsNumber> sdn_members,
                        ExperimentConfig config)

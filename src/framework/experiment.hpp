@@ -279,6 +279,19 @@ class Experiment {
   void attach_collector(core::AsNumber as);
   net::LinkParams link_params(const topology::LinkSpec& link) const;
 
+  /// Sweeps this thread's attribute intern pool on destruction. Declared
+  /// first so it runs last, after every node has released its bundles: the
+  /// pool's weak references keep an expired bundle's memory allocated
+  /// until a sweep, and without one a finished experiment's bundles would
+  /// linger into the next.
+  struct AttrPoolSweep {
+    AttrPoolSweep() = default;
+    AttrPoolSweep(const AttrPoolSweep&) = delete;
+    AttrPoolSweep& operator=(const AttrPoolSweep&) = delete;
+    ~AttrPoolSweep();
+  };
+  AttrPoolSweep attr_pool_sweep_;
+
   topology::TopologySpec spec_;
   std::set<core::AsNumber> members_;
   ExperimentConfig config_;

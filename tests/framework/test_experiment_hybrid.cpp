@@ -4,6 +4,7 @@
 // data-plane connectivity through the cluster.
 #include <gtest/gtest.h>
 
+#include "bgp/attr_intern.hpp"
 #include "framework/connectivity.hpp"
 #include "framework/experiment.hpp"
 #include "topology/generators.hpp"
@@ -221,6 +222,26 @@ TEST(HybridExperiment, DisjointSubClustersBridgeOverLegacy) {
   EXPECT_EQ(path.back(), as1);
   const auto rev = exp.trace_route(as1, exp.allocator().host_address(as5, 0));
   EXPECT_EQ(rev.size(), 5u);
+}
+
+// The last thing an experiment does is sweep this thread's attribute pool:
+// every bundle it interned expires with its nodes, and the pool's weak
+// references would otherwise keep their memory until a later sweep.
+TEST(HybridExperiment, DestructionSweepsTheAttributePool) {
+  {
+    const auto spec = topology::clique(5);
+    const core::AsNumber as1{1}, as4{4};
+    Experiment exp{spec, {as4, core::AsNumber{5}}, quick_config()};
+    const auto legacy = *net::Prefix::parse("10.0.0.0/16");
+    exp.announce_prefix(as1, legacy);
+    exp.announce_prefix(as4, *net::Prefix::parse("10.4.0.0/16"));
+    ASSERT_TRUE(exp.start());
+    exp.withdraw_prefix(as1, legacy);
+    exp.wait_converged();
+    EXPECT_GT(bgp::attr_pool_stats().live, 1u);
+  }
+  const auto stats = bgp::attr_pool_stats();
+  EXPECT_EQ(stats.entries, stats.live);
 }
 
 }  // namespace

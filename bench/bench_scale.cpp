@@ -15,13 +15,10 @@
 //   caida<N>_withdrawal the synthesize_caida_text serial graphs, same
 //                      pre-announced load, withdrawal event.
 //
-// plus one memory-comparison pair at the largest internet-like size:
-// mem_compact_<N> / mem_reference_<N> run the identical seeded trial under
-// both RIB layouts. Their point values are convergence *virtual* seconds —
-// byte-identical across layouts by construction (the validator enforces
-// equality) — and their extras carry the deterministic mem.* model bytes
-// (slab/interner/RIB accounting, never OS RSS), which is where the
-// compact-vs-reference ratio gate lives. The compact cell's bytes are also
+// plus one memory cell at the largest internet-like size: mem_compact_<N>
+// runs one seeded withdrawal trial whose point value is convergence
+// *virtual* seconds and whose extras carry the deterministic mem.* model
+// bytes (slab/interner/RIB accounting, never OS RSS). The same bytes are
 // exported as top-level `mem.*` counters.
 //
 // Everything except the wall-clock footer is deterministic per seed:
@@ -48,7 +45,6 @@ struct Cell {
   framework::TopologyModel model;
   std::size_t size;
   bench::EventKind event;
-  bgp::RibLayout layout;
   std::size_t runs;
   bool mem_cell;
 };
@@ -64,10 +60,9 @@ struct TrialResult {
 
 /// Short-MRAI profile: paper semantics, but the virtual clock (and with it
 /// the event count a trial simulates) stays proportionate at 10k ASes.
-framework::ExperimentConfig scale_config(bgp::RibLayout layout) {
+framework::ExperimentConfig scale_config() {
   framework::ExperimentConfig cfg;
   cfg.timers.mrai = core::Duration::millis(300);
-  cfg.rib_layout = layout;
   cfg.with_collector = false;  // 10k collector sessions are not the subject
   return cfg;
 }
@@ -76,7 +71,7 @@ framework::ExperimentSpec make_spec(const Cell& cell) {
   framework::ExperimentSpecBuilder builder;
   builder.topology(cell.model, cell.size)
       .event(cell.event)
-      .config(scale_config(cell.layout))
+      .config(scale_config())
       .trials(cell.runs)
       .base_seed(kBaseSeed);
   // 16 origins spread over the top half of the AS range (the stub tier of
@@ -169,24 +164,18 @@ int main(int argc, char** argv) {
       cells.push_back({"il" + std::to_string(size) + "_" +
                            framework::to_string(event),
                        framework::TopologyModel::kInternetLike, size, event,
-                       bgp::RibLayout::kCompact, runs, false});
+                       runs, false});
     }
   }
   for (const std::size_t size : caida_sizes) {
     cells.push_back({"caida" + std::to_string(size) + "_withdrawal",
                      framework::TopologyModel::kSynthCaida, size,
-                     bench::EventKind::kWithdrawal, bgp::RibLayout::kCompact,
-                     runs, false});
+                     bench::EventKind::kWithdrawal, runs, false});
   }
-  // The memory pair: one seeded trial each, identical except for the layout.
+  // The memory cell: one seeded trial.
   cells.push_back({"mem_compact_" + std::to_string(mem_size),
                    framework::TopologyModel::kInternetLike, mem_size,
-                   bench::EventKind::kWithdrawal, bgp::RibLayout::kCompact, 1,
-                   true});
-  cells.push_back({"mem_reference_" + std::to_string(mem_size),
-                   framework::TopologyModel::kInternetLike, mem_size,
-                   bench::EventKind::kWithdrawal, bgp::RibLayout::kReference,
-                   1, true});
+                   bench::EventKind::kWithdrawal, 1, true});
 
   // Task grid: cells have differing run counts, so flatten to (cell, run)
   // tasks by prefix sums rather than a rectangular grid.
@@ -198,8 +187,8 @@ int main(int argc, char** argv) {
 
   std::printf("# convergence time [s] vs AS count (internet-like + synthetic "
               "CAIDA), %zu runs per sweep cell\n", runs);
-  std::printf("# mem_* pair: same seeded trial under both RIB layouts; "
-              "extras carry the deterministic mem model bytes\n");
+  std::printf("# mem_* cell: one seeded trial; extras carry the "
+              "deterministic mem model bytes\n");
   std::printf("%s\n", framework::boxplot_header("cell").c_str());
 
   std::vector<TrialResult> results;
@@ -216,7 +205,7 @@ int main(int argc, char** argv) {
       });
 
   framework::BenchReport report{"bench_scale"};
-  core::MemStats compact_mem;
+  core::MemStats cell_mem;
   for (std::size_t c = 0; c < cells.size(); ++c) {
     const Cell& cell = cells[c];
     std::vector<double> values, updates, decisions;
@@ -230,7 +219,6 @@ int main(int argc, char** argv) {
                 framework::boxplot_row(cell.label, summary).c_str());
     telemetry::Json extra = telemetry::Json::object();
     extra["ases"] = static_cast<std::int64_t>(cell.size);
-    extra["rib_layout"] = std::string{bgp::to_string(cell.layout)};
     extra["updates_rx_median"] = median_of(std::move(updates));
     extra["decision_runs_median"] = median_of(std::move(decisions));
     if (cell.mem_cell) {
@@ -245,9 +233,7 @@ int main(int argc, char** argv) {
                   static_cast<double>(mem.rib_out) / (1024.0 * 1024.0),
                   static_cast<double>(mem.attr_pool) / (1024.0 * 1024.0),
                   static_cast<double>(mem.attr_registry) / (1024.0 * 1024.0));
-      if (cell.layout == bgp::RibLayout::kCompact) {
-        compact_mem = mem;
-      }
+      cell_mem = mem;
     }
     report.add_point(cell.label, summary, values, std::move(extra));
   }
@@ -272,24 +258,24 @@ int main(int argc, char** argv) {
         "prefixes_per_origin",
         telemetry::Json{static_cast<std::int64_t>(kPrefixesPerOrigin)});
     report.set_param("runs", telemetry::Json{static_cast<std::int64_t>(runs)});
-    // The compact memory model as flat counters — the `mem.*` block new
+    // The memory cell's model bytes as flat counters — the `mem.*` block new
     // tooling keys on (all keys new in bgpsdn.bench/1 documents).
     report.add_counter("mem.rib_in",
-                       static_cast<std::int64_t>(compact_mem.rib_in));
+                       static_cast<std::int64_t>(cell_mem.rib_in));
     report.add_counter("mem.loc_rib",
-                       static_cast<std::int64_t>(compact_mem.loc_rib));
+                       static_cast<std::int64_t>(cell_mem.loc_rib));
     report.add_counter("mem.rib_out",
-                       static_cast<std::int64_t>(compact_mem.rib_out));
+                       static_cast<std::int64_t>(cell_mem.rib_out));
     report.add_counter("mem.attr_pool",
-                       static_cast<std::int64_t>(compact_mem.attr_pool));
+                       static_cast<std::int64_t>(cell_mem.attr_pool));
     report.add_counter("mem.attr_registry",
-                       static_cast<std::int64_t>(compact_mem.attr_registry));
+                       static_cast<std::int64_t>(cell_mem.attr_registry));
     report.add_counter("mem.flow_tables",
-                       static_cast<std::int64_t>(compact_mem.flow_tables));
+                       static_cast<std::int64_t>(cell_mem.flow_tables));
     report.add_counter("mem.speaker_ribs",
-                       static_cast<std::int64_t>(compact_mem.speaker_ribs));
+                       static_cast<std::int64_t>(cell_mem.speaker_ribs));
     report.add_counter("mem.total",
-                       static_cast<std::int64_t>(compact_mem.total()));
+                       static_cast<std::int64_t>(cell_mem.total()));
     for (const auto& per_task : task_counters) {
       for (const auto& [name, value] : per_task) {
         report.add_counter(name, value);

@@ -295,14 +295,15 @@ else
   echo "WARNING: python3 not found; skipping determinism diff" >&2
 fi
 
-# Scale job: the RIB-compaction sweep (capped at 1k ASes under BGPSDN_QUICK)
-# must emit byte-identical JSON across job counts, match the bench_scale
-# schema — including the mem.* block and the compact-vs-reference RIB
-# memory-ratio gate baked into the validator — and hold its convergence
-# medians against the committed full-sweep baseline. Medians are virtual
-# time (deterministic per seed), so the tolerance is near-zero; the quick
-# sweep skips the 10k cells, hence --allow-missing. Refresh after an
-# intentional change with:
+# Scale job: the AS-count sweep (capped at 1k ASes under BGPSDN_QUICK) must
+# emit byte-identical JSON across job counts, match the bench_scale schema —
+# including the memory cell's mem.* block and its mirror in the top-level
+# counters — and hold its convergence medians against the committed
+# full-sweep baseline. Medians are virtual time (deterministic per seed),
+# so the tolerance is near-zero; the quick sweep skips the 10k cells, hence
+# --allow-missing. Exact RIB and registry bytes are pinned elsewhere: by
+# the perfbench fingerprints (perfbench job below) and by the framework
+# golden captures. Refresh after an intentional change with:
 #   ./build/bench/bench_scale --json BENCH_baseline_scale.json
 echo "===== bench_scale (jobs=1 vs 4, schema, perf gate)"
 if command -v python3 > /dev/null 2>&1; then
@@ -392,8 +393,11 @@ fi
 # hot-path machinery: the attribute-interning pool (weak_ptr sweep,
 # canonical lifetime, the per-experiment sweep), the shared encode
 # buffers, the COW byte payloads, the slot-slab event loop under churn,
-# and the router's export fan-out (borrowed Loc-RIB winners, flat dirty
-# sets).
+# the router's export fan-out (borrowed Loc-RIB winners, flat dirty
+# sets), and the slab RIB (memmoved candidate spans, backshift deletion in
+# the open-addressing tables, the attribute registry) through its
+# oracle-diff fuzzers and the framework golden captures. The DSL, matrix
+# and fault-plan number parsers ride along.
 echo "===== asan+ubsan"
 cmake -B build-asan "${GENERATOR[@]}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -402,14 +406,14 @@ cmake -B build-asan "${GENERATOR[@]}" \
 cmake --build build-asan -j "$(nproc)" \
   --target test_framework test_bgp test_net test_core test_controller bgpsdn_run
 ./build-asan/tests/test_framework \
-  --gtest_filter='FaultPlanParse.*:FaultInjector.*:FaultDsl.*:FaultDeterminism.*:CrashRecovery.*:HybridExperiment.DestructionSweepsTheAttributePool'
+  --gtest_filter='FaultPlanParse.*:FaultInjector.*:FaultDsl.*:FaultDeterminism.*:CrashRecovery.*:HybridExperiment.DestructionSweepsTheAttributePool:*LayoutEquivalence.*:ScenarioNumbers.*:MatrixNumbers.*'
 ./build-asan/tests/test_controller --gtest_filter='ReplicaSet*'
 # The HA chaos scenario + plan under ASan: elections, partition deposal and
 # the degrade/recover hooks all tear subsystems down mid-flight.
 ./build-asan/tools/bgpsdn_run --faults scenarios/ha_chaos.plan \
   scenarios/ha_chaos.bgpsdn > /dev/null
 ./build-asan/tests/test_bgp \
-  --gtest_filter='*CodecFuzz*:*LiveSessionFuzz*:AttrIntern.*:EncodeShared.*:ExportMapPeers.*:ExportFanOut.*:PrefixSet.*:MraiWindow.*'
+  --gtest_filter='*CodecFuzz*:*LiveSessionFuzz*:AttrIntern.*:EncodeShared.*:ExportMapPeers.*:ExportFanOut.*:PrefixSet.*:MraiWindow.*:*LayoutEquivalence.*:PrefixTableFuzz.*:AdjRibInDefrag.*:AttrRegistry.*'
 ./build-asan/tests/test_net \
   --gtest_filter='*LinkParams*:*RuntimeLoss*:*Corruption*:Bytes.*'
 ./build-asan/tests/test_core --gtest_filter='EventLoop.*'
@@ -426,7 +430,7 @@ cmake -B build-tsan "${GENERATOR[@]}" \
 cmake --build build-tsan -j "$(nproc)" \
   --target test_framework test_core test_controller
 ./build-tsan/tests/test_framework \
-  --gtest_filter='Determinism.*:FaultDeterminism.*:TrialRunnerParallel.*:ParamSweepRunnerParallel.*:ParallelForIndex.*:DefaultJobs.*:IncrementalEquivalence.ByteIdenticalAcrossJobCounts'
+  --gtest_filter='Determinism.*:FaultDeterminism.*:TrialRunnerParallel.*:ParamSweepRunnerParallel.*:ParallelForIndex.*:DefaultJobs.*:IncrementalEquivalence.ByteIdenticalAcrossJobCounts:*LayoutEquivalence.ByteIdenticalAcrossJobCounts'
 ./build-tsan/tests/test_core --gtest_filter='EventLoop.*'
 ./build-tsan/tests/test_controller --gtest_filter='ReplicaSetDeterminism.*'
 

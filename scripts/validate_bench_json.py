@@ -63,12 +63,9 @@ ABLATION_CHURN_EXTRAS = (
 
 
 # bench_scale documents sweep the AS count: internet-like and synthetic-
-# CAIDA convergence cells derived from the declared size lists, plus a
-# memory-comparison pair (same seeded trial under both RIB layouts) whose
-# extras carry the deterministic mem model bytes. The compact layout must
-# undercut the reference layout's RIB bytes fivefold, and the pair's
-# convergence values must be byte-identical (the layouts may differ only in
-# memory accounting, never in behaviour).
+# CAIDA convergence cells derived from the declared size lists, plus one
+# memory cell whose extras carry the deterministic mem model bytes, mirrored
+# as the top-level mem.* counters.
 SCALE_PARAMS = {
     "il_sizes", "caida_sizes", "mem_size", "origins", "prefixes_per_origin",
     "runs",
@@ -78,7 +75,6 @@ MEM_KEYS = {
     "rib_in", "loc_rib", "rib_out", "rib_total", "attr_pool",
     "attr_registry", "flow_tables", "speaker_ribs", "total",
 }
-SCALE_MEM_RATIO = 5
 
 
 # bgpsdn_matrix documents describe the expanded cross product: the declared
@@ -273,7 +269,7 @@ def validate_scale(path, doc):
         )
 
     # The label set is fully determined by the size lists.
-    want = {f"mem_compact_{mem_size}", f"mem_reference_{mem_size}"}
+    want = {f"mem_compact_{mem_size}"}
     for size in params["il_sizes"]:
         want.add(f"il{size}_withdrawal")
         want.add(f"il{size}_announcement")
@@ -287,64 +283,30 @@ def validate_scale(path, doc):
         for key in SCALE_POINT_EXTRAS:
             if not isinstance(point["extra"].get(key), NUMBER):
                 fail(path, f"{label}.extra.{key} must be a number")
-        if not isinstance(point["extra"].get("rib_layout"), str):
-            fail(path, f"{label}.extra.rib_layout must be a string")
         for v in point["values"]:
             # A negative convergence value is the bench's trial-failed
             # sentinel; it must never reach a committed document.
             if not isinstance(v, NUMBER) or v < 0:
                 fail(path, f"{label}: trial value {v} marks a failed trial")
 
-    mems = {}
-    for layout in ("compact", "reference"):
-        point = points[f"mem_{layout}_{mem_size}"]
-        mem = point["extra"].get("mem")
-        if not isinstance(mem, dict) or set(mem) != MEM_KEYS:
-            fail(
-                path,
-                f"mem_{layout}_{mem_size}.extra.mem keys != {sorted(MEM_KEYS)}",
-            )
-        if any(not isinstance(v, int) or v < 0 for v in mem.values()):
-            fail(path, f"mem_{layout}_{mem_size}.extra.mem values must be ints")
-        if point["extra"]["rib_layout"] != layout:
-            fail(path, f"mem_{layout}_{mem_size} ran layout "
-                       f"{point['extra']['rib_layout']!r}")
-        mems[layout] = mem
+    label = f"mem_compact_{mem_size}"
+    mem = points[label]["extra"].get("mem")
+    if not isinstance(mem, dict) or set(mem) != MEM_KEYS:
+        fail(path, f"{label}.extra.mem keys != {sorted(MEM_KEYS)}")
+    if any(not isinstance(v, int) or v < 0 for v in mem.values()):
+        fail(path, f"{label}.extra.mem values must be ints")
 
-    # The memory pair runs the identical seeded trial: convergence must be
-    # byte-identical across layouts (determinism), while the compact RIB
-    # bytes undercut the reference fivefold (the point of the layout).
-    compact = points[f"mem_compact_{mem_size}"]
-    reference = points[f"mem_reference_{mem_size}"]
-    if compact["values"] != reference["values"]:
-        fail(
-            path,
-            f"mem pair convergence diverged between layouts "
-            f"({compact['values']} vs {reference['values']})",
-        )
-    if mems["reference"]["rib_total"] <= 0:
-        fail(path, "mem_reference rib_total is zero; the sweep is vacuous")
-    if mems["compact"]["rib_total"] * SCALE_MEM_RATIO > mems["reference"]["rib_total"]:
-        fail(
-            path,
-            f"compact rib_total {mems['compact']['rib_total']} not "
-            f"{SCALE_MEM_RATIO}x below reference "
-            f"{mems['reference']['rib_total']}",
-        )
-    if mems["reference"]["attr_registry"] != 0:
-        fail(path, "reference layout reported attr_registry bytes")
-
-    # The compact cell's model bytes are mirrored as flat counters.
+    # The memory cell's model bytes are mirrored as flat counters.
     counters = doc["counters"]
     for key in MEM_KEYS - {"rib_total"}:
         name = f"mem.{key}"
         if name not in counters:
             fail(path, f"counters missing {name}")
-        if counters[name] != mems["compact"][key]:
+        if counters[name] != mem[key]:
             fail(
                 path,
-                f"counters[{name}] {counters[name]} != mem_compact extra "
-                f"{mems['compact'][key]}",
+                f"counters[{name}] {counters[name]} != {label} extra "
+                f"{mem[key]}",
             )
 
 

@@ -5,16 +5,6 @@
 
 namespace bgpsdn::bgp {
 
-const char* to_string(RibLayout layout) {
-  switch (layout) {
-    case RibLayout::kCompact:
-      return "compact";
-    case RibLayout::kReference:
-      return "reference";
-  }
-  return "?";
-}
-
 namespace detail {
 
 const SessionInfo* SessionTable::find(std::uint32_t session) const {
@@ -143,38 +133,13 @@ std::uint64_t AttrRegistry::bytes() const {
 // ---------------------------------------------------------------------------
 // AdjRibIn
 
-AdjRibIn::AdjRibIn(RibLayout layout, AttrRegistryRef attrs)
-    : layout_{layout},
-      attrs_{attrs != nullptr ? std::move(attrs)
+AdjRibIn::AdjRibIn(AttrRegistryRef attrs)
+    : attrs_{attrs != nullptr ? std::move(attrs)
                               : std::make_shared<AttrRegistry>()} {}
 
-bool AdjRibIn::put(const Route& route) {
-  return layout_ == RibLayout::kReference ? put_reference(route)
-                                          : put_compact(route);
-}
-
-bool AdjRibIn::put_reference(const Route& route) {
-  auto& slot = by_prefix_[route.prefix];
-  const auto it = slot.find(route.learned_from);
-  bool changed = true;
-  if (it != slot.end()) {
-    const Route& old = it->second;
-    changed = !(old.attributes == route.attributes &&
-                old.installed_at == route.installed_at &&
-                old.peer_bgp_id == route.peer_bgp_id &&
-                old.peer_address == route.peer_address);
-    it->second = route;
-  } else {
-    slot.emplace(route.learned_from, route);
-    ++count_;
-  }
-  note_usage();
-  return changed;
-}
-
-// lint: hotpath(compact-RIB insert runs once per received route; the slab
+// lint: hotpath(Adj-RIB-In insert runs once per received route; the slab
 // layout exists precisely so this path never touches the heap per call)
-bool AdjRibIn::put_compact(const Route& route) {
+bool AdjRibIn::put(const Route& route) {
   const std::uint32_t sid = route.learned_from.value();
   const std::uint32_t bgp_id = route.peer_bgp_id.bits();
   const std::uint32_t address = route.peer_address.bits();
@@ -190,8 +155,8 @@ bool AdjRibIn::put_compact(const Route& route) {
     span = spans_.find(route.prefix);
   }
 
-  // Candidates are kept session-ascending so iteration order matches the
-  // reference std::map<SessionId, Route>.
+  // Candidates are kept session-ascending: iteration order is that of a
+  // std::map<SessionId, Route>.
   std::uint32_t lo = 0;
   std::uint32_t hi = span->size;
   while (lo < hi) {
@@ -242,23 +207,15 @@ bool AdjRibIn::put_compact(const Route& route) {
 }
 
 bool AdjRibIn::erase(const net::Prefix& prefix, core::SessionId session) {
-  if (layout_ == RibLayout::kReference) {
-    const auto it = by_prefix_.find(prefix);
-    if (it == by_prefix_.end()) return false;
-    const bool erased = it->second.erase(session) > 0;
-    if (erased) --count_;
-    if (it->second.empty()) by_prefix_.erase(it);
-    return erased;
-  }
-  const bool erased = erase_compact(prefix, session.value());
+  const bool erased = erase_candidate(prefix, session.value());
   if (erased) maybe_defrag();
   return erased;
 }
 
-// lint: hotpath(compact-RIB erase runs once per withdrawal/session drop;
+// lint: hotpath(Adj-RIB-In erase runs once per withdrawal/session drop;
 // pure span bookkeeping, no per-call heap traffic)
-bool AdjRibIn::erase_compact(const net::Prefix& prefix,
-                             std::uint32_t session) {
+bool AdjRibIn::erase_candidate(const net::Prefix& prefix,
+                               std::uint32_t session) {
   InSpan* span = spans_.find(prefix);
   if (span == nullptr) return false;
   Candidate* base = slab_.data() + span->offset;
@@ -288,21 +245,6 @@ bool AdjRibIn::erase_compact(const net::Prefix& prefix,
 
 std::vector<net::Prefix> AdjRibIn::erase_session(core::SessionId session) {
   std::vector<net::Prefix> affected;
-  if (layout_ == RibLayout::kReference) {
-    for (auto it = by_prefix_.begin(); it != by_prefix_.end();) {
-      if (it->second.erase(session) > 0) {
-        --count_;
-        affected.push_back(it->first);
-      }
-      if (it->second.empty()) {
-        it = by_prefix_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    std::sort(affected.begin(), affected.end());
-    return affected;
-  }
   const std::uint32_t sid = session.value();
   if (sessions_.find(sid) == nullptr) return affected;
   spans_.scan([&](const net::Prefix& prefix, const InSpan& span) {
@@ -314,19 +256,14 @@ std::vector<net::Prefix> AdjRibIn::erase_session(core::SessionId session) {
     }
   });
   std::sort(affected.begin(), affected.end());
-  for (const auto& prefix : affected) erase_compact(prefix, sid);
+  // One defrag check per reset, not per candidate.
+  for (const auto& prefix : affected) erase_candidate(prefix, sid);
   maybe_defrag();
   return affected;
 }
 
 const Route* AdjRibIn::find(const net::Prefix& prefix,
                             core::SessionId session) const {
-  if (layout_ == RibLayout::kReference) {
-    const auto it = by_prefix_.find(prefix);
-    if (it == by_prefix_.end()) return nullptr;
-    const auto rit = it->second.find(session);
-    return rit == it->second.end() ? nullptr : &rit->second;
-  }
   const InSpan* span = spans_.find(prefix);
   if (span == nullptr) return nullptr;
   const std::uint32_t sid = session.value();
@@ -344,13 +281,6 @@ const Route* AdjRibIn::find(const net::Prefix& prefix,
 std::vector<const Route*> AdjRibIn::candidates(
     const net::Prefix& prefix) const {
   std::vector<const Route*> out;
-  if (layout_ == RibLayout::kReference) {
-    const auto it = by_prefix_.find(prefix);
-    if (it == by_prefix_.end()) return out;
-    out.reserve(it->second.size());
-    for (const auto& [sid, route] : it->second) out.push_back(&route);
-    return out;
-  }
   const InSpan* span = spans_.find(prefix);
   if (span == nullptr) return out;
   scratch_candidates_.assign(span->size, Route{});
@@ -366,13 +296,6 @@ std::vector<const Route*> AdjRibIn::candidates(
 std::size_t AdjRibIn::route_count() const { return count_; }
 
 std::vector<net::Prefix> AdjRibIn::prefixes() const {
-  if (layout_ == RibLayout::kReference) {
-    std::vector<net::Prefix> out;
-    out.reserve(by_prefix_.size());
-    for (const auto& [prefix, slot] : by_prefix_) out.push_back(prefix);
-    std::sort(out.begin(), out.end());
-    return out;
-  }
   return spans_.sorted_keys();
 }
 
@@ -429,15 +352,6 @@ void AdjRibIn::materialize(const Candidate& c, Route& out) const {
 }
 
 std::uint64_t AdjRibIn::current_bytes() const {
-  if (layout_ == RibLayout::kReference) {
-    return count_ * core::rb_node_bytes(
-                        sizeof(std::pair<const core::SessionId, Route>)) +
-           by_prefix_.size() *
-               core::hash_node_bytes(
-                   sizeof(std::pair<const net::Prefix,
-                                    std::map<core::SessionId, Route>>)) +
-           core::hash_buckets_bytes(by_prefix_.size());
-  }
   // Slab extent (live spans + not-yet-defragged free spans), never vector
   // capacity: growth-doubling slack is an artifact of std::vector, a real
   // slab allocator would chunk. The shared attr registry is accounted by
@@ -454,23 +368,11 @@ void AdjRibIn::note_usage() {
 // ---------------------------------------------------------------------------
 // LocRib
 
-LocRib::LocRib(RibLayout layout, AttrRegistryRef attrs)
-    : layout_{layout},
-      attrs_{attrs != nullptr ? std::move(attrs)
+LocRib::LocRib(AttrRegistryRef attrs)
+    : attrs_{attrs != nullptr ? std::move(attrs)
                               : std::make_shared<AttrRegistry>()} {}
 
 bool LocRib::install(const Route& route) {
-  if (layout_ == RibLayout::kReference) {
-    const auto it = routes_.find(route.prefix);
-    if (it != routes_.end() && it->second.attributes == route.attributes &&
-        it->second.learned_from == route.learned_from) {
-      return false;
-    }
-    routes_[route.prefix] = route;
-    ++generation_;
-    note_usage();
-    return true;
-  }
   LocEntry* entry = table_.find(route.prefix);
   const std::uint32_t sid = route.learned_from.value();
   if (entry != nullptr && attrs_->at(entry->attr) == route.attributes &&
@@ -507,11 +409,6 @@ bool LocRib::install(const Route& route) {
 }
 
 bool LocRib::remove(const net::Prefix& prefix) {
-  if (layout_ == RibLayout::kReference) {
-    if (routes_.erase(prefix) == 0) return false;
-    ++generation_;
-    return true;
-  }
   LocEntry* entry = table_.find(prefix);
   if (entry == nullptr) return false;
   attrs_->release(entry->attr);
@@ -522,10 +419,6 @@ bool LocRib::remove(const net::Prefix& prefix) {
 }
 
 const Route* LocRib::find(const net::Prefix& prefix) const {
-  if (layout_ == RibLayout::kReference) {
-    const auto it = routes_.find(prefix);
-    return it == routes_.end() ? nullptr : &it->second;
-  }
   const LocEntry* entry = table_.find(prefix);
   if (entry == nullptr) return nullptr;
   const detail::SessionInfo* info = sessions_.find(entry->session);
@@ -538,27 +431,13 @@ const Route* LocRib::find(const net::Prefix& prefix) const {
   return &scratch_;
 }
 
-std::size_t LocRib::size() const {
-  return layout_ == RibLayout::kReference ? routes_.size() : table_.size();
-}
+std::size_t LocRib::size() const { return table_.size(); }
 
 std::vector<net::Prefix> LocRib::prefixes() const {
-  if (layout_ == RibLayout::kReference) {
-    std::vector<net::Prefix> out;
-    out.reserve(routes_.size());
-    for (const auto& [prefix, route] : routes_) out.push_back(prefix);
-    std::sort(out.begin(), out.end());
-    return out;
-  }
   return table_.sorted_keys();
 }
 
 std::uint64_t LocRib::current_bytes() const {
-  if (layout_ == RibLayout::kReference) {
-    return routes_.size() * core::hash_node_bytes(
-                                sizeof(std::pair<const net::Prefix, Route>)) +
-           core::hash_buckets_bytes(routes_.size());
-  }
   return table_.slot_bytes() + sessions_.bytes();
 }
 
@@ -569,29 +448,18 @@ void LocRib::note_usage() {
 // ---------------------------------------------------------------------------
 // RibOutStore
 
-RibOutStore::RibOutStore(RibLayout layout, AttrRegistryRef attrs)
-    : layout_{layout},
-      attrs_{attrs != nullptr ? std::move(attrs)
+RibOutStore::RibOutStore(AttrRegistryRef attrs)
+    : attrs_{attrs != nullptr ? std::move(attrs)
                               : std::make_shared<AttrRegistry>()} {}
 
 std::uint16_t RibOutStore::add_column() {
   const std::uint16_t column = columns_++;
   col_size_.push_back(0);
-  if (layout_ == RibLayout::kReference) ref_cols_.emplace_back();
   return column;
 }
 
 bool RibOutStore::advertise(std::uint16_t col, const net::Prefix& prefix,
                             const AttrSetRef& attrs) {
-  if (layout_ == RibLayout::kReference) {
-    auto& advertised = ref_cols_[col];
-    const auto it = advertised.find(prefix);
-    if (it != advertised.end() && it->second == attrs) return false;
-    if (it == advertised.end()) ++col_size_[col];
-    advertised[prefix] = attrs;
-    note_usage();
-    return true;
-  }
   OutSpan* span = spans_.find(prefix);
   if (span == nullptr) {
     OutSpan fresh;
@@ -621,11 +489,6 @@ bool RibOutStore::advertise(std::uint16_t col, const net::Prefix& prefix,
 }
 
 bool RibOutStore::withdraw(std::uint16_t col, const net::Prefix& prefix) {
-  if (layout_ == RibLayout::kReference) {
-    if (ref_cols_[col].erase(prefix) == 0) return false;
-    --col_size_[col];
-    return true;
-  }
   OutSpan* span = spans_.find(prefix);
   if (span == nullptr || col >= span->width) return false;
   std::uint32_t& slot = slab_[span->offset + col];
@@ -639,11 +502,6 @@ bool RibOutStore::withdraw(std::uint16_t col, const net::Prefix& prefix) {
 
 const AttrSetRef* RibOutStore::advertised(std::uint16_t col,
                                           const net::Prefix& prefix) const {
-  if (layout_ == RibLayout::kReference) {
-    const auto& advertised = ref_cols_[col];
-    const auto it = advertised.find(prefix);
-    return it == advertised.end() ? nullptr : &it->second;
-  }
   const OutSpan* span = spans_.find(prefix);
   if (span == nullptr || col >= span->width) return nullptr;
   const std::uint32_t slot = slab_[span->offset + col];
@@ -655,11 +513,6 @@ std::size_t RibOutStore::size(std::uint16_t col) const {
 }
 
 void RibOutStore::clear(std::uint16_t col) {
-  if (layout_ == RibLayout::kReference) {
-    ref_cols_[col].clear();
-    col_size_[col] = 0;
-    return;
-  }
   if (col_size_[col] == 0) return;
   std::vector<net::Prefix> occupied;
   spans_.scan([&](const net::Prefix& prefix, const OutSpan& span) {
@@ -673,15 +526,11 @@ void RibOutStore::clear(std::uint16_t col) {
 std::vector<net::Prefix> RibOutStore::prefixes(std::uint16_t col) const {
   std::vector<net::Prefix> out;
   out.reserve(col_size_[col]);
-  if (layout_ == RibLayout::kReference) {
-    for (const auto& [prefix, attrs] : ref_cols_[col]) out.push_back(prefix);
-  } else {
-    spans_.scan([&](const net::Prefix& prefix, const OutSpan& span) {
-      if (col < span.width && slab_[span.offset + col] != kNone) {
-        out.push_back(prefix);
-      }
-    });
-  }
+  spans_.scan([&](const net::Prefix& prefix, const OutSpan& span) {
+    if (col < span.width && slab_[span.offset + col] != kNone) {
+      out.push_back(prefix);
+    }
+  });
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -721,15 +570,6 @@ void RibOutStore::maybe_drop_row(const net::Prefix& prefix) {
 }
 
 std::uint64_t RibOutStore::current_bytes() const {
-  if (layout_ == RibLayout::kReference) {
-    std::uint64_t bytes = 0;
-    for (const std::size_t size : col_size_) {
-      bytes += size * core::hash_node_bytes(
-                          sizeof(std::pair<const net::Prefix, AttrSetRef>)) +
-               core::hash_buckets_bytes(size);
-    }
-    return bytes;
-  }
   // Slab extent, not vector capacity; the shared attr registry is accounted
   // by its owner (mem.attr_registry).
   return spans_.slot_bytes() +

@@ -4,26 +4,20 @@
 // decision process, the Loc-RIB holds winners, and per-peer outbound tables
 // record what was advertised so update generation can be delta-based.
 //
-// Each RIB supports two storage layouts behind one API (RibLayout):
+// Storage is one slab layout: flat open-addressing tables keyed by prefix
+// whose cells index into shared slabs. An Adj-RIB-In candidate costs 16
+// bytes (session, attr-registry index, installed-at) because the prefix
+// lives in the table key, the peer tiebreak identity in a per-session side
+// table and the attribute bundle in the simulation-wide refcounted
+// AttrRegistry; Adj-RIB-Out keeps one row per prefix with a per-peer column
+// of attr indices shared across all peers of the router (RibOutStore).
 //
-//  - kCompact (default): flat open-addressing tables keyed by prefix whose
-//    cells index into shared slabs. An Adj-RIB-In candidate costs 16 bytes
-//    (session, attr-registry index, installed-at) because the prefix lives
-//    in the table key, the peer tiebreak identity in a per-session side
-//    table and the attribute bundle in the simulation-wide refcounted
-//    AttrRegistry; Adj-RIB-Out keeps one row per prefix with a per-peer
-//    column of attr indices shared across all peers of the router
-//    (RibOutStore).
-//  - kReference: the original node-based containers
-//    (unordered_map<Prefix, map<SessionId, Route>> and friends), kept as the
-//    equivalence-tested reference implementation — the same pattern as
-//    FlowTable::lookup_linear() and the controller's shortest_paths().
-//
-// Both layouts expose identical iteration order and tie-break semantics:
+// Iteration order and tie-break semantics are those of plain ordered maps:
 // candidates visit in session-ascending order, and whole-table walks
-// (for_each, prefixes, erase_session) are in sorted-prefix order. Every RIB
-// tracks a deterministic peak-byte figure (core/mem_stats.hpp model) so
-// layouts can be compared without touching OS RSS.
+// (for_each, prefixes, erase_session) are in sorted-prefix order. The
+// std::map model in tests/bgp/rib_oracle.hpp is the oracle the tests diff
+// against. Every RIB tracks a deterministic peak-byte figure
+// (core/mem_stats.hpp model) without touching OS RSS.
 #pragma once
 
 #include <algorithm>
@@ -31,8 +25,6 @@
 #include <cstring>
 #include <map>
 #include <memory>
-#include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -44,12 +36,6 @@
 #include "net/ip.hpp"
 
 namespace bgpsdn::bgp {
-
-/// Storage layout of the RIB classes. kReference preserves the original
-/// node-based containers for equivalence testing.
-enum class RibLayout : std::uint8_t { kCompact, kReference };
-
-const char* to_string(RibLayout layout);
 
 /// One candidate route for one prefix. Attributes are an interned handle:
 /// every route carrying the same bundle shares one canonical instance.
@@ -68,9 +54,9 @@ struct Route {
 
 namespace detail {
 
-/// Open-addressing hash table keyed by prefix, the compact layouts' index
-/// structure. Linear probing with backshift deletion (no tombstones), power-
-/// of-two capacity, 70% max load. V supplies the free-slot sentinel via
+/// Open-addressing hash table keyed by prefix, the RIBs' index structure.
+/// Linear probing with backshift deletion (no tombstones), power-of-two
+/// capacity, 70% max load. V supplies the free-slot sentinel via
 /// V::empty()/is_empty(); a stored value must never equal the sentinel.
 /// Iteration via scan() is in table order — callers that emit must go
 /// through sorted_keys() instead.
@@ -133,8 +119,8 @@ class PrefixTable {
 
   std::size_t size() const { return size_; }
 
-  /// Visit every occupied cell in table order (NOT deterministic across
-  /// layouts; internal bookkeeping only, never for emission).
+  /// Visit every occupied cell in table order (hash order: internal
+  /// bookkeeping only, never for emission).
   template <typename Fn>
   void scan(Fn&& fn) const {
     for (const auto& cell : cells_) {
@@ -234,8 +220,8 @@ class SessionTable {
 
 }  // namespace detail
 
-/// Refcounted attribute-handle registry: compact-layout RIBs store 4-byte
-/// indices into here instead of 16-byte AttrSetRef handles per entry.
+/// Refcounted attribute-handle registry: the RIBs store 4-byte indices into
+/// here instead of 16-byte AttrSetRef handles per entry.
 /// Deduplicated by canonical-bundle address (interning makes pointer
 /// identity equal value identity within a trial thread).
 ///
@@ -294,12 +280,11 @@ using AttrRegistryRef = std::shared_ptr<AttrRegistry>;
 
 /// Inbound routes, indexed prefix-first so the decision process can see all
 /// candidates for a prefix at once. Candidates for a prefix are kept in
-/// session-ascending order in both layouts, so iteration (and thus any
-/// residual tie behaviour) is deterministic and layout-independent.
+/// session-ascending order, so iteration (and thus any residual tie
+/// behaviour) is deterministic.
 class AdjRibIn {
  public:
-  explicit AdjRibIn(RibLayout layout = RibLayout::kCompact,
-                    AttrRegistryRef attrs = nullptr);
+  explicit AdjRibIn(AttrRegistryRef attrs = nullptr);
 
   /// Insert/replace the route from one peer (implicit withdraw semantics).
   /// Returns true when the stored entry actually changed — new candidate,
@@ -314,12 +299,12 @@ class AdjRibIn {
   /// affected prefixes in sorted order.
   std::vector<net::Prefix> erase_session(core::SessionId session);
 
-  /// The stored route, or nullptr. In the compact layout the pointer refers
-  /// to a scratch slot valid until the next AdjRibIn call.
+  /// The stored route, or nullptr. The pointer refers to a scratch slot
+  /// valid until the next AdjRibIn call.
   const Route* find(const net::Prefix& prefix, core::SessionId session) const;
 
-  /// All candidates for one prefix, session-ascending. Compact-layout
-  /// pointers refer to scratch storage valid until the next call.
+  /// All candidates for one prefix, session-ascending. The pointers refer
+  /// to scratch storage valid until the next call.
   std::vector<const Route*> candidates(const net::Prefix& prefix) const;
 
   /// Allocation-light visitation of the candidates for one prefix, in the
@@ -328,12 +313,6 @@ class AdjRibIn {
   /// handed to `fn` is only valid for the duration of the call.
   template <typename Fn>
   void for_each_candidate(const net::Prefix& prefix, Fn&& fn) const {
-    if (layout_ == RibLayout::kReference) {
-      const auto it = by_prefix_.find(prefix);
-      if (it == by_prefix_.end()) return;
-      for (const auto& [sid, route] : it->second) fn(route);
-      return;
-    }
     const InSpan* span = spans_.find(prefix);
     if (span == nullptr) return;
     Route r;
@@ -351,12 +330,11 @@ class AdjRibIn {
   /// All prefixes with at least one candidate, sorted.
   std::vector<net::Prefix> prefixes() const;
 
-  RibLayout layout() const { return layout_; }
   /// Deterministic high-water footprint (core/mem_stats.hpp model).
   std::uint64_t peak_bytes() const { return peak_bytes_; }
 
  private:
-  /// Compact candidate: 16 bytes. The prefix is the table key, the peer
+  /// One candidate: 16 bytes. The prefix is the table key, the peer
   /// tiebreak identity lives in the per-session side table, the attribute
   /// bundle in the refcounted side table.
   struct Candidate {
@@ -373,9 +351,7 @@ class AdjRibIn {
     bool is_empty() const { return capacity == 0; }
   };
 
-  bool put_compact(const Route& route);
-  bool put_reference(const Route& route);
-  bool erase_compact(const net::Prefix& prefix, std::uint32_t session);
+  bool erase_candidate(const net::Prefix& prefix, std::uint32_t session);
   std::uint32_t alloc_span(std::uint16_t capacity);
   void free_span(std::uint32_t offset, std::uint16_t capacity);
   /// Rebuild the slab tightly (spans packed, free lists emptied) once dead
@@ -385,9 +361,6 @@ class AdjRibIn {
   std::uint64_t current_bytes() const;
   void note_usage();
 
-  RibLayout layout_;
-
-  // --- compact layout ----------------------------------------------------
   detail::PrefixTable<InSpan> spans_;
   std::vector<Candidate> slab_;
   /// Free spans by log2(capacity).
@@ -399,18 +372,13 @@ class AdjRibIn {
   std::size_t count_{0};
   mutable Route scratch_;
   mutable std::vector<Route> scratch_candidates_;
-
-  // --- reference layout --------------------------------------------------
-  std::unordered_map<net::Prefix, std::map<core::SessionId, Route>> by_prefix_;
-
   std::uint64_t peak_bytes_{0};
 };
 
 /// The selected best route per prefix.
 class LocRib {
  public:
-  explicit LocRib(RibLayout layout = RibLayout::kCompact,
-                  AttrRegistryRef attrs = nullptr);
+  explicit LocRib(AttrRegistryRef attrs = nullptr);
 
   /// Install/replace the best route. Returns true if this changed the entry.
   bool install(const Route& route);
@@ -418,15 +386,15 @@ class LocRib {
   /// Remove the entry. Returns true if present.
   bool remove(const net::Prefix& prefix);
 
-  /// The winner, or nullptr. In the compact layout the pointer refers to a
-  /// scratch slot valid until the next LocRib call.
+  /// The winner, or nullptr. The pointer refers to a scratch slot valid
+  /// until the next LocRib call.
   const Route* find(const net::Prefix& prefix) const;
   std::size_t size() const;
   /// Installed prefixes, sorted.
   std::vector<net::Prefix> prefixes() const;
 
-  /// Visit every installed route in sorted-prefix order (both layouts). The
-  /// Route& is only valid for the duration of the call.
+  /// Visit every installed route in sorted-prefix order. The Route& is only
+  /// valid for the duration of the call.
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (const auto& prefix : prefixes()) fn(*find(prefix));
@@ -435,11 +403,10 @@ class LocRib {
   /// Bumped on every change; convergence checks compare generations.
   std::uint64_t generation() const { return generation_; }
 
-  RibLayout layout() const { return layout_; }
   std::uint64_t peak_bytes() const { return peak_bytes_; }
 
  private:
-  /// Compact winner: 16 bytes + the 8-byte prefix key in the table cell.
+  /// One winner: 16 bytes + the 8-byte prefix key in the table cell.
   /// The peer tiebreak identity lives in the per-session side table, the
   /// attribute bundle in the shared registry.
   struct LocEntry {
@@ -453,27 +420,23 @@ class LocRib {
   std::uint64_t current_bytes() const;
   void note_usage();
 
-  RibLayout layout_;
   detail::PrefixTable<LocEntry> table_;
   AttrRegistryRef attrs_;
   detail::SessionTable sessions_;
   mutable Route scratch_;
-  std::unordered_map<net::Prefix, Route> routes_;
   std::uint64_t generation_{0};
   std::uint64_t peak_bytes_{0};
 };
 
-/// Shared advertised-state store for all Adj-RIBs-Out of one router. The
-/// compact layout keeps one row per prefix holding a per-peer column of
+/// Shared advertised-state store for all Adj-RIBs-Out of one router: one
+/// row per prefix holding a per-peer column of
 /// 4-byte attr-table indices: N peers cost 4N bytes per advertised prefix
 /// plus one shared table cell, instead of N hash nodes. Each AdjRibOut
 /// facade owns one column.
 class RibOutStore {
  public:
-  explicit RibOutStore(RibLayout layout = RibLayout::kCompact,
-                       AttrRegistryRef attrs = nullptr);
+  explicit RibOutStore(AttrRegistryRef attrs = nullptr);
 
-  RibLayout layout() const { return layout_; }
   /// Register one more peer; returns its column ordinal.
   std::uint16_t add_column();
   std::uint16_t columns() const { return columns_; }
@@ -508,7 +471,6 @@ class RibOutStore {
   std::uint64_t current_bytes() const;
   void note_usage();
 
-  RibLayout layout_;
   std::uint16_t columns_{0};
 
   detail::PrefixTable<OutSpan> spans_;
@@ -517,9 +479,6 @@ class RibOutStore {
   std::map<std::uint32_t, std::vector<std::uint32_t>> free_rows_;
   AttrRegistryRef attrs_;
   std::vector<std::size_t> col_size_;
-
-  std::vector<std::unordered_map<net::Prefix, AttrSetRef>> ref_cols_;
-
   std::uint64_t peak_bytes_{0};
 };
 
@@ -529,9 +488,9 @@ class RibOutStore {
 /// a private single-column store.
 class AdjRibOut {
  public:
-  AdjRibOut() : AdjRibOut(RibLayout::kCompact) {}
-  explicit AdjRibOut(RibLayout layout, AttrRegistryRef attrs = nullptr)
-      : owned_{std::make_unique<RibOutStore>(layout, std::move(attrs))},
+  AdjRibOut() : AdjRibOut(AttrRegistryRef{}) {}
+  explicit AdjRibOut(AttrRegistryRef attrs)
+      : owned_{std::make_unique<RibOutStore>(std::move(attrs))},
         store_{owned_.get()},
         column_{store_->add_column()} {}
   explicit AdjRibOut(RibOutStore& store)

@@ -276,8 +276,8 @@ void BgpRouter::recompute(const net::Prefix& prefix) {
   // Incremental best-path selection over an allocation-free visitation of
   // the Adj-RIB-In candidates (visited in session-ascending order, so ties
   // resolve exactly as the old select_best-over-vector did). The running
-  // winner is copied out: the compact layout materializes each candidate
-  // into scratch storage that the next visit reuses.
+  // winner is copied out: the Adj-RIB-In materializes each candidate into
+  // scratch storage that the next visit reuses.
   Route best;
   bool have_best = false;
   std::size_t candidate_count = 0;
@@ -410,8 +410,7 @@ core::Duration BgpRouter::peer_mrai(const Peer& peer) const {
 }
 
 bool BgpRouter::gated(const Peer& peer, bool announce) const {
-  return (announce || config_.timers.mrai_applies_to_withdrawals) &&
-         peer_mrai(peer) > core::Duration::zero();
+  return announce && peer_mrai(peer) > core::Duration::zero();
 }
 
 // lint: hotpath(export fan-out: runs for every peer on every best-path

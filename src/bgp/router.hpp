@@ -41,9 +41,6 @@ struct RouterConfig {
   bool split_horizon{false};
   /// Route-flap damping (RFC 2439); disabled by default like Quagga.
   DampingConfig damping{};
-  /// RIB storage layout (kReference keeps the node-based containers for
-  /// equivalence testing; behaviour is byte-identical either way).
-  RibLayout rib_layout{RibLayout::kCompact};
   /// Attribute-handle registry shared across the simulation (the Experiment
   /// wires one instance through every router and the speaker). Null makes
   /// each RIB create a private registry, which standalone-router tests use.
@@ -76,9 +73,9 @@ class BgpRouter : public net::Node, public SessionHost {
  public:
   explicit BgpRouter(RouterConfig config)
       : config_{std::move(config)},
-        adj_rib_in_{config_.rib_layout, config_.attr_registry},
-        loc_rib_{config_.rib_layout, config_.attr_registry},
-        rib_out_store_{config_.rib_layout, config_.attr_registry},
+        adj_rib_in_{config_.attr_registry},
+        loc_rib_{config_.attr_registry},
+        rib_out_store_{config_.attr_registry},
         dampener_{config_.damping} {}
 
   // --- configuration (before or after start) ---------------------------

@@ -66,9 +66,6 @@ struct Timers {
   /// BGP path exploration and therefore of the paper's experiments.
   core::Duration mrai{core::Duration::seconds(30)};
   MraiStyle mrai_style{MraiStyle::kPeriodicQuagga};
-  /// Whether withdrawals are also MRAI-limited (RFC 4271 leaves this to the
-  /// implementation; Quagga does not rate-limit withdrawals by default).
-  bool mrai_applies_to_withdrawals{false};
   double jitter_low{0.75};
   double jitter_high{1.0};
 };

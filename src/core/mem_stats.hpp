@@ -51,11 +51,9 @@ struct MemStats {
   std::uint64_t loc_rib{0};       ///< Loc-RIB winner storage (peak).
   std::uint64_t rib_out{0};       ///< Adj-RIB-Out advertised state (peak).
   std::uint64_t attr_pool{0};     ///< Live interned attribute bundles.
-  /// Shared attribute-handle registry of the compact layouts (one per
-  /// simulation). Scales with distinct bundles like attr_pool, not with
-  /// (prefix x peer) entries like the RIB categories, so it is reported on
-  /// its own axis. Zero under the reference layout, whose 16-byte inline
-  /// handles are charged to the RIB categories instead.
+  /// Shared attribute-handle registry of the RIBs (one per simulation).
+  /// Scales with distinct bundles like attr_pool, not with (prefix x peer)
+  /// entries like the RIB categories, so it is reported on its own axis.
   std::uint64_t attr_registry{0};
   std::uint64_t flow_tables{0};   ///< SDN flow tables + lookup index.
   std::uint64_t speaker_ribs{0};  ///< Cluster speaker per-peering relay RIBs.

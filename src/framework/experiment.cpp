@@ -46,9 +46,9 @@ net::LinkParams Experiment::link_params(const topology::LinkSpec& link) const {
 }
 
 void Experiment::build() {
-  // One attr-handle registry for the whole simulation: every compact RIB of
-  // every router (and the speaker) stores 4-byte indices into it, so a
-  // distinct bundle pays one handle entry network-wide.
+  // One attr-handle registry for the whole simulation: every RIB of every
+  // router (and the speaker) stores 4-byte indices into it, so a distinct
+  // bundle pays one handle entry network-wide.
   attr_registry_ = std::make_shared<bgp::AttrRegistry>();
 
   // Nodes first: routers for legacy ASes, switches for members.
@@ -63,7 +63,6 @@ void Experiment::build() {
       rc.timers = config_.timers;
       rc.processing = config_.processing;
       rc.damping = config_.damping;
-      rc.rib_layout = config_.rib_layout;
       rc.attr_registry = attr_registry_;
       auto& r = net_.add<bgp::BgpRouter>(as.to_string(), rc);
       routers_[as] = &r;
@@ -86,7 +85,7 @@ void Experiment::build() {
       controller_ = routeflow_;
     }
     speaker_ = &net_.add<speaker::ClusterBgpSpeaker>(
-        "speaker", config_.timers, config_.rib_layout, attr_registry_);
+        "speaker", config_.timers, attr_registry_);
     controller_->bind_speaker(*speaker_);
 
     // Control links and switch-graph registration.

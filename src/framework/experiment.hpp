@@ -75,10 +75,6 @@ struct ExperimentConfig {
   /// HA channel/election timers (replicas and seed fields are overridden
   /// from controller_replicas and the experiment seed).
   controller::ReplicaSetConfig ha{};
-  /// RIB storage layout for every BGP router and the cluster speaker
-  /// (kReference keeps the node-based containers for the equivalence suite
-  /// and the bench_scale memory comparison; behaviour is byte-identical).
-  bgp::RibLayout rib_layout{bgp::RibLayout::kCompact};
   /// Whether to attach the monitoring route collector to legacy routers.
   bool with_collector{true};
   /// Log level kept by the in-memory logger (kDebug needed for detectors).
@@ -302,8 +298,8 @@ class Experiment {
   net::Network net_;
   net::AddressAllocator alloc_;
 
-  /// Simulation-wide attr-handle registry shared by every compact RIB
-  /// (created in build(), wired into each RouterConfig and the speaker).
+  /// Simulation-wide attr-handle registry shared by every RIB (created in
+  /// build(), wired into each RouterConfig and the speaker).
   bgp::AttrRegistryRef attr_registry_;
   std::map<core::AsNumber, bgp::BgpRouter*> routers_;
   std::map<core::AsNumber, sdn::SdnSwitch*> switches_;

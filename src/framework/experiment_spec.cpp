@@ -165,7 +165,7 @@ topology::TopologySpec ExperimentSpec::make_topology(std::uint64_t seed) const {
       // Scale the three-tier shape from the total AS target: a small tier-1
       // core, ~an eighth of the ASes as transit, the rest stubs. Three
       // uplinks per non-core AS keep per-prefix candidate sets well above
-      // one, which is what the compact-RIB memory comparison has to absorb.
+      // one, which is the load the RIB memory figures have to absorb.
       topology::InternetLikeParams params;
       params.tier1 =
           std::min<std::size_t>(std::max<std::size_t>(3, topology_size / 25),
@@ -300,7 +300,7 @@ std::string ExperimentSpec::signature() const {
   std::snprintf(
       buf, sizeof buf,
       "topo=%s:%zu sdn=%zu event=%s flaps=%zu mrai=%lld recompute=%lld "
-      "damping=%d spt=%s rib=%s controller=%s quiet=%lld link_delay=%lld "
+      "damping=%d spt=%s controller=%s quiet=%lld link_delay=%lld "
       "replicas=%zu election=%lld",
       to_string(topology), topology_size, sdn_count, to_string(event),
       event == EventKind::kFlapTrain ? flap_cycles : std::size_t{0},
@@ -308,7 +308,6 @@ std::string ExperimentSpec::signature() const {
       static_cast<long long>(config.recompute_delay.count_nanos()),
       config.damping.enabled ? 1 : 0,
       config.incremental_spt ? "incremental" : "reference",
-      bgp::to_string(config.rib_layout),
       config.controller_style == ControllerStyle::kIdrCentralized
           ? "idr"
           : "routeflow",
@@ -409,12 +408,6 @@ ExperimentSpecBuilder& ExperimentSpecBuilder::damping(bool enabled) {
 ExperimentSpecBuilder& ExperimentSpecBuilder::incremental_spt(
     bool incremental) {
   spec_.config.incremental_spt = incremental;
-  return *this;
-}
-
-ExperimentSpecBuilder& ExperimentSpecBuilder::rib_layout(
-    bgp::RibLayout layout) {
-  spec_.config.rib_layout = layout;
   return *this;
 }
 

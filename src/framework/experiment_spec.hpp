@@ -197,7 +197,6 @@ class ExperimentSpecBuilder {
   ExperimentSpecBuilder& recompute_delay(core::Duration delay);
   ExperimentSpecBuilder& damping(bool enabled);
   ExperimentSpecBuilder& incremental_spt(bool incremental);
-  ExperimentSpecBuilder& rib_layout(bgp::RibLayout layout);
   ExperimentSpecBuilder& controller_style(ControllerStyle style);
   /// Controller replication factor (1 = the single-controller baseline,
   /// 2..16 = hot-standby HA; requires the IDR controller style).

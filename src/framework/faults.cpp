@@ -1,6 +1,7 @@
 #include "framework/faults.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -108,6 +109,20 @@ std::vector<std::string> split(const std::string& line) {
 
 }  // namespace
 
+std::optional<std::uint64_t> parse_uint64(const std::string& token) {
+  std::uint64_t v = 0;
+  const char* last = token.data() + token.size();
+  const auto [end, ec] = std::from_chars(token.data(), last, v);
+  if (ec != std::errc{} || end != last) return std::nullopt;
+  return v;
+}
+
+std::optional<core::AsNumber> parse_as_number(const std::string& token) {
+  const auto v = parse_uint64(token);
+  if (!v || *v == 0 || *v > 0xFFFFFFFFu) return std::nullopt;
+  return core::AsNumber{static_cast<std::uint32_t>(*v)};
+}
+
 FaultEvent FaultPlan::parse_event(const std::vector<std::string>& tokens,
                                   core::Duration at) {
   if (tokens.empty()) bad("empty event");
@@ -196,8 +211,11 @@ FaultPlan FaultPlan::parse(const std::string& text) {
     try {
       if (tokens.front() == "seed") {
         need_args(tokens, 1);
-        plan.seed = static_cast<std::uint64_t>(
-            parse_double(tokens[1], "seed"));
+        const auto seed = parse_uint64(tokens[1]);
+        if (!seed) {
+          bad("seed '" + tokens[1] + "' must be an unsigned 64-bit integer");
+        }
+        plan.seed = *seed;
       } else if (tokens.front() == "at") {
         if (tokens.size() < 3) bad("'at' needs a time and an event");
         const auto at = parse_seconds(tokens[1], "event time");

@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -106,6 +107,14 @@ struct FaultPlan {
   /// offending line number.
   static FaultPlan parse(const std::string& text);
 };
+
+/// Exact whole-token decimal parse shared by fault plans, the scenario DSL
+/// and .matrix files: digits only (no sign, fraction, exponent or padding),
+/// and a value that does not fit in 64 bits is rejected, never wrapped.
+std::optional<std::uint64_t> parse_uint64(const std::string& token);
+
+/// An AS number token: parse_uint64 within [1, 4294967295].
+std::optional<core::AsNumber> parse_as_number(const std::string& token);
 
 /// Executes a FaultPlan against a built Experiment. Attach with
 /// `experiment.attach_monitor<FaultInjector>(plan)`; events arm immediately

@@ -44,6 +44,15 @@ std::size_t parse_count(const std::string& token, const char* what) {
   }
 }
 
+std::uint64_t parse_seed(const std::string& token, const char* what) {
+  const auto seed = parse_uint64(token);
+  if (!seed) {
+    bad(std::string{what} + " needs an unsigned 64-bit integer, got '" +
+        token + "'");
+  }
+  return *seed;
+}
+
 void apply_topology(ExperimentSpec& spec, const std::string& value) {
   const auto colon = value.find(':');
   if (colon == std::string::npos) {
@@ -207,8 +216,7 @@ MatrixSpec MatrixSpec::parse(std::istream& in) {
         if (matrix.trials < 1) fail("trials must be >= 1");
       } else if (cmd == "base-seed") {
         need(1);
-        matrix.base_seed =
-            static_cast<std::uint64_t>(parse_count(t[1], "base-seed"));
+        matrix.base_seed = parse_seed(t[1], "base-seed");
       } else if (cmd == "axis") {
         if (t.size() < 2) fail("usage: axis <key> <value...>");
         const std::string& key = t[1];
@@ -258,15 +266,17 @@ MatrixSpec MatrixSpec::parse(std::istream& in) {
         if (matrix.base.flap_cycles < 1) fail("flaps must be >= 1");
       } else if (cmd == "announce") {
         need(2);
-        const std::size_t as = parse_count(t[1], "announce AS");
+        const auto as = parse_as_number(t[1]);
+        if (!as) {
+          fail("announce AS needs an integer in [1, 4294967295], got '" +
+               t[1] + "'");
+        }
         const auto prefix = net::Prefix::parse(t[2]);
         if (!prefix) fail("bad prefix '" + t[2] + "'");
-        matrix.base.announcements.emplace_back(
-            core::AsNumber{static_cast<std::uint32_t>(as)}, *prefix);
+        matrix.base.announcements.emplace_back(*as, *prefix);
       } else if (cmd == "fault-seed") {
         need(1);
-        matrix.base.faults.seed =
-            static_cast<std::uint64_t>(parse_count(t[1], "fault-seed"));
+        matrix.base.faults.seed = parse_seed(t[1], "fault-seed");
       } else if (cmd == "fault") {
         if (t.size() < 3) fail("usage: fault <seconds> <event...>");
         const double at_s = parse_double(t[1], "fault time");

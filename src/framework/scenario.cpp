@@ -41,15 +41,20 @@ void ScenarioRunner::fail(const Line& line, const std::string& message) const {
 
 core::AsNumber ScenarioRunner::parse_as(const Line& line,
                                         const std::string& token) const {
-  unsigned long v = 0;
-  try {
-    std::size_t pos = 0;
-    v = std::stoul(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument{""};
-  } catch (...) {
-    fail(line, "bad AS number '" + token + "'");
+  const auto as = parse_as_number(token);
+  if (!as) {
+    fail(line, "bad AS number '" + token + "' (want 1..4294967295)");
   }
-  return core::AsNumber{static_cast<std::uint32_t>(v)};
+  return *as;
+}
+
+std::uint64_t ScenarioRunner::parse_seed(const Line& line,
+                                         const std::string& token) const {
+  const auto seed = parse_uint64(token);
+  if (!seed) {
+    fail(line, "bad seed '" + token + "' (want 0..18446744073709551615)");
+  }
+  return *seed;
 }
 
 net::Prefix ScenarioRunner::parse_prefix(const Line& line,
@@ -126,7 +131,7 @@ void ScenarioRunner::execute(const Line& line, ScenarioResult& result) {
   if (cmd == "seed") {
     need(1);
     forbid_after_start();
-    config_.seed = static_cast<std::uint64_t>(parse_number(line, t[1]));
+    config_.seed = parse_seed(line, t[1]);
   } else if (cmd == "mrai") {
     need(1);
     forbid_after_start();
@@ -159,16 +164,6 @@ void ScenarioRunner::execute(const Line& line, ScenarioResult& result) {
       config_.incremental_spt = false;
     } else {
       fail(line, "unknown spt engine '" + t[1] + "' (incremental|reference)");
-    }
-  } else if (cmd == "rib") {
-    need(1);
-    forbid_after_start();
-    if (t[1] == "compact") {
-      config_.rib_layout = bgp::RibLayout::kCompact;
-    } else if (t[1] == "reference") {
-      config_.rib_layout = bgp::RibLayout::kReference;
-    } else {
-      fail(line, "unknown rib layout '" + t[1] + "' (compact|reference)");
     }
   } else if (cmd == "damping") {
     need(1);
@@ -293,7 +288,7 @@ void ScenarioRunner::execute(const Line& line, ScenarioResult& result) {
   } else if (cmd == "fault-seed") {
     need(1);
     forbid_after_start();
-    fault_plan_.seed = static_cast<std::uint64_t>(parse_number(line, t[1]));
+    fault_plan_.seed = parse_seed(line, t[1]);
   } else if (cmd == "fault") {
     if (t.size() < 3) fail(line, "usage: fault <seconds> <event...>");
     const auto at = core::Duration::seconds_f(parse_number(line, t[1]));

@@ -80,6 +80,7 @@ class ScenarioRunner {
   [[noreturn]] void fail(const Line& line, const std::string& message) const;
   Experiment& running(const Line& line);
   core::AsNumber parse_as(const Line& line, const std::string& token) const;
+  std::uint64_t parse_seed(const Line& line, const std::string& token) const;
   net::Prefix parse_prefix(const Line& line, const std::string& token) const;
   double parse_number(const Line& line, const std::string& token) const;
 

@@ -25,7 +25,7 @@ PeeringId ClusterBgpSpeaker::add_peering(core::PortId relay_port, Peering peerin
 
   auto slot = std::make_unique<Slot>();
   slot->info = peering;
-  slot->rib_out = bgp::AdjRibOut(rib_layout_, attr_registry_);
+  slot->rib_out = bgp::AdjRibOut(attr_registry_);
   slot->relay_port = relay_port;
   slot->session = std::make_unique<bgp::Session>(*this, sc);
   Slot* raw = slot.get();

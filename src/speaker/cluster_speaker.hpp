@@ -70,11 +70,8 @@ struct SpeakerCounters {
 class ClusterBgpSpeaker : public net::Node, public bgp::SessionHost {
  public:
   explicit ClusterBgpSpeaker(bgp::Timers timers = {},
-                             bgp::RibLayout rib_layout = bgp::RibLayout::kCompact,
                              bgp::AttrRegistryRef attr_registry = nullptr)
-      : timers_{timers},
-        rib_layout_{rib_layout},
-        attr_registry_{std::move(attr_registry)} {}
+      : timers_{timers}, attr_registry_{std::move(attr_registry)} {}
 
   void set_listener(SpeakerListener* listener) { listener_ = listener; }
 
@@ -163,7 +160,6 @@ class ClusterBgpSpeaker : public net::Node, public bgp::SessionHost {
   Slot* slot_of(const bgp::Session& session);
 
   bgp::Timers timers_;
-  bgp::RibLayout rib_layout_{bgp::RibLayout::kCompact};
   /// Shared attr-handle registry for the per-peering Adj-RIBs-Out (null =
   /// each slot's store creates a private one).
   bgp::AttrRegistryRef attr_registry_{};

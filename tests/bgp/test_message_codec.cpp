@@ -249,41 +249,53 @@ TEST(MessageCodec, SplitUpdatePassthroughWhenSmall) {
 }
 
 // Truncation fuzz: every strict prefix of a valid message must be rejected
-// cleanly (no crash, no acceptance).
-class TruncationFuzz : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(TruncationFuzz, TruncatedUpdateRejected) {
+// cleanly (no crash, no acceptance). One case per cut point: the range is
+// sized to the encoded message.
+std::vector<std::byte> truncation_sample() {
   UpdateMessage u;
   u.withdrawn = {*net::Prefix::parse("172.20.0.0/14")};
   u.attributes = sample_attrs();
   u.nlri = {*net::Prefix::parse("10.2.0.0/16")};
-  auto wire = encode(u);
+  return encode(u);
+}
+
+class TruncationFuzz : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(TruncationFuzz, TruncatedUpdateRejected) {
+  auto wire = truncation_sample();
   const std::size_t cut = GetParam();
-  if (cut >= wire.size()) GTEST_SKIP();
+  ASSERT_LT(cut, wire.size());
   wire.resize(cut);
   // Truncated frames fail the length check.
   EXPECT_FALSE(decode(wire).has_value());
 }
 
-INSTANTIATE_TEST_SUITE_P(AllTruncationPoints, TruncationFuzz,
-                         ::testing::Range<std::size_t>(0, 90, 1));
+INSTANTIATE_TEST_SUITE_P(
+    AllTruncationPoints, TruncationFuzz,
+    ::testing::Range<std::size_t>(0, truncation_sample().size(), 1));
 
-// Bit-flip fuzz: flipping any single byte must never crash the decoder.
-class BitFlipFuzz : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(BitFlipFuzz, NoCrashOnCorruption) {
+// Bit-flip fuzz: flipping any single byte must never crash the decoder. One
+// case per byte of the encoded message.
+std::vector<std::byte> bit_flip_sample() {
   UpdateMessage u;
   u.attributes = sample_attrs();
   u.nlri = {*net::Prefix::parse("10.2.0.0/16")};
-  auto wire = encode(u);
+  return encode(u);
+}
+
+class BitFlipFuzz : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(BitFlipFuzz, NoCrashOnCorruption) {
+  auto wire = bit_flip_sample();
   const std::size_t pos = GetParam();
-  if (pos >= wire.size()) GTEST_SKIP();
+  ASSERT_LT(pos, wire.size());
   wire[pos] = static_cast<std::byte>(static_cast<unsigned>(wire[pos]) ^ 0xff);
   (void)decode(wire);  // must not crash; result may be anything valid-typed
 }
 
-INSTANTIATE_TEST_SUITE_P(AllBytePositions, BitFlipFuzz,
-                         ::testing::Range<std::size_t>(0, 90, 1));
+INSTANTIATE_TEST_SUITE_P(
+    AllBytePositions, BitFlipFuzz,
+    ::testing::Range<std::size_t>(0, bit_flip_sample().size(), 1));
 
 // --- encode_shared: the fan-out path must be indistinguishable on the wire.
 

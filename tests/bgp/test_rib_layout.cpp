@@ -1,9 +1,10 @@
-// Compact-vs-reference RIB layout equivalence at the unit level, plus the
-// supporting structures the compact layout is built from: the open-addressing
-// PrefixTable (fuzzed against std::map), the refcounted AttrRegistry, and the
-// Adj-RIB-In slab defragmenter. The framework-level byte-diff suite lives in
-// tests/framework/test_rib_layout_equivalence.cpp; these tests pin the data
-// structures in isolation so a divergence there points at the exact class.
+// The slab RIB diffed against the std::map oracle (rib_oracle.hpp) at the
+// unit level, plus the supporting structures the slab layout is built from:
+// the open-addressing PrefixTable (fuzzed against std::map), the refcounted
+// AttrRegistry, and the Adj-RIB-In slab defragmenter. The framework-level
+// golden captures live in tests/framework/test_rib_layout_equivalence.cpp;
+// these tests pin the data structures in isolation so a divergence there
+// points at the exact class.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +15,7 @@
 
 #include "bgp/message.hpp"
 #include "bgp/rib.hpp"
+#include "bgp/rib_oracle.hpp"
 #include "bgp/wire.hpp"
 
 namespace bgpsdn::bgp {
@@ -169,48 +171,53 @@ TEST(AttrRegistry, BytesDependOnlyOnSequence) {
   EXPECT_GT(a.bytes(), 0u);
 }
 
-// --- Adj-RIB-In equivalence ----------------------------------------------
+// --- Adj-RIB-In vs the oracle --------------------------------------------
 
 class RibInPair {
  public:
   bool put(const Route& route) {
-    const bool compact = compact_.put(route);
-    const bool reference = reference_.put(route);
-    EXPECT_EQ(compact, reference);
-    return compact;
+    const bool slab = slab_.put(route);
+    const bool oracle = oracle_.put(route);
+    EXPECT_EQ(slab, oracle);
+    return slab;
   }
   void erase(std::uint32_t prefix, std::uint32_t session) {
-    EXPECT_EQ(compact_.erase(prefix_of(prefix), core::SessionId{session}),
-              reference_.erase(prefix_of(prefix), core::SessionId{session}));
+    EXPECT_EQ(slab_.erase(prefix_of(prefix), core::SessionId{session}),
+              oracle_.erase(prefix_of(prefix), core::SessionId{session}));
   }
   void erase_session(std::uint32_t session) {
-    const auto compact = compact_.erase_session(core::SessionId{session});
-    const auto reference = reference_.erase_session(core::SessionId{session});
-    EXPECT_EQ(compact, reference);
+    const auto slab = slab_.erase_session(core::SessionId{session});
+    const auto oracle = oracle_.erase_session(core::SessionId{session});
+    EXPECT_EQ(slab, oracle);
   }
   void expect_equal() const {
-    EXPECT_EQ(compact_.route_count(), reference_.route_count());
-    const auto prefixes = reference_.prefixes();
-    EXPECT_EQ(compact_.prefixes(), prefixes);
+    EXPECT_EQ(slab_.route_count(), oracle_.route_count());
+    const auto prefixes = oracle_.prefixes();
+    EXPECT_EQ(slab_.prefixes(), prefixes);
     for (const auto& prefix : prefixes) {
-      // candidates() pointers are scratch in the compact layout: stringify
-      // the compact view before touching the reference RIB.
-      std::vector<std::string> compact_view;
-      compact_.for_each_candidate(
-          prefix, [&](const Route& r) { compact_view.push_back(route_key(r)); });
-      const auto ref_cands = reference_.candidates(prefix);
-      ASSERT_EQ(compact_view.size(), ref_cands.size()) << prefix.to_string();
-      for (std::size_t i = 0; i < ref_cands.size(); ++i) {
-        EXPECT_EQ(compact_view[i], route_key(*ref_cands[i]))
+      // Slab routes are materialized into scratch: stringify them inside
+      // the visitor, and check candidates() against for_each_candidate().
+      std::vector<std::string> slab_view;
+      slab_.for_each_candidate(
+          prefix, [&](const Route& r) { slab_view.push_back(route_key(r)); });
+      std::vector<std::string> slab_list;
+      for (const Route* r : slab_.candidates(prefix)) {
+        slab_list.push_back(route_key(*r));
+      }
+      EXPECT_EQ(slab_list, slab_view) << prefix.to_string();
+      const auto oracle_cands = oracle_.candidates(prefix);
+      ASSERT_EQ(slab_view.size(), oracle_cands.size()) << prefix.to_string();
+      for (std::size_t i = 0; i < oracle_cands.size(); ++i) {
+        EXPECT_EQ(slab_view[i], route_key(*oracle_cands[i]))
             << prefix.to_string() << " #" << i;
       }
     }
   }
-  const AdjRibIn& compact() const { return compact_; }
+  const AdjRibIn& slab() const { return slab_; }
 
  private:
-  AdjRibIn compact_{RibLayout::kCompact};
-  AdjRibIn reference_{RibLayout::kReference};
+  AdjRibIn slab_;
+  oracle::AdjRibIn oracle_;
 };
 
 TEST(RibLayoutEquivalence, AdjRibInFuzz) {
@@ -237,26 +244,27 @@ TEST(RibLayoutEquivalence, AdjRibInFuzz) {
 }
 
 TEST(RibLayoutEquivalence, AdjRibInFindMatchesAcrossLayouts) {
-  AdjRibIn compact{RibLayout::kCompact};
-  AdjRibIn reference{RibLayout::kReference};
+  AdjRibIn slab;
+  oracle::AdjRibIn oracle;
   const auto route = make_route(3, 5, {5, 9});
-  compact.put(route);
-  reference.put(route);
-  const auto* c = compact.find(prefix_of(3), core::SessionId{5});
+  slab.put(route);
+  oracle.put(route);
+  const auto* c = slab.find(prefix_of(3), core::SessionId{5});
   ASSERT_NE(c, nullptr);
-  const std::string compact_view = route_key(*c);  // scratch: copy first
-  const auto* r = reference.find(prefix_of(3), core::SessionId{5});
+  const std::string slab_view = route_key(*c);  // scratch: copy first
+  const auto* r = oracle.find(prefix_of(3), core::SessionId{5});
   ASSERT_NE(r, nullptr);
-  EXPECT_EQ(compact_view, route_key(*r));
-  EXPECT_EQ(compact.find(prefix_of(3), core::SessionId{6}), nullptr);
-  EXPECT_EQ(compact.find(prefix_of(4), core::SessionId{5}), nullptr);
+  EXPECT_EQ(slab_view, route_key(*r));
+  EXPECT_EQ(slab.find(prefix_of(3), core::SessionId{6}), nullptr);
+  EXPECT_EQ(slab.find(prefix_of(4), core::SessionId{5}), nullptr);
+  EXPECT_EQ(oracle.find(prefix_of(3), core::SessionId{6}), nullptr);
 }
 
 TEST(AdjRibInDefrag, SlabChurnPreservesContents) {
   // Grow every prefix's span through 1->2->4->8->16 candidates, then strip
   // back down: the doubling churn strands freed spans of every size, pushing
-  // the freelist past the defrag trigger. Contents must match the reference
-  // mirror throughout, and the footprint must come back down.
+  // the freelist past the defrag trigger. Contents must match the oracle
+  // throughout, and the footprint must come back down.
   RibInPair pair;
   for (std::uint32_t prefix = 0; prefix < 48; ++prefix) {
     for (std::uint32_t session = 1; session <= 16; ++session) {
@@ -264,14 +272,14 @@ TEST(AdjRibInDefrag, SlabChurnPreservesContents) {
     }
   }
   pair.expect_equal();
-  const auto grown = pair.compact().peak_bytes();
+  const auto grown = pair.slab().peak_bytes();
   for (std::uint32_t prefix = 0; prefix < 48; ++prefix) {
     for (std::uint32_t session = 2; session <= 16; ++session) {
       pair.erase(prefix, session);
     }
   }
   pair.expect_equal();
-  EXPECT_EQ(pair.compact().route_count(), 48u);
+  EXPECT_EQ(pair.slab().route_count(), 48u);
   // After defrag the live footprint is a small fraction of the grown peak:
   // 48 single-candidate spans must not hold on to 16-wide slab rows.
   EXPECT_GT(grown, 48u * 16u * 4u);
@@ -284,11 +292,11 @@ TEST(AdjRibInDefrag, SlabChurnPreservesContents) {
   pair.expect_equal();
 }
 
-// --- Loc-RIB equivalence -------------------------------------------------
+// --- Loc-RIB vs the oracle ------------------------------------------------
 
 TEST(RibLayoutEquivalence, LocRibFuzz) {
-  LocRib compact{RibLayout::kCompact};
-  LocRib reference{RibLayout::kReference};
+  LocRib slab;
+  oracle::LocRib oracle;
   std::mt19937_64 rng{77};
   for (std::uint32_t op = 0; op < 20'000; ++op) {
     const auto prefix = static_cast<std::uint32_t>(rng() % 64);
@@ -297,49 +305,49 @@ TEST(RibLayoutEquivalence, LocRibFuzz) {
       const auto variant = static_cast<std::uint32_t>(rng() % 3);
       const auto route = make_route(prefix, session, {session, variant + 1},
                                     static_cast<std::int64_t>(op));
-      EXPECT_EQ(compact.install(route), reference.install(route)) << op;
+      EXPECT_EQ(slab.install(route), oracle.install(route)) << op;
     } else {
-      EXPECT_EQ(compact.remove(prefix_of(prefix)),
-                reference.remove(prefix_of(prefix)))
+      EXPECT_EQ(slab.remove(prefix_of(prefix)),
+                oracle.remove(prefix_of(prefix)))
           << op;
     }
-    EXPECT_EQ(compact.size(), reference.size());
-    EXPECT_EQ(compact.generation(), reference.generation());
+    EXPECT_EQ(slab.size(), oracle.size());
+    EXPECT_EQ(slab.generation(), oracle.generation());
   }
-  EXPECT_EQ(compact.prefixes(), reference.prefixes());
-  for (const auto& prefix : reference.prefixes()) {
-    const auto* c = compact.find(prefix);
+  EXPECT_EQ(slab.prefixes(), oracle.prefixes());
+  for (const auto& prefix : oracle.prefixes()) {
+    const auto* c = slab.find(prefix);
     ASSERT_NE(c, nullptr);
-    const std::string compact_view = route_key(*c);  // scratch: copy first
-    EXPECT_EQ(compact_view, route_key(*reference.find(prefix)));
+    const std::string slab_view = route_key(*c);  // scratch: copy first
+    EXPECT_EQ(slab_view, route_key(*oracle.find(prefix)));
   }
 }
 
 TEST(RibLayoutEquivalence, LocRibLocalRoutes) {
-  // Locally-originated routes carry SessionId::invalid(); both layouts must
-  // round-trip them (the compact layout parks them on a shared side entry).
-  LocRib compact{RibLayout::kCompact};
-  LocRib reference{RibLayout::kReference};
+  // Locally-originated routes carry SessionId::invalid(); the slab layout
+  // must round-trip them (it parks them on a shared side entry).
+  LocRib slab;
+  oracle::LocRib oracle;
   Route local = make_route(1, 0, {42});
   local.learned_from = core::SessionId::invalid();
   local.peer_bgp_id = net::Ipv4Addr{};
   local.peer_address = net::Ipv4Addr{};
-  EXPECT_EQ(compact.install(local), reference.install(local));
-  const auto* c = compact.find(prefix_of(1));
+  EXPECT_EQ(slab.install(local), oracle.install(local));
+  const auto* c = slab.find(prefix_of(1));
   ASSERT_NE(c, nullptr);
   EXPECT_TRUE(c->is_local());
-  const std::string compact_view = route_key(*c);
-  EXPECT_EQ(compact_view, route_key(*reference.find(prefix_of(1))));
+  const std::string slab_view = route_key(*c);
+  EXPECT_EQ(slab_view, route_key(*oracle.find(prefix_of(1))));
 }
 
-// --- Adj-RIB-Out / RibOutStore equivalence -------------------------------
+// --- Adj-RIB-Out / RibOutStore vs the oracle -----------------------------
 
 TEST(RibLayoutEquivalence, RibOutStoreFuzz) {
-  RibOutStore compact{RibLayout::kCompact};
-  RibOutStore reference{RibLayout::kReference};
+  RibOutStore slab;
+  oracle::RibOutStore oracle;
   constexpr std::uint16_t kCols = 4;
   for (std::uint16_t c = 0; c < kCols; ++c) {
-    ASSERT_EQ(compact.add_column(), reference.add_column());
+    ASSERT_EQ(slab.add_column(), oracle.add_column());
   }
   std::mt19937_64 rng{99};
   for (std::uint32_t op = 0; op < 20'000; ++op) {
@@ -348,34 +356,34 @@ TEST(RibLayoutEquivalence, RibOutStoreFuzz) {
     const auto action = rng() % 100;
     if (action < 55) {
       const auto attrs = bundle(static_cast<std::uint32_t>(rng() % 8));
-      EXPECT_EQ(compact.advertise(col, prefix, attrs),
-                reference.advertise(col, prefix, attrs))
+      EXPECT_EQ(slab.advertise(col, prefix, attrs),
+                oracle.advertise(col, prefix, attrs))
           << op;
     } else if (action < 85) {
-      EXPECT_EQ(compact.withdraw(col, prefix), reference.withdraw(col, prefix))
+      EXPECT_EQ(slab.withdraw(col, prefix), oracle.withdraw(col, prefix))
           << op;
     } else if (action < 95) {
-      const auto* c = compact.advertised(col, prefix);
-      const auto* r = reference.advertised(col, prefix);
+      const auto* c = slab.advertised(col, prefix);
+      const auto* r = oracle.advertised(col, prefix);
       ASSERT_EQ(c != nullptr, r != nullptr) << op;
       if (c != nullptr) {
         EXPECT_EQ(c->get(), r->get()) << op;
       }
     } else {
-      compact.clear(col);
-      reference.clear(col);
+      slab.clear(col);
+      oracle.clear(col);
     }
-    EXPECT_EQ(compact.size(col), reference.size(col));
+    EXPECT_EQ(slab.size(col), oracle.size(col));
   }
   for (std::uint16_t c = 0; c < kCols; ++c) {
-    EXPECT_EQ(compact.prefixes(c), reference.prefixes(c));
+    EXPECT_EQ(slab.prefixes(c), oracle.prefixes(c));
   }
 }
 
 TEST(RibLayoutEquivalence, RibOutLateColumnWidening) {
   // Adding a peer after prefixes are advertised forces row widening; the
   // earlier columns' state must be untouched.
-  RibOutStore store{RibLayout::kCompact};
+  RibOutStore store;
   const auto c0 = store.add_column();
   const auto a = bundle(1);
   ASSERT_TRUE(store.advertise(c0, prefix_of(1), a));
@@ -395,8 +403,8 @@ TEST(RibLayoutEquivalence, SharedRegistryDrainsWithRibs) {
   // Two RIBs share one registry; when both drop their routes every handle
   // must come back (leaked refcounts would pin bundles for the whole run).
   auto registry = std::make_shared<AttrRegistry>();
-  AdjRibIn rib_in{RibLayout::kCompact, registry};
-  LocRib loc{RibLayout::kCompact, registry};
+  AdjRibIn rib_in{registry};
+  LocRib loc{registry};
   for (std::uint32_t prefix = 0; prefix < 32; ++prefix) {
     for (std::uint32_t session = 1; session <= 4; ++session) {
       rib_in.put(make_route(prefix, session, {session, prefix + 1}));

@@ -214,6 +214,25 @@ TEST(FaultPlanParse, RejectsMalformedInput) {
   }
 }
 
+TEST(FaultPlanParse, SeedIsAnExactUnsigned64BitInteger) {
+  EXPECT_EQ(FaultPlan::parse("seed 0\n").seed, 0u);
+  EXPECT_EQ(FaultPlan::parse("seed 9007199254740993\n").seed,
+            9007199254740993u);
+  EXPECT_EQ(FaultPlan::parse("seed 18446744073709551615\n").seed,
+            18446744073709551615u);
+  for (const std::string bad :
+       {"-1", "1.9", "1e30", "nan", "18446744073709551616"}) {
+    try {
+      FaultPlan::parse("at 1 link-down 1 2\nseed " + bad + "\n");
+      ADD_FAILURE() << "seed " << bad << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string{e.what()},
+                "fault plan: seed '" + bad +
+                    "' must be an unsigned 64-bit integer (line 2)");
+    }
+  }
+}
+
 TEST(FaultInjector, ValidatesAtArmTime) {
   Experiment exp{topology::clique(4), {core::AsNumber{4}}, fast_config()};
   const auto arm = [&](const char* text) {

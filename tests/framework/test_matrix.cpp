@@ -127,6 +127,39 @@ TEST(Matrix, DirectiveArgumentErrors) {
             "line 1: bad prefix '10.x'");
 }
 
+TEST(MatrixNumbers, AnnounceAsOutsideRangeIsRejectedAtItsLine) {
+  // 4294967297 used to truncate to AS 1 and run.
+  EXPECT_EQ(diagnostic_of([] {
+              MatrixSpec::parse("trials 1\nannounce 4294967297 10.9.0.0/16\n");
+            }),
+            "line 2: announce AS needs an integer in [1, 4294967295], got "
+            "'4294967297'");
+  for (const std::string bad : {"0", "-1", "+1", "1.0", "1e3"}) {
+    EXPECT_EQ(diagnostic_of([&] {
+                MatrixSpec::parse("announce " + bad + " 10.9.0.0/16\n");
+              }),
+              "line 1: announce AS needs an integer in [1, 4294967295], got '" +
+                  bad + "'");
+  }
+  const auto matrix = MatrixSpec::parse("announce 4294967295 10.9.0.0/16\n");
+  ASSERT_EQ(matrix.base.announcements.size(), 1u);
+  EXPECT_EQ(matrix.base.announcements[0].first, core::AsNumber{4294967295u});
+}
+
+TEST(MatrixNumbers, SeedsAreExactUnsigned64BitIntegers) {
+  const auto matrix = MatrixSpec::parse(
+      "base-seed 18446744073709551615\nfault-seed 9007199254740993\n");
+  EXPECT_EQ(matrix.base_seed, 18446744073709551615u);
+  EXPECT_EQ(matrix.base.faults.seed, 9007199254740993u);
+  EXPECT_EQ(diagnostic_of([] { MatrixSpec::parse("base-seed 1.9\n"); }),
+            "line 1: base-seed needs an unsigned 64-bit integer, got '1.9'");
+  EXPECT_EQ(diagnostic_of([] {
+              MatrixSpec::parse("fault-seed 18446744073709551616\n");
+            }),
+            "line 1: fault-seed needs an unsigned 64-bit integer, got "
+            "'18446744073709551616'");
+}
+
 // --- expansion --------------------------------------------------------------
 
 TEST(Matrix, ExpandsRowMajorWithFirstAxisSlowest) {

@@ -219,6 +219,61 @@ TEST(Scenario, ReplicaSyntaxErrorsAreExact) {
   EXPECT_NE(result.error.find("line 4"), std::string::npos);
 }
 
+// --- number tokens: exact, ranged, never wrapped ---------------------------
+
+std::string error_of(const std::string& script) {
+  ScenarioRunner runner;
+  const auto result = runner.run(script);
+  EXPECT_FALSE(result.ok) << script;
+  return result.error;
+}
+
+TEST(ScenarioNumbers, AsNumbersOutsideRangeAreRejectedAtTheirLine) {
+  // A sign, zero, or a value past 2^32-1 used to wrap or truncate into a
+  // different AS (or crash later, at start).
+  EXPECT_EQ(error_of("topology clique 3\nsdn -1\n"),
+            "line 2: bad AS number '-1' (want 1..4294967295)");
+  EXPECT_EQ(error_of("topology clique 3\nsdn 4294967297\nstart\n"),
+            "line 2: bad AS number '4294967297' (want 1..4294967295)");
+  EXPECT_EQ(error_of("topology clique 3\nsdn +1\n"),
+            "line 2: bad AS number '+1' (want 1..4294967295)");
+  EXPECT_EQ(error_of("topology clique 3\nannounce 0 10.0.0.0/8\nstart\n"),
+            "line 2: bad AS number '0' (want 1..4294967295)");
+  EXPECT_EQ(error_of("topology clique 3\nhost 1.5\n"),
+            "line 2: bad AS number '1.5' (want 1..4294967295)");
+  // The top of the range parses; it is then simply not in the topology.
+  EXPECT_EQ(error_of("topology clique 3\nsdn 4294967295\n"),
+            "line 2: AS4294967295 not in topology");
+}
+
+TEST(ScenarioNumbers, SeedsAreExactUnsigned64BitIntegers) {
+  const auto dot_for_seed = [](const std::string& seed) {
+    ScenarioRunner runner;
+    const auto result = runner.run("seed " + seed +
+                                   "\ntopology synth-caida 20\n"
+                                   "print-dot topology\n");
+    EXPECT_TRUE(result.ok) << result.error;
+    return result.output;
+  };
+  // 2^53 + 1 and 2^53 collapse to one double; as integers they differ.
+  EXPECT_NE(dot_for_seed("9007199254740993"), dot_for_seed("9007199254740992"));
+  EXPECT_FALSE(dot_for_seed("18446744073709551615").empty());
+  for (const std::string bad :
+       {"-1", "1.9", "1e30", "nan", "18446744073709551616", "+1", "0x10"}) {
+    EXPECT_EQ(error_of("topology clique 3\nseed " + bad + "\n"),
+              "line 2: bad seed '" + bad + "' (want 0..18446744073709551615)");
+    EXPECT_EQ(error_of("fault-seed " + bad + "\n"),
+              "line 1: bad seed '" + bad + "' (want 0..18446744073709551615)");
+  }
+  ScenarioRunner runner;
+  const auto result = runner.run("seed 0\nfault-seed 0\ntopology clique 3\n");
+  EXPECT_TRUE(result.ok) << result.error;
+}
+
+TEST(ScenarioNumbers, RibIsNoLongerACommand) {
+  EXPECT_EQ(error_of("rib compact\n"), "line 1: unknown command 'rib'");
+}
+
 TEST(Scenario, SynthCaidaTopology) {
   ScenarioRunner runner;
   const auto result = runner.run(

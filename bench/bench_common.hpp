@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "framework/config_text.hpp"
 #include "framework/experiment_spec.hpp"
 #include "framework/report.hpp"
 #include "topology/generators.hpp"
@@ -55,32 +56,22 @@ inline BenchCli parse_cli(int argc, char** argv,
     }
     return argv[++i];
   };
-  const auto number_arg = [&](int& i, const char* flag) -> long long {
-    const char* text = value_arg(i, flag);
-    try {
-      std::size_t used = 0;
-      const long long parsed = std::stoll(text, &used);
-      if (used != std::string{text}.size()) throw std::invalid_argument{text};
-      return parsed;
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "%s: %s needs a number, got '%s'\n", argv[0], flag,
-                   text);
-      std::exit(2);
-    }
-  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--json") {
       cli.json_path = value_arg(i, "--json");
-    } else if (arg == "--trials") {
-      const long long v = number_arg(i, "--trials");
-      if (v < 1) {
-        std::fprintf(stderr, "%s: --trials must be >= 1\n", argv[0]);
+    } else if (arg == "--trials" || arg == "--seed") {
+      try {
+        const std::uint64_t v = framework::next_flag_value(argc, argv, i);
+        if (arg == "--trials") {
+          cli.trials = v;
+        } else {
+          cli.seed = v;
+        }
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
         std::exit(2);
       }
-      cli.trials = static_cast<std::size_t>(v);
-    } else if (arg == "--seed") {
-      cli.seed = static_cast<std::uint64_t>(number_arg(i, "--seed"));
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: %s [--json <path>] [--trials N] [--seed S]\n\n"

@@ -396,17 +396,24 @@ fi
 # the router's export fan-out (borrowed Loc-RIB winners, flat dirty
 # sets), and the slab RIB (memmoved candidate spans, backshift deletion in
 # the open-addressing tables, the attribute registry) through its
-# oracle-diff fuzzers and the framework golden captures. The DSL, matrix
-# and fault-plan number parsers ride along.
+# oracle-diff fuzzers and the framework golden captures. The configuration
+# front end rides along: the scenario DSL, matrix and fault-plan grammars,
+# their seeded mutation fuzz and the CAIDA/iPlane dataset parsers. GCC's
+# `undefined` group leaves out float-cast-overflow, the UB a NaN or
+# out-of-range number would hit on its way into an integer field, so it
+# is named explicitly.
 echo "===== asan+ubsan"
+SANITIZERS="address,undefined,float-cast-overflow"
 cmake -B build-asan "${GENERATOR[@]}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g" \
-  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+  -DCMAKE_CXX_FLAGS="-fsanitize=$SANITIZERS -fno-sanitize-recover=all -g" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=$SANITIZERS"
 cmake --build build-asan -j "$(nproc)" \
-  --target test_framework test_bgp test_net test_core test_controller bgpsdn_run
+  --target test_framework test_bgp test_net test_core test_controller \
+  test_topology bgpsdn_run bgpsdn_matrix
 ./build-asan/tests/test_framework \
-  --gtest_filter='FaultPlanParse.*:FaultInjector.*:FaultDsl.*:FaultDeterminism.*:CrashRecovery.*:HybridExperiment.DestructionSweepsTheAttributePool:*LayoutEquivalence.*:ScenarioNumbers.*:MatrixNumbers.*'
+  --gtest_filter='FaultPlanParse.*:FaultInjector.*:FaultDsl.*:FaultDeterminism.*:CrashRecovery.*:HybridExperiment.DestructionSweepsTheAttributePool:*LayoutEquivalence.*:ScenarioNumbers.*:MatrixNumbers.*:ConfigText.*:ConfigFuzz.*:Scenario.*:Matrix.*'
+./build-asan/tests/test_topology --gtest_filter='Datasets.*'
 ./build-asan/tests/test_controller --gtest_filter='ReplicaSet*'
 # The HA chaos scenario + plan under ASan: elections, partition deposal and
 # the degrade/recover hooks all tear subsystems down mid-flight.
@@ -417,6 +424,31 @@ cmake --build build-asan -j "$(nproc)" \
 ./build-asan/tests/test_net \
   --gtest_filter='*LinkParams*:*RuntimeLoss*:*Corruption*:Bytes.*'
 ./build-asan/tests/test_core --gtest_filter='EventLoop.*'
+# Malformed-input smoke, on the sanitized binaries: each surface must
+# reject its bad value with the one diagnostic and a non-zero exit.
+echo "===== malformed-input smoke"
+printf 'mrai nan\ntopology clique 3\nstart\n' > "$LINT_TMP/nan.bgpsdn"
+printf 'topology clique 4\naxis sdn-frac nan\n' > "$LINT_TMP/nan.matrix"
+expect_rejected() {
+  local want="$1" out
+  shift
+  if out="$("$@" 2>&1)"; then
+    echo "malformed-input smoke FAILED: '$*' exited 0" >&2
+    exit 1
+  fi
+  if ! grep -qF -- "$want" <<< "$out"; then
+    echo "malformed-input smoke FAILED: '$*' printed '$out'" >&2
+    exit 1
+  fi
+}
+expect_rejected "line 1: bad mrai 'nan' (want seconds in [0, 1e9])" \
+  ./build-asan/tools/bgpsdn_run "$LINT_TMP/nan.bgpsdn"
+expect_rejected "line 2: bad sdn-frac 'nan' (want [0, 1])" \
+  ./build-asan/tools/bgpsdn_matrix --list "$LINT_TMP/nan.matrix"
+expect_rejected "--base-seed: bad seed '-1' (want 0..18446744073709551615)" \
+  ./build-asan/tools/bgpsdn_run --base-seed -1 --trials 2 \
+  scenarios/fig2_point.bgpsdn
+echo "malformed-input smoke: ok"
 
 # ThreadSanitizer job: rebuild the test binaries with -fsanitize=thread and
 # run everything that exercises the parallel trial runners. Simulations are

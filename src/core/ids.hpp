@@ -5,10 +5,13 @@
 // into a slot expecting a link id.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <compare>
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace bgpsdn::core {
 
@@ -79,6 +82,24 @@ class AsNumber {
  private:
   std::uint32_t v_{0};
 };
+
+/// Exact whole-token decimal parse: digits only (no sign, fraction, exponent
+/// or padding), and a value that does not fit in 64 bits is rejected, never
+/// wrapped.
+inline std::optional<std::uint64_t> parse_uint64(std::string_view token) {
+  std::uint64_t v = 0;
+  const char* last = token.data() + token.size();
+  const auto [end, ec] = std::from_chars(token.data(), last, v);
+  if (ec != std::errc{} || end != last) return std::nullopt;
+  return v;
+}
+
+/// An AS number token: parse_uint64 within [1, 4294967295].
+inline std::optional<AsNumber> parse_as_number(std::string_view token) {
+  const auto v = parse_uint64(token);
+  if (!v || *v == 0 || *v > 0xFFFFFFFFu) return std::nullopt;
+  return AsNumber{static_cast<std::uint32_t>(*v)};
+}
 
 }  // namespace bgpsdn::core
 

@@ -72,7 +72,7 @@ core::AsNumber ExperimentSpec::failover_mid() { return core::AsNumber{101}; }
 
 void ExperimentSpec::resolve() {
   if (sdn_fraction) {
-    if (*sdn_fraction < 0.0 || *sdn_fraction > 1.0) {
+    if (!(*sdn_fraction >= 0.0 && *sdn_fraction <= 1.0)) {
       bad("sdn fraction must be in [0, 1], got " +
           std::to_string(*sdn_fraction));
     }
@@ -353,7 +353,7 @@ ExperimentSpecBuilder& ExperimentSpecBuilder::sdn_count(std::size_t count) {
 }
 
 ExperimentSpecBuilder& ExperimentSpecBuilder::sdn_fraction(double fraction) {
-  if (fraction < 0.0 || fraction > 1.0) {
+  if (!(fraction >= 0.0 && fraction <= 1.0)) {
     bad("sdn fraction must be in [0, 1], got " + std::to_string(fraction));
   }
   spec_.sdn_fraction = fraction;

@@ -1,13 +1,13 @@
 #include "framework/faults.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "framework/config_text.hpp"
 #include "framework/experiment.hpp"
 #include "net/network.hpp"
 #include "telemetry/trace.hpp"
@@ -36,199 +36,26 @@ const char* to_string(FaultKind kind) {
 
 namespace {
 
+/// Arm-time diagnostics (FaultInjector::validate).
 [[noreturn]] void bad(const std::string& what) {
   throw std::invalid_argument{"fault plan: " + what};
 }
 
-double parse_double(const std::string& token, const char* what) {
-  std::size_t used = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(token, &used);
-  } catch (const std::exception&) {
-    bad(std::string{what} + " '" + token + "' is not a number");
-  }
-  if (used != token.size() || std::isnan(v)) {
-    bad(std::string{what} + " '" + token + "' is not a number");
-  }
-  return v;
-}
-
-int parse_count(const std::string& token, const char* what) {
-  const double v = parse_double(token, what);
-  const int n = static_cast<int>(v);
-  if (v != static_cast<double>(n) || n < 1) {
-    bad(std::string{what} + " '" + token + "' must be a positive integer");
-  }
-  return n;
-}
-
-core::AsNumber parse_as(const std::string& token) {
-  const double v = parse_double(token, "AS number");
-  const auto n = static_cast<std::uint32_t>(v);
-  if (v != static_cast<double>(n) || n == 0) {
-    bad("AS number '" + token + "' must be a positive integer");
-  }
-  return core::AsNumber{n};
-}
-
-int parse_replica(const std::string& token) {
-  // A bare digit check (not parse_double) so every malformed id — 'x',
-  // '-1', '1.5' alike — gets the one canonical diagnostic.
-  const bool digits =
-      !token.empty() && std::all_of(token.begin(), token.end(), [](char c) {
-        return c >= '0' && c <= '9';
-      });
-  if (!digits || token.size() > 6) {
-    bad("controller replica id '" + token +
-        "' must be a non-negative integer");
-  }
-  return std::stoi(token);
-}
-
-core::Duration parse_seconds(const std::string& token, const char* what) {
-  const double v = parse_double(token, what);
-  if (v < 0.0) bad(std::string{what} + " '" + token + "' must be >= 0");
-  return core::Duration::seconds_f(v);
-}
-
-void need_args(const std::vector<std::string>& tokens, std::size_t n) {
-  if (tokens.size() != n + 1) {
-    bad("'" + tokens.front() + "' takes " + std::to_string(n) +
-        " argument(s), got " + std::to_string(tokens.size() - 1));
-  }
-}
-
-std::vector<std::string> split(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream in{line};
-  std::string token;
-  while (in >> token) tokens.push_back(token);
-  return tokens;
-}
-
 }  // namespace
-
-std::optional<std::uint64_t> parse_uint64(const std::string& token) {
-  std::uint64_t v = 0;
-  const char* last = token.data() + token.size();
-  const auto [end, ec] = std::from_chars(token.data(), last, v);
-  if (ec != std::errc{} || end != last) return std::nullopt;
-  return v;
-}
-
-std::optional<core::AsNumber> parse_as_number(const std::string& token) {
-  const auto v = parse_uint64(token);
-  if (!v || *v == 0 || *v > 0xFFFFFFFFu) return std::nullopt;
-  return core::AsNumber{static_cast<std::uint32_t>(*v)};
-}
-
-FaultEvent FaultPlan::parse_event(const std::vector<std::string>& tokens,
-                                  core::Duration at) {
-  if (tokens.empty()) bad("empty event");
-  FaultEvent e;
-  e.at = at;
-  const std::string& kind = tokens.front();
-  if (kind == "link-down" || kind == "link-up") {
-    need_args(tokens, 2);
-    e.kind = kind == "link-down" ? FaultKind::kLinkDown : FaultKind::kLinkUp;
-    e.a = parse_as(tokens[1]);
-    e.b = parse_as(tokens[2]);
-  } else if (kind == "flap") {
-    need_args(tokens, 4);
-    e.kind = FaultKind::kLinkFlap;
-    e.a = parse_as(tokens[1]);
-    e.b = parse_as(tokens[2]);
-    e.count = parse_count(tokens[3], "flap count");
-    e.period = parse_seconds(tokens[4], "flap period");
-  } else if (kind == "loss") {
-    need_args(tokens, 3);
-    e.kind = FaultKind::kLinkLoss;
-    e.a = parse_as(tokens[1]);
-    e.b = parse_as(tokens[2]);
-    e.value = parse_double(tokens[3], "loss probability");
-  } else if (kind == "loss-ramp") {
-    need_args(tokens, 5);
-    e.kind = FaultKind::kLossRamp;
-    e.a = parse_as(tokens[1]);
-    e.b = parse_as(tokens[2]);
-    e.value = parse_double(tokens[3], "ramp target");
-    e.count = parse_count(tokens[4], "ramp steps");
-    e.period = parse_seconds(tokens[5], "ramp interval");
-  } else if (kind == "corrupt") {
-    need_args(tokens, 4);
-    e.kind = FaultKind::kCorrupt;
-    e.a = parse_as(tokens[1]);
-    e.b = parse_as(tokens[2]);
-    e.value = parse_double(tokens[3], "corruption probability");
-    e.period = parse_seconds(tokens[4], "corruption window");
-  } else if (kind == "partition") {
-    if (tokens.size() < 2) bad("'partition' needs at least one AS");
-    e.kind = FaultKind::kPartition;
-    for (std::size_t i = 1; i < tokens.size(); ++i) {
-      e.as_set.push_back(parse_as(tokens[i]));
-    }
-  } else if (kind == "heal") {
-    need_args(tokens, 0);
-    e.kind = FaultKind::kPartitionHeal;
-  } else if (kind == "controller-crash" || kind == "controller-restart") {
-    if (tokens.size() > 2) {
-      bad("'" + kind + "' takes at most one replica id, got " +
-          std::to_string(tokens.size() - 1) + " arguments");
-    }
-    e.kind = kind == "controller-crash" ? FaultKind::kControllerCrash
-                                        : FaultKind::kControllerRestart;
-    e.count = tokens.size() == 2 ? parse_replica(tokens[1]) : -1;
-  } else if (kind == "repl-partition" || kind == "repl-heal") {
-    need_args(tokens, 1);
-    e.kind = kind == "repl-partition" ? FaultKind::kReplPartition
-                                      : FaultKind::kReplHeal;
-    e.count = parse_replica(tokens[1]);
-  } else if (kind == "speaker-crash") {
-    need_args(tokens, 0);
-    e.kind = FaultKind::kSpeakerCrash;
-  } else if (kind == "speaker-restart") {
-    need_args(tokens, 0);
-    e.kind = FaultKind::kSpeakerRestart;
-  } else {
-    bad("unknown fault kind '" + kind + "'");
-  }
-  return e;
-}
 
 FaultPlan FaultPlan::parse(const std::string& text) {
   FaultPlan plan;
   std::istringstream in{text};
-  std::string line;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (const auto hash = line.find('#'); hash != std::string::npos) {
-      line.erase(hash);
+  for_each_line(in, [&](const Tokens& t) {
+    if (t[0] == "seed") {
+      plan.seed = parse_seed_line(t);
+    } else if (t[0] == "at") {
+      plan.events.push_back(parse_fault_line(t));
+    } else {
+      throw std::invalid_argument{"expected 'seed' or 'at', got '" + t[0] +
+                                  "'"};
     }
-    auto tokens = split(line);
-    if (tokens.empty()) continue;
-    try {
-      if (tokens.front() == "seed") {
-        need_args(tokens, 1);
-        const auto seed = parse_uint64(tokens[1]);
-        if (!seed) {
-          bad("seed '" + tokens[1] + "' must be an unsigned 64-bit integer");
-        }
-        plan.seed = *seed;
-      } else if (tokens.front() == "at") {
-        if (tokens.size() < 3) bad("'at' needs a time and an event");
-        const auto at = parse_seconds(tokens[1], "event time");
-        plan.events.push_back(parse_event(
-            {tokens.begin() + 2, tokens.end()}, at));
-      } else {
-        bad("expected 'seed' or 'at', got '" + tokens.front() + "'");
-      }
-    } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument{std::string{e.what()} + " (line " +
-                                  std::to_string(line_no) + ")"};
-    }
-  }
+  });
   return plan;
 }
 

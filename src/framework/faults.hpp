@@ -29,11 +29,15 @@
 //   at 20  controller-restart
 //   at 24  speaker-crash
 //   at 28  speaker-restart
+//
+// Every value is one exact token in its domain (config_text.hpp): times,
+// periods and windows in [0, 1e9] seconds, probabilities in [0, 1], flap
+// counts and ramp steps in 1..2147483647, replica ids in 0..15 and AS
+// numbers in 1..4294967295. A token that begins with '#' starts a comment.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -95,26 +99,11 @@ struct FaultPlan {
   std::uint64_t seed{0};
   std::vector<FaultEvent> events;
 
-  /// Parse one event from whitespace-split tokens (`{"link-down","1","10"}`)
-  /// occurring at `at`. Shared by the file parser and the scenario DSL.
-  /// Throws std::invalid_argument on unknown kinds, wrong arity or
-  /// malformed numbers.
-  static FaultEvent parse_event(const std::vector<std::string>& tokens,
-                                core::Duration at);
-
-  /// Parse the plan-file format documented above ('#' comments, `seed N`,
-  /// `at <seconds> <event...>`). Throws std::invalid_argument with the
-  /// offending line number.
+  /// Parse the plan-file format documented above (`seed N`,
+  /// `at <seconds> <event...>`) through the shared configuration lexer
+  /// (config_text.hpp). Throws std::invalid_argument "line N: ...".
   static FaultPlan parse(const std::string& text);
 };
-
-/// Exact whole-token decimal parse shared by fault plans, the scenario DSL
-/// and .matrix files: digits only (no sign, fraction, exponent or padding),
-/// and a value that does not fit in 64 bits is rejected, never wrapped.
-std::optional<std::uint64_t> parse_uint64(const std::string& token);
-
-/// An AS number token: parse_uint64 within [1, 4294967295].
-std::optional<core::AsNumber> parse_as_number(const std::string& token);
 
 /// Executes a FaultPlan against a built Experiment. Attach with
 /// `experiment.attach_monitor<FaultInjector>(plan)`; events arm immediately

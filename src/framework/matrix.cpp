@@ -1,8 +1,12 @@
 #include "framework/matrix.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+
+#include "framework/config_text.hpp"
 
 namespace bgpsdn::framework {
 
@@ -21,80 +25,33 @@ std::string join(const std::vector<std::string>& items) {
   return out;
 }
 
-double parse_double(const std::string& token, const char* what) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument{""};
-    return v;
-  } catch (...) {
-    bad(std::string{what} + " needs a number, got '" + token + "'");
+constexpr std::uint64_t kMaxCount = std::numeric_limits<std::size_t>::max();
+
+bool is_axis_key(const std::string& key) {
+  const auto& keys = axis_keys();
+  return std::find(keys.begin(), keys.end(), key) != keys.end();
+}
+
+void require_axis_key(const std::string& key) {
+  if (!is_axis_key(key)) {
+    bad("unknown axis '" + key + "' (known: " + join(axis_keys()) + ")");
   }
 }
 
-std::size_t parse_count(const std::string& token, const char* what) {
-  try {
-    std::size_t pos = 0;
-    const long long v = std::stoll(token, &pos);
-    if (pos != token.size() || v < 0) throw std::invalid_argument{""};
-    return static_cast<std::size_t>(v);
-  } catch (...) {
-    bad(std::string{what} + " needs a non-negative integer, got '" + token +
-        "'");
-  }
-}
-
-std::uint64_t parse_seed(const std::string& token, const char* what) {
-  const auto seed = parse_uint64(token);
-  if (!seed) {
-    bad(std::string{what} + " needs an unsigned 64-bit integer, got '" +
-        token + "'");
-  }
-  return *seed;
-}
-
-void apply_topology(ExperimentSpec& spec, const std::string& value) {
-  const auto colon = value.find(':');
-  if (colon == std::string::npos) {
-    bad("want <model>:<size>, e.g. clique:16");
-  }
-  const std::string model_name = value.substr(0, colon);
-  const auto model = parse_topology_model(model_name);
-  if (!model) bad("unknown topology model '" + model_name + "'");
-  const std::size_t size =
-      parse_count(value.substr(colon + 1), "topology size");
-  if (size < 2) bad("topology size must be >= 2, got " + std::to_string(size));
-  spec.topology = *model;
-  spec.topology_size = size;
-}
-
+/// `withdrawal`, `flap:6`, ...: an event kind with an optional cycle count
+/// (flap trains only).
 void apply_event(ExperimentSpec& spec, const std::string& value) {
-  std::string name = value;
-  std::optional<std::size_t> cycles;
-  if (const auto colon = value.find(':'); colon != std::string::npos) {
-    name = value.substr(0, colon);
-    cycles = parse_count(value.substr(colon + 1), "flap cycle count");
+  const auto colon = value.find(':');
+  const auto kind = parse_event_kind(value.substr(0, colon));
+  if (!kind || (colon != std::string::npos && *kind != EventKind::kFlapTrain)) {
+    bad_value("event", value,
+              "announcement|withdrawal|failover|flap-train[:<cycles>]");
   }
-  const auto kind = parse_event_kind(name);
-  if (!kind) bad("unknown event kind '" + name + "'");
-  if (cycles) {
-    if (*kind != EventKind::kFlapTrain) {
-      bad("only flap events take a cycle count");
-    }
-    if (*cycles < 1) bad("flap-train needs at least 1 cycle");
-    spec.flap_cycles = *cycles;
+  if (colon != std::string::npos) {
+    spec.flap_cycles = parse_integer("flaps", value.substr(colon + 1), 1,
+                                     kMaxCount);
   }
   spec.event = *kind;
-}
-
-void apply_on_off(bool& slot, const std::string& value, const char* what) {
-  if (value == "on") {
-    slot = true;
-  } else if (value == "off") {
-    slot = false;
-  } else {
-    bad(std::string{"want on|off for "} + what + ", got '" + value + "'");
-  }
 }
 
 }  // namespace
@@ -109,65 +66,20 @@ const std::vector<std::string>& axis_keys() {
 
 void apply_axis_value(ExperimentSpec& spec, const std::string& axis,
                       const std::string& value) {
-  try {
-    if (axis == "topology") {
-      apply_topology(spec, value);
-    } else if (axis == "sdn-frac") {
-      const double f = parse_double(value, "sdn-frac");
-      if (f < 0.0 || f > 1.0) {
-        bad("sdn fraction must be in [0, 1], got " + value);
-      }
-      spec.sdn_fraction = f;
-    } else if (axis == "sdn-count") {
-      spec.sdn_count = parse_count(value, "sdn-count");
-      spec.sdn_fraction.reset();
-    } else if (axis == "event") {
-      apply_event(spec, value);
-    } else if (axis == "spt") {
-      if (value == "incremental") {
-        spec.config.incremental_spt = true;
-      } else if (value == "reference") {
-        spec.config.incremental_spt = false;
-      } else {
-        bad("want incremental|reference, got '" + value + "'");
-      }
-    } else if (axis == "damping") {
-      apply_on_off(spec.config.damping.enabled, value, "damping");
-    } else if (axis == "controller") {
-      if (value == "idr") {
-        spec.config.controller_style = ControllerStyle::kIdrCentralized;
-      } else if (value == "routeflow") {
-        spec.config.controller_style = ControllerStyle::kRouteFlowMirror;
-      } else {
-        bad("want idr|routeflow, got '" + value + "'");
-      }
-    } else if (axis == "mrai") {
-      const double s = parse_double(value, "mrai");
-      if (s < 0.0) bad("mrai must be >= 0, got " + value);
-      spec.config.timers.mrai = core::Duration::seconds_f(s);
-    } else if (axis == "recompute-delay") {
-      const double s = parse_double(value, "recompute-delay");
-      if (s < 0.0) bad("recompute delay must be >= 0, got " + value);
-      spec.config.recompute_delay = core::Duration::seconds_f(s);
-    } else if (axis == "replicas") {
-      const std::size_t n = parse_count(value, "replicas");
-      if (n < 1 || n > 16) {
-        bad("replicas must be in [1, 16], got " + value);
-      }
-      spec.config.controller_replicas = n;
-    } else if (axis == "election-timeout-ms") {
-      const double ms = parse_double(value, "election-timeout-ms");
-      if (ms <= 0.0) bad("election timeout must be > 0, got " + value);
-      spec.config.ha.election_min = core::Duration::seconds_f(ms / 1000.0);
-      spec.config.ha.election_max = core::Duration::seconds_f(ms / 500.0);
-    } else {
-      throw std::invalid_argument{"unknown axis '" + axis +
-                                  "' (known: " + join(axis_keys()) + ")"};
-    }
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    if (what.rfind("unknown axis ", 0) == 0) throw;
-    bad("bad value '" + value + "' for axis '" + axis + "': " + what);
+  require_axis_key(axis);
+  if (axis == "topology") {
+    const auto colon = value.find(':');
+    if (colon == std::string::npos) bad_value(axis, value, "<model>:<size>");
+    apply_topology(spec, value.substr(0, colon), value.substr(colon + 1));
+  } else if (axis == "sdn-frac") {
+    spec.sdn_fraction = parse_fraction(axis, value);
+  } else if (axis == "sdn-count") {
+    spec.sdn_count = parse_integer(axis, value, 0, kMaxCount);
+    spec.sdn_fraction.reset();
+  } else if (axis == "event") {
+    apply_event(spec, value);
+  } else {
+    apply_setting(spec.config, axis, value);
   }
 }
 
@@ -185,121 +97,69 @@ MatrixSpec MatrixSpec::parse(const std::string& text) {
 
 MatrixSpec MatrixSpec::parse(std::istream& in) {
   MatrixSpec matrix;
-  std::string text_line;
-  std::size_t number = 0;
-  const auto fail = [&](const std::string& message) {
-    bad("line " + std::to_string(number) + ": " + message);
-  };
-  while (std::getline(in, text_line)) {
-    ++number;
-    std::istringstream ls{text_line};
-    std::vector<std::string> t;
-    std::string tok;
-    while (ls >> tok) {
-      if (tok[0] == '#') break;
-      t.push_back(tok);
-    }
-    if (t.empty()) continue;
+  for_each_line(in, [&](const Tokens& t) {
     const std::string& cmd = t[0];
-    const auto need = [&](std::size_t n) {
-      if (t.size() != n + 1) {
-        fail(cmd + " expects " + std::to_string(n) + " argument(s)");
+    if (cmd == "matrix") {
+      expect_args(t, 1);
+      matrix.name = t[1];
+    } else if (cmd == "trials") {
+      expect_args(t, 1);
+      matrix.trials = parse_integer("trials", t[1], 1, kMaxCount);
+    } else if (cmd == "base-seed") {
+      matrix.base_seed = parse_seed_line(t);
+    } else if (cmd == "axis") {
+      if (t.size() < 2) bad("usage: axis <key> <value...>");
+      const std::string& key = t[1];
+      require_axis_key(key);
+      for (const auto& existing : matrix.axes) {
+        if (existing.name == key) bad("axis '" + key + "' declared twice");
       }
-    };
-    try {
-      if (cmd == "matrix") {
-        need(1);
-        matrix.name = t[1];
-      } else if (cmd == "trials") {
-        need(1);
-        matrix.trials = parse_count(t[1], "trials");
-        if (matrix.trials < 1) fail("trials must be >= 1");
-      } else if (cmd == "base-seed") {
-        need(1);
-        matrix.base_seed = parse_seed(t[1], "base-seed");
-      } else if (cmd == "axis") {
-        if (t.size() < 2) fail("usage: axis <key> <value...>");
-        const std::string& key = t[1];
-        bool known = false;
-        for (const auto& k : axis_keys()) known |= k == key;
-        if (!known) {
-          fail("unknown axis '" + key + "' (known: " + join(axis_keys()) +
-               ")");
-        }
-        for (const auto& existing : matrix.axes) {
-          if (existing.name == key) fail("axis '" + key + "' declared twice");
-        }
-        if (t.size() < 3) fail("axis '" + key + "' has no values");
-        MatrixAxis axis;
-        axis.name = key;
-        for (std::size_t i = 2; i < t.size(); ++i) {
-          for (const auto& seen : axis.values) {
-            if (seen == t[i]) {
-              fail("duplicate value '" + t[i] + "' in axis '" + key + "'");
-            }
+      if (t.size() < 3) bad("axis '" + key + "' has no values");
+      MatrixAxis axis;
+      axis.name = key;
+      for (std::size_t i = 2; i < t.size(); ++i) {
+        for (const auto& seen : axis.values) {
+          if (seen == t[i]) {
+            bad("duplicate value '" + t[i] + "' in axis '" + key + "'");
           }
-          // Validate the value's shape right here, against a scratch copy,
-          // so a typo fails at its own line instead of inside expand().
-          ExperimentSpec scratch = matrix.base;
-          apply_axis_value(scratch, key, t[i]);
-          axis.values.push_back(t[i]);
         }
-        matrix.axes.push_back(std::move(axis));
-      } else if (cmd == "topology") {
-        // Scenario-DSL spelling: `topology clique 16`.
-        need(2);
-        apply_axis_value(matrix.base, "topology", t[1] + ":" + t[2]);
-      } else if (cmd == "link-delay-ms") {
-        need(1);
-        const double ms = parse_double(t[1], "link-delay-ms");
-        if (ms < 0.0) fail("link delay must be >= 0");
-        matrix.base.config.default_link.delay =
-            core::Duration::seconds_f(ms / 1000.0);
-      } else if (cmd == "wait-quiet") {
-        need(1);
-        const double s = parse_double(t[1], "wait-quiet");
-        if (s < 0.0) fail("wait-quiet must be >= 0");
-        matrix.base.wait_quiet = core::Duration::seconds_f(s);
-      } else if (cmd == "flaps") {
-        need(1);
-        matrix.base.flap_cycles = parse_count(t[1], "flaps");
-        if (matrix.base.flap_cycles < 1) fail("flaps must be >= 1");
-      } else if (cmd == "announce") {
-        need(2);
-        const auto as = parse_as_number(t[1]);
-        if (!as) {
-          fail("announce AS needs an integer in [1, 4294967295], got '" +
-               t[1] + "'");
-        }
-        const auto prefix = net::Prefix::parse(t[2]);
-        if (!prefix) fail("bad prefix '" + t[2] + "'");
-        matrix.base.announcements.emplace_back(*as, *prefix);
-      } else if (cmd == "fault-seed") {
-        need(1);
-        matrix.base.faults.seed = parse_seed(t[1], "fault-seed");
-      } else if (cmd == "fault") {
-        if (t.size() < 3) fail("usage: fault <seconds> <event...>");
-        const double at_s = parse_double(t[1], "fault time");
-        if (at_s < 0.0) fail("fault time must be >= 0");
-        matrix.base.faults.events.push_back(FaultPlan::parse_event(
-            {t.begin() + 2, t.end()}, core::Duration::seconds_f(at_s)));
-      } else {
-        bool is_axis_key = false;
-        for (const auto& k : axis_keys()) is_axis_key |= k == cmd;
-        if (is_axis_key) {
-          // Fixed setting with an axis key: `mrai 30`, `damping on`, ...
-          need(1);
-          apply_axis_value(matrix.base, cmd, t[1]);
-        } else {
-          fail("unknown key '" + cmd + "'");
-        }
+        // Validate the value's shape right here, against a scratch copy,
+        // so a typo fails at its own line instead of inside expand().
+        ExperimentSpec scratch = matrix.base;
+        apply_axis_value(scratch, key, t[i]);
+        axis.values.push_back(t[i]);
       }
-    } catch (const std::invalid_argument& e) {
-      const std::string what = e.what();
-      if (what.rfind("line ", 0) == 0) throw;
-      fail(what);
+      matrix.axes.push_back(std::move(axis));
+    } else if (cmd == "topology") {
+      // Scenario-DSL spelling: `topology clique 16`.
+      expect_args(t, 2);
+      apply_topology(matrix.base, t[1], t[2]);
+    } else if (cmd == "wait-quiet") {
+      expect_args(t, 1);
+      matrix.base.wait_quiet = parse_seconds(cmd, t[1]);
+    } else if (cmd == "flaps") {
+      expect_args(t, 1);
+      matrix.base.flap_cycles = parse_integer(cmd, t[1], 1, kMaxCount);
+    } else if (cmd == "announce") {
+      expect_args(t, 2);
+      const auto as = parse_as(t[1]);
+      matrix.base.announcements.emplace_back(as, parse_prefix(t[2]));
+    } else if (cmd == "fault-seed") {
+      matrix.base.faults.seed = parse_seed_line(t);
+    } else if (cmd == "fault") {
+      matrix.base.faults.events.push_back(parse_fault_line(t));
+    } else if (is_setting_key(cmd)) {
+      // A configuration key: `mrai 30`, `damping on`, `link-delay-ms 5`, ...
+      expect_args(t, 1);
+      apply_setting(matrix.base.config, cmd, t[1]);
+    } else if (is_axis_key(cmd)) {
+      // A spec-level axis key as a fixed setting: `event withdrawal`, ...
+      expect_args(t, 1);
+      apply_axis_value(matrix.base, cmd, t[1]);
+    } else {
+      bad("unknown key '" + cmd + "'");
     }
-  }
+  });
   return matrix;
 }
 

@@ -16,11 +16,12 @@
 //     axis event withdrawal announcement failover
 //     axis spt incremental reference
 //
-// Fixed lines reuse the scenario DSL's command vocabulary (`topology`,
-// `mrai`, `damping`, `fault`, ...); `axis <key> <values...>` sweeps one
-// setting instead of fixing it. Every axis value is validated at parse
-// time, the cross product is checked for semantic duplicates, and all
-// diagnostics carry the offending line number.
+// Fixed lines share the scenario DSL's key vocabulary and parsers
+// (config_text.hpp: `topology`, `mrai`, `damping`, `fault`, ...);
+// `axis <key> <values...>` sweeps one setting instead of fixing it. Every
+// axis value is validated at parse time with the same diagnostic as its
+// fixed line, the cross product is checked for semantic duplicates, and
+// all parse diagnostics carry the offending line number.
 #pragma once
 
 #include <cstdint>
@@ -35,13 +36,16 @@ namespace bgpsdn::framework {
 
 /// The sweepable axis keys, in the order `axis` lines accept them:
 /// topology, sdn-frac, sdn-count, event, spt, damping, controller, mrai,
-/// recompute-delay. Returned by axis_keys() for diagnostics.
+/// recompute-delay, replicas, election-timeout-ms. Returned by axis_keys()
+/// for diagnostics.
 const std::vector<std::string>& axis_keys();
 
 /// Apply one axis value (e.g. "clique:16" for axis "topology", "0.5" for
-/// axis "sdn-frac") to a spec. Shared by fixed matrix lines, axis
-/// expansion and `--filter` validation. Throws std::invalid_argument with
-/// a self-contained message on unknown keys or malformed values.
+/// axis "sdn-frac") to a spec. The spec-level keys (topology, sdn-frac,
+/// sdn-count, event) are handled here; the rest go to apply_setting().
+/// Shared by fixed matrix lines, axis lines and expansion. Throws
+/// std::invalid_argument with a self-contained message on unknown keys or
+/// malformed values.
 void apply_axis_value(ExperimentSpec& spec, const std::string& axis,
                       const std::string& value);
 

@@ -18,9 +18,14 @@
 //     expect-no-route 2 10.0.0.0/16
 //
 // Commands before `start` configure the experiment; commands after it
-// control and verify the running network. Lines starting with '#' are
-// comments. Errors (syntax, unknown AS, failed expectation) abort the run
-// with a message naming the line.
+// control and verify the running network. The configuration keys shared
+// with `.matrix` files (mrai, recompute-delay, link-delay-ms, controller,
+// spt, damping, replicas, election-timeout-ms), `topology <model> <n>`,
+// `fault` and `fault-seed` parse through the one front end in
+// config_text.hpp, so every number is an exact token checked against its
+// domain. A token starting with '#' comments out the rest of its line.
+// Errors (syntax, unknown AS, failed expectation) abort the run with a
+// message naming the line.
 #pragma once
 
 #include <cstdint>
@@ -71,18 +76,8 @@ class ScenarioRunner {
   Experiment* experiment() { return experiment_.get(); }
 
  private:
-  struct Line {
-    std::size_t number{0};
-    std::vector<std::string> tokens;
-  };
-
-  void execute(const Line& line, ScenarioResult& result);
-  [[noreturn]] void fail(const Line& line, const std::string& message) const;
-  Experiment& running(const Line& line);
-  core::AsNumber parse_as(const Line& line, const std::string& token) const;
-  std::uint64_t parse_seed(const Line& line, const std::string& token) const;
-  net::Prefix parse_prefix(const Line& line, const std::string& token) const;
-  double parse_number(const Line& line, const std::string& token) const;
+  void execute(const std::vector<std::string>& t, ScenarioResult& result);
+  Experiment& running();
 
   ExperimentConfig config_{};
   std::optional<std::uint64_t> seed_override_;

@@ -10,15 +10,12 @@ namespace bgpsdn::topology {
 
 namespace {
 
-std::uint32_t parse_u32(const std::string& s, const std::string& context) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long v = std::stoul(s, &pos);
-    if (pos != s.size() || v > 0xffffffffull) throw std::invalid_argument{""};
-    return static_cast<std::uint32_t>(v);
-  } catch (...) {
-    throw std::invalid_argument{"bad number '" + s + "' in " + context};
+core::AsNumber parse_as(const std::string& s, const std::string& context) {
+  const auto as = core::parse_as_number(s);
+  if (!as) {
+    throw std::invalid_argument{"bad AS number '" + s + "' in " + context};
   }
+  return *as;
 }
 
 }  // namespace
@@ -38,10 +35,10 @@ TopologySpec parse_caida(std::istream& in) {
         !std::getline(ls, f3, '|')) {
       throw std::invalid_argument{"malformed " + context + ": '" + line + "'"};
     }
-    const core::AsNumber a{parse_u32(f1, context)};
-    const core::AsNumber b{parse_u32(f2, context)};
+    const core::AsNumber a = parse_as(f1, context);
+    const core::AsNumber b = parse_as(f2, context);
     // Some serial-1 files carry a trailing source field after the
-    // relationship; stoul-with-pos rejects it, so trim at whitespace.
+    // relationship; trim it at whitespace.
     if (const auto ws = f3.find_first_of(" \t\r"); ws != std::string::npos) {
       f3.resize(ws);
     }
@@ -116,7 +113,7 @@ TopologySpec parse_iplane(std::istream& in) {
       if (comma == std::string::npos) {
         throw std::invalid_argument{"bad pop '" + pop + "' in " + context};
       }
-      return parse_u32(pop.substr(0, comma), context);
+      return parse_as(pop.substr(0, comma), context).value();
     };
     const std::uint32_t as_a = parse_pop(pop_a);
     const std::uint32_t as_b = parse_pop(pop_b);

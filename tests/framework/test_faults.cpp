@@ -133,9 +133,9 @@ TEST(FaultPlanParse, ControllerReplicaAndReplicationGrammar) {
     }
   };
   expect_parse_error("at 1 controller-crash x",
-                     "controller replica id 'x' must be a non-negative integer");
+                     "bad replica id 'x' (want 0..15)");
   expect_parse_error("at 1 controller-crash -1",
-                     "must be a non-negative integer");
+                     "bad replica id '-1' (want 0..15)");
   expect_parse_error("at 1 controller-crash 1 2",
                      "'controller-crash' takes at most one replica id, got 2");
   expect_parse_error("at 1 repl-partition", "repl-partition");
@@ -227,8 +227,8 @@ TEST(FaultPlanParse, SeedIsAnExactUnsigned64BitInteger) {
       ADD_FAILURE() << "seed " << bad << " accepted";
     } catch (const std::invalid_argument& e) {
       EXPECT_EQ(std::string{e.what()},
-                "fault plan: seed '" + bad +
-                    "' must be an unsigned 64-bit integer (line 2)");
+                "line 2: bad seed '" + bad +
+                    "' (want 0..18446744073709551615)");
     }
   }
 }

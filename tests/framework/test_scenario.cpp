@@ -93,13 +93,13 @@ TEST(Scenario, SyntaxErrorsAreReported) {
         << script << " -> " << result.error;
   };
   expect_error("frobnicate 1\n", "unknown command");
-  expect_error("topology moebius 4\n", "unknown topology model");
+  expect_error("topology moebius 4\n", "bad topology model 'moebius'");
   expect_error("topology clique 4\nsdn 9\n", "AS9 not in topology");
   expect_error("announce 1 not-a-prefix\n", "bad prefix");
   expect_error("withdraw 1 10.0.0.0/16\n", "requires 'start'");
   expect_error("topology clique 3\nstart\nseed 4\n", "before 'start'");
   expect_error("topology clique 3\nstart\nstart\n", "already started");
-  expect_error("mrai x\n", "bad number");
+  expect_error("mrai x\n", "bad mrai 'x'");
   expect_error("start\n", "no topology");
 }
 
@@ -195,16 +195,15 @@ TEST(Scenario, ReplicaSyntaxErrorsAreExact) {
     EXPECT_NE(result.error.find(needle), std::string::npos)
         << script << " -> " << result.error;
   };
-  expect_error("replicas 0\n", "replicas '0' must be an integer in [1, 16]");
-  expect_error("replicas 17\n", "replicas '17' must be an integer in [1, 16]");
-  expect_error("replicas 2.5\n",
-               "replicas '2.5' must be an integer in [1, 16]");
+  expect_error("replicas 0\n", "bad replicas '0' (want 1..16)");
+  expect_error("replicas 17\n", "bad replicas '17' (want 1..16)");
+  expect_error("replicas 2.5\n", "bad replicas '2.5' (want 1..16)");
   expect_error("election-timeout-ms 0\n",
-               "election-timeout-ms '0' must be > 0");
+               "bad election-timeout-ms '0' (want ms in (0, 1e9])");
   expect_error("topology clique 3\nstart\nreplicas 2\n", "before 'start'");
   expect_error(
       "topology clique 4\nsdn 4\nstart\ncrash controller x\n",
-      "controller replica id 'x' must be a non-negative integer");
+      "bad replica id 'x' (want 0..15)");
   expect_error("topology clique 4\nsdn 4\nstart\ncrash controller 1\n",
                "replica id 1 out of range (controller_replicas=1)");
   expect_error("topology clique 4\nsdn 4\nstart\ncrash controller 0 0\n",

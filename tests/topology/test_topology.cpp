@@ -1,6 +1,10 @@
 // TopologySpec validation, generators, and dataset parse/synthesize paths.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "topology/datasets.hpp"
 #include "topology/generators.hpp"
 
@@ -140,6 +144,11 @@ TEST(Datasets, CaidaRejectsMalformed) {
   EXPECT_THROW(parse_caida_text("1|2\n"), std::invalid_argument);
   EXPECT_THROW(parse_caida_text("1|2|5\n"), std::invalid_argument);
   EXPECT_THROW(parse_caida_text("x|2|0\n"), std::invalid_argument);
+  // AS fields are exact AS numbers: no AS 0, sign, padding or overflow.
+  EXPECT_THROW(parse_caida_text("0|5|-1\n"), std::invalid_argument);
+  EXPECT_THROW(parse_caida_text("+7| 8|-1\n"), std::invalid_argument);
+  EXPECT_THROW(parse_caida_text("7| 8|-1\n"), std::invalid_argument);
+  EXPECT_THROW(parse_caida_text("4294967296|8|-1\n"), std::invalid_argument);
 }
 
 TEST(Datasets, CaidaRoundTrip) {
@@ -178,6 +187,62 @@ TEST(Datasets, IplaneParseCollapsesPopsToAsLinks) {
 TEST(Datasets, IplaneRejectsMalformed) {
   EXPECT_THROW(parse_iplane_text("100 200 5\n"), std::invalid_argument);
   EXPECT_THROW(parse_iplane_text("100,0 200,0\n"), std::invalid_argument);
+  EXPECT_THROW(parse_iplane_text("0,0 200,0 5\n"), std::invalid_argument);
+  EXPECT_THROW(parse_iplane_text("+100,0 200,0 5\n"), std::invalid_argument);
+  EXPECT_THROW(parse_iplane_text("1e2,0 200,0 5\n"), std::invalid_argument);
+}
+
+TEST(Datasets, MutatedAsFieldsParseExactlyOrThrow) {
+  // Seeded mutation fuzz of the AS fields of both dataset formats: a
+  // mutant either loads with every AS in 1..4294967295 or is rejected with
+  // std::invalid_argument; nothing else escapes.
+  const std::vector<std::string> hostile{
+      "-1", "+1", "0", "1.5", "1e3", "nan", "0x10", " 7", "7 ",
+      "4294967295", "4294967296", "18446744073709551616", ""};
+  core::Rng rng{17};
+  const auto caida_lines = [&] {
+    std::vector<std::string> lines;
+    std::istringstream in{synthesize_caida_text(30, rng)};
+    for (std::string line; std::getline(in, line);) {
+      if (!line.empty() && line[0] != '#') lines.push_back(line);
+    }
+    return lines;
+  }();
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  for (int m = 0; m < 300; ++m) {
+    auto lines = caida_lines;
+    auto& line = lines[pick(lines.size())];
+    const auto bar = line.find('|');
+    const std::string& value = hostile[pick(hostile.size())];
+    line = pick(2) == 0 ? value + line.substr(bar)
+                        : line.substr(0, bar + 1) + value +
+                              line.substr(line.find('|', bar + 1));
+    std::string text;
+    for (const auto& l : lines) text += l + "\n";
+    const bool iplane = pick(2) == 0;
+    if (iplane) {
+      // Reuse the CAIDA AS pairs as iPlane PoP links.
+      std::string pops;
+      for (const auto& l : lines) {
+        const auto b1 = l.find('|');
+        const auto b2 = l.find('|', b1 + 1);
+        pops += l.substr(0, b1) + ",0 " + l.substr(b1 + 1, b2 - b1 - 1) +
+                ",1 12.5\n";
+      }
+      text = pops;
+    }
+    try {
+      const auto spec =
+          iplane ? parse_iplane_text(text) : parse_caida_text(text);
+      for (const auto as : spec.ases) EXPECT_GE(as.value(), 1u) << text;
+    } catch (const std::invalid_argument&) {
+    } catch (...) {
+      ADD_FAILURE() << "non-diagnostic exception\n" << text;
+    }
+  }
 }
 
 TEST(Datasets, SynthesizedCaidaParsesBack) {

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "framework/config_text.hpp"
 #include "framework/matrix.hpp"
 #include "framework/report.hpp"
 #include "framework/stats.hpp"
@@ -56,70 +57,49 @@ int main(int argc, char** argv) {
   std::string input;
   bool have_input = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg{argv[i]};
-    const auto number_arg = [&](const char* flag) -> long long {
-      if (i + 1 >= argc) {
-        std::cerr << flag << " needs a value\n";
-        std::exit(2);
-      }
-      try {
-        std::size_t used = 0;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string_view arg{argv[i]};
+      if (arg == "--trials") {
+        trials_override = bgpsdn::framework::next_flag_value(argc, argv, i);
+      } else if (arg == "--seed") {
+        seed_override = bgpsdn::framework::next_flag_value(argc, argv, i);
+      } else if (arg == "--jobs") {
+        jobs = bgpsdn::framework::next_flag_value(argc, argv, i);
+      } else if (arg == "--json") {
+        if (i + 1 >= argc) {
+          std::cerr << "--json needs a path\n";
+          return 2;
+        }
+        json_path = argv[++i];
+      } else if (arg == "--filter") {
+        if (i + 1 >= argc) {
+          std::cerr << "--filter needs axis=value\n";
+          return 2;
+        }
         const std::string value{argv[++i]};
-        const long long parsed = std::stoll(value, &used);
-        if (used != value.size()) throw std::invalid_argument{value};
-        return parsed;
-      } catch (const std::exception&) {
-        std::cerr << flag << " needs a number, got '" << argv[i] << "'\n";
-        std::exit(2);
-      }
-    };
-    if (arg == "--trials") {
-      const auto v = number_arg("--trials");
-      if (v < 1) {
-        std::cerr << "--trials must be >= 1\n";
+        const auto eq = value.find('=');
+        if (eq == std::string::npos || eq == 0 || eq + 1 == value.size()) {
+          std::cerr << "--filter wants axis=value, got '" << value << "'\n";
+          return 2;
+        }
+        filters.emplace_back(value.substr(0, eq), value.substr(eq + 1));
+      } else if (arg == "--list") {
+        list_only = true;
+      } else if (arg == "--help" || arg == "-h") {
+        usage(argv[0]);
+        return 0;
+      } else if (!have_input) {
+        input = arg;
+        have_input = true;
+      } else {
+        usage(argv[0]);
         return 2;
       }
-      trials_override = static_cast<std::size_t>(v);
-    } else if (arg == "--seed") {
-      seed_override = static_cast<std::uint64_t>(number_arg("--seed"));
-    } else if (arg == "--jobs") {
-      const auto v = number_arg("--jobs");
-      if (v < 1) {
-        std::cerr << "--jobs must be >= 1\n";
-        return 2;
-      }
-      jobs = static_cast<std::size_t>(v);
-    } else if (arg == "--json") {
-      if (i + 1 >= argc) {
-        std::cerr << "--json needs a path\n";
-        return 2;
-      }
-      json_path = argv[++i];
-    } else if (arg == "--filter") {
-      if (i + 1 >= argc) {
-        std::cerr << "--filter needs axis=value\n";
-        return 2;
-      }
-      const std::string value{argv[++i]};
-      const auto eq = value.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 == value.size()) {
-        std::cerr << "--filter wants axis=value, got '" << value << "'\n";
-        return 2;
-      }
-      filters.emplace_back(value.substr(0, eq), value.substr(eq + 1));
-    } else if (arg == "--list") {
-      list_only = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else if (!have_input) {
-      input = arg;
-      have_input = true;
-    } else {
-      usage(argv[0]);
-      return 2;
     }
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
   }
   if (!have_input) {
     usage(argv[0]);

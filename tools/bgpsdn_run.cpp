@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "framework/config_text.hpp"
 #include "framework/report.hpp"
 #include "framework/scenario.hpp"
 #include "framework/stats.hpp"
@@ -56,62 +57,41 @@ int main(int argc, char** argv) {
   std::string input;
   bool have_input = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg{argv[i]};
-    const auto number_arg = [&](const char* flag) -> long long {
-      if (i + 1 >= argc) {
-        std::cerr << flag << " needs a value\n";
-        std::exit(1);
-      }
-      try {
-        std::size_t used = 0;
-        const std::string value{argv[++i]};
-        const long long parsed = std::stoll(value, &used);
-        if (used != value.size()) throw std::invalid_argument{value};
-        return parsed;
-      } catch (const std::exception&) {
-        std::cerr << flag << " needs a number, got '" << argv[i] << "'\n";
-        std::exit(1);
-      }
-    };
-    if (arg == "--trials") {
-      const auto v = number_arg("--trials");
-      if (v < 1) {
-        std::cerr << "--trials must be >= 1\n";
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string_view arg{argv[i]};
+      if (arg == "--trials") {
+        trials = bgpsdn::framework::next_flag_value(argc, argv, i);
+      } else if (arg == "--base-seed") {
+        base_seed = bgpsdn::framework::next_flag_value(argc, argv, i);
+      } else if (arg == "--jobs") {
+        jobs = bgpsdn::framework::next_flag_value(argc, argv, i);
+      } else if (arg == "--json") {
+        if (i + 1 >= argc) {
+          std::cerr << "--json needs a path\n";
+          return 1;
+        }
+        json_path = argv[++i];
+      } else if (arg == "--faults") {
+        if (i + 1 >= argc) {
+          std::cerr << "--faults needs a path\n";
+          return 1;
+        }
+        faults_path = argv[++i];
+      } else if (arg == "--help" || arg == "-h") {
+        usage(argv[0]);
+        return 0;
+      } else if (!have_input) {
+        input = arg;
+        have_input = true;
+      } else {
+        usage(argv[0]);
         return 1;
       }
-      trials = static_cast<std::size_t>(v);
-    } else if (arg == "--base-seed") {
-      base_seed = static_cast<std::uint64_t>(number_arg("--base-seed"));
-    } else if (arg == "--jobs") {
-      const auto v = number_arg("--jobs");
-      if (v < 1) {
-        std::cerr << "--jobs must be >= 1\n";
-        return 1;
-      }
-      jobs = static_cast<std::size_t>(v);
-    } else if (arg == "--json") {
-      if (i + 1 >= argc) {
-        std::cerr << "--json needs a path\n";
-        return 1;
-      }
-      json_path = argv[++i];
-    } else if (arg == "--faults") {
-      if (i + 1 >= argc) {
-        std::cerr << "--faults needs a path\n";
-        return 1;
-      }
-      faults_path = argv[++i];
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else if (!have_input) {
-      input = arg;
-      have_input = true;
-    } else {
-      usage(argv[0]);
-      return 1;
     }
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
+    return 1;
   }
   if (!have_input) {
     usage(argv[0]);

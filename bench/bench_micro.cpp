@@ -7,6 +7,10 @@
 // work, and a full hybrid-experiment bring-up.
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "bench_common.hpp"
 #include "bgp/attr_intern.hpp"
 #include "bgp/decision.hpp"
@@ -14,6 +18,7 @@
 #include "controller/as_topology.hpp"
 #include "controller/dijkstra.hpp"
 #include "core/event_loop.hpp"
+#include "core/logger.hpp"
 #include "framework/experiment.hpp"
 #include "net/lpm.hpp"
 #include "sdn/flow.hpp"
@@ -64,6 +69,30 @@ bgp::UpdateMessage sample_update(int nlri) {
   }
   return u;
 }
+
+void BM_LogUpdateRx(benchmark::State& state) {
+  // One update_rx record of a 7-NLRI UPDATE, formatted in place into a
+  // logger whose only sink counts what it is handed (as perfbench's does).
+  // The text is built from the UPDATE itself, so a return to snprintf or
+  // temporary strings on the log path shows up here.
+  core::Logger log;
+  log.set_retain(false);
+  log.set_min_level(core::LogLevel::kDebug);
+  std::size_t bytes = 0;
+  log.add_sink([&bytes](const core::LogRecord& rec) {
+    bytes += rec.component.size() + rec.event.size() + rec.detail.size();
+  });
+  const bgp::UpdateMessage update = sample_update(7);
+  const std::string component = "bgp.AS65001";
+  const core::AsNumber from{65002};
+  for (auto _ : state) {
+    log.log(core::TimePoint::origin(), core::LogLevel::kDebug, component,
+            "update_rx", "from ", from, ' ', update);
+  }
+  benchmark::DoNotOptimize(bytes);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LogUpdateRx);
 
 void BM_BgpEncode(benchmark::State& state) {
   const auto u = sample_update(static_cast<int>(state.range(0)));
@@ -379,22 +408,43 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
 
   if (!json_path.empty()) {
-    framework::BenchReport report{"micro"};
+    // One point per benchmark: the per-iteration real time in seconds of
+    // every repetition (--benchmark_repetitions=N gives n=N samples, and
+    // the point's median and quartiles summarize them).
+    std::vector<std::string> labels;
+    std::map<std::string, std::vector<const benchmark::BenchmarkReporter::Run*>>
+        runs_by_label;
     for (const auto& run : reporter.captured()) {
-      // One point per benchmark: the per-iteration real time in seconds.
-      const double iters = run.iterations > 0
-                               ? static_cast<double>(run.iterations)
-                               : 1.0;
-      const std::vector<double> values{run.real_accumulated_time / iters};
-      telemetry::Json extra = telemetry::Json::object();
-      extra["iterations"] = static_cast<std::int64_t>(run.iterations);
-      extra["cpu_s_per_iter"] = run.cpu_accumulated_time / iters;
-      if (const auto it = run.counters.find("items_per_second");
-          it != run.counters.end()) {
-        extra["items_per_s"] = static_cast<double>(it->second);
+      auto& runs = runs_by_label[run.benchmark_name()];
+      if (runs.empty()) labels.push_back(run.benchmark_name());
+      runs.push_back(&run);
+    }
+    framework::BenchReport report{"micro"};
+    for (const auto& label : labels) {
+      std::vector<double> values;
+      std::vector<double> cpu;
+      std::vector<double> items;
+      std::int64_t iterations = 0;
+      for (const auto* run : runs_by_label[label]) {
+        const double iters = run->iterations > 0
+                                 ? static_cast<double>(run->iterations)
+                                 : 1.0;
+        values.push_back(run->real_accumulated_time / iters);
+        cpu.push_back(run->cpu_accumulated_time / iters);
+        iterations += static_cast<std::int64_t>(run->iterations);
+        if (const auto it = run->counters.find("items_per_second");
+            it != run->counters.end()) {
+          items.push_back(static_cast<double>(it->second));
+        }
       }
-      report.add_point(run.benchmark_name(), framework::summarize(values),
-                       values, std::move(extra));
+      telemetry::Json extra = telemetry::Json::object();
+      extra["iterations"] = iterations;
+      extra["cpu_s_per_iter"] = framework::summarize(cpu).median;
+      if (!items.empty()) {
+        extra["items_per_s"] = framework::summarize(items).median;
+      }
+      report.add_point(label, framework::summarize(values), values,
+                       std::move(extra));
     }
     report.set_footer(static_cast<std::int64_t>(ran), 1, wall_s, wall_s);
     if (!report.write_file(json_path)) {

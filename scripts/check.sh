@@ -330,15 +330,18 @@ else
   echo "WARNING: python3 not found; skipping bench_scale checks" >&2
 fi
 
-# Perf job: micro-bench medians gated against the committed baseline.
-# Tolerance is generous (25%) because this runs on whatever machine the
-# developer has; it exists to catch order-of-magnitude regressions in the
-# hot paths (event loop, flow lookup, fan-out encode, interning), not to
-# police noise. Refresh the baseline with:
-#   ./build/bench/bench_micro --json BENCH_baseline.json
+# Perf job: micro-bench medians gated against the committed baseline. Each
+# bench runs 5 repetitions, and its point carries the median and quartiles
+# of the 5 per-iteration times. Tolerance is 25% because this runs on
+# whatever machine the developer has; it exists to catch regressions in the
+# hot paths (event loop, flow lookup, fan-out encode, interning, in-place
+# log formatting), not to police noise. Refresh the baseline with:
+#   ./build/bench/bench_micro --benchmark_repetitions=5 \
+#     --json BENCH_baseline.json
 echo "===== perf gate"
 if command -v python3 > /dev/null 2>&1; then
-  ./build/bench/bench_micro --json build/json/micro.json > /dev/null
+  ./build/bench/bench_micro --benchmark_repetitions=5 \
+    --json build/json/micro.json > /dev/null
   python3 scripts/compare_bench.py build/json/micro.json \
     --baseline BENCH_baseline.json --tolerance 0.25
   # Churn-ablation gate against its own baseline: the medians are virtual

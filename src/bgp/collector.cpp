@@ -74,11 +74,10 @@ void RouteCollector::session_established(Session&) {}
 
 void RouteCollector::session_down(Session& session, const std::string& reason) {
   logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-               "session_down",
-               "peer " + session.peer_as().to_string() + ": " + reason);
+               "session_down", "peer ", session.peer_as(), ": ", reason);
 }
 
-void RouteCollector::session_update(Session& session, const UpdateMessage& update) {
+void RouteCollector::session_update(Session& session, UpdateMessage update) {
   for (const auto& prefix : update.withdrawn) {
     tape_.push_back({loop().now(), session.peer_as(), false, prefix, {}});
   }
@@ -87,15 +86,15 @@ void RouteCollector::session_update(Session& session, const UpdateMessage& updat
         {loop().now(), session.peer_as(), true, prefix, update.attributes.as_path});
   }
   logger().log(loop().now(), core::LogLevel::kDebug, session_log_name(),
-               "collector_rx",
-               "from " + session.peer_as().to_string() + " " + update.to_string());
+               "collector_rx", "from ", session.peer_as(), ' ', update);
 }
 
 core::EventLoop& RouteCollector::session_loop() { return loop(); }
 core::Rng& RouteCollector::session_rng() { return rng(); }
 core::Logger& RouteCollector::session_logger() { return logger(); }
-std::string RouteCollector::session_log_name() const {
-  return "collector." + name();
+const std::string& RouteCollector::session_log_name() const {
+  if (log_name_.empty()) log_name_ = "collector." + name();
+  return log_name_;
 }
 
 core::TimePoint RouteCollector::last_activity() const {

@@ -45,11 +45,12 @@ class RouteCollector : public net::Node, public SessionHost {
   void session_transmit(Session& session, net::Bytes wire) override;
   void session_established(Session& session) override;
   void session_down(Session& session, const std::string& reason) override;
-  void session_update(Session& session, const UpdateMessage& update) override;
+  void session_update(Session& session, UpdateMessage update) override;
   core::EventLoop& session_loop() override;
   core::Rng& session_rng() override;
   core::Logger& session_logger() override;
-  std::string session_log_name() const override;
+  /// "collector.<name>".
+  const std::string& session_log_name() const override;
   telemetry::Telemetry* session_telemetry() override { return telemetry(); }
 
   const std::vector<RouteObservation>& observations() const { return tape_; }
@@ -72,6 +73,8 @@ class RouteCollector : public net::Node, public SessionHost {
 
   net::Ipv4Addr id_;
   bool started_{false};
+  /// session_log_name(), built on first use (the node name is final by then).
+  mutable std::string log_name_;
   std::unordered_map<std::uint32_t, Peer> by_port_;
   std::unordered_map<std::uint32_t, Peer*> by_session_;
   std::vector<RouteObservation> tape_;

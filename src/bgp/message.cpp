@@ -279,27 +279,28 @@ MessageType type_of(const Message& m) {
   return MessageType::kKeepalive;
 }
 
-std::string UpdateMessage::to_string() const {
-  std::string s = "UPDATE";
+void UpdateMessage::append_to(std::string& out) const {
+  out += "UPDATE";
   if (!withdrawn.empty()) {
-    s += " withdraw{";
+    out += " withdraw{";
     for (std::size_t i = 0; i < withdrawn.size(); ++i) {
-      if (i > 0) s += ' ';
-      s += withdrawn[i].to_string();
+      if (i > 0) out += ' ';
+      withdrawn[i].append_to(out);
     }
-    s += '}';
+    out += '}';
   }
   if (!nlri.empty()) {
-    s += " announce{";
+    out += " announce{";
     for (std::size_t i = 0; i < nlri.size(); ++i) {
-      if (i > 0) s += ' ';
-      s += nlri[i].to_string();
+      if (i > 0) out += ' ';
+      nlri[i].append_to(out);
     }
-    s += "} ";
-    s += attributes.to_string();
+    out += "} ";
+    attributes.append_to(out);
   }
-  return s;
 }
+
+std::string UpdateMessage::to_string() const { return core::text_of(*this); }
 
 std::vector<std::byte> encode(const Message& message, const CodecOptions& opts) {
   ByteWriter w;

@@ -53,6 +53,9 @@ struct UpdateMessage {
 
   bool operator==(const UpdateMessage&) const = default;
 
+  /// e.g. "UPDATE withdraw{10.1.0.0/16} announce{10.2.0.0/16} path=[2 1]
+  /// nh=10.0.0.1 origin=IGP".
+  void append_to(std::string& out) const;
   std::string to_string() const;
 };
 

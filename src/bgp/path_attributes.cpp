@@ -45,21 +45,32 @@ std::optional<core::AsNumber> AsPath::origin_as() const {
   return hops_.back();
 }
 
-std::string AsPath::to_string() const {
-  std::string s;
+void AsPath::append_to(std::string& out) const {
   for (std::size_t i = 0; i < hops_.size(); ++i) {
-    if (i > 0) s += ' ';
-    s += std::to_string(hops_[i].value());
+    if (i > 0) out += ' ';
+    core::append_decimal(out, hops_[i].value());
   }
-  return s;
 }
 
-std::string PathAttributes::to_string() const {
-  std::string s = "path=[" + as_path.to_string() + "] nh=" + next_hop.to_string() +
-                  " origin=" + bgpsdn::bgp::to_string(origin);
-  if (local_pref) s += " lp=" + std::to_string(*local_pref);
-  if (med) s += " med=" + std::to_string(*med);
-  return s;
+std::string AsPath::to_string() const { return core::text_of(*this); }
+
+void PathAttributes::append_to(std::string& out) const {
+  out += "path=[";
+  as_path.append_to(out);
+  out += "] nh=";
+  next_hop.append_to(out);
+  out += " origin=";
+  out += bgpsdn::bgp::to_string(origin);
+  if (local_pref) {
+    out += " lp=";
+    core::append_decimal(out, *local_pref);
+  }
+  if (med) {
+    out += " med=";
+    core::append_decimal(out, *med);
+  }
 }
+
+std::string PathAttributes::to_string() const { return core::text_of(*this); }
 
 }  // namespace bgpsdn::bgp

@@ -36,6 +36,7 @@ class AsPath {
   bool operator==(const AsPath&) const = default;
 
   /// e.g. "3 2 1" (left = most recent hop).
+  void append_to(std::string& out) const;
   std::string to_string() const;
 
  private:
@@ -55,6 +56,8 @@ struct PathAttributes {
 
   bool operator==(const PathAttributes&) const = default;
 
+  /// e.g. "path=[3 2 1] nh=10.0.0.1 origin=IGP lp=100".
+  void append_to(std::string& out) const;
   std::string to_string() const;
 };
 

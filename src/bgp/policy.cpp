@@ -10,9 +10,12 @@ bool PolicyEngine::denied(const std::vector<net::Prefix>& deny,
   return false;
 }
 
-bool PolicyEngine::apply_import(const PeerPolicy& policy, const net::Prefix& prefix,
-                                PathAttributes& attrs) {
-  if (denied(policy.import_deny, prefix)) return false;
+bool PolicyEngine::import_allowed(const PeerPolicy& policy,
+                                  const net::Prefix& prefix) {
+  return !denied(policy.import_deny, prefix);
+}
+
+bool PolicyEngine::rewrite_import(const PeerPolicy& policy, PathAttributes& attrs) {
   if (policy.local_pref) {
     attrs.local_pref = *policy.local_pref;
   } else if (policy.mode == PolicyMode::kGaoRexford) {
@@ -20,8 +23,12 @@ bool PolicyEngine::apply_import(const PeerPolicy& policy, const net::Prefix& pre
   } else {
     attrs.local_pref = 100;
   }
-  if (policy.import_map && !policy.import_map(attrs)) return false;
-  return true;
+  return !policy.import_map || policy.import_map(attrs);
+}
+
+bool PolicyEngine::apply_import(const PeerPolicy& policy, const net::Prefix& prefix,
+                                PathAttributes& attrs) {
+  return import_allowed(policy, prefix) && rewrite_import(policy, attrs);
 }
 
 // lint: hotpath(the export filters run for every peer on every best-path

@@ -41,9 +41,19 @@ struct PeerPolicy {
 
 class PolicyEngine {
  public:
-  /// Apply import policy to a route received from a peer with `policy`.
-  /// Sets LOCAL_PREF, runs filters and the route map. Returns false if the
-  /// route is rejected.
+  /// The import filter alone: whether a route for `prefix` from a peer with
+  /// `policy` passes `import_deny`. Reads no attributes, so it can run per
+  /// NLRI while the bundle is rewritten once per UPDATE.
+  static bool import_allowed(const PeerPolicy& policy, const net::Prefix& prefix);
+
+  /// Rewrite `attrs` on import from a peer with `policy`: set LOCAL_PREF,
+  /// then run the import map. Returns false when the import map rejects
+  /// the route (never without one).
+  static bool rewrite_import(const PeerPolicy& policy, PathAttributes& attrs);
+
+  /// import_allowed() then rewrite_import(): apply import policy to a route
+  /// received from a peer with `policy`. Returns false if the route is
+  /// rejected.
   static bool apply_import(const PeerPolicy& policy, const net::Prefix& prefix,
                            PathAttributes& attrs);
 

@@ -58,7 +58,7 @@ void BgpRouter::attach_host(core::PortId port, const net::Prefix& prefix) {
 void BgpRouter::originate(const net::Prefix& prefix) {
   local_prefixes_.emplace(prefix, loop().now());
   logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-               "origin_announce", prefix.to_string());
+               "origin_announce", prefix);
   TxBatch batch{*this};
   recompute(prefix);
 }
@@ -66,7 +66,7 @@ void BgpRouter::originate(const net::Prefix& prefix) {
 void BgpRouter::withdraw_origin(const net::Prefix& prefix) {
   if (local_prefixes_.erase(prefix) == 0) return;
   logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-               "origin_withdraw", prefix.to_string());
+               "origin_withdraw", prefix);
   TxBatch batch{*this};
   recompute(prefix);
 }
@@ -121,7 +121,7 @@ void BgpRouter::session_transmit(Session& session, net::Bytes wire) {
 void BgpRouter::session_established(Session& session) {
   Peer* peer = peer_of(session);
   logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-               "session_up", "peer " + session.peer_as().to_string());
+               "session_up", "peer ", session.peer_as());
   if (config_.timers.mrai_style == MraiStyle::kPeriodicQuagga &&
       peer_mrai(*peer) > core::Duration::zero()) {
     // Initial table transfer goes out promptly; afterwards the
@@ -140,8 +140,7 @@ void BgpRouter::session_established(Session& session) {
 void BgpRouter::session_down(Session& session, const std::string& reason) {
   Peer* peer = peer_of(session);
   logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-               "session_down",
-               "peer " + session.peer_as().to_string() + ": " + reason);
+               "session_down", "peer ", session.peer_as(), ": ", reason);
   ++peer->epoch;
   peer->rib_out.clear();
   peer->pending.clear();
@@ -158,12 +157,11 @@ void BgpRouter::session_down(Session& session, const std::string& reason) {
   }
 }
 
-void BgpRouter::session_update(Session& session, const UpdateMessage& update) {
+void BgpRouter::session_update(Session& session, UpdateMessage update) {
   Peer* peer = peer_of(session);
   ++counters_.updates_rx;
   logger().log(loop().now(), core::LogLevel::kDebug, session_log_name(),
-               "update_rx",
-               "from " + session.peer_as().to_string() + " " + update.to_string());
+               "update_rx", "from ", session.peer_as(), ' ', update);
   const auto routes = update.nlri.size() + update.withdrawn.size();
   if (auto* tel = telemetry(); tel != nullptr && tel->tracing()) {
     auto span = telemetry::TraceSpan::instant(loop().now(), "bgp", "update_rx",
@@ -176,7 +174,7 @@ void BgpRouter::session_update(Session& session, const UpdateMessage& update) {
   const auto cost = config_.processing.per_update +
                     config_.processing.per_route * static_cast<std::int64_t>(routes);
   const auto epoch = peer->epoch;
-  enqueue_work(cost, [this, peer, epoch, update] {
+  enqueue_work(cost, [this, peer, epoch, update = std::move(update)] {
     if (peer->epoch != epoch || !peer->session->established()) return;
     process_update(*peer, update);
   });
@@ -198,8 +196,16 @@ void BgpRouter::init_metrics() {
     decision_candidates_metric_ = &metrics.histogram("bgp.decision.candidates");
   }
 }
-std::string BgpRouter::session_log_name() const {
-  return "bgp." + (name().empty() ? config_.asn.to_string() : name());
+const std::string& BgpRouter::session_log_name() const {
+  if (log_name_.empty()) {
+    log_name_ = "bgp.";
+    if (name().empty()) {
+      config_.asn.append_to(log_name_);
+    } else {
+      log_name_ += name();
+    }
+  }
+  return log_name_;
 }
 
 // --- update processing ------------------------------------------------------
@@ -213,40 +219,74 @@ void BgpRouter::process_update(Peer& peer, const UpdateMessage& update) {
       recompute(prefix);
     }
   }
-  for (const auto& prefix : update.nlri) {
-    PathAttributes attrs = update.attributes;
-    if (attrs.as_path.contains(config_.asn)) {
+  if (update.attributes.as_path.contains(config_.asn)) {
+    // An AS-path loop rejects every NLRI of the UPDATE.
+    for (const auto& prefix : update.nlri) {
       ++counters_.routes_rejected_loop;
-      if (adj_rib_in_.erase(prefix, sid)) recompute(prefix);
-      continue;
+      reject_candidate(sid, prefix);
     }
-    if (!PolicyEngine::apply_import(peer.config.policy, prefix, attrs)) {
-      ++counters_.routes_rejected_policy;
-      if (adj_rib_in_.erase(prefix, sid)) recompute(prefix);
-      continue;
-    }
-    Route route;
-    route.prefix = prefix;
-    route.attributes = AttrSetRef::intern(std::move(attrs));
-    route.learned_from = sid;
-    route.peer_bgp_id = peer.session->peer_bgp_id();
-    route.peer_address = peer.config.remote_address;
-    route.installed_at = loop().now();
-    // Re-announcements with unchanged attributes keep their age (the
-    // decision process prefers older routes) and do not count as flaps.
-    // Interning makes this the pointer-identity fast path.
-    const Route* existing = adj_rib_in_.find(prefix, sid);
-    if (existing != nullptr && existing->attributes == route.attributes) {
-      route.installed_at = existing->installed_at;
-    } else if (existing != nullptr || dampener_.has_history(sid, prefix)) {
-      // Attribute change or re-advertisement after a withdrawal: a flap.
-      note_flap(sid, prefix, /*withdrawal=*/false);
-    }
-    // Dirty-prefix decision: an unchanged candidate set (a duplicate
-    // re-announcement) cannot move the best path, so skip the decision
-    // process entirely.
-    if (adj_rib_in_.put(route)) recompute(prefix);
+    return;
   }
+  const PeerPolicy& policy = peer.config.policy;
+  // Every NLRI carries the same bundle, so it is rewritten and interned
+  // once, at the first NLRI the prefix filter admits (never for an UPDATE
+  // whose NLRI are all filtered). An import map is a user callback that may
+  // judge each prefix or keep state, so it runs per NLRI.
+  std::optional<AttrSetRef> imported;
+  for (const auto& prefix : update.nlri) {
+    if (policy.import_map) {
+      PathAttributes attrs = update.attributes;
+      if (!PolicyEngine::apply_import(policy, prefix, attrs)) {
+        ++counters_.routes_rejected_policy;
+        reject_candidate(sid, prefix);
+        continue;
+      }
+      import_candidate(peer, prefix, AttrSetRef::intern(std::move(attrs)));
+      continue;
+    }
+    if (!PolicyEngine::import_allowed(policy, prefix)) {
+      ++counters_.routes_rejected_policy;
+      reject_candidate(sid, prefix);
+      continue;
+    }
+    if (!imported) {
+      PathAttributes attrs = update.attributes;
+      PolicyEngine::rewrite_import(policy, attrs);  // no map: cannot reject
+      imported = AttrSetRef::intern(std::move(attrs));
+    }
+    import_candidate(peer, prefix, *imported);
+  }
+}
+
+void BgpRouter::import_candidate(Peer& peer, const net::Prefix& prefix,
+                                 const AttrSetRef& attrs) {
+  const auto sid = peer.session->id();
+  Route route;
+  route.prefix = prefix;
+  route.attributes = attrs;
+  route.learned_from = sid;
+  route.peer_bgp_id = peer.session->peer_bgp_id();
+  route.peer_address = peer.config.remote_address;
+  route.installed_at = loop().now();
+  // Re-announcements with unchanged attributes keep their age (the
+  // decision process prefers older routes) and do not count as flaps.
+  // Interning makes this the pointer-identity fast path.
+  const Route* existing = adj_rib_in_.find(prefix, sid);
+  if (existing != nullptr && existing->attributes == route.attributes) {
+    route.installed_at = existing->installed_at;
+  } else if (existing != nullptr || dampener_.has_history(sid, prefix)) {
+    // Attribute change or re-advertisement after a withdrawal: a flap.
+    note_flap(sid, prefix, /*withdrawal=*/false);
+  }
+  // Dirty-prefix decision: an unchanged candidate set (a duplicate
+  // re-announcement) cannot move the best path, so skip the decision
+  // process entirely.
+  if (adj_rib_in_.put(route)) recompute(prefix);
+}
+
+void BgpRouter::reject_candidate(core::SessionId session,
+                                 const net::Prefix& prefix) {
+  if (adj_rib_in_.erase(prefix, session)) recompute(prefix);
 }
 
 void BgpRouter::note_flap(core::SessionId session, const net::Prefix& prefix,
@@ -256,9 +296,8 @@ void BgpRouter::note_flap(core::SessionId session, const net::Prefix& prefix,
   if (!verdict.suppressed) return;
   ++counters_.routes_suppressed;
   logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-               "route_damped",
-               prefix.to_string() + " penalty " +
-                   std::to_string(static_cast<int>(verdict.penalty)));
+               "route_damped", prefix, " penalty ",
+               static_cast<int>(verdict.penalty));
   // Re-evaluate once the penalty decays to the reuse threshold.
   loop().schedule(verdict.reuse_after + core::Duration::millis(1),
                   [this, prefix] {
@@ -317,7 +356,7 @@ void BgpRouter::recompute(const net::Prefix& prefix) {
     if (host_ports_.count(prefix) == 0) fib_.erase(prefix);
     ++counters_.best_changes;
     logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-                 "best_lost", prefix.to_string());
+                 "best_lost", prefix);
   } else {
     const bool changed = current == nullptr ||
                          current->attributes != best.attributes ||
@@ -335,12 +374,9 @@ void BgpRouter::recompute(const net::Prefix& prefix) {
       fib_.insert(prefix, peers_by_session_.at(best.learned_from.value())->port);
     }
     ++counters_.best_changes;
-    // lint: alloc-ok(the log line is built only on best-path change
-    // events, not per decision run)
     logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-                 "best_changed",
-                 prefix.to_string() + " via [" +
-                     best.attributes->as_path.to_string() + "]");
+                 "best_changed", prefix, " via [", best.attributes->as_path,
+                 ']');
   }
 
   if (auto* tel = telemetry()) {
@@ -523,11 +559,8 @@ void BgpRouter::emit_updates(Peer& peer, UpdateGroups& groups,
     ++counters_.updates_tx;
     init_metrics();
     if (updates_tx_metric_ != nullptr) updates_tx_metric_->inc();
-    // lint: alloc-ok(one debug line per UPDATE actually sent; TX is paced
-    // by MRAI/batch ticks, and the text is part of the replayable trace)
     logger().log(loop().now(), core::LogLevel::kDebug, session_log_name(),
-                 "update_tx",
-                 "to " + peer.session->peer_as().to_string() + " " + m.to_string());
+                 "update_tx", "to ", peer.session->peer_as(), ' ', m);
     if (auto* tel = telemetry(); tel != nullptr && tel->tracing()) {
       auto span = telemetry::TraceSpan::instant(loop().now(), "bgp",
                                                 "update_tx", session_log_name());
@@ -629,7 +662,7 @@ void BgpRouter::arm_mrai(Peer& peer) {
 
 // --- misc -------------------------------------------------------------------
 
-void BgpRouter::enqueue_work(core::Duration cost, std::function<void()> fn) {
+void BgpRouter::enqueue_work(core::Duration cost, core::SmallFunc fn) {
   const auto now = loop().now();
   if (busy_until_ < now) busy_until_ = now;
   busy_until_ += cost;

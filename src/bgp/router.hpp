@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "bgp/rib.hpp"
 #include "bgp/session.hpp"
 #include "bgp/types.hpp"
+#include "core/function.hpp"
 #include "net/lpm.hpp"
 #include "net/node.hpp"
 
@@ -103,11 +105,12 @@ class BgpRouter : public net::Node, public SessionHost {
   void session_transmit(Session& session, net::Bytes wire) override;
   void session_established(Session& session) override;
   void session_down(Session& session, const std::string& reason) override;
-  void session_update(Session& session, const UpdateMessage& update) override;
+  void session_update(Session& session, UpdateMessage update) override;
   core::EventLoop& session_loop() override;
   core::Rng& session_rng() override;
   core::Logger& session_logger() override;
-  std::string session_log_name() const override;
+  /// "bgp.<name>", or "bgp.AS<n>" for a detached router.
+  const std::string& session_log_name() const override;
   telemetry::Telemetry* session_telemetry() override;
 
   // --- introspection ------------------------------------------------------
@@ -158,9 +161,18 @@ class BgpRouter : public net::Node, public SessionHost {
   Peer* peer_of(const Session& session);
 
   /// Serialized-CPU work model: runs `fn` after queued processing cost.
-  void enqueue_work(core::Duration cost, std::function<void()> fn);
+  void enqueue_work(core::Duration cost, core::SmallFunc fn);
 
+  /// Import one UPDATE: withdrawals, then the NLRI. The attribute bundle is
+  /// loop-checked, rewritten and interned once per UPDATE; only the prefix
+  /// filter runs per NLRI (per-NLRI rewrite for a peer with an import map).
   void process_update(Peer& peer, const UpdateMessage& update);
+  /// Offer `prefix` with the imported bundle `attrs` as `peer`'s candidate
+  /// in the Adj-RIB-In, re-running the decision when the set changed.
+  void import_candidate(Peer& peer, const net::Prefix& prefix,
+                        const AttrSetRef& attrs);
+  /// Drop `peer`'s candidate for a rejected `prefix`, if it had one.
+  void reject_candidate(core::SessionId session, const net::Prefix& prefix);
   /// Re-run the decision process for one prefix; on change, update Loc-RIB +
   /// FIB and queue advertisements. Damping-suppressed candidates are
   /// excluded.
@@ -231,6 +243,8 @@ class BgpRouter : public net::Node, public SessionHost {
 
   RouterConfig config_;
   bool started_{false};
+  /// session_log_name(), built on first use (the node name is final by then).
+  mutable std::string log_name_;
   std::map<core::PortId, Peer> peers_;
   std::unordered_map<std::uint32_t, Peer*> peers_by_session_;
   AdjRibIn adj_rib_in_;

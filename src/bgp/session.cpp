@@ -30,11 +30,21 @@ const char* to_string(SessionState s) {
   return "?";
 }
 
-void Session::log(const std::string& event, const std::string& detail) {
-  host_.session_logger().log(host_.session_loop().now(), core::LogLevel::kDebug,
-                             host_.session_log_name() + ".s" +
-                                 std::to_string(config_.id.value()),
-                             event, detail);
+const std::string& Session::log_name() {
+  if (log_name_.empty()) {
+    log_name_ = host_.session_log_name();
+    log_name_ += ".s";
+    core::append_decimal(log_name_, config_.id.value());
+  }
+  return log_name_;
+}
+
+template <typename... Parts>
+void Session::log(std::string_view event, const Parts&... parts) {
+  auto& logger = host_.session_logger();
+  if (!logger.enabled(core::LogLevel::kDebug)) return;
+  logger.log(host_.session_loop().now(), core::LogLevel::kDebug, log_name(),
+             event, parts...);
 }
 
 void Session::init_metrics() {
@@ -68,9 +78,8 @@ void Session::transition(SessionState next) {
     metrics.counter("bgp.session.dropped").inc();
   }
   if (tel->tracing()) {
-    auto span = telemetry::TraceSpan::instant(
-        host_.session_loop().now(), "bgp", "fsm",
-        host_.session_log_name() + ".s" + std::to_string(config_.id.value()));
+    auto span = telemetry::TraceSpan::instant(host_.session_loop().now(),
+                                              "bgp", "fsm", log_name());
     span.arg("from", to_string(prev)).arg("to", to_string(next));
     tel->emit(span);
   }
@@ -94,7 +103,7 @@ void Session::start() {
     transmit(open);
     transition(SessionState::kOpenSent);
     reset_hold_timer();
-    log("open_sent", "to " + config_.remote_address.to_string());
+    log("open_sent", "to ", config_.remote_address);
   });
 }
 
@@ -152,7 +161,7 @@ void Session::receive(const std::vector<std::byte>& wire) {
     if (!peek || type_of(*peek) != MessageType::kOpen) return;
     transition(SessionState::kConnect);
   }
-  const auto msg = decode(wire, codec_);
+  auto msg = decode(wire, codec_);
   if (!msg) {
     ++counters_.decode_errors;
     fail(kErrMessageHeader, 0, "decode error");
@@ -171,7 +180,7 @@ void Session::receive(const std::vector<std::byte>& wire) {
       ++counters_.updates_rx;
       init_metrics();
       if (updates_rx_metric_ != nullptr) updates_rx_metric_->inc();
-      on_update(std::get<UpdateMessage>(*msg));
+      on_update(std::move(std::get<UpdateMessage>(*msg)));
       break;
     case MessageType::kNotification:
       ++counters_.notifications_rx;
@@ -227,7 +236,7 @@ void Session::on_open(const OpenMessage& m) {
   transmit(KeepaliveMessage{});
   transition(SessionState::kOpenConfirm);
   reset_hold_timer();
-  log("open_rx", "peer " + peer_as_.to_string());
+  log("open_rx", "peer ", peer_as_);
 }
 
 void Session::on_keepalive() {
@@ -243,13 +252,13 @@ void Session::on_keepalive() {
   }
 }
 
-void Session::on_update(const UpdateMessage& m) {
+void Session::on_update(UpdateMessage m) {
   if (state_ != SessionState::kEstablished) {
     fail(kErrFsm, 0, "UPDATE in " + std::string{to_string(state_)});
     return;
   }
   reset_hold_timer();
-  host_.session_update(*this, m);
+  host_.session_update(*this, std::move(m));
 }
 
 void Session::on_notification(const NotificationMessage& m) {
@@ -262,7 +271,7 @@ void Session::enter_established() {
   transition(SessionState::kEstablished);
   reset_hold_timer();
   arm_keepalive_timer();
-  log("session_up", "peer " + peer_as_.to_string());
+  log("session_up", "peer ", peer_as_);
   host_.session_established(*this);
 }
 

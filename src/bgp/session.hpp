@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/ids.hpp"
@@ -57,12 +58,15 @@ class SessionHost {
 
   virtual void session_established(Session& session) = 0;
   virtual void session_down(Session& session, const std::string& reason) = 0;
-  virtual void session_update(Session& session, const UpdateMessage& update) = 0;
+  /// A received UPDATE, handed over by value: the session moves the
+  /// decoded message in, so a host that keeps it pays no copy.
+  virtual void session_update(Session& session, UpdateMessage update) = 0;
 
   virtual core::EventLoop& session_loop() = 0;
   virtual core::Rng& session_rng() = 0;
   virtual core::Logger& session_logger() = 0;
-  virtual std::string session_log_name() const = 0;
+  /// The host's log component ("bgp.AS3"); computed once, not per record.
+  virtual const std::string& session_log_name() const = 0;
 
   /// Telemetry hub for FSM/update instrumentation. Default: none (bare
   /// test hosts); attached nodes forward their network's hub.
@@ -140,14 +144,19 @@ class Session {
   void transmit(const Message& m);
   void on_open(const OpenMessage& m);
   void on_keepalive();
-  void on_update(const UpdateMessage& m);
+  void on_update(UpdateMessage m);
   void on_notification(const NotificationMessage& m);
   void enter_established();
   void fail(std::uint8_t code, std::uint8_t subcode, const std::string& reason);
   void reset_hold_timer();
   void arm_keepalive_timer();
   void cancel_timers();
-  void log(const std::string& event, const std::string& detail);
+  /// This session's log component: the host's plus ".s<id>", built on
+  /// first use.
+  const std::string& log_name();
+  /// One DEBUG record from this session (see core::Logger::log).
+  template <typename... Parts>
+  void log(std::string_view event, const Parts&... parts);
 
   SessionHost& host_;
   SessionConfig config_;
@@ -166,6 +175,7 @@ class Session {
   std::uint64_t epoch_{0};
   /// When the current connect attempt began (for the establish histogram).
   core::TimePoint connect_started_{};
+  std::string log_name_;
   /// Cached metric handles (network-wide aggregates); nullptr when the host
   /// has no telemetry. Resolved once on first use.
   bool metrics_resolved_{false};

@@ -9,8 +9,9 @@
 
 namespace bgpsdn::controller {
 
-void FallbackRouting::log(const char* event, const std::string& detail) const {
-  logger_.log(loop_.now(), core::LogLevel::kInfo, "fallback", event, detail);
+template <typename... Parts>
+void FallbackRouting::log(const char* event, const Parts&... parts) const {
+  logger_.log(loop_.now(), core::LogLevel::kInfo, "fallback", event, parts...);
 }
 
 void FallbackRouting::activate(const std::map<net::Prefix, Origin>& origins) {
@@ -18,7 +19,7 @@ void FallbackRouting::activate(const std::map<net::Prefix, Origin>& origins) {
   active_ = true;
   ++counters_.activations;
   origins_ = origins;
-  log("activate", std::to_string(origins.size()) + " member origins");
+  log("activate", origins.size(), " member origins");
   if (telemetry_ != nullptr) {
     telemetry_->metrics().counter("ctrl.fallback.activations").inc();
     if (telemetry_->tracing()) {

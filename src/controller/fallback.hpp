@@ -108,7 +108,9 @@ class FallbackRouting : public speaker::SpeakerListener {
   void run_recompute(std::uint64_t epoch);
   void recompute_prefix(const net::Prefix& prefix);
   std::optional<speaker::PeeringId> relay_peering_for(sdn::Dpid dpid) const;
-  void log(const char* event, const std::string& detail) const;
+  /// One INFO record from the fallback engine (see core::Logger::log).
+  template <typename... Parts>
+  void log(const char* event, const Parts&... parts) const;
 
   core::EventLoop& loop_;
   core::Logger& logger_;

@@ -19,16 +19,15 @@ void IdrController::bind_speaker(speaker::ClusterBgpSpeaker& speaker) {
 void IdrController::originate(sdn::Dpid origin, const net::Prefix& prefix,
                               std::optional<core::PortId> host_port) {
   origins_[prefix] = OriginInfo{origin, host_port};
-  logger().log(loop().now(), core::LogLevel::kInfo, "idr." + name(),
-               "origin_announce",
-               prefix.to_string() + " at dpid " + std::to_string(origin));
+  logger().log(loop().now(), core::LogLevel::kInfo, idr_log_name(),
+               "origin_announce", prefix, " at dpid ", origin);
   mark_dirty(prefix);
 }
 
 void IdrController::withdraw_origin(const net::Prefix& prefix) {
   if (origins_.erase(prefix) == 0) return;
-  logger().log(loop().now(), core::LogLevel::kInfo, "idr." + name(),
-               "origin_withdraw", prefix.to_string());
+  logger().log(loop().now(), core::LogLevel::kInfo, idr_log_name(),
+               "origin_withdraw", prefix);
   mark_dirty(prefix);
 }
 
@@ -69,10 +68,9 @@ void IdrController::adopt_shadow(IdrShadowState&& shadow) {
   external_routes_ = std::move(shadow.external_routes);
   origins_ = std::move(shadow.origins);
   installed_ = std::move(shadow.installed);
-  logger().log(loop().now(), core::LogLevel::kInfo, "idr." + name(),
-               "adopt_shadow",
-               std::to_string(external_routes_.size()) + " rib prefixes, " +
-                   std::to_string(installed_.size()) + " flow prefixes");
+  logger().log(loop().now(), core::LogLevel::kInfo, idr_log_name(),
+               "adopt_shadow", external_routes_.size(), " rib prefixes, ",
+               installed_.size(), " flow prefixes");
   mark_all_dirty();
 }
 
@@ -156,11 +154,9 @@ void IdrController::on_port_status(const sdn::SwitchChannel& channel,
                                    const sdn::OfPortStatus& status) {
   // Intra-cluster link?
   if (graph_.set_port_state(channel.dpid, status.port, status.up)) {
-    logger().log(loop().now(), core::LogLevel::kInfo, "idr." + name(),
-                 "cluster_link_state",
-                 "dpid " + std::to_string(channel.dpid) + " port " +
-                     std::to_string(status.port.value()) +
-                     (status.up ? " up" : " down"));
+    logger().log(loop().now(), core::LogLevel::kInfo, idr_log_name(),
+                 "cluster_link_state", "dpid ", channel.dpid, " port ",
+                 status.port.value(), status.up ? " up" : " down");
     if (decider_ != nullptr) {
       // The change sits in the switch graph's changelog; the recompute
       // pass replays it into the per-prefix trees and re-decides only the
@@ -220,6 +216,11 @@ void IdrController::mark_topology_dirty() {
   schedule_recompute();
 }
 
+const std::string& IdrController::idr_log_name() const {
+  if (idr_log_name_.empty()) idr_log_name_ = "idr." + name();
+  return idr_log_name_;
+}
+
 std::set<net::Prefix> IdrController::known_prefixes() const {
   std::set<net::Prefix> out;
   // lint: unordered-ok(collected into a sorted std::set before use)
@@ -252,8 +253,8 @@ void IdrController::run_recompute() {
     }
   }
   idr_counters_.prefixes_dirty += batch.size();
-  logger().log(loop().now(), core::LogLevel::kInfo, "idr." + name(), "recompute",
-               std::to_string(batch.size()) + " prefixes");
+  logger().log(loop().now(), core::LogLevel::kInfo, idr_log_name(), "recompute",
+               batch.size(), " prefixes");
   if (auto* tel = telemetry()) {
     auto& metrics = tel->metrics();
     metrics.counter("ctrl.idr.recompute_passes").inc();
@@ -267,7 +268,7 @@ void IdrController::run_recompute() {
       // The span covers the batching delay: opened at the first dirtying
       // input, closed here where the recomputation pass runs.
       auto span = telemetry::TraceSpan{batch_opened_at_, loop().now(), "ctrl",
-                                       "recompute_batch", "idr." + name()};
+                                       "recompute_batch", idr_log_name()};
       span.arg("prefixes", static_cast<std::int64_t>(batch.size()));
       tel->emit(span);
     }
@@ -313,7 +314,7 @@ void IdrController::recompute_prefix(const net::Prefix& prefix) {
     // keep the taxonomy (graph_transform -> dijkstra -> flow_install)
     // visible in the trace without inventing fake durations.
     auto span = telemetry::TraceSpan::instant(loop().now(), "ctrl", phase_name,
-                                              "idr." + name());
+                                              idr_log_name());
     span.arg("prefix", prefix.to_string()).arg("n", detail);
     tel->emit(span);
   };

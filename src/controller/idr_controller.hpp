@@ -159,6 +159,8 @@ class IdrController : public ClusterController {
   void run_recompute();
   void recompute_prefix(const net::Prefix& prefix);
   std::set<net::Prefix> known_prefixes() const;
+  /// "idr.<name>", built on first use (the node name is final by then).
+  const std::string& idr_log_name() const;
 
   IdrControllerConfig config_;
   speaker::ClusterBgpSpeaker* speaker_{nullptr};
@@ -188,6 +190,7 @@ class IdrController : public ClusterController {
   IdrCounters idr_counters_;
   FlowObserver flow_observer_;
   std::uint32_t programming_epoch_{0};
+  mutable std::string idr_log_name_;
 };
 
 }  // namespace bgpsdn::controller

@@ -39,9 +39,9 @@ void ControllerReplicaSet::count(const char* name) {
   if (telemetry_ != nullptr) telemetry_->metrics().counter(name).inc();
 }
 
-void ControllerReplicaSet::log(const char* event,
-                               const std::string& detail) const {
-  logger_.log(loop_.now(), core::LogLevel::kInfo, "replicaset", event, detail);
+template <typename... Parts>
+void ControllerReplicaSet::log(const char* event, const Parts&... parts) const {
+  logger_.log(loop_.now(), core::LogLevel::kInfo, "replicaset", event, parts...);
 }
 
 std::size_t ControllerReplicaSet::live_count() const {
@@ -57,7 +57,7 @@ void ControllerReplicaSet::activate() {
   cluster_epoch_ = 1;
   rebind_controller();
   graph_seen_ = controller_.switch_graph().changelog_size();
-  log("activate", std::to_string(replicas_.size()) + " replicas, leader 0");
+  log("activate", replicas_.size(), " replicas, leader 0");
   arm_heartbeat();
   arm_anti_entropy();
   for (std::size_t i = 1; i < replicas_.size(); ++i) arm_election(i);
@@ -343,8 +343,7 @@ void ControllerReplicaSet::start_candidacy(std::size_t id) {
   r.votes = 1;
   r.candidacy_term = r.term;
   const std::uint64_t cg = ++r.candidacy_gen;
-  log("candidacy", "replica " + std::to_string(id) + " term " +
-                       std::to_string(r.term));
+  log("candidacy", "replica ", id, " term ", r.term);
   if (static_cast<std::size_t>(r.votes) >= quorum()) {
     become_leader(id);
     return;
@@ -438,9 +437,8 @@ void ControllerReplicaSet::become_leader(std::size_t id) {
   r.shadow.external_routes.clear();
   leader_ = id;
   ++cluster_epoch_;
-  log("takeover", "replica " + std::to_string(id) + " epoch " +
-                      std::to_string(cluster_epoch_) + ", replayed " +
-                      std::to_string(suffix) + " deltas");
+  log("takeover", "replica ", id, " epoch ", cluster_epoch_, ", replayed ",
+      suffix, " deltas");
   count("ctrl.replica.takeovers");
   if (telemetry_ != nullptr) {
     telemetry_->metrics()
@@ -483,7 +481,7 @@ void ControllerReplicaSet::crash_replica(std::size_t id) {
   ++r.candidacy_gen;
   ++counters_.replica_crashes;
   count("ctrl.replica.crashes");
-  log("replica_crash", "replica " + std::to_string(id));
+  log("replica_crash", "replica ", id);
   if (live_count() == 0) {
     on_all_down();
     return;
@@ -515,7 +513,7 @@ void ControllerReplicaSet::restart_replica(std::size_t id) {
   r.backoff_mult = 1;
   ++counters_.replica_restarts;
   count("ctrl.replica.restarts");
-  log("replica_restart", "replica " + std::to_string(id));
+  log("replica_restart", "replica ", id);
   std::uint64_t max_term = 0;
   for (const auto& rep : replicas_) max_term = std::max(max_term, rep.term);
   r.term = max_term;
@@ -545,7 +543,7 @@ void ControllerReplicaSet::partition_replica(std::size_t id) {
   if (replicas_[id].partitioned) return;
   replicas_[id].partitioned = true;
   count("ctrl.replica.partitions");
-  log("repl_partition", "replica " + std::to_string(id));
+  log("repl_partition", "replica ", id);
 }
 
 void ControllerReplicaSet::heal_replica(std::size_t id) {
@@ -556,7 +554,7 @@ void ControllerReplicaSet::heal_replica(std::size_t id) {
   }
   if (!replicas_[id].partitioned) return;
   replicas_[id].partitioned = false;
-  log("repl_heal", "replica " + std::to_string(id));
+  log("repl_heal", "replica ", id);
   // Catch the healed replica up without waiting for new appends.
   if (leader_ && !degraded_ && !replicas_[id].crashed && leader_ != id) {
     send_suffix(id);
@@ -569,8 +567,7 @@ void ControllerReplicaSet::on_all_down() {
   leaderless_ = false;
   ++hb_gen_;
   ++cluster_epoch_;  // degradation is a leadership change: fence the fallback
-  log("degrade", "all replicas down; fallback at epoch " +
-                     std::to_string(cluster_epoch_));
+  log("degrade", "all replicas down; fallback at epoch ", cluster_epoch_);
   count("ctrl.replica.degradations");
   if (degrade_) degrade_(cluster_epoch_);
 }
@@ -582,8 +579,7 @@ void ControllerReplicaSet::recover_from_degraded(std::size_t id) {
   ++cluster_epoch_;
   ++counters_.elections;  // an electorate of one
   last_election_latency_ = core::Duration::zero();
-  log("recover", "replica " + std::to_string(id) + " leads at epoch " +
-                     std::to_string(cluster_epoch_));
+  log("recover", "replica ", id, " leads at epoch ", cluster_epoch_);
   count("ctrl.replica.recoveries");
   // The experiment runs the legacy restart path: fallback stands down, the
   // controller restarts, rebinds the speaker (stealing the listener slot)

@@ -250,7 +250,9 @@ class ControllerReplicaSet : public speaker::SpeakerListener {
   void recover_from_degraded(std::size_t id);
   void rebind_controller();
   void count(const char* name);
-  void log(const char* event, const std::string& detail) const;
+  /// One INFO record from the replica set (see core::Logger::log).
+  template <typename... Parts>
+  void log(const char* event, const Parts&... parts) const;
 
   core::EventLoop& loop_;
   core::Logger& logger_;

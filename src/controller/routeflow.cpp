@@ -89,14 +89,17 @@ void GhostPeer::session_down(bgp::Session&, const std::string&) {
   // mirror session only drops when a test fails the mirror link.
 }
 
-void GhostPeer::session_update(bgp::Session&, const bgp::UpdateMessage& update) {
+void GhostPeer::session_update(bgp::Session&, bgp::UpdateMessage update) {
   relay_(peering_.id, update);
 }
 
 core::EventLoop& GhostPeer::session_loop() { return loop(); }
 core::Rng& GhostPeer::session_rng() { return rng(); }
 core::Logger& GhostPeer::session_logger() { return logger(); }
-std::string GhostPeer::session_log_name() const { return "ghost." + name(); }
+const std::string& GhostPeer::session_log_name() const {
+  if (log_name_.empty()) log_name_ = "ghost." + name();
+  return log_name_;
+}
 
 // --- RouteFlowController -----------------------------------------------------
 

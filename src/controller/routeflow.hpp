@@ -81,11 +81,12 @@ class GhostPeer : public net::Node, public bgp::SessionHost {
   void session_transmit(bgp::Session& session, net::Bytes wire) override;
   void session_established(bgp::Session& session) override;
   void session_down(bgp::Session& session, const std::string& reason) override;
-  void session_update(bgp::Session& session, const bgp::UpdateMessage& update) override;
+  void session_update(bgp::Session& session, bgp::UpdateMessage update) override;
   core::EventLoop& session_loop() override;
   core::Rng& session_rng() override;
   core::Logger& session_logger() override;
-  std::string session_log_name() const override;
+  /// "ghost.<name>".
+  const std::string& session_log_name() const override;
   telemetry::Telemetry* session_telemetry() override { return telemetry(); }
 
  private:
@@ -99,6 +100,8 @@ class GhostPeer : public net::Node, public bgp::SessionHost {
   std::set<net::Prefix> injected_;
   /// Updates that arrived before the virtual session established.
   std::vector<bgp::UpdateMessage> backlog_;
+  /// session_log_name(), built on first use (the node name is final by then).
+  mutable std::string log_name_;
 };
 
 class RouteFlowController : public ClusterController {

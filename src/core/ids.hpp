@@ -5,13 +5,14 @@
 // into a slot expecting a link id.
 #pragma once
 
-#include <charconv>
 #include <cstdint>
 #include <compare>
 #include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
+
+#include "core/text.hpp"
 
 namespace bgpsdn::core {
 
@@ -77,22 +78,16 @@ class AsNumber {
   constexpr std::uint32_t value() const { return v_; }
   constexpr auto operator<=>(const AsNumber&) const = default;
 
-  std::string to_string() const { return "AS" + std::to_string(v_); }
+  /// "AS<n>".
+  void append_to(std::string& out) const {
+    out += "AS";
+    append_decimal(out, v_);
+  }
+  std::string to_string() const { return text_of(*this); }
 
  private:
   std::uint32_t v_{0};
 };
-
-/// Exact whole-token decimal parse: digits only (no sign, fraction, exponent
-/// or padding), and a value that does not fit in 64 bits is rejected, never
-/// wrapped.
-inline std::optional<std::uint64_t> parse_uint64(std::string_view token) {
-  std::uint64_t v = 0;
-  const char* last = token.data() + token.size();
-  const auto [end, ec] = std::from_chars(token.data(), last, v);
-  if (ec != std::errc{} || end != last) return std::nullopt;
-  return v;
-}
 
 /// An AS number token: parse_uint64 within [1, 4294967295].
 inline std::optional<AsNumber> parse_as_number(std::string_view token) {

@@ -30,16 +30,12 @@ std::string LogRecord::to_string() const {
   return s;
 }
 
-void Logger::log(TimePoint when, LogLevel level, std::string component,
-                 std::string event, std::string detail) {
-  if (level < min_level_) return;
-  LogRecord rec{when, level, std::move(component), std::move(event),
-                std::move(detail)};
+void Logger::deliver(const LogRecord& rec) {
   if (echo_ != nullptr) *echo_ << rec.to_string() << '\n';
   for (const auto& sink : sinks_) {
     if (sink) sink(rec);
   }
-  if (retain_) records_.push_back(std::move(rec));
+  if (retain_) records_.emplace_back(rec);
 }
 
 std::size_t Logger::add_sink(Sink sink) {
@@ -51,21 +47,18 @@ void Logger::remove_sink(std::size_t id) {
   if (id < sinks_.size()) sinks_[id] = nullptr;
 }
 
-std::vector<LogRecord> Logger::filter(const std::string& event,
-                                      const std::string& component_prefix) const {
-  std::vector<LogRecord> out;
+std::vector<OwnedLogRecord> Logger::filter(std::string_view event,
+                                           std::string_view component_prefix) const {
+  std::vector<OwnedLogRecord> out;
   for (const auto& r : records_) {
     if (r.event != event) continue;
-    if (!component_prefix.empty() &&
-        r.component.compare(0, component_prefix.size(), component_prefix) != 0) {
-      continue;
-    }
+    if (!std::string_view{r.component}.starts_with(component_prefix)) continue;
     out.push_back(r);
   }
   return out;
 }
 
-std::size_t Logger::count(const std::string& event) const {
+std::size_t Logger::count(std::string_view event) const {
   std::size_t n = 0;
   for (const auto& r : records_) {
     if (r.event == event) ++n;

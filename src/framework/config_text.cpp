@@ -1,13 +1,14 @@
 #include "framework/config_text.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <climits>
 #include <initializer_list>
 #include <iterator>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include "core/text.hpp"
 
 namespace bgpsdn::framework {
 
@@ -16,14 +17,9 @@ namespace {
 /// A finite real in [lo, hi] (lo itself excluded when `open_lo`).
 double parse_real(std::string_view key, std::string_view token, double lo,
                   double hi, bool open_lo, std::string_view domain) {
-  double v = 0.0;
-  const char* last = token.data() + token.size();
-  const auto [end, ec] = std::from_chars(token.data(), last, v);
-  const bool above_lo = open_lo ? v > lo : v >= lo;
-  if (ec != std::errc{} || end != last || !(above_lo && v <= hi)) {
-    bad_value(key, token, domain);
-  }
-  return v;
+  const auto v = core::parse_real(token, lo, hi, open_lo);
+  if (!v) bad_value(key, token, domain);
+  return *v;
 }
 
 /// The index of `token` in `choices`; the domain lists them.

@@ -8,6 +8,7 @@
 // as a Logger sink, so it observes exactly what the components emit.
 #pragma once
 
+#include <functional>
 #include <set>
 #include <string>
 
@@ -56,8 +57,8 @@ class ConvergenceDetector : public Monitor {
 
   /// The events that count as routing activity. Defaults cover BGP, the
   /// controller and the speaker.
-  void set_activity_events(std::set<std::string> events) {
-    events_ = std::move(events);
+  void set_activity_events(const std::set<std::string>& events) {
+    events_ = {events.begin(), events.end()};
   }
 
   /// Timestamp of the most recent routing activity (origin if none yet).
@@ -89,7 +90,9 @@ class ConvergenceDetector : public Monitor {
   core::EventLoop& loop_;
   core::Logger& logger_;
   std::size_t sink_id_;
-  std::set<std::string> events_;
+  /// Transparent comparator: the sink looks records' event views up
+  /// without building a std::string.
+  std::set<std::string, std::less<>> events_;
   core::TimePoint last_activity_{};
   std::uint64_t activity_count_{0};
   bool timed_out_{false};

@@ -549,12 +549,18 @@ bool Experiment::all_know_prefix(const net::Prefix& prefix,
   }
   // Members: judge by the installed forwarding state, which is common to
   // every controller style (an output or local-delivery rule for the
-  // prefix; an explicit drop does not count as knowing a route).
+  // prefix; an explicit drop does not count as knowing a route). The
+  // member that originates a live prefix holds the local-delivery rule:
+  // output to its attached host, or a drop when it has none, which there
+  // is delivery, not a missing route.
+  const auto origin = member_origins_.find(prefix);
   for (const auto& [as, sw] : switches_) {
+    const bool delivers_locally =
+        origin != member_origins_.end() && origin->second.dpid == sw->dpid();
     bool has = false;
     for (const auto& e : sw->table().entries()) {
       if (e.match.dst == prefix && e.priority == controller::kDataRulePriority &&
-          e.action.type == sdn::ActionType::kOutput) {
+          (delivers_locally || e.action.type == sdn::ActionType::kOutput)) {
         has = true;
         break;
       }

@@ -8,10 +8,13 @@ namespace bgpsdn::framework {
 
 RouteChangeTracker::RouteChangeTracker(core::Logger& logger) : logger_{logger} {
   sink_id_ = logger_.add_sink([this](const core::LogRecord& rec) {
+    // The record's text is only valid during this call: keep copies.
     if (rec.event == "best_changed") {
-      changes_.push_back({rec.when, rec.component, rec.detail, false});
+      changes_.push_back({rec.when, std::string{rec.component},
+                          std::string{rec.detail}, false});
     } else if (rec.event == "best_lost") {
-      changes_.push_back({rec.when, rec.component, rec.detail, true});
+      changes_.push_back({rec.when, std::string{rec.component},
+                          std::string{rec.detail}, true});
     }
   });
 }

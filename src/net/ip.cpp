@@ -1,7 +1,8 @@
 #include "net/ip.hpp"
 
 #include <charconv>
-#include <cstdio>
+
+#include "core/text.hpp"
 
 namespace bgpsdn::net {
 
@@ -40,12 +41,17 @@ std::optional<Ipv4Addr> Ipv4Addr::parse(std::string_view s) {
   return Ipv4Addr{(oct[0] << 24) | (oct[1] << 16) | (oct[2] << 8) | oct[3]};
 }
 
-std::string Ipv4Addr::to_string() const {
+void Ipv4Addr::append_to(std::string& out) const {
   char buf[16];
-  std::snprintf(buf, sizeof buf, "%u.%u.%u.%u", (bits_ >> 24) & 0xff,
-                (bits_ >> 16) & 0xff, (bits_ >> 8) & 0xff, bits_ & 0xff);
-  return buf;
+  char* p = buf;
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    p = std::to_chars(p, buf + sizeof buf, (bits_ >> shift) & 0xffu).ptr;
+    if (shift > 0) *p++ = '.';
+  }
+  out.append(buf, p);
 }
+
+std::string Ipv4Addr::to_string() const { return core::text_of(*this); }
 
 Prefix::Prefix(Ipv4Addr addr, std::uint8_t length)
     : addr_{addr.bits() & mask_for(length)}, len_{length} {}
@@ -90,8 +96,12 @@ Ipv4Addr Prefix::address_at(std::uint32_t n) const {
   return Ipv4Addr{addr_.bits() + n};
 }
 
-std::string Prefix::to_string() const {
-  return addr_.to_string() + "/" + std::to_string(len_);
+void Prefix::append_to(std::string& out) const {
+  addr_.append_to(out);
+  out += '/';
+  core::append_decimal(out, len_);
 }
+
+std::string Prefix::to_string() const { return core::text_of(*this); }
 
 }  // namespace bgpsdn::net

@@ -31,6 +31,8 @@ class Ipv4Addr {
 
   constexpr auto operator<=>(const Ipv4Addr&) const = default;
 
+  /// Append the dotted quad, e.g. "10.0.0.1".
+  void append_to(std::string& out) const;
   std::string to_string() const;
 
  private:
@@ -68,6 +70,8 @@ class Prefix {
 
   auto operator<=>(const Prefix&) const = default;
 
+  /// Append "a.b.c.d/len".
+  void append_to(std::string& out) const;
   std::string to_string() const;
 
  private:

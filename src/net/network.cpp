@@ -38,17 +38,18 @@ const char* to_string(Protocol p) {
   return "?";
 }
 
-std::string Packet::to_string() const {
-  std::string s = src.to_string();
-  s += " -> ";
-  s += dst.to_string();
-  s += " [";
-  s += bgpsdn::net::to_string(proto);
-  s += ", ";
-  s += std::to_string(payload.size());
-  s += "B]";
-  return s;
+void Packet::append_to(std::string& out) const {
+  src.append_to(out);
+  out += " -> ";
+  dst.append_to(out);
+  out += " [";
+  out += bgpsdn::net::to_string(proto);
+  out += ", ";
+  core::append_decimal(out, payload.size());
+  out += "B]";
 }
+
+std::string Packet::to_string() const { return core::text_of(*this); }
 
 core::EventLoop& Node::loop() const { return network().loop(); }
 core::Logger& Node::logger() const { return network().logger(); }
@@ -100,7 +101,7 @@ void Network::send(core::NodeId from, core::PortId port, Packet packet) {
   if (packet.ttl == 0) {
     ++stats_.dropped_ttl;
     logger_.log(loop_.now(), core::LogLevel::kDebug, node(from).name(),
-                "ttl_expired", packet.to_string());
+                "ttl_expired", packet);
     return;
   }
   if (link.params.loss > 0.0 && rng_.chance(link.params.loss)) {
@@ -167,7 +168,7 @@ void Network::set_link_up(core::LinkId id, bool up) {
   if (link.up == up) return;
   link.up = up;
   logger_.log(loop_.now(), core::LogLevel::kInfo, "net", up ? "link_up" : "link_down",
-              node(link.a.node).name() + " <-> " + node(link.b.node).name());
+              node(link.a.node).name(), " <-> ", node(link.b.node).name());
   nodes_[link.a.node.value()]->on_link_state(link.a.port, up);
   nodes_[link.b.node.value()]->on_link_state(link.b.port, up);
 }

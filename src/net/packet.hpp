@@ -38,6 +38,8 @@ struct Packet {
 
   std::size_t size_bytes() const { return 20 + payload.size(); }
 
+  /// e.g. "10.0.0.1 -> 10.1.0.1 [data, 64B]".
+  void append_to(std::string& out) const;
   std::string to_string() const;
 };
 

@@ -10,13 +10,13 @@ void ControllerBase::base_crash() {
   crashed_ = true;
   switches_.clear();
   dpid_by_port_.clear();
-  logger().log(loop().now(), core::LogLevel::kWarn, "ctrl." + name(), "crash",
+  logger().log(loop().now(), core::LogLevel::kWarn, log_name(), "crash",
                "controller process down");
 }
 
 void ControllerBase::base_restart() {
   crashed_ = false;
-  logger().log(loop().now(), core::LogLevel::kInfo, "ctrl." + name(), "restart",
+  logger().log(loop().now(), core::LogLevel::kInfo, log_name(), "restart",
                "controller process up, awaiting switch handshakes");
 }
 
@@ -25,8 +25,8 @@ void ControllerBase::handle_packet(core::PortId ingress, const net::Packet& pack
   if (packet.proto != net::Protocol::kOfControl) return;
   const auto msg = decode(packet.payload);
   if (!msg) {
-    logger().log(loop().now(), core::LogLevel::kWarn, "ctrl." + name(),
-                 "of_decode_error", "");
+    logger().log(loop().now(), core::LogLevel::kWarn, log_name(),
+                 "of_decode_error");
     return;
   }
 
@@ -41,8 +41,8 @@ void ControllerBase::handle_packet(core::PortId ingress, const net::Packet& pack
     dpid_by_port_[ingress.value()] = hello.dpid;
     // Greet back (completes the handshake; the switch ignores the content).
     send_to(hello.dpid, OfHello{0, 0});
-    logger().log(loop().now(), core::LogLevel::kInfo, "ctrl." + name(),
-                 "switch_connected", "dpid " + std::to_string(hello.dpid));
+    logger().log(loop().now(), core::LogLevel::kInfo, log_name(),
+                 "switch_connected", "dpid ", hello.dpid);
     on_switch_connected(switches_[hello.dpid]);
     return;
   }
@@ -58,11 +58,10 @@ void ControllerBase::handle_packet(core::PortId ingress, const net::Packet& pack
       break;
     case OfType::kPortStatus:
       ++counters_.port_status;
-      logger().log(loop().now(), core::LogLevel::kInfo, "ctrl." + name(),
-                   "port_status",
-                   "dpid " + std::to_string(ch.dpid) + " port " +
-                       std::to_string(std::get<OfPortStatus>(*msg).port.value()) +
-                       (std::get<OfPortStatus>(*msg).up ? " up" : " down"));
+      logger().log(loop().now(), core::LogLevel::kInfo, log_name(),
+                   "port_status", "dpid ", ch.dpid, " port ",
+                   std::get<OfPortStatus>(*msg).port.value(),
+                   std::get<OfPortStatus>(*msg).up ? " up" : " down");
       on_port_status(ch, std::get<OfPortStatus>(*msg));
       break;
     case OfType::kEcho: {
@@ -87,10 +86,14 @@ void ControllerBase::send_to(Dpid dpid, const OfMessage& message) {
 
 void ControllerBase::send_flow_mod(Dpid dpid, const OfFlowMod& mod) {
   ++counters_.flow_mods_sent;
-  logger().log(loop().now(), core::LogLevel::kDebug, "ctrl." + name(), "flow_mod_tx",
-               "dpid " + std::to_string(dpid) + " " + mod.match.to_string() +
-                   " -> " + mod.action.to_string());
+  logger().log(loop().now(), core::LogLevel::kDebug, log_name(), "flow_mod_tx",
+               "dpid ", dpid, ' ', mod.match, " -> ", mod.action);
   send_to(dpid, mod);
+}
+
+const std::string& ControllerBase::log_name() const {
+  if (log_name_.empty()) log_name_ = "ctrl." + name();
+  return log_name_;
 }
 
 void ControllerBase::send_packet_out(Dpid dpid, core::PortId out_port,

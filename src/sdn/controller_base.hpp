@@ -76,11 +76,14 @@ class ControllerBase : public net::Node {
 
  private:
   void send_to(Dpid dpid, const OfMessage& message);
+  /// "ctrl.<name>", built on first use (the node name is final by then).
+  const std::string& log_name() const;
 
   std::map<Dpid, SwitchChannel> switches_;
   std::unordered_map<std::uint32_t, Dpid> dpid_by_port_;
   ControllerCounters counters_;
   bool crashed_{false};
+  mutable std::string log_name_;
 };
 
 }  // namespace bgpsdn::sdn

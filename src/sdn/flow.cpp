@@ -7,25 +7,46 @@
 
 namespace bgpsdn::sdn {
 
-std::string FlowMatch::to_string() const {
-  std::string s = "dst=" + dst.to_string();
-  if (in_port) s += " in_port=" + std::to_string(in_port->value());
-  if (proto) s += std::string{" proto="} + net::to_string(*proto);
-  return s;
+void FlowMatch::append_to(std::string& out) const {
+  out += "dst=";
+  dst.append_to(out);
+  if (in_port) {
+    out += " in_port=";
+    core::append_decimal(out, in_port->value());
+  }
+  if (proto) {
+    out += " proto=";
+    out += net::to_string(*proto);
+  }
 }
 
-std::string FlowAction::to_string() const {
+std::string FlowMatch::to_string() const { return core::text_of(*this); }
+
+void FlowAction::append_to(std::string& out) const {
   switch (type) {
-    case ActionType::kOutput: return "output:" + std::to_string(port.value());
-    case ActionType::kToController: return "controller";
-    case ActionType::kDrop: return "drop";
+    case ActionType::kOutput:
+      out += "output:";
+      core::append_decimal(out, port.value());
+      return;
+    case ActionType::kToController:
+      out += "controller";
+      return;
+    case ActionType::kDrop:
+      out += "drop";
+      return;
   }
-  return "?";
+  out += '?';
 }
+
+std::string FlowAction::to_string() const { return core::text_of(*this); }
 
 std::string FlowEntry::to_string() const {
-  return match.to_string() + " prio=" + std::to_string(priority) + " -> " +
-         action.to_string();
+  std::string out = match.to_string();
+  out += " prio=";
+  core::append_decimal(out, priority);
+  out += " -> ";
+  action.append_to(out);
+  return out;
 }
 
 void FlowTable::index_entry(std::size_t i) {

@@ -43,6 +43,8 @@ struct FlowMatch {
 
   bool operator==(const FlowMatch&) const = default;
 
+  /// e.g. "dst=10.1.0.0/16 in_port=2 proto=bgp".
+  void append_to(std::string& out) const;
   std::string to_string() const;
 };
 
@@ -58,6 +60,8 @@ struct FlowAction {
 
   bool operator==(const FlowAction&) const = default;
 
+  /// "output:<port>", "controller" or "drop".
+  void append_to(std::string& out) const;
   std::string to_string() const;
 };
 

@@ -67,8 +67,8 @@ void SdnSwitch::handle_packet(core::PortId ingress, const net::Packet& packet) {
 void SdnSwitch::handle_control(const net::Packet& packet) {
   const auto msg = decode(packet.payload);
   if (!msg) {
-    logger().log(loop().now(), core::LogLevel::kWarn, "sw." + name(),
-                 "of_decode_error", "");
+    logger().log(loop().now(), core::LogLevel::kWarn, log_name(),
+                 "of_decode_error");
     return;
   }
   switch (type_of(*msg)) {
@@ -78,10 +78,9 @@ void SdnSwitch::handle_control(const net::Packet& packet) {
         // A deposed leader's in-flight programming: the cluster has moved
         // to a higher epoch, so this mod would reintroduce stale state.
         ++counters_.stale_flowmods_rejected;
-        logger().log(loop().now(), core::LogLevel::kWarn, "sw." + name(),
-                     "stale_flow_mod",
-                     "epoch " + std::to_string(fm.epoch) + " < " +
-                         std::to_string(max_epoch_seen_));
+        logger().log(loop().now(), core::LogLevel::kWarn, log_name(),
+                     "stale_flow_mod", "epoch ", fm.epoch, " < ",
+                     max_epoch_seen_);
         if (auto* tel = telemetry()) {
           tel->metrics().counter("sdn.switch.stale_flowmods_rejected").inc();
         }
@@ -98,10 +97,10 @@ void SdnSwitch::handle_control(const net::Packet& packet) {
       } else {
         table_.remove(fm.match, fm.priority);
       }
-      logger().log(loop().now(), core::LogLevel::kDebug, "sw." + name(),
+      logger().log(loop().now(), core::LogLevel::kDebug, log_name(),
                    "flow_mod",
-                   (fm.command == FlowModCommand::kAdd ? "add " : "del ") +
-                       fm.match.to_string());
+                   fm.command == FlowModCommand::kAdd ? "add " : "del ",
+                   fm.match);
       if (auto* tel = telemetry()) {
         tel->metrics().counter("sdn.switch.flow_mods").inc();
         tel->metrics()
@@ -109,7 +108,7 @@ void SdnSwitch::handle_control(const net::Packet& packet) {
             .record(static_cast<std::int64_t>(table_.size()));
         if (tel->tracing()) {
           auto span = telemetry::TraceSpan::instant(loop().now(), "sdn",
-                                                    "flow_mod", "sw." + name());
+                                                    "flow_mod", log_name());
           span.arg("op", fm.command == FlowModCommand::kAdd ? "add" : "del")
               .arg("match", fm.match.to_string())
               .arg("table_size", static_cast<std::int64_t>(table_.size()));
@@ -154,8 +153,8 @@ void SdnSwitch::on_link_state(core::PortId port, bool up) {
 void SdnSwitch::flush_data_rules(const char* why) {
   const auto flushed = table_.remove_below_priority(kRelayRulePriority);
   counters_.standalone_flushed += flushed;
-  logger().log(loop().now(), core::LogLevel::kInfo, "sw." + name(), why,
-               "flushed " + std::to_string(flushed) + " data rules");
+  logger().log(loop().now(), core::LogLevel::kInfo, log_name(), why,
+               "flushed ", flushed, " data rules");
 }
 
 void SdnSwitch::enter_standalone() {
@@ -170,7 +169,7 @@ void SdnSwitch::enter_standalone() {
     tel->metrics().counter("sdn.switch.standalone_entries").inc();
     if (tel->tracing()) {
       auto span = telemetry::TraceSpan::instant(loop().now(), "sdn",
-                                                "standalone", "sw." + name());
+                                                "standalone", log_name());
       span.arg("up", false);
       tel->emit(span);
     }
@@ -186,7 +185,7 @@ void SdnSwitch::exit_standalone() {
   if (auto* tel = telemetry()) {
     if (tel->tracing()) {
       auto span = telemetry::TraceSpan::instant(loop().now(), "sdn",
-                                                "standalone", "sw." + name());
+                                                "standalone", log_name());
       span.arg("up", true);
       tel->emit(span);
     }
@@ -198,6 +197,11 @@ void SdnSwitch::exit_standalone() {
   // reality instead of its pre-crash snapshot; up-to-date ports are no-ops
   // on the graph side.
   resend_port_states();
+}
+
+const std::string& SdnSwitch::log_name() const {
+  if (log_name_.empty()) log_name_ = "sw." + name();
+  return log_name_;
 }
 
 void SdnSwitch::resend_port_states() {

@@ -72,6 +72,8 @@ class SdnSwitch : public net::Node {
   void exit_standalone();
   void flush_data_rules(const char* why);
   void resend_port_states();
+  /// "sw.<name>", built on first use (the node name is final by then).
+  const std::string& log_name() const;
 
   core::AsNumber owner_as_;
   std::optional<core::PortId> controller_port_;
@@ -79,6 +81,7 @@ class SdnSwitch : public net::Node {
   SwitchCounters counters_;
   bool standalone_{false};
   std::uint32_t max_epoch_seen_{0};
+  mutable std::string log_name_;
 };
 
 }  // namespace bgpsdn::sdn

@@ -49,8 +49,7 @@ void ClusterBgpSpeaker::announce(PeeringId id, const net::Prefix& prefix,
   m.nlri.push_back(prefix);
   ++counters_.announces_tx;
   logger().log(loop().now(), core::LogLevel::kDebug, session_log_name(),
-               "speaker_announce",
-               "peering " + std::to_string(id) + " " + m.to_string());
+               "speaker_announce", "peering ", id, ' ', m);
   if (auto* tel = telemetry()) {
     tel->metrics().counter("speaker.announces_tx").inc();
     if (tel->tracing()) {
@@ -73,8 +72,7 @@ void ClusterBgpSpeaker::withdraw(PeeringId id, const net::Prefix& prefix) {
   m.withdrawn.push_back(prefix);
   ++counters_.withdraws_tx;
   logger().log(loop().now(), core::LogLevel::kDebug, session_log_name(),
-               "speaker_withdraw",
-               "peering " + std::to_string(id) + " " + prefix.to_string());
+               "speaker_withdraw", "peering ", id, ' ', prefix);
   if (auto* tel = telemetry()) {
     tel->metrics().counter("speaker.withdraws_tx").inc();
     if (tel->tracing()) {
@@ -100,8 +98,7 @@ void ClusterBgpSpeaker::crash() {
   crashed_ = true;
   ++counters_.crashes;
   logger().log(loop().now(), core::LogLevel::kWarn, session_log_name(), "crash",
-               "speaker process down, " + std::to_string(slots_.size()) +
-                   " sessions lost");
+               "speaker process down, ", slots_.size(), " sessions lost");
   if (auto* tel = telemetry()) tel->metrics().counter("speaker.crashes").inc();
   for (auto& slot : slots_) {
     // Process death sends nothing; external peers discover the outage when
@@ -207,9 +204,8 @@ void ClusterBgpSpeaker::session_transmit(bgp::Session& session,
 void ClusterBgpSpeaker::session_established(bgp::Session& session) {
   Slot* slot = slot_of(session);
   logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-               "session_up",
-               slot->info.cluster_as.to_string() + " <-> peer " +
-                   session.peer_as().to_string());
+               "session_up", slot->info.cluster_as, " <-> peer ",
+               session.peer_as());
   if (listener_ != nullptr) listener_->on_peer_established(slot->info);
 }
 
@@ -219,14 +215,13 @@ void ClusterBgpSpeaker::session_down(bgp::Session& session,
   slot->rib_out.clear();
   slot->rib_in.clear();
   logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-               "session_down",
-               slot->info.cluster_as.to_string() + " <-> peer " +
-                   session.peer_as().to_string() + ": " + reason);
+               "session_down", slot->info.cluster_as, " <-> peer ",
+               session.peer_as(), ": ", reason);
   if (listener_ != nullptr) listener_->on_peer_down(slot->info, reason);
 }
 
 void ClusterBgpSpeaker::session_update(bgp::Session& session,
-                                       const bgp::UpdateMessage& update) {
+                                       bgp::UpdateMessage update) {
   Slot* slot = slot_of(session);
   ++counters_.updates_rx;
   for (const auto& prefix : update.withdrawn) slot->rib_in.erase(prefix);
@@ -236,17 +231,16 @@ void ClusterBgpSpeaker::session_update(bgp::Session& session,
   }
   if (auto* tel = telemetry()) tel->metrics().counter("speaker.updates_rx").inc();
   logger().log(loop().now(), core::LogLevel::kDebug, session_log_name(),
-               "speaker_rx",
-               "peering " + std::to_string(slot->info.id) + " " +
-                   update.to_string());
+               "speaker_rx", "peering ", slot->info.id, ' ', update);
   if (listener_ != nullptr) listener_->on_route_update(slot->info, update);
 }
 
 core::EventLoop& ClusterBgpSpeaker::session_loop() { return loop(); }
 core::Rng& ClusterBgpSpeaker::session_rng() { return rng(); }
 core::Logger& ClusterBgpSpeaker::session_logger() { return logger(); }
-std::string ClusterBgpSpeaker::session_log_name() const {
-  return "speaker." + name();
+const std::string& ClusterBgpSpeaker::session_log_name() const {
+  if (log_name_.empty()) log_name_ = "speaker." + name();
+  return log_name_;
 }
 
 }  // namespace bgpsdn::speaker

@@ -137,11 +137,12 @@ class ClusterBgpSpeaker : public net::Node, public bgp::SessionHost {
   void session_transmit(bgp::Session& session, net::Bytes wire) override;
   void session_established(bgp::Session& session) override;
   void session_down(bgp::Session& session, const std::string& reason) override;
-  void session_update(bgp::Session& session, const bgp::UpdateMessage& update) override;
+  void session_update(bgp::Session& session, bgp::UpdateMessage update) override;
   core::EventLoop& session_loop() override;
   core::Rng& session_rng() override;
   core::Logger& session_logger() override;
-  std::string session_log_name() const override;
+  /// "speaker.<name>".
+  const std::string& session_log_name() const override;
   telemetry::Telemetry* session_telemetry() override { return telemetry(); }
 
  private:
@@ -170,6 +171,8 @@ class ClusterBgpSpeaker : public net::Node, public bgp::SessionHost {
   std::unordered_map<std::uint32_t, Slot*> by_port_;     // relay port -> slot
   std::unordered_map<std::uint32_t, Slot*> by_session_;  // session id -> slot
   SpeakerCounters counters_;
+  /// session_log_name(), built on first use (the node name is final by then).
+  mutable std::string log_name_;
 };
 
 }  // namespace bgpsdn::speaker

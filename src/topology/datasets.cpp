@@ -4,11 +4,15 @@
 #include <map>
 #include <sstream>
 
+#include "core/text.hpp"
 #include "topology/generators.hpp"
 
 namespace bgpsdn::topology {
 
 namespace {
+
+/// Largest accepted iPlane RTT, in milliseconds.
+constexpr double kMaxRttMs = 1e9;
 
 core::AsNumber parse_as(const std::string& s, const std::string& context) {
   const auto as = core::parse_as_number(s);
@@ -103,11 +107,18 @@ TopologySpec parse_iplane(std::istream& in) {
     if (line.empty() || line[0] == '#') continue;
     const auto context = "iplane line " + std::to_string(line_no);
     std::istringstream ls{line};
-    std::string pop_a, pop_b;
-    double rtt = 0.0;
-    if (!(ls >> pop_a >> pop_b >> rtt)) {
+    std::string pop_a, pop_b, rtt_token;
+    if (!(ls >> pop_a >> pop_b >> rtt_token)) {
       throw std::invalid_argument{"malformed " + context + ": '" + line + "'"};
     }
+    // The whole token, as a finite RTT: a stream read would take "5abc" as
+    // 5 and pass negative or overflowing delays on to the link.
+    const auto parsed_rtt = core::parse_real(rtt_token, 0.0, kMaxRttMs);
+    if (!parsed_rtt) {
+      throw std::invalid_argument{"bad rtt '" + rtt_token + "' in " + context +
+                                  " (want ms in [0, 1e9])"};
+    }
+    const double rtt = *parsed_rtt;
     const auto parse_pop = [&](const std::string& pop) {
       const auto comma = pop.find(',');
       if (comma == std::string::npos) {

@@ -137,11 +137,11 @@ class CorruptingHost : public SessionHost {
   }
   void session_established(Session&) override {}
   void session_down(Session&, const std::string&) override {}
-  void session_update(Session&, const UpdateMessage&) override {}
+  void session_update(Session&, UpdateMessage) override {}
   core::EventLoop& session_loop() override { return loop_; }
   core::Rng& session_rng() override { return rng_; }
   core::Logger& session_logger() override { return log_; }
-  std::string session_log_name() const override { return name_; }
+  const std::string& session_log_name() const override { return name_; }
 
   std::unique_ptr<Session> session;
   int corrupted{0};

@@ -107,7 +107,7 @@ class ScriptedPeer : public net::Node, public bgp::SessionHost {
   }
   void session_established(bgp::Session&) override {}
   void session_down(bgp::Session&, const std::string&) override {}
-  void session_update(bgp::Session&, const bgp::UpdateMessage& update) override {
+  void session_update(bgp::Session&, bgp::UpdateMessage update) override {
     std::string line = std::to_string(loop().now().nanos_since_origin()) +
                        " " + update.to_string();
     for (const auto c : update.attributes.communities) {
@@ -118,7 +118,10 @@ class ScriptedPeer : public net::Node, public bgp::SessionHost {
   core::EventLoop& session_loop() override { return loop(); }
   core::Rng& session_rng() override { return rng(); }
   core::Logger& session_logger() override { return logger(); }
-  std::string session_log_name() const override { return "peer." + name(); }
+  const std::string& session_log_name() const override {
+    if (log_name_.empty()) log_name_ = "peer." + name();
+    return log_name_;
+  }
 
   /// "<arrival ns> <UPDATE text> [community=N...]" per received UPDATE.
   std::vector<std::string> received;
@@ -129,6 +132,7 @@ class ScriptedPeer : public net::Node, public bgp::SessionHost {
   net::Ipv4Addr address_;
   net::Ipv4Addr remote_;
   std::unique_ptr<bgp::Session> session_;
+  mutable std::string log_name_;
 };
 
 // --- the export verdict ----------------------------------------------------

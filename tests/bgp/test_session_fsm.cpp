@@ -34,13 +34,13 @@ class Harness : public SessionHost {
     ++down_count;
     last_reason = reason;
   }
-  void session_update(Session&, const UpdateMessage& update) override {
+  void session_update(Session&, UpdateMessage update) override {
     updates.push_back(update);
   }
   core::EventLoop& session_loop() override { return loop_; }
   core::Rng& session_rng() override { return rng_; }
   core::Logger& session_logger() override { return log_; }
-  std::string session_log_name() const override { return name_; }
+  const std::string& session_log_name() const override { return name_; }
 
   std::unique_ptr<Session> session;
   int established_count{0};

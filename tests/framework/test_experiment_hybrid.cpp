@@ -125,6 +125,30 @@ TEST(HybridExperiment, WithdrawalClearsHybridNetwork) {
   EXPECT_TRUE(exp.all_know_prefix(pfx, /*expect_present=*/false));
 }
 
+TEST(HybridExperiment, MemberOriginatedPrefixIsKnownEverywhere) {
+  // AS3 originates without an attached host, so its own switch delivers
+  // the prefix through the compiler's local-origin rule (a drop at data
+  // priority): that is knowing the prefix, not a missing route.
+  const auto spec = topology::clique(4);
+  const core::AsNumber as3{3}, as4{4};
+  Experiment exp{spec, {as3, as4}, quick_config()};
+  const auto pfx = *net::Prefix::parse("10.3.0.0/16");
+  exp.announce_prefix(as3, pfx);
+  ASSERT_TRUE(exp.start());
+  for (const auto as : spec.ases) {
+    if (!exp.is_member(as)) {
+      EXPECT_NE(exp.router(as).loc_rib().find(pfx), nullptr) << as.to_string();
+    }
+  }
+  EXPECT_TRUE(exp.all_know_prefix(pfx));
+
+  // Withdrawn, the prefix is known nowhere, the origin included.
+  exp.withdraw_prefix(as3, pfx);
+  exp.wait_converged();
+  EXPECT_TRUE(exp.all_know_prefix(pfx, /*expect_present=*/false));
+  EXPECT_FALSE(exp.all_know_prefix(pfx));
+}
+
 TEST(HybridExperiment, BorderLinkFailureReroutes) {
   // Clique of 4: AS1 legacy origin, AS3+AS4 in the cluster. Failing the
   // AS1-AS3 border link forces AS3's traffic to egress via AS4 or AS2.

@@ -190,15 +190,30 @@ TEST(Datasets, IplaneRejectsMalformed) {
   EXPECT_THROW(parse_iplane_text("0,0 200,0 5\n"), std::invalid_argument);
   EXPECT_THROW(parse_iplane_text("+100,0 200,0 5\n"), std::invalid_argument);
   EXPECT_THROW(parse_iplane_text("1e2,0 200,0 5\n"), std::invalid_argument);
+  // RTTs: the whole token, finite, within [0, 1e9] ms.
+  EXPECT_THROW(parse_iplane_text("100,0 200,0 -5\n"), std::invalid_argument);
+  EXPECT_THROW(parse_iplane_text("100,0 200,0 1e30\n"), std::invalid_argument);
+  EXPECT_THROW(parse_iplane_text("100,0 200,0 5abc\n"), std::invalid_argument);
+  try {
+    parse_iplane_text("# header\n100,0 200,0 5abc\n");
+    ADD_FAILURE() << "5abc accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "bad rtt '5abc' in iplane line 2 (want ms in [0, 1e9])");
+  }
 }
 
 TEST(Datasets, MutatedAsFieldsParseExactlyOrThrow) {
-  // Seeded mutation fuzz of the AS fields of both dataset formats: a
-  // mutant either loads with every AS in 1..4294967295 or is rejected with
-  // std::invalid_argument; nothing else escapes.
+  // Seeded mutation fuzz of the AS fields of both dataset formats, and of
+  // the iPlane RTT field: a mutant either loads with every AS in
+  // 1..4294967295 and every link delay in [0, 5e8] ms (half of the largest
+  // RTT), or is rejected with std::invalid_argument; nothing else escapes.
   const std::vector<std::string> hostile{
       "-1", "+1", "0", "1.5", "1e3", "nan", "0x10", " 7", "7 ",
       "4294967295", "4294967296", "18446744073709551616", ""};
+  const std::vector<std::string> hostile_rtt{
+      "-5", "-0", "+5", "1e30", "1e9", "1e9.5", "5abc", "nan", "inf", "-inf",
+      "0x10", "0", "7.25", ".5", "5.", "1e-400", ""};
   core::Rng rng{17};
   const auto caida_lines = [&] {
     std::vector<std::string> lines;
@@ -225,12 +240,17 @@ TEST(Datasets, MutatedAsFieldsParseExactlyOrThrow) {
     const bool iplane = pick(2) == 0;
     if (iplane) {
       // Reuse the CAIDA AS pairs as iPlane PoP links.
+      // One line in two also gets a hostile RTT.
+      const std::size_t rtt_line = pick(2 * lines.size());
       std::string pops;
-      for (const auto& l : lines) {
+      for (std::size_t i = 0; i < lines.size(); ++i) {
+        const auto& l = lines[i];
         const auto b1 = l.find('|');
         const auto b2 = l.find('|', b1 + 1);
+        const std::string rtt =
+            i == rtt_line ? hostile_rtt[pick(hostile_rtt.size())] : "12.5";
         pops += l.substr(0, b1) + ",0 " + l.substr(b1 + 1, b2 - b1 - 1) +
-                ",1 12.5\n";
+                ",1 " + rtt + "\n";
       }
       text = pops;
     }
@@ -238,6 +258,13 @@ TEST(Datasets, MutatedAsFieldsParseExactlyOrThrow) {
       const auto spec =
           iplane ? parse_iplane_text(text) : parse_caida_text(text);
       for (const auto as : spec.ases) EXPECT_GE(as.value(), 1u) << text;
+      for (const auto& l : spec.links) {
+        if (!l.delay) continue;
+        EXPECT_GE(l.delay->count_nanos(), 0) << text;
+        EXPECT_LE(l.delay->count_nanos(),
+                  core::Duration::millis(500'000'000).count_nanos())
+            << text;
+      }
     } catch (const std::invalid_argument&) {
     } catch (...) {
       ADD_FAILURE() << "non-diagnostic exception\n" << text;

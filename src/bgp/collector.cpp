@@ -93,8 +93,7 @@ core::EventLoop& RouteCollector::session_loop() { return loop(); }
 core::Rng& RouteCollector::session_rng() { return rng(); }
 core::Logger& RouteCollector::session_logger() { return logger(); }
 const std::string& RouteCollector::session_log_name() const {
-  if (log_name_.empty()) log_name_ = "collector." + name();
-  return log_name_;
+  return log_component(log_name_, "collector");
 }
 
 core::TimePoint RouteCollector::last_activity() const {

@@ -197,15 +197,12 @@ void BgpRouter::init_metrics() {
   }
 }
 const std::string& BgpRouter::session_log_name() const {
-  if (log_name_.empty()) {
+  if (log_name_.empty() && name().empty()) {
+    // A detached router (unit tests) is named after its AS.
     log_name_ = "bgp.";
-    if (name().empty()) {
-      config_.asn.append_to(log_name_);
-    } else {
-      log_name_ += name();
-    }
+    config_.asn.append_to(log_name_);
   }
-  return log_name_;
+  return log_component(log_name_, "bgp");
 }
 
 // --- update processing ------------------------------------------------------
@@ -234,19 +231,19 @@ void BgpRouter::process_update(Peer& peer, const UpdateMessage& update) {
   // judge each prefix or keep state, so it runs per NLRI.
   std::optional<AttrSetRef> imported;
   for (const auto& prefix : update.nlri) {
+    if (!PolicyEngine::import_allowed(policy, prefix)) {
+      ++counters_.routes_rejected_policy;
+      reject_candidate(sid, prefix);
+      continue;
+    }
     if (policy.import_map) {
       PathAttributes attrs = update.attributes;
-      if (!PolicyEngine::apply_import(policy, prefix, attrs)) {
+      if (!PolicyEngine::rewrite_import(policy, attrs)) {
         ++counters_.routes_rejected_policy;
         reject_candidate(sid, prefix);
         continue;
       }
       import_candidate(peer, prefix, AttrSetRef::intern(std::move(attrs)));
-      continue;
-    }
-    if (!PolicyEngine::import_allowed(policy, prefix)) {
-      ++counters_.routes_rejected_policy;
-      reject_candidate(sid, prefix);
       continue;
     }
     if (!imported) {

@@ -171,7 +171,7 @@ class BgpRouter : public net::Node, public SessionHost {
   /// in the Adj-RIB-In, re-running the decision when the set changed.
   void import_candidate(Peer& peer, const net::Prefix& prefix,
                         const AttrSetRef& attrs);
-  /// Drop `peer`'s candidate for a rejected `prefix`, if it had one.
+  /// Drop the candidate `session` offered for a rejected `prefix`, if any.
   void reject_candidate(core::SessionId session, const net::Prefix& prefix);
   /// Re-run the decision process for one prefix; on change, update Loc-RIB +
   /// FIB and queue advertisements. Damping-suppressed candidates are

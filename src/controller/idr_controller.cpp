@@ -217,8 +217,7 @@ void IdrController::mark_topology_dirty() {
 }
 
 const std::string& IdrController::idr_log_name() const {
-  if (idr_log_name_.empty()) idr_log_name_ = "idr." + name();
-  return idr_log_name_;
+  return log_component(idr_log_name_, "idr");
 }
 
 std::set<net::Prefix> IdrController::known_prefixes() const {

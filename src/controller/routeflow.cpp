@@ -97,8 +97,7 @@ core::EventLoop& GhostPeer::session_loop() { return loop(); }
 core::Rng& GhostPeer::session_rng() { return rng(); }
 core::Logger& GhostPeer::session_logger() { return logger(); }
 const std::string& GhostPeer::session_log_name() const {
-  if (log_name_.empty()) log_name_ = "ghost." + name();
-  return log_name_;
+  return log_component(log_name_, "ghost");
 }
 
 // --- RouteFlowController -----------------------------------------------------

@@ -7,6 +7,7 @@
 
 #include <cassert>
 #include <string>
+#include <string_view>
 
 #include "core/ids.hpp"
 #include "net/packet.hpp"
@@ -80,6 +81,19 @@ class Node {
 
   /// Convenience: transmit out of a local port.
   void send(core::PortId port, Packet packet) const;
+
+  /// The log component "<kind>.<name>" ("sw.AS3"), built into `cache` on
+  /// first use and reused for every record after. Call it only once the
+  /// node is attached, when its name is final.
+  const std::string& log_component(std::string& cache,
+                                   std::string_view kind) const {
+    if (cache.empty()) {
+      cache = kind;
+      cache += '.';
+      cache += name_;
+    }
+    return cache;
+  }
 
  private:
   Network* network_{nullptr};

@@ -92,8 +92,7 @@ void ControllerBase::send_flow_mod(Dpid dpid, const OfFlowMod& mod) {
 }
 
 const std::string& ControllerBase::log_name() const {
-  if (log_name_.empty()) log_name_ = "ctrl." + name();
-  return log_name_;
+  return log_component(log_name_, "ctrl");
 }
 
 void ControllerBase::send_packet_out(Dpid dpid, core::PortId out_port,

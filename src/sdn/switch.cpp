@@ -200,8 +200,7 @@ void SdnSwitch::exit_standalone() {
 }
 
 const std::string& SdnSwitch::log_name() const {
-  if (log_name_.empty()) log_name_ = "sw." + name();
-  return log_name_;
+  return log_component(log_name_, "sw");
 }
 
 void SdnSwitch::resend_port_states() {

@@ -239,8 +239,7 @@ core::EventLoop& ClusterBgpSpeaker::session_loop() { return loop(); }
 core::Rng& ClusterBgpSpeaker::session_rng() { return rng(); }
 core::Logger& ClusterBgpSpeaker::session_logger() { return logger(); }
 const std::string& ClusterBgpSpeaker::session_log_name() const {
-  if (log_name_.empty()) log_name_ = "speaker." + name();
-  return log_name_;
+  return log_component(log_name_, "speaker");
 }
 
 }  // namespace bgpsdn::speaker

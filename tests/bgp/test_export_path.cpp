@@ -119,8 +119,7 @@ class ScriptedPeer : public net::Node, public bgp::SessionHost {
   core::Rng& session_rng() override { return rng(); }
   core::Logger& session_logger() override { return logger(); }
   const std::string& session_log_name() const override {
-    if (log_name_.empty()) log_name_ = "peer." + name();
-    return log_name_;
+    return log_component(log_name_, "peer");
   }
 
   /// "<arrival ns> <UPDATE text> [community=N...]" per received UPDATE.
@@ -317,6 +316,48 @@ TEST(ExportFanOut, OneAnnouncementInternsOnceOnImportAndOnceOnExport) {
   EXPECT_NE(customer.received[0].find("announce{10.9.0.0/16}"), std::string::npos);
   EXPECT_TRUE(provider.received.empty());
   EXPECT_TRUE(peer.received.empty());
+}
+
+// One UPDATE carries one bundle: a 3-NLRI announcement is loop-checked,
+// rewritten and interned once on import. From a provider, over a router
+// whose only other neighbour is a peer, nothing is exported, so that one
+// intern is all the UPDATE costs. A peer with an import map keeps the
+// per-NLRI rewrite (the map may judge each prefix), so it interns per NLRI.
+TEST(ImportOncePerUpdate, MultiNlriUpdateInternsOnce) {
+  for (const bool with_map : {false, true}) {
+    MiniTopo topo;
+    auto& router = topo.add_router(1);
+    auto policy = gao(bgp::Relationship::kProvider);
+    int map_calls = 0;
+    if (with_map) {
+      policy.import_map = [&map_calls](bgp::PathAttributes&) {
+        ++map_calls;
+        return true;
+      };
+    }
+    auto& provider = ScriptedPeer::attach(topo, router, 2, policy);
+    auto& peer = ScriptedPeer::attach(topo, router, 3, gao(bgp::Relationship::kPeer));
+    topo.start();
+    topo.run_for(core::Duration::seconds(2));
+    ASSERT_TRUE(provider.established());
+    ASSERT_TRUE(peer.established());
+
+    const std::vector<net::Prefix> prefixes = {
+        pfx("10.9.0.0/16"), pfx("10.10.0.0/16"), pfx("10.11.0.0/16")};
+    const std::uint64_t before = bgp::attr_pool_stats().interns;
+    provider.announce(prefixes);
+    topo.run_for(core::Duration::seconds(2));
+
+    for (const auto& p : prefixes) {
+      const bgp::Route* route = router.loc_rib().find(p);
+      ASSERT_NE(route, nullptr) << with_map;
+      EXPECT_EQ(route->attributes->local_pref,
+                bgp::default_local_pref(bgp::Relationship::kProvider));
+    }
+    EXPECT_EQ(bgp::attr_pool_stats().interns - before, with_map ? 3u : 1u);
+    EXPECT_EQ(map_calls, with_map ? 3 : 0);
+    EXPECT_TRUE(peer.received.empty());
+  }
 }
 
 // --- the flat dirty set ---------------------------------------------------------

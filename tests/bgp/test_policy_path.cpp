@@ -2,7 +2,10 @@
 // AsPath semantics.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bgp/policy.hpp"
+#include "core/random.hpp"
 
 namespace bgpsdn::bgp {
 namespace {
@@ -109,6 +112,59 @@ TEST(PolicyEngine, ImportRouteMapRewritesAndRejects) {
   EXPECT_FALSE(PolicyEngine::apply_import(policy,
                                           *net::Prefix::parse("10.0.0.0/16"),
                                           long_path));
+}
+
+TEST(PolicyEngine, ImportSplitComposesToApplyImport) {
+  // import_allowed (the per-NLRI filter) and rewrite_import (the
+  // per-UPDATE rewrite) must together decide exactly what apply_import
+  // does, on random policies, prefixes and bundles.
+  core::Rng rng{1604};
+  const std::vector<net::Prefix> universe = {
+      *net::Prefix::parse("10.0.0.0/8"), *net::Prefix::parse("10.1.0.0/16"),
+      *net::Prefix::parse("10.1.2.0/24"), *net::Prefix::parse("192.168.0.0/16"),
+      *net::Prefix::parse("0.0.0.0/0")};
+  const Relationship rels[] = {Relationship::kCustomer, Relationship::kPeer,
+                               Relationship::kProvider};
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  std::size_t denied = 0;
+  for (int round = 0; round < 400; ++round) {
+    PeerPolicy policy;
+    policy.mode = rng.chance(0.5) ? PolicyMode::kGaoRexford
+                                  : PolicyMode::kFullTransit;
+    policy.relationship = rels[pick(3)];
+    if (rng.chance(0.3)) {
+      policy.local_pref = static_cast<std::uint32_t>(rng.uniform_int(1, 500));
+    }
+    if (rng.chance(0.5)) policy.import_deny.push_back(universe[pick(universe.size())]);
+    if (rng.chance(0.3)) {
+      policy.import_map = [](PathAttributes& a) {
+        a.communities.push_back(7);
+        return a.as_path.length() < 3;
+      };
+    }
+    PathAttributes attrs;
+    std::vector<core::AsNumber> hops;
+    for (std::size_t h = pick(4); h > 0; --h) {
+      hops.push_back(core::AsNumber{static_cast<std::uint32_t>(pick(9) + 1)});
+    }
+    attrs.as_path = AsPath{std::move(hops)};
+    const net::Prefix prefix = universe[pick(universe.size())];
+
+    PathAttributes composed = attrs;
+    PathAttributes split = attrs;
+    const bool whole = PolicyEngine::apply_import(policy, prefix, composed);
+    const bool allowed = PolicyEngine::import_allowed(policy, prefix);
+    const bool parts = allowed && PolicyEngine::rewrite_import(policy, split);
+    ASSERT_EQ(whole, parts) << "round " << round;
+    if (whole) {
+      EXPECT_EQ(composed, split) << "round " << round;
+    }
+    if (!allowed) ++denied;
+  }
+  EXPECT_GT(denied, 0u);
 }
 
 TEST(PolicyEngine, ValleyFreeExportMatrix) {

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/logger.hpp"
 #include "core/random.hpp"
@@ -159,6 +163,66 @@ TEST(Logger, EchoStream) {
           "link_down", "AS1 <-> AS2");
   EXPECT_NE(os.str().find("[WARN] net link_down: AS1 <-> AS2"),
             std::string::npos);
+}
+
+/// Counts how often it is formatted.
+struct CountedText {
+  int* calls;
+  void append_to(std::string& out) const {
+    ++*calls;
+    out += "text";
+  }
+};
+
+TEST(Logger, FormatsPartsInPlaceInOrder) {
+  Logger log;
+  std::string seen;
+  log.add_sink([&](const LogRecord& rec) { seen = std::string{rec.detail}; });
+  const std::string reason = "hold timer expired";
+  int calls = 0;
+  log.log(TimePoint::origin(), LogLevel::kInfo, "c", "e", "peer ",
+          std::uint32_t{65001}, ' ', std::uint8_t{7}, ": ", reason, ' ',
+          std::int64_t{-3}, ' ', CountedText{&calls});
+  EXPECT_EQ(seen, "peer 65001 7: hold timer expired -3 text");
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(Logger, NothingIsFormattedBelowMinLevel) {
+  Logger log;
+  log.set_min_level(LogLevel::kInfo);
+  int delivered = 0;
+  log.add_sink([&](const LogRecord&) { ++delivered; });
+  int calls = 0;
+  EXPECT_FALSE(log.enabled(LogLevel::kDebug));
+  log.log(TimePoint::origin(), LogLevel::kDebug, "c", "e", CountedText{&calls});
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(delivered, 0);
+  log.log(TimePoint::origin(), LogLevel::kWarn, "c", "e", CountedText{&calls});
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(delivered, 1);
+}
+
+TEST(Logger, RetainedRecordsOwnTheirText) {
+  // Sinks see views into the logger's reused buffer; retained records and
+  // filter() results keep copies that later records do not overwrite.
+  Logger log;
+  std::vector<std::string_view> views;
+  log.add_sink([&](const LogRecord& rec) { views.push_back(rec.detail); });
+  std::string component = "bgp.AS1";
+  log.log(TimePoint::from_nanos(1), LogLevel::kInfo, component, "update_tx",
+          "first detail");
+  component = "bgp.AS9";
+  log.log(TimePoint::from_nanos(2), LogLevel::kInfo, component, "update_tx",
+          "second");
+  ASSERT_EQ(log.records().size(), 2u);
+  EXPECT_EQ(log.records()[0].component, "bgp.AS1");
+  EXPECT_EQ(log.records()[0].detail, "first detail");
+  EXPECT_EQ(log.records()[1].detail, "second");
+  const auto kept = log.filter("update_tx", "bgp.AS1");
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_EQ(kept[0].to_string(), "0.000000s [INFO] bgp.AS1 update_tx: first detail");
+  EXPECT_EQ(kept[0].view().to_string(), kept[0].to_string());
+  ASSERT_EQ(views.size(), 2u);
 }
 
 TEST(LogRecord, ToStringFormat) {

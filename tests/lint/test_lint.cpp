@@ -303,6 +303,24 @@ TEST(LintA2, ThrowAndStdFunctionAndPriorityQueueAreFlagged) {
   EXPECT_EQ(findings[2].token, "throw");
 }
 
+TEST(LintL1, FlagsLogTextBuiltOutsideTheLogger) {
+  const auto findings = bgpsdn::lint::lint_file(fixture("l1_violation.cpp"));
+  EXPECT_EQ(rule_lines(findings),
+            (RL{{"L1", 5}, {"L1", 6}, {"L1", 7}, {"L1", 8}, {"L1", 10}}));
+  EXPECT_EQ(findings[0].token, "to_string");
+  EXPECT_EQ(findings[1].token, "+ \"...\"");
+  EXPECT_EQ(findings[2].token, "to_string");
+  EXPECT_EQ(findings[3].token, "+ \"...\"");
+  EXPECT_EQ(findings[4].token, "snprintf");
+}
+
+TEST(LintL1, PiecesPassedToTheLoggerAreClean) {
+  // Includes text built outside a log call, std::log, and a reasoned
+  // log-text-ok waiver.
+  const auto findings = bgpsdn::lint::lint_file(fixture("l1_clean.cpp"));
+  EXPECT_EQ(findings, std::vector<Finding>{});
+}
+
 TEST(LintT1, FlagsRawThreadingWithExactLines) {
   const auto findings = bgpsdn::lint::lint_file(fixture("t1_violation.cpp"));
   EXPECT_EQ(rule_lines(findings), (RL{{"T1", 6}, {"T1", 7}, {"T1", 8}}));
@@ -397,6 +415,11 @@ TEST(LintCorpus, WholeFixtureDirectoryExactFindings) {
       {"d5_violation.cpp", "D5@11"},
       {"h1_missing_once.hpp", "H1@1"},
       {"h1_using_namespace.hpp", "H1@6"},
+      {"l1_violation.cpp", "L1@5"},
+      {"l1_violation.cpp", "L1@6"},
+      {"l1_violation.cpp", "L1@7"},
+      {"l1_violation.cpp", "L1@8"},
+      {"l1_violation.cpp", "L1@10"},
       {"t1_violation.cpp", "T1@6"},
       {"t1_violation.cpp", "T1@7"},
       {"t1_violation.cpp", "T1@8"},

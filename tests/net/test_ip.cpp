@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
+#include "core/random.hpp"
 #include "net/ip.hpp"
 
 namespace bgpsdn::net {
@@ -118,6 +122,48 @@ TEST(Prefix, OrderingAndHash) {
   const auto b = *Prefix::parse("10.0.0.0/16");
   EXPECT_NE(a, b);
   EXPECT_NE(std::hash<Prefix>{}(a), std::hash<Prefix>{}(b));
+}
+
+/// The reference text of an address (and prefix length), printed the way
+/// the formatter used to: one snprintf per address.
+std::string oracle_text(std::uint32_t bits, int len = -1) {
+  char buf[24];
+  if (len < 0) {
+    std::snprintf(buf, sizeof buf, "%u.%u.%u.%u", (bits >> 24) & 0xffu,
+                  (bits >> 16) & 0xffu, (bits >> 8) & 0xffu, bits & 0xffu);
+  } else {
+    std::snprintf(buf, sizeof buf, "%u.%u.%u.%u/%u", (bits >> 24) & 0xffu,
+                  (bits >> 16) & 0xffu, (bits >> 8) & 0xffu, bits & 0xffu,
+                  static_cast<unsigned>(len));
+  }
+  return buf;
+}
+
+TEST(AddressText, MatchesSnprintfOracle) {
+  // The extremes, then seeded addresses and lengths (octet values drawn
+  // from the whole 0..255 range, so every digit count appears).
+  EXPECT_EQ(Prefix::default_route().to_string(), "0.0.0.0/0");
+  EXPECT_EQ(Prefix(Ipv4Addr{0xffffffffu}, 32).to_string(), "255.255.255.255/32");
+  EXPECT_EQ(Ipv4Addr{}.to_string(), oracle_text(0));
+  EXPECT_EQ(Ipv4Addr{0xffffffffu}.to_string(), oracle_text(0xffffffffu));
+  core::Rng rng{2024};
+  std::string appended = "x";
+  std::string expected = "x";
+  for (int i = 0; i < 5000; ++i) {
+    const auto bits = static_cast<std::uint32_t>(rng.uniform_int(0, 0xffffffffLL));
+    const auto len = static_cast<std::uint8_t>(rng.uniform_int(0, 32));
+    const Ipv4Addr addr{bits};
+    const Prefix prefix{addr, len};
+    ASSERT_EQ(addr.to_string(), oracle_text(bits)) << bits;
+    ASSERT_EQ(prefix.to_string(),
+              oracle_text(prefix.network().bits(), len))
+        << bits << "/" << int{len};
+    // append_to extends the buffer it is given, never replaces it.
+    addr.append_to(appended);
+    prefix.append_to(appended);
+    expected += oracle_text(bits) + oracle_text(prefix.network().bits(), len);
+  }
+  EXPECT_EQ(appended, expected);
 }
 
 }  // namespace

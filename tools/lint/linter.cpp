@@ -225,7 +225,7 @@ const std::unordered_map<std::string, std::string>& pragma_tags() {
       {"unordered-ok", "D3"},  {"ptr-order-ok", "D4"},
       {"float-order-ok", "D5"}, {"thread-ok", "T1"},
       {"header-ok", "H1"},     {"alloc-ok", "A2"},
-      {"layer-ok", "A1"},
+      {"layer-ok", "A1"},      {"log-text-ok", "L1"},
   };
   return kTags;
 }
@@ -1076,6 +1076,57 @@ void rule_a2_hotpath_allocations(FileContext& ctx) {
   }
 }
 
+// L1: one way to build log text. A log call hands its detail pieces to
+// core::Logger::log, which formats them in place (and not at all below the
+// minimum level); text built before the call with std::to_string, a
+// to_string() temporary, snprintf/format or string concatenation costs
+// allocations on every record and defeats the level check. Flags those
+// constructs inside the argument list of any `log(...)` call.
+void rule_l1_log_text(FileContext& ctx) {
+  const auto& toks = ctx.toks;
+  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+    if (!(toks[i].ident && toks[i].text == "log") || toks[i + 1].text != "(") {
+      continue;
+    }
+    const Tok* p = prev_tok(toks, i);
+    if (p != nullptr && p->text == "::") continue;  // std::log, Logger::log
+    int depth = 0;
+    std::size_t close = toks.size();
+    for (std::size_t j = i + 1; j < toks.size(); ++j) {
+      if (toks[j].text == "(") ++depth;
+      if (toks[j].text == ")" && --depth == 0) {
+        close = j;
+        break;
+      }
+    }
+    for (std::size_t j = i + 2; j < close; ++j) {
+      const std::string& t = toks[j].text;
+      const Tok* nx = next_tok(toks, j);
+      const bool called = nx != nullptr && nx->text == "(";
+      if (toks[j].ident && called &&
+          (t == "to_string" || t == "snprintf" || t == "sprintf" ||
+           t == "format")) {
+        ctx.add("L1", toks[j].line, t,
+                "log detail built with " + t +
+                    "; pass the value itself (values append their own text) "
+                    "and let Logger::log format it in place");
+        continue;
+      }
+      if (t == "+") {
+        const Tok* lhs = prev_tok(toks, j);
+        const bool literal = (lhs != nullptr && lhs->text == "\"") ||
+                             (nx != nullptr && nx->text == "\"");
+        if (literal) {
+          ctx.add("L1", toks[j].line, "+ \"...\"",
+                  "log detail built by string concatenation; pass the "
+                  "pieces as separate arguments to Logger::log");
+        }
+      }
+    }
+    i = close == toks.size() ? i : close;
+  }
+}
+
 std::string normalize_path(std::string_view path) {
   std::string p{path};
   std::replace(p.begin(), p.end(), '\\', '/');
@@ -1148,6 +1199,7 @@ std::vector<Finding> lint_text(std::string_view path, std::string_view text,
   rule_h1_header_hygiene(ctx);
   rule_p1_pragmas(ctx);
   rule_a2_hotpath_allocations(ctx);
+  rule_l1_log_text(ctx);
 
   std::sort(ctx.findings.begin(), ctx.findings.end(),
             [](const Finding& a, const Finding& b) {

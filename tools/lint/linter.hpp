@@ -37,6 +37,12 @@
 //       (under src/).
 //   P1  a suppression pragma with an empty/missing reason — reasons are
 //       mandatory so every exemption documents itself.
+//   L1  one way to build log text: inside the arguments of a `log(...)`
+//       call, no std::to_string / to_string() temporaries, no
+//       snprintf/sprintf/format and no string concatenation against a
+//       literal — the pieces go to core::Logger::log, which formats them
+//       in place and only above the minimum level. Suppress with
+//       `// lint: log-text-ok(reason)`.
 //
 // Pass 2 — hot-path allocation (A2). Functions carrying the `hotpath`
 // lint pragma with a reason (on the signature line or a comment line
@@ -82,7 +88,7 @@ namespace bgpsdn::lint {
 struct Finding {
   std::string file;   // path as given (normalized to forward slashes)
   int line = 0;       // 1-based
-  std::string rule;   // "D1".."D5", "T1", "H1", "P1", "A1", "A2"
+  std::string rule;   // "D1".."D5", "T1", "H1", "P1", "L1", "A1", "A2"
   std::string token;  // offending token or construct
   std::string message;
   std::string reason;  // waiver rationale (baseline entries only)

@@ -550,9 +550,9 @@ bool Experiment::all_know_prefix(const net::Prefix& prefix,
   // Members: judge by the installed forwarding state, which is common to
   // every controller style (an output or local-delivery rule for the
   // prefix; an explicit drop does not count as knowing a route). The
-  // member that originates a live prefix holds the local-delivery rule:
-  // output to its attached host, or a drop when it has none, which there
-  // is delivery, not a missing route.
+  // member that originates a live prefix delivers it locally: its data
+  // rule outputs to the attached host, or drops when there is none, and
+  // either way it knows the prefix.
   const auto origin = member_origins_.find(prefix);
   for (const auto& [as, sw] : switches_) {
     const bool delivers_locally =

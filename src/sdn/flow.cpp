@@ -41,12 +41,8 @@ void FlowAction::append_to(std::string& out) const {
 std::string FlowAction::to_string() const { return core::text_of(*this); }
 
 std::string FlowEntry::to_string() const {
-  std::string out = match.to_string();
-  out += " prio=";
-  core::append_decimal(out, priority);
-  out += " -> ";
-  action.append_to(out);
-  return out;
+  return match.to_string() + " prio=" + std::to_string(priority) + " -> " +
+         action.to_string();
 }
 
 void FlowTable::index_entry(std::size_t i) {

@@ -111,8 +111,8 @@ TopologySpec parse_iplane(std::istream& in) {
     if (!(ls >> pop_a >> pop_b >> rtt_token)) {
       throw std::invalid_argument{"malformed " + context + ": '" + line + "'"};
     }
-    // The whole token, as a finite RTT: a stream read would take "5abc" as
-    // 5 and pass negative or overflowing delays on to the link.
+    // One whole finite token: a negative or out-of-range RTT would become a
+    // negative or overflowing link delay.
     const auto parsed_rtt = core::parse_real(rtt_token, 0.0, kMaxRttMs);
     if (!parsed_rtt) {
       throw std::invalid_argument{"bad rtt '" + rtt_token + "' in " + context +

@@ -93,7 +93,7 @@ core::EventLoop& RouteCollector::session_loop() { return loop(); }
 core::Rng& RouteCollector::session_rng() { return rng(); }
 core::Logger& RouteCollector::session_logger() { return logger(); }
 const std::string& RouteCollector::session_log_name() const {
-  return log_component(log_name_, "collector");
+  return log_component("collector");
 }
 
 core::TimePoint RouteCollector::last_activity() const {

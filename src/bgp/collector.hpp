@@ -73,8 +73,6 @@ class RouteCollector : public net::Node, public SessionHost {
 
   net::Ipv4Addr id_;
   bool started_{false};
-  /// session_log_name(), built on first use (the node name is final by then).
-  mutable std::string log_name_;
   std::unordered_map<std::uint32_t, Peer> by_port_;
   std::unordered_map<std::uint32_t, Peer*> by_session_;
   std::vector<RouteObservation> tape_;

@@ -34,7 +34,8 @@ struct PeerPolicy {
   /// the standard way to de-prefer a backup link. 0 = no prepending (the
   /// router's single mandatory prepend happens regardless).
   std::uint8_t prepend{0};
-  /// Route-map hooks: may rewrite attributes; return false to reject.
+  /// Route-map hooks: may rewrite attributes; return false to reject. The
+  /// router runs the import map once per UPDATE, on the shared bundle.
   std::function<bool(PathAttributes&)> import_map;
   std::function<bool(PathAttributes&)> export_map;
 };

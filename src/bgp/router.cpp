@@ -197,12 +197,7 @@ void BgpRouter::init_metrics() {
   }
 }
 const std::string& BgpRouter::session_log_name() const {
-  if (log_name_.empty() && name().empty()) {
-    // A detached router (unit tests) is named after its AS.
-    log_name_ = "bgp.";
-    config_.asn.append_to(log_name_);
-  }
-  return log_component(log_name_, "bgp");
+  return log_component("bgp");
 }
 
 // --- update processing ------------------------------------------------------
@@ -225,31 +220,25 @@ void BgpRouter::process_update(Peer& peer, const UpdateMessage& update) {
     return;
   }
   const PeerPolicy& policy = peer.config.policy;
-  // Every NLRI carries the same bundle, so it is rewritten and interned
-  // once, at the first NLRI the prefix filter admits (never for an UPDATE
-  // whose NLRI are all filtered). An import map is a user callback that may
-  // judge each prefix or keep state, so it runs per NLRI.
-  std::optional<AttrSetRef> imported;
+  // Every NLRI carries the same bundle, and the import map sees only the
+  // bundle, so it is rewritten and interned once, at the first NLRI the
+  // prefix filter admits (never for an UPDATE whose NLRI are all filtered).
+  // A map that rejects the bundle rejects every admitted NLRI.
+  bool rewritten = false;
+  std::optional<AttrSetRef> imported;  // stays empty if the map rejects
   for (const auto& prefix : update.nlri) {
-    if (!PolicyEngine::import_allowed(policy, prefix)) {
+    const bool allowed = PolicyEngine::import_allowed(policy, prefix);
+    if (allowed && !rewritten) {
+      rewritten = true;
+      PathAttributes attrs = update.attributes;
+      if (PolicyEngine::rewrite_import(policy, attrs)) {
+        imported = AttrSetRef::intern(std::move(attrs));
+      }
+    }
+    if (!allowed || !imported) {
       ++counters_.routes_rejected_policy;
       reject_candidate(sid, prefix);
       continue;
-    }
-    if (policy.import_map) {
-      PathAttributes attrs = update.attributes;
-      if (!PolicyEngine::rewrite_import(policy, attrs)) {
-        ++counters_.routes_rejected_policy;
-        reject_candidate(sid, prefix);
-        continue;
-      }
-      import_candidate(peer, prefix, AttrSetRef::intern(std::move(attrs)));
-      continue;
-    }
-    if (!imported) {
-      PathAttributes attrs = update.attributes;
-      PolicyEngine::rewrite_import(policy, attrs);  // no map: cannot reject
-      imported = AttrSetRef::intern(std::move(attrs));
     }
     import_candidate(peer, prefix, *imported);
   }

@@ -109,7 +109,7 @@ class BgpRouter : public net::Node, public SessionHost {
   core::EventLoop& session_loop() override;
   core::Rng& session_rng() override;
   core::Logger& session_logger() override;
-  /// "bgp.<name>", or "bgp.AS<n>" for a detached router.
+  /// "bgp.<name>".
   const std::string& session_log_name() const override;
   telemetry::Telemetry* session_telemetry() override;
 
@@ -164,8 +164,8 @@ class BgpRouter : public net::Node, public SessionHost {
   void enqueue_work(core::Duration cost, core::SmallFunc fn);
 
   /// Import one UPDATE: withdrawals, then the NLRI. The attribute bundle is
-  /// loop-checked, rewritten and interned once per UPDATE; only the prefix
-  /// filter runs per NLRI (per-NLRI rewrite for a peer with an import map).
+  /// loop-checked, rewritten (import map included) and interned once per
+  /// UPDATE; only the prefix filter runs per NLRI.
   void process_update(Peer& peer, const UpdateMessage& update);
   /// Offer `prefix` with the imported bundle `attrs` as `peer`'s candidate
   /// in the Adj-RIB-In, re-running the decision when the set changed.
@@ -243,8 +243,6 @@ class BgpRouter : public net::Node, public SessionHost {
 
   RouterConfig config_;
   bool started_{false};
-  /// session_log_name(), built on first use (the node name is final by then).
-  mutable std::string log_name_;
   std::map<core::PortId, Peer> peers_;
   std::unordered_map<std::uint32_t, Peer*> peers_by_session_;
   AdjRibIn adj_rib_in_;

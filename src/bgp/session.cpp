@@ -41,10 +41,8 @@ const std::string& Session::log_name() {
 
 template <typename... Parts>
 void Session::log(std::string_view event, const Parts&... parts) {
-  auto& logger = host_.session_logger();
-  if (!logger.enabled(core::LogLevel::kDebug)) return;
-  logger.log(host_.session_loop().now(), core::LogLevel::kDebug, log_name(),
-             event, parts...);
+  host_.session_logger().log(host_.session_loop().now(), core::LogLevel::kDebug,
+                             log_name(), event, parts...);
 }
 
 void Session::init_metrics() {

@@ -217,7 +217,11 @@ void IdrController::mark_topology_dirty() {
 }
 
 const std::string& IdrController::idr_log_name() const {
-  return log_component(idr_log_name_, "idr");
+  if (idr_log_name_.empty()) {
+    idr_log_name_ = "idr.";
+    idr_log_name_ += name();
+  }
+  return idr_log_name_;
 }
 
 std::set<net::Prefix> IdrController::known_prefixes() const {

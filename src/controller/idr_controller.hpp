@@ -190,6 +190,7 @@ class IdrController : public ClusterController {
   IdrCounters idr_counters_;
   FlowObserver flow_observer_;
   std::uint32_t programming_epoch_{0};
+  /// idr_log_name(); ControllerBase holds the node's "ctrl.<name>".
   mutable std::string idr_log_name_;
 };
 

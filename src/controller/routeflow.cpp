@@ -97,7 +97,7 @@ core::EventLoop& GhostPeer::session_loop() { return loop(); }
 core::Rng& GhostPeer::session_rng() { return rng(); }
 core::Logger& GhostPeer::session_logger() { return logger(); }
 const std::string& GhostPeer::session_log_name() const {
-  return log_component(log_name_, "ghost");
+  return log_component("ghost");
 }
 
 // --- RouteFlowController -----------------------------------------------------

@@ -100,8 +100,6 @@ class GhostPeer : public net::Node, public bgp::SessionHost {
   std::set<net::Prefix> injected_;
   /// Updates that arrived before the virtual session established.
   std::vector<bgp::UpdateMessage> backlog_;
-  /// session_log_name(), built on first use (the node name is final by then).
-  mutable std::string log_name_;
 };
 
 class RouteFlowController : public ClusterController {

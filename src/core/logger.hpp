@@ -95,15 +95,12 @@ class Logger {
  public:
   using Sink = std::function<void(const LogRecord&)>;
 
-  /// Whether a record at `level` would be formatted and delivered.
-  bool enabled(LogLevel level) const { return level >= min_level_; }
-
   /// Emit one record whose detail text is `parts`, appended in order (see
   /// append_text). Nothing is formatted when `level` is below min_level().
   template <typename... Parts>
   void log(TimePoint when, LogLevel level, std::string_view component,
            std::string_view event, const Parts&... parts) {
-    if (!enabled(level)) return;
+    if (level < min_level_) return;
     detail_.clear();
     (append_text(detail_, parts), ...);
     deliver(LogRecord{when, level, component, event, detail_});

@@ -82,23 +82,24 @@ class Node {
   /// Convenience: transmit out of a local port.
   void send(core::PortId port, Packet packet) const;
 
-  /// The log component "<kind>.<name>" ("sw.AS3"), built into `cache` on
-  /// first use and reused for every record after. Call it only once the
-  /// node is attached, when its name is final.
-  const std::string& log_component(std::string& cache,
-                                   std::string_view kind) const {
-    if (cache.empty()) {
-      cache = kind;
-      cache += '.';
-      cache += name_;
+  /// The log component "<kind>.<name>" ("sw.AS3"), built on the first call
+  /// and reused for every record after, so a node logs under one kind.
+  /// Call it only once the node is attached, when its name is final.
+  const std::string& log_component(std::string_view kind) const {
+    if (log_component_.empty()) {
+      log_component_ = kind;
+      log_component_ += '.';
+      log_component_ += name_;
     }
-    return cache;
+    assert(log_component_.starts_with(kind) && "node logs under one kind");
+    return log_component_;
   }
 
  private:
   Network* network_{nullptr};
   core::NodeId id_{core::NodeId::invalid()};
   std::string name_;
+  mutable std::string log_component_;
   core::SessionIdAllocator detached_session_ids_;
 };
 

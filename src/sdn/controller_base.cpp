@@ -92,7 +92,7 @@ void ControllerBase::send_flow_mod(Dpid dpid, const OfFlowMod& mod) {
 }
 
 const std::string& ControllerBase::log_name() const {
-  return log_component(log_name_, "ctrl");
+  return log_component("ctrl");
 }
 
 void ControllerBase::send_packet_out(Dpid dpid, core::PortId out_port,

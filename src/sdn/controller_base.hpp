@@ -83,7 +83,6 @@ class ControllerBase : public net::Node {
   std::unordered_map<std::uint32_t, Dpid> dpid_by_port_;
   ControllerCounters counters_;
   bool crashed_{false};
-  mutable std::string log_name_;
 };
 
 }  // namespace bgpsdn::sdn

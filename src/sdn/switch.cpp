@@ -200,7 +200,7 @@ void SdnSwitch::exit_standalone() {
 }
 
 const std::string& SdnSwitch::log_name() const {
-  return log_component(log_name_, "sw");
+  return log_component("sw");
 }
 
 void SdnSwitch::resend_port_states() {

@@ -81,7 +81,6 @@ class SdnSwitch : public net::Node {
   SwitchCounters counters_;
   bool standalone_{false};
   std::uint32_t max_epoch_seen_{0};
-  mutable std::string log_name_;
 };
 
 }  // namespace bgpsdn::sdn

@@ -239,7 +239,7 @@ core::EventLoop& ClusterBgpSpeaker::session_loop() { return loop(); }
 core::Rng& ClusterBgpSpeaker::session_rng() { return rng(); }
 core::Logger& ClusterBgpSpeaker::session_logger() { return logger(); }
 const std::string& ClusterBgpSpeaker::session_log_name() const {
-  return log_component(log_name_, "speaker");
+  return log_component("speaker");
 }
 
 }  // namespace bgpsdn::speaker

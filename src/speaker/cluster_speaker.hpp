@@ -171,8 +171,6 @@ class ClusterBgpSpeaker : public net::Node, public bgp::SessionHost {
   std::unordered_map<std::uint32_t, Slot*> by_port_;     // relay port -> slot
   std::unordered_map<std::uint32_t, Slot*> by_session_;  // session id -> slot
   SpeakerCounters counters_;
-  /// session_log_name(), built on first use (the node name is final by then).
-  mutable std::string log_name_;
 };
 
 }  // namespace bgpsdn::speaker

@@ -119,7 +119,7 @@ class ScriptedPeer : public net::Node, public bgp::SessionHost {
   core::Rng& session_rng() override { return rng(); }
   core::Logger& session_logger() override { return logger(); }
   const std::string& session_log_name() const override {
-    return log_component(log_name_, "peer");
+    return log_component("peer");
   }
 
   /// "<arrival ns> <UPDATE text> [community=N...]" per received UPDATE.
@@ -131,7 +131,6 @@ class ScriptedPeer : public net::Node, public bgp::SessionHost {
   net::Ipv4Addr address_;
   net::Ipv4Addr remote_;
   std::unique_ptr<bgp::Session> session_;
-  mutable std::string log_name_;
 };
 
 // --- the export verdict ----------------------------------------------------
@@ -321,8 +320,8 @@ TEST(ExportFanOut, OneAnnouncementInternsOnceOnImportAndOnceOnExport) {
 // One UPDATE carries one bundle: a 3-NLRI announcement is loop-checked,
 // rewritten and interned once on import. From a provider, over a router
 // whose only other neighbour is a peer, nothing is exported, so that one
-// intern is all the UPDATE costs. A peer with an import map keeps the
-// per-NLRI rewrite (the map may judge each prefix), so it interns per NLRI.
+// intern is all the UPDATE costs. An import map sees only the bundle, so it
+// runs once per UPDATE too.
 TEST(ImportOncePerUpdate, MultiNlriUpdateInternsOnce) {
   for (const bool with_map : {false, true}) {
     MiniTopo topo;
@@ -354,10 +353,47 @@ TEST(ImportOncePerUpdate, MultiNlriUpdateInternsOnce) {
       EXPECT_EQ(route->attributes->local_pref,
                 bgp::default_local_pref(bgp::Relationship::kProvider));
     }
-    EXPECT_EQ(bgp::attr_pool_stats().interns - before, with_map ? 3u : 1u);
-    EXPECT_EQ(map_calls, with_map ? 3 : 0);
+    EXPECT_EQ(bgp::attr_pool_stats().interns - before, 1u);
+    EXPECT_EQ(map_calls, with_map ? 1 : 0);
     EXPECT_TRUE(peer.received.empty());
   }
+}
+
+// An import map that rejects the bundle rejects every NLRI of the UPDATE,
+// after one call and without an intern, and withdraws what the peer had
+// announced before.
+TEST(ImportOncePerUpdate, RejectingMapRejectsEveryNlri) {
+  MiniTopo topo;
+  auto& router = topo.add_router(1);
+  auto policy = gao(bgp::Relationship::kProvider);
+  bool accept = true;
+  int map_calls = 0;
+  policy.import_map = [&](bgp::PathAttributes&) {
+    ++map_calls;
+    return accept;
+  };
+  auto& provider = ScriptedPeer::attach(topo, router, 2, policy);
+  topo.start();
+  topo.run_for(core::Duration::seconds(2));
+  ASSERT_TRUE(provider.established());
+
+  const std::vector<net::Prefix> prefixes = {
+      pfx("10.9.0.0/16"), pfx("10.10.0.0/16"), pfx("10.11.0.0/16")};
+  provider.announce(prefixes);
+  topo.run_for(core::Duration::seconds(2));
+  for (const auto& p : prefixes) ASSERT_NE(router.loc_rib().find(p), nullptr);
+
+  accept = false;
+  map_calls = 0;
+  const std::uint64_t rejected = router.counters().routes_rejected_policy;
+  const std::uint64_t before = bgp::attr_pool_stats().interns;
+  provider.announce(prefixes);
+  topo.run_for(core::Duration::seconds(2));
+
+  for (const auto& p : prefixes) EXPECT_EQ(router.loc_rib().find(p), nullptr);
+  EXPECT_EQ(map_calls, 1);
+  EXPECT_EQ(router.counters().routes_rejected_policy - rejected, 3u);
+  EXPECT_EQ(bgp::attr_pool_stats().interns - before, 0u);
 }
 
 // --- the flat dirty set ---------------------------------------------------------

@@ -191,7 +191,6 @@ TEST(Logger, NothingIsFormattedBelowMinLevel) {
   int delivered = 0;
   log.add_sink([&](const LogRecord&) { ++delivered; });
   int calls = 0;
-  EXPECT_FALSE(log.enabled(LogLevel::kDebug));
   log.log(TimePoint::origin(), LogLevel::kDebug, "c", "e", CountedText{&calls});
   EXPECT_EQ(calls, 0);
   EXPECT_EQ(delivered, 0);

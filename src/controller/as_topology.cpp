@@ -1,5 +1,6 @@
 #include "controller/as_topology.hpp"
 
+#include <algorithm>
 #include <set>
 
 namespace bgpsdn::controller {
@@ -259,6 +260,12 @@ std::vector<net::Prefix> IncrementalDecider::apply_topology_deltas() {
     catch_up(state);
     if (state.spt.revision() != revision) affected.push_back(prefix);
   }
+  // Bridged prefixes hold no tree: any cluster-link change since their
+  // decision can move the fixpoint's components, so all of them re-decide.
+  for (const auto& [prefix, decided_at] : bridged_) {
+    if (decided_at != switches_.changelog_size()) affected.push_back(prefix);
+  }
+  std::sort(affected.begin(), affected.end());
   return affected;
 }
 
@@ -282,12 +289,14 @@ PrefixDecision IncrementalDecider::decide(const net::Prefix& prefix,
   }
   if (crossing > 0 && allow_bridging_) {
     ++fallbacks_;
-    drop(prefix);  // the tree would go stale while we bypass it
+    states_.erase(prefix);  // the tree would go stale while we bypass it
+    bridged_[prefix] = switches_.changelog_size();
     if (stats != nullptr) stats->reference_fallback = true;
     const AsTopologyGraph reference{switches_, speaker_, allow_bridging_};
     return reference.decide(routes, origin_switch);
   }
 
+  bridged_.erase(prefix);
   const std::uint64_t replayed_before = replayed_total_;
   auto& state = get_state(prefix);
   catch_up(state);

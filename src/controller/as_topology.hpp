@@ -155,8 +155,14 @@ class IncrementalDecider {
   /// Calls that fell back to the reference implementation.
   std::uint64_t reference_fallbacks() const { return fallbacks_; }
 
-  void drop(const net::Prefix& prefix) { states_.erase(prefix); }
-  void clear() { states_.clear(); }
+  void drop(const net::Prefix& prefix) {
+    states_.erase(prefix);
+    bridged_.erase(prefix);
+  }
+  void clear() {
+    states_.clear();
+    bridged_.clear();
+  }
   std::size_t state_count() const { return states_.size(); }
 
  private:
@@ -188,6 +194,9 @@ class IncrementalDecider {
   const speaker::ClusterBgpSpeaker& speaker_;
   bool allow_bridging_;
   std::map<net::Prefix, PrefixState> states_;
+  /// Prefixes last decided by the bridging fixpoint (they keep no tree):
+  /// prefix -> changelog size at that decision.
+  std::map<net::Prefix, std::size_t> bridged_;
   std::uint64_t replayed_total_{0};
   std::uint64_t fallbacks_{0};
 };

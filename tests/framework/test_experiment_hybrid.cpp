@@ -248,6 +248,54 @@ TEST(HybridExperiment, DisjointSubClustersBridgeOverLegacy) {
   EXPECT_EQ(rev.size(), 5u);
 }
 
+TEST(HybridExperiment, BridgedPrefixReroutesAfterClusterLinkFailure) {
+  // Links 1-2, 2-3, 2-4, 4-3 with AS4 the provider of AS3; members {2,3}.
+  // Switch 3 hears AS1's prefix over its border to AS4 as [4 2 1], which
+  // crosses member AS2, so the decision takes the bridging fixpoint. When
+  // the 2-3 cluster link fails, that decision must move onto the legacy
+  // bridge through AS4, and back when the link returns.
+  topology::TopologySpec spec;
+  const core::AsNumber as1{1}, as2{2}, as3{3}, as4{4};
+  for (const auto as : {as1, as2, as3, as4}) spec.add_as(as);
+  spec.add_link(as1, as2);
+  spec.add_link(as2, as3);
+  spec.add_link(as2, as4);
+  spec.add_link(as4, as3, bgp::Relationship::kCustomer);
+  Experiment exp{spec, {as2, as3}, quick_config(3)};
+  auto& h1 = exp.add_host(as1);
+  ASSERT_TRUE(exp.start());
+
+  const auto pfx = exp.as_prefix(as1);
+  const auto dpid3 = exp.member_switch(as3).dpid();
+  const auto decided_path = [&] {
+    const auto* decision = exp.idr_controller()->decision_for(pfx);
+    if (decision == nullptr || decision->as_paths.count(dpid3) == 0) {
+      return std::string{};
+    }
+    return decision->as_paths.at(dpid3).to_string();
+  };
+  const auto traced_path = [&] {
+    std::string out;
+    for (const auto as : exp.trace_route(as3, h1.address())) {
+      if (!out.empty()) out += ' ';
+      out += std::to_string(as.value());
+    }
+    return out;
+  };
+  EXPECT_EQ(decided_path(), "3 2 1");
+  EXPECT_EQ(traced_path(), "3 2 1");
+
+  exp.fail_link(as2, as3);
+  exp.wait_converged();
+  EXPECT_EQ(decided_path(), "3 4 2 1");
+  EXPECT_EQ(traced_path(), "3 4 2 1");
+
+  exp.restore_link(as2, as3);
+  exp.wait_converged();
+  EXPECT_EQ(decided_path(), "3 2 1");
+  EXPECT_EQ(traced_path(), "3 2 1");
+}
+
 // The last thing an experiment does is sweep this thread's attribute pool:
 // every bundle it interned expires with its nodes, and the pool's weak
 // references would otherwise keep their memory until a later sweep.

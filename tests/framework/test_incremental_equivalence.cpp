@@ -1,18 +1,20 @@
-// The incremental-recomputation acceptance criteria: for the same seeded
-// scenario, the delta-SPT engine and the from-scratch reference must leave
-// every observable byte identical — legacy Loc-RIBs, member flow tables,
-// convergence instants, and the telemetry snapshot minus the counters that
-// measure the engines themselves — at 1 and at 4 worker threads. A final
-// test pins the point of the refactor: the incremental engine must do far
-// less recomputation work under topology churn.
+// The recomputation engine's behaviour, pinned against golden captures
+// recorded from the retired from-scratch engine (`spt reference`) on the
+// same seeded scenarios: legacy Loc-RIBs, member flow tables, convergence
+// instants, and the telemetry snapshot minus the counters that measure the
+// engine itself. The captures must not depend on the worker-thread count.
+// A final test pins the point of the delta engine: it must do far less
+// recomputation work under topology churn than the retired engine did.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "framework/experiment.hpp"
+#include "framework/golden.hpp"
 #include "framework/trial.hpp"
 #include "telemetry/json.hpp"
 #include "topology/generators.hpp"
@@ -22,8 +24,9 @@ namespace {
 
 using core::AsNumber;
 
-// Counters/histograms that *measure the recomputation engine* and so are
-// divergent between modes by design. Everything else must match.
+// Counters/histograms that *measure the recomputation engine*: the retired
+// engine recorded different values for them by design. Everything else
+// must match its capture.
 bool engine_internal(const std::string& name) {
   return name == "ctrl.idr.prefix_recomputes" ||
          name == "ctrl.idr.prefixes_dirty" ||
@@ -32,31 +35,36 @@ bool engine_internal(const std::string& name) {
 }
 
 std::string filtered_metrics(const telemetry::Json& snapshot) {
-  telemetry::Json out = telemetry::Json::object();
+  std::string out;
   for (const char* section : {"counters", "gauges", "histograms"}) {
-    telemetry::Json kept = telemetry::Json::object();
     if (const auto* s = snapshot.find(section)) {
       for (const auto& [name, value] : s->entries()) {
-        if (!engine_internal(name)) kept[name] = value;
+        if (!engine_internal(name)) {
+          golden::flatten(value, std::string{section} + "." + name, out);
+        }
       }
     }
-    out[section] = std::move(kept);
   }
-  return out.dump();
+  return out;
 }
 
 struct EquivCapture {
+  std::vector<std::int64_t> checkpoints;  // loop clock (ns) per wait
   std::string ribs;
   std::string flows;
   std::string metrics;
-  std::vector<double> checkpoints;  // loop clock after each wait_converged
+
+  std::string render() const {
+    std::string out = "== checkpoints_ns\n";
+    for (const auto ns : checkpoints) out += std::to_string(ns) + "\n";
+    return out + "== ribs\n" + ribs + "== flows\n" + flows + "== metrics\n" +
+           metrics;
+  }
 };
 
-ExperimentConfig scenario_config(bool incremental, std::uint64_t seed,
-                                 bool bridging) {
+ExperimentConfig scenario_config(std::uint64_t seed, bool bridging) {
   ExperimentConfig cfg;
   cfg.seed = seed;
-  cfg.incremental_spt = incremental;
   cfg.subcluster_bridging = bridging;
   cfg.timers.mrai = core::Duration::millis(500);
   cfg.recompute_delay = core::Duration::millis(200);
@@ -93,19 +101,18 @@ void capture_state(Experiment& exp, EquivCapture& cap) {
 // (3-4-5-6). The ring makes intra-cluster distance matter, and failing the
 // middle cluster link splits the members into two sub-clusters, exercising
 // the bridging fallback (or the pruning path with bridging off).
-EquivCapture run_ring_churn(bool incremental, std::uint64_t seed,
-                            bool bridging) {
+EquivCapture run_ring_churn(std::uint64_t seed, bool bridging) {
   const auto spec = topology::ring(8);
   Experiment exp{spec,
                  {AsNumber{3}, AsNumber{4}, AsNumber{5}, AsNumber{6}},
-                 scenario_config(incremental, seed, bridging)};
+                 scenario_config(seed, bridging)};
   const auto pfx = *net::Prefix::parse("10.99.0.0/16");
   exp.announce_prefix(AsNumber{1}, pfx);
 
   EquivCapture cap;
   const auto checkpoint = [&] {
     exp.wait_converged();
-    cap.checkpoints.push_back(exp.loop().now().nanos_since_origin() * 1e-9);
+    cap.checkpoints.push_back(exp.loop().now().nanos_since_origin());
   };
 
   EXPECT_TRUE(exp.start());
@@ -138,42 +145,31 @@ EquivCapture run_ring_churn(bool incremental, std::uint64_t seed,
   return cap;
 }
 
-void expect_equal_captures(const EquivCapture& inc, const EquivCapture& ref,
-                           const char* what) {
+void expect_golden(const EquivCapture& cap, const std::string& name) {
   // Guard against vacuous equality: the scenario must actually produce
   // routes and flow rules.
-  EXPECT_FALSE(inc.ribs.empty()) << what;
-  EXPECT_NE(inc.flows.find("dst="), std::string::npos) << what;
-  EXPECT_EQ(inc.ribs, ref.ribs) << what;
-  EXPECT_EQ(inc.flows, ref.flows) << what;
-  EXPECT_EQ(inc.metrics, ref.metrics) << what;
-  ASSERT_EQ(inc.checkpoints.size(), ref.checkpoints.size()) << what;
-  for (std::size_t i = 0; i < inc.checkpoints.size(); ++i) {
-    // Bit-equal, not approximately equal: convergence timing must not move.
-    EXPECT_EQ(inc.checkpoints[i], ref.checkpoints[i]) << what << " #" << i;
-  }
+  EXPECT_FALSE(cap.ribs.empty()) << name;
+  EXPECT_NE(cap.flows.find("dst="), std::string::npos) << name;
+  golden::expect_equal(cap.render(), name);
 }
 
 TEST(IncrementalEquivalence, RingChurnWithBridging) {
-  for (const std::uint64_t seed : {11u, 12u}) {
-    expect_equal_captures(run_ring_churn(true, seed, true),
-                          run_ring_churn(false, seed, true), "bridging");
-  }
+  expect_golden(run_ring_churn(11, true), "spt_ring_churn_11.txt");
+  expect_golden(run_ring_churn(12, true), "spt_ring_churn_12.txt");
 }
 
 TEST(IncrementalEquivalence, RingChurnWithoutBridging) {
-  expect_equal_captures(run_ring_churn(true, 13, false),
-                        run_ring_churn(false, 13, false), "no-bridging");
+  expect_golden(run_ring_churn(13, false), "spt_ring_churn_13_nobridge.txt");
 }
 
 TEST(IncrementalEquivalence, ByteIdenticalAcrossJobCounts) {
-  // Both engines, two seeds, raced across worker threads: the captures must
-  // not depend on the job count (the PR-1 determinism invariant extended to
-  // the delta engine).
+  // Two seeds, each run twice, raced across worker threads: the captures
+  // must not depend on the job count, and the two runs of one seed must
+  // agree (the determinism invariant extended to the delta engine).
   const auto run_with_jobs = [](std::size_t jobs) {
-    std::vector<EquivCapture> caps(4);
+    std::vector<std::string> caps(4);
     parallel_for_index(4, jobs, [&](std::size_t i) {
-      caps[i] = run_ring_churn(/*incremental=*/i % 2 == 0, 31 + i / 2, true);
+      caps[i] = run_ring_churn(31 + i / 2, true).render();
     });
     return caps;
   };
@@ -181,61 +177,46 @@ TEST(IncrementalEquivalence, ByteIdenticalAcrossJobCounts) {
   const auto threaded = run_with_jobs(4);
   ASSERT_EQ(serial.size(), threaded.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].ribs, threaded[i].ribs) << i;
-    EXPECT_EQ(serial[i].flows, threaded[i].flows) << i;
-    EXPECT_EQ(serial[i].metrics, threaded[i].metrics) << i;
+    EXPECT_EQ(serial[i], threaded[i]) << i;
   }
+  EXPECT_EQ(serial[0], serial[1]);
+  EXPECT_EQ(serial[2], serial[3]);
 }
 
 TEST(IncrementalEquivalence, ChurnRecomputeCostReduction) {
-  // The cost criterion: under a cluster-link flap train, the incremental
-  // engine's settle work (spt_vertices_replayed) must be at least 5x below
-  // what the reference pays (one settle per tree vertex per recomputed
-  // prefix). Measured over the churn phase only — both engines pay the same
-  // initial tree builds.
-  const auto run_flaps = [](bool incremental) {
-    const auto spec = topology::clique(8);
-    std::set<AsNumber> members;
-    for (std::uint32_t a = 3; a <= 8; ++a) members.insert(AsNumber{a});
-    Experiment exp{spec, members, scenario_config(incremental, 5, true)};
-    exp.announce_prefix(AsNumber{1}, *net::Prefix::parse("10.91.0.0/16"));
-    exp.announce_prefix(AsNumber{1}, *net::Prefix::parse("10.92.0.0/16"));
-    exp.announce_prefix(AsNumber{2}, *net::Prefix::parse("10.93.0.0/16"));
-    exp.announce_prefix(AsNumber{2}, *net::Prefix::parse("10.94.0.0/16"));
-    EXPECT_TRUE(exp.start());
-    exp.wait_converged();
-    const auto& m = exp.telemetry().metrics();
-    const auto counter = [&m](const char* name) -> std::uint64_t {
-      const auto* c = m.find_counter(name);
-      return c == nullptr ? 0 : static_cast<std::uint64_t>(c->value());
-    };
-    const std::uint64_t recomputes0 = counter("ctrl.idr.prefix_recomputes");
-    const std::uint64_t replayed0 = counter("ctrl.idr.spt_vertices_replayed");
-    for (int i = 0; i < 6; ++i) {
-      exp.fail_link(AsNumber{3}, AsNumber{4});
-      exp.wait_converged();
-      exp.restore_link(AsNumber{3}, AsNumber{4});
-      exp.wait_converged();
-    }
-    struct Cost {
-      std::uint64_t recomputes;
-      std::uint64_t replayed;
-      std::uint64_t tree_vertices;
-    } cost;
-    cost.recomputes = counter("ctrl.idr.prefix_recomputes") - recomputes0;
-    cost.replayed = counter("ctrl.idr.spt_vertices_replayed") - replayed0;
-    cost.tree_vertices = exp.members().size() + 1;  // switches + dest node
-    return cost;
+  // The cost criterion: under a cluster-link flap train, the engine's settle
+  // work (spt_vertices_replayed) must be at least 5x below what the retired
+  // from-scratch engine paid on the same train: one settle per tree vertex
+  // per recomputed prefix, 48 prefix recomputes x 7 vertices (6 member
+  // switches + the destination node) when it was last run. Measured over
+  // the churn phase only; the initial tree builds are not counted.
+  constexpr std::uint64_t kReferenceSettles = 48 * 7;
+  const auto spec = topology::clique(8);
+  std::set<AsNumber> members;
+  for (std::uint32_t a = 3; a <= 8; ++a) members.insert(AsNumber{a});
+  Experiment exp{spec, members, scenario_config(5, true)};
+  exp.announce_prefix(AsNumber{1}, *net::Prefix::parse("10.91.0.0/16"));
+  exp.announce_prefix(AsNumber{1}, *net::Prefix::parse("10.92.0.0/16"));
+  exp.announce_prefix(AsNumber{2}, *net::Prefix::parse("10.93.0.0/16"));
+  exp.announce_prefix(AsNumber{2}, *net::Prefix::parse("10.94.0.0/16"));
+  ASSERT_TRUE(exp.start());
+  exp.wait_converged();
+  const auto& m = exp.telemetry().metrics();
+  const auto replayed = [&m]() -> std::uint64_t {
+    const auto* c = m.find_counter("ctrl.idr.spt_vertices_replayed");
+    return c == nullptr ? 0 : static_cast<std::uint64_t>(c->value());
   };
-  const auto inc = run_flaps(true);
-  const auto ref = run_flaps(false);
-  // The reference re-settles every tree vertex of every known prefix on
-  // every flap; the incremental engine only touches the affected region.
-  const std::uint64_t ref_settles = ref.recomputes * ref.tree_vertices;
-  EXPECT_GT(ref_settles, 0u);
-  EXPECT_LE(inc.replayed * 5, ref_settles)
-      << "incremental replayed " << inc.replayed << " vs reference settles "
-      << ref_settles;
+  const std::uint64_t replayed0 = replayed();
+  for (int i = 0; i < 6; ++i) {
+    exp.fail_link(AsNumber{3}, AsNumber{4});
+    exp.wait_converged();
+    exp.restore_link(AsNumber{3}, AsNumber{4});
+    exp.wait_converged();
+  }
+  const std::uint64_t churn_replayed = replayed() - replayed0;
+  EXPECT_LE(churn_replayed * 5, kReferenceSettles)
+      << "replayed " << churn_replayed << " vs retired-engine settles "
+      << kReferenceSettles;
 }
 
 }  // namespace

@@ -10,15 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "core/logger.hpp"
 #include "core/random.hpp"
 #include "framework/experiment.hpp"
+#include "framework/golden.hpp"
 #include "topology/generators.hpp"
 
 namespace bgpsdn::framework {
@@ -94,27 +93,6 @@ LogCapture run_logged(std::set<AsNumber> members, bool with_collector) {
   return cap;
 }
 
-std::string read_golden(const std::string& name) {
-  std::ifstream in{std::string{BGPSDN_GOLDEN_DIR} + "/" + name,
-                   std::ios::binary};
-  if (!in) return {};
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
-
-/// Byte-for-byte comparison; on a mismatch the full capture is written
-/// next to the test's temp files.
-void expect_golden(const std::string& actual, const std::string& name) {
-  const std::string golden = read_golden(name);
-  if (!golden.empty() && actual == golden) return;
-  const std::string path = ::testing::TempDir() + name + ".actual";
-  std::ofstream{path, std::ios::binary} << actual;
-  ASSERT_FALSE(golden.empty()) << "missing golden capture " << name
-                               << " (capture in " << path << ")";
-  EXPECT_EQ(golden, actual) << name << " (full capture in " << path << ")";
-}
-
 void expect_events(const LogCapture& cap, const std::set<std::string>& want) {
   for (const auto& event : want) {
     EXPECT_EQ(cap.events.count(event), 1u) << "no '" << event << "' record";
@@ -127,7 +105,7 @@ TEST(LogGolden, PureBgpRecordStream) {
                       "origin_announce", "origin_withdraw", "open_sent",
                       "open_rx", "session_up", "session_down", "link_down",
                       "link_up"});
-  expect_golden(cap.text, "log_bgp_7.txt");
+  golden::expect_equal(cap.text, "log_bgp_7.txt");
 }
 
 TEST(LogGolden, HybridRecordStreamWithCollector) {
@@ -140,7 +118,7 @@ TEST(LogGolden, HybridRecordStreamWithCollector) {
                       "session_up", "speaker_announce", "speaker_withdraw",
                       "speaker_rx", "flow_mod", "flow_mod_tx",
                       "collector_rx", "recompute", "switch_connected"});
-  expect_golden(cap.text, "log_hybrid_7.txt");
+  golden::expect_equal(cap.text, "log_hybrid_7.txt");
 }
 
 }  // namespace

@@ -11,16 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "framework/experiment.hpp"
+#include "framework/golden.hpp"
 #include "framework/trial.hpp"
-#include "telemetry/json.hpp"
 #include "topology/generators.hpp"
 
 namespace bgpsdn::framework {
@@ -49,19 +47,6 @@ ExperimentConfig layout_config(std::uint64_t seed) {
   cfg.seed = seed;
   cfg.timers.mrai = core::Duration::millis(500);
   return cfg;
-}
-
-/// One line per leaf of the snapshot, keyed by its dotted path, so a
-/// mismatch names the metric that moved.
-void flatten(const telemetry::Json& json, const std::string& path,
-             std::string& out) {
-  if (json.is_object() && json.size() > 0) {
-    for (const auto& [key, value] : json.entries()) {
-      flatten(value, path.empty() ? key : path + "." + key, out);
-    }
-    return;
-  }
-  out += path + " = " + json.dump() + "\n";
 }
 
 std::string memory_lines(const core::MemStats& mem) {
@@ -103,7 +88,7 @@ void capture_state(Experiment& exp, LayoutCapture& cap) {
       cap.flows += e.to_string() + "\n";
     }
   }
-  flatten(exp.telemetry().metrics().snapshot(), "", cap.metrics);
+  golden::flatten(exp.telemetry().metrics().snapshot(), "", cap.metrics);
   cap.memory = memory_lines(exp.memory_stats());
 }
 
@@ -221,32 +206,11 @@ LayoutCapture run_internet_churn(std::uint64_t seed) {
   return cap;
 }
 
-std::string read_golden(const std::string& name) {
-  std::ifstream in{std::string{BGPSDN_GOLDEN_DIR} + "/" + name,
-                   std::ios::binary};
-  if (!in) return {};
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
-
-/// Diff against a fixture; on a mismatch the full capture is also written
-/// next to the test's temp files, ready to replace the fixture when the
-/// behaviour change is intended.
-void expect_golden(const std::string& actual, const std::string& name) {
-  const std::string golden = read_golden(name);
-  ASSERT_FALSE(golden.empty()) << "missing golden capture " << name;
-  if (actual == golden) return;
-  const std::string path = ::testing::TempDir() + name + ".actual";
-  std::ofstream{path, std::ios::binary} << actual;
-  EXPECT_EQ(golden, actual) << name << " (full capture in " << path << ")";
-}
-
 void expect_golden(const LayoutCapture& cap, const std::string& name) {
   // Guard against vacuous equality: the scenario must actually produce
   // routes (and flow rules, when a cluster is present).
   EXPECT_FALSE(cap.ribs.empty()) << name;
-  expect_golden(cap.render(), name);
+  golden::expect_equal(cap.render(), name);
 }
 
 TEST(RibLayoutEquivalence, RingChurn) {
@@ -301,7 +265,7 @@ TEST(RibLayoutEquivalence, CompactMemoryStaysBelowReference) {
   ASSERT_TRUE(exp.start());
   exp.wait_converged();
   const auto mem = exp.memory_stats();
-  expect_golden(memory_lines(mem), "clique_memory_31.txt");
+  golden::expect_equal(memory_lines(mem), "clique_memory_31.txt");
   EXPECT_LT(mem.rib_total(), kReferenceRibTotal);
 }
 

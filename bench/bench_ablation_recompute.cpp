@@ -12,11 +12,11 @@
 //      the recompute cost (total virtual-time span of recompute_batch — the
 //      sum of the ctrl.idr.batch_wait_ns histogram).
 //
-//   2. Churn ablation — a link-flap train on a cluster link, run once with
-//      the incremental delta-SPT engine and once with the from-scratch
-//      reference. Convergence must not move (the engines are equivalent);
-//      the recomputation work — prefix recomputes and SPT vertices settled —
-//      is the ablation result.
+//   2. Churn ablation — a link-flap train on a cluster link under the
+//      controller's delta-SPT engine. The recomputation work — prefix
+//      recomputes and SPT vertices settled — is the ablation result;
+//      validate_bench_json.py gates it against a from-scratch engine's
+//      figures for the same trains (DESIGN.md §11).
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -83,7 +83,7 @@ AblationPoint run_point(core::Duration recompute_delay, std::uint64_t seed) {
   return p;
 }
 
-// --- sweep 2: churn, incremental vs reference -------------------------------
+// --- sweep 2: churn -----------------------------------------------------------
 
 struct ChurnPoint {
   double conv_seconds{0};       // virtual time of the whole flap train
@@ -94,17 +94,15 @@ struct ChurnPoint {
 
 /// One flap train: `flaps` fail/restore cycles of the 9-10 cluster link,
 /// waiting out convergence after every transition. The settle count is the
-/// engine-fair cost unit: the incremental engine reports replayed vertices
-/// directly; a from-scratch run settles every tree vertex (8 member
-/// switches + the virtual destination) of every recomputed prefix.
-ChurnPoint run_churn(bool incremental, std::size_t flaps, std::uint64_t seed) {
+/// SPT vertices the engine replayed (a from-scratch engine would settle
+/// every tree vertex of every recomputed prefix).
+ChurnPoint run_churn(std::size_t flaps, std::uint64_t seed) {
   const auto cell = framework::ExperimentSpecBuilder{}
                         .topology(framework::TopologyModel::kClique, 16)
                         .sdn_count(8)
                         .event(framework::EventKind::kFlapTrain)
                         .flap_cycles(flaps)
                         .config(bench::paper_config())
-                        .incremental_spt(incremental)
                         .announce(core::AsNumber{1},
                                   *net::Prefix::parse("10.90.0.0/16"))
                         .announce(core::AsNumber{1},
@@ -132,12 +130,8 @@ ChurnPoint run_churn(bool incremental, std::size_t flaps, std::uint64_t seed) {
   p.conv_seconds = (exp->loop().now() - t0).to_seconds();
   p.prefix_recomputes =
       static_cast<double>(ctrl->counters().prefix_recomputes - recomputes0);
-  const double tree_vertices = static_cast<double>(cell.sdn_count + 1);
-  p.settles =
-      incremental
-          ? static_cast<double>(ctrl->counters().spt_vertices_replayed -
-                                replayed0)
-          : p.prefix_recomputes * tree_vertices;
+  p.settles = static_cast<double>(ctrl->counters().spt_vertices_replayed -
+                                  replayed0);
   p.flow_mods = static_cast<double>(ctrl->counters().flow_adds +
                                     ctrl->counters().flow_deletes - mods0);
   return p;
@@ -199,39 +193,36 @@ int main(int argc, char** argv) {
   }
   bench::print_parallel_footer(timing);
 
-  // Churn ablation: same flap train, both recomputation engines. Equal
-  // convergence + an order-of-magnitude settle gap is the result.
+  // Churn ablation: the recomputation work a cluster-link flap train costs
+  // the delta-SPT engine.
   std::printf(
-      "\n# churn ablation: cluster-link flap train, incremental vs "
-      "reference recomputation\n");
-  std::printf("flaps\tengine\tconv_s\tprefix_recomputes\tsettles\tflow_mods\n");
+      "\n# churn ablation: cluster-link flap train, incremental "
+      "recomputation\n");
+  std::printf("flaps\tconv_s\tprefix_recomputes\tsettles\tflow_mods\n");
   const std::size_t flap_counts[] = {2, 6, 12};
-  constexpr std::size_t kModes = 2;  // 0 = incremental, 1 = reference
   std::vector<ChurnPoint> churn_grid;
   const auto churn_timing = bench::run_trial_grid(
-      std::size(flap_counts) * kModes, runs, churn_grid,
+      std::size(flap_counts), runs, churn_grid,
       [&](std::size_t point, std::size_t r) {
-        return run_churn(/*incremental=*/point % kModes == 0,
-                         flap_counts[point / kModes], cli.seed_or(3000) + r);
+        return run_churn(flap_counts[point], cli.seed_or(3000) + r);
       });
-  for (std::size_t point = 0; point < std::size(flap_counts) * kModes; ++point) {
-    const bool incremental = point % kModes == 0;
-    const std::size_t flaps = flap_counts[point / kModes];
+  for (std::size_t point = 0; point < std::size(flap_counts); ++point) {
+    const std::size_t flaps = flap_counts[point];
     const auto conv = column(churn_grid, point, runs, &ChurnPoint::conv_seconds);
     const auto rec =
         column(churn_grid, point, runs, &ChurnPoint::prefix_recomputes);
     const auto settles = column(churn_grid, point, runs, &ChurnPoint::settles);
     const auto mods = column(churn_grid, point, runs, &ChurnPoint::flow_mods);
-    std::printf("%zu\t%s\t%.2f\t%.0f\t%.0f\t%.0f\n", flaps,
-                incremental ? "incremental" : "reference",
+    std::printf("%zu\t%.2f\t%.0f\t%.0f\t%.0f\n", flaps,
                 framework::quantile(conv, 0.5), framework::quantile(rec, 0.5),
                 framework::quantile(settles, 0.5),
                 framework::quantile(mods, 0.5));
     std::fflush(stdout);
     if (cli.want_json()) {
+      // The label keeps its engine suffix so the points stay comparable
+      // with the committed baseline.
       char label[48];
-      std::snprintf(label, sizeof label, "churn%zu_%s", flaps,
-                    incremental ? "incremental" : "reference");
+      std::snprintf(label, sizeof label, "churn%zu_incremental", flaps);
       telemetry::Json extra = telemetry::Json::object();
       extra["prefix_recomputes_median"] = framework::quantile(rec, 0.5);
       extra["settles_median"] = framework::quantile(settles, 0.5);

@@ -177,8 +177,7 @@ sdn::FlowTable sample_flow_table(std::uint32_t n) {
   return table;
 }
 
-template <bool kLinear>
-void BM_FlowTableLookupImpl(benchmark::State& state) {
+void BM_FlowTableLookup(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   auto table = sample_flow_table(n);
   net::Packet p;
@@ -187,22 +186,12 @@ void BM_FlowTableLookupImpl(benchmark::State& state) {
   for (auto _ : state) {
     x = x * 1664525u + 1013904223u;
     p.dst = net::Ipv4Addr{(10u << 24) | ((x % n) << 8) | (x >> 28)};
-    const auto* e = kLinear ? table.lookup_linear(core::PortId{3}, p)
-                            : table.lookup(core::PortId{3}, p, false);
+    const auto* e = table.lookup(core::PortId{3}, p, false);
     benchmark::DoNotOptimize(e);
   }
   state.SetItemsProcessed(state.iterations());
 }
-
-void BM_FlowTableLookup(benchmark::State& state) {
-  BM_FlowTableLookupImpl<false>(state);
-}
 BENCHMARK(BM_FlowTableLookup)->Arg(1024)->Arg(4096);
-
-void BM_FlowTableLookupLinear(benchmark::State& state) {
-  BM_FlowTableLookupImpl<true>(state);
-}
-BENCHMARK(BM_FlowTableLookupLinear)->Arg(1024)->Arg(4096);
 
 void BM_AttrIntern(benchmark::State& state) {
   // Hit path: interning a bundle already in the pool (the common case once

@@ -41,9 +41,9 @@ void consider_egress(EgressMap& egress,
 }
 
 /// Translate a Dijkstra result over the transformed graph into per-switch
-/// hops and composed AS-level paths. Shared by the reference and the
-/// incremental engines — the translation is where the output bytes are
-/// made, so sharing it keeps the two engines trivially aligned there.
+/// hops and composed AS-level paths. Shared by AsTopologyGraph and the
+/// incremental decider — the translation is where the output bytes are
+/// made, so sharing it keeps the two trivially aligned there.
 PrefixDecision translate(const SwitchGraph& switches, const DijkstraResult& res,
                          const EgressMap& egress,
                          std::optional<sdn::Dpid> origin_switch,
@@ -274,8 +274,8 @@ PrefixDecision IncrementalDecider::decide(const net::Prefix& prefix,
                                           std::optional<sdn::Dpid> origin_switch,
                                           IncrementalStats* stats) {
   // Split off cluster-crossing routes. With bridging enabled they engage
-  // the admission fixpoint, which is not incrementalized: fall back to the
-  // reference engine wholesale. With bridging disabled the reference
+  // the admission fixpoint, which is not incrementalized: decide from
+  // scratch with AsTopologyGraph. With bridging disabled the fixpoint
   // simply prunes them all, which the incremental path reproduces.
   std::size_t crossing = 0;
   std::vector<const ExternalRoute*> clean;
@@ -292,8 +292,8 @@ PrefixDecision IncrementalDecider::decide(const net::Prefix& prefix,
     states_.erase(prefix);  // the tree would go stale while we bypass it
     bridged_[prefix] = switches_.changelog_size();
     if (stats != nullptr) stats->reference_fallback = true;
-    const AsTopologyGraph reference{switches_, speaker_, allow_bridging_};
-    return reference.decide(routes, origin_switch);
+    const AsTopologyGraph fixpoint{switches_, speaker_, allow_bridging_};
+    return fixpoint.decide(routes, origin_switch);
   }
 
   bridged_.erase(prefix);

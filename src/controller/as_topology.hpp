@@ -114,21 +114,26 @@ struct IncrementalStats {
   std::uint64_t vertices_replayed{0};
   /// False when the cached decision was returned untouched.
   bool spt_changed{true};
-  /// True when the call fell back to the reference AsTopologyGraph (the
+  /// True when the call fell back to AsTopologyGraph::decide() (the
   /// sub-cluster bridging fixpoint is not incrementalized).
   bool reference_fallback{false};
 };
 
-/// Incremental counterpart of AsTopologyGraph::decide(): keeps one dynamic
-/// shortest-path tree per prefix, fed by the switch graph's edge-delta
-/// changelog and by egress-set diffs, and re-translates a decision only
-/// when the tree or the candidate egress set actually changed. Produces
-/// byte-identical decisions to the reference implementation — equivalence
-/// is enforced by tests that run every scenario under both engines.
+/// The controller's recomputation engine: the incremental counterpart of
+/// AsTopologyGraph::decide(). Keeps one dynamic shortest-path tree per
+/// prefix, fed by the switch graph's edge-delta changelog and by egress-set
+/// diffs, and re-translates a decision only when the tree or the candidate
+/// egress set actually changed. Every decision it holds equals a
+/// from-scratch AsTopologyGraph::decide() on the live graph (the
+/// IncrementalDeciderOracle tests check this after every change).
 ///
 /// Not incrementalized: prefixes with cluster-crossing routes while
-/// sub-cluster bridging is enabled fall back to the reference fixpoint
-/// (rare, and correctness there hinges on the admission order).
+/// sub-cluster bridging is enabled are decided by the AsTopologyGraph
+/// fixpoint, whose correctness hinges on the admission order. This is
+/// common: in an internet-like hybrid net whose members share no link it
+/// makes about three quarters of all decisions. Such prefixes keep no
+/// tree; apply_topology_deltas() re-decides them after any cluster-link
+/// change.
 class IncrementalDecider {
  public:
   IncrementalDecider(const SwitchGraph& switches,
@@ -146,13 +151,13 @@ class IncrementalDecider {
                         IncrementalStats* stats = nullptr);
 
   /// Catch every maintained tree up with the switch-graph changelog.
-  /// Returns the prefixes whose tree changed (sorted): the dirty set a
-  /// topology event implies, replacing reference mode's mark-everything.
+  /// Returns the dirty set a topology event implies (sorted): prefixes
+  /// whose tree changed, plus bridged prefixes decided before the change.
   std::vector<net::Prefix> apply_topology_deltas();
 
   /// Cumulative vertices replayed across all prefixes (cost telemetry).
   std::uint64_t vertices_replayed() const { return replayed_total_; }
-  /// Calls that fell back to the reference implementation.
+  /// Calls decided by the AsTopologyGraph bridging fixpoint.
   std::uint64_t reference_fallbacks() const { return fallbacks_; }
 
   void drop(const net::Prefix& prefix) {

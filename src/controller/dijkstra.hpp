@@ -11,7 +11,7 @@
 //
 //   * shortest_paths() — the from-scratch reference. Small, obviously
 //     correct, and the arbiter: every incremental answer must match it
-//     byte-for-byte (the lookup_linear() pattern from the flow-table work).
+//     byte-for-byte (the tests diff the two after every delta).
 //   * IncrementalSpt — Ramalingam/Reps-style dynamic maintenance. An
 //     improving delta relaxes forward from the changed edge; a worsening
 //     delta collects the tree region hanging off the affected vertex and

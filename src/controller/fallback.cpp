@@ -14,7 +14,8 @@ void FallbackRouting::log(const char* event, const Parts&... parts) const {
   logger_.log(loop_.now(), core::LogLevel::kInfo, "fallback", event, parts...);
 }
 
-void FallbackRouting::activate(const std::map<net::Prefix, Origin>& origins) {
+void FallbackRouting::activate(
+    const std::map<net::Prefix, ClusterOrigin>& origins) {
   if (active_) return;
   active_ = true;
   ++counters_.activations;
@@ -50,7 +51,8 @@ void FallbackRouting::deactivate() {
   log("deactivate", "controller resumed control");
 }
 
-void FallbackRouting::originate(const net::Prefix& prefix, Origin origin) {
+void FallbackRouting::originate(const net::Prefix& prefix,
+                                ClusterOrigin origin) {
   if (!active_) return;
   origins_[prefix] = origin;
   mark_dirty(prefix);
@@ -65,6 +67,7 @@ void FallbackRouting::on_peer_established(const speaker::Peering&) {
   if (!active_) return;
   // A fresh egress can change every best path; there is no batching in
   // degraded mode, so recompute everything known right away.
+  // lint: unordered-ok(collected into the sorted dirty_ set)
   for (const auto& [prefix, routes] : external_routes_) dirty_.insert(prefix);
   for (const auto& [prefix, origin] : origins_) dirty_.insert(prefix);
   for (const auto& [prefix, actions] : installed_) dirty_.insert(prefix);
@@ -74,28 +77,15 @@ void FallbackRouting::on_peer_established(const speaker::Peering&) {
 void FallbackRouting::on_peer_down(const speaker::Peering& peering,
                                    const std::string&) {
   if (!active_) return;
-  for (auto& [prefix, routes] : external_routes_) {
-    if (routes.erase(peering.id) > 0) mark_dirty(prefix);
-  }
+  drop_peering(external_routes_, peering.id,
+               [this](const net::Prefix& prefix) { mark_dirty(prefix); });
 }
 
 void FallbackRouting::on_route_update(const speaker::Peering& peering,
                                       const bgp::UpdateMessage& update) {
   if (!active_) return;
-  for (const auto& prefix : update.withdrawn) {
-    auto it = external_routes_.find(prefix);
-    if (it != external_routes_.end() && it->second.erase(peering.id) > 0) {
-      mark_dirty(prefix);
-    }
-  }
-  if (update.nlri.empty()) return;
-  const auto attrs = bgp::AttrSetRef::intern(update.attributes);
-  for (const auto& prefix : update.nlri) {
-    auto& slot = external_routes_[prefix][peering.id];
-    if (slot == attrs) continue;
-    slot = attrs;
-    mark_dirty(prefix);
-  }
+  apply_update(external_routes_, peering.id, update,
+               [this](const net::Prefix& prefix) { mark_dirty(prefix); });
 }
 
 void FallbackRouting::mark_dirty(const net::Prefix& prefix) {
@@ -135,27 +125,13 @@ std::optional<speaker::PeeringId> FallbackRouting::relay_peering_for(
 }
 
 void FallbackRouting::recompute_prefix(const net::Prefix& prefix) {
-  // Gather inputs (same shape as the controller's pass — the decision and
-  // compilation logic is shared; only batching and the install path differ).
-  std::vector<ExternalRoute> routes;
-  if (const auto it = external_routes_.find(prefix);
-      it != external_routes_.end()) {
-    routes.reserve(it->second.size());
-    for (const auto& [pid, attrs] : it->second) routes.push_back({pid, attrs});
-  }
-  std::optional<sdn::Dpid> origin_switch;
-  std::map<sdn::Dpid, core::PortId> origin_host_ports;
-  if (const auto it = origins_.find(prefix); it != origins_.end()) {
-    origin_switch = it->second.dpid;
-    if (it->second.host_port) {
-      origin_host_ports[it->second.dpid] = *it->second.host_port;
-    }
-  }
-
+  // The controller's steps (route_compiler.hpp) around a from-scratch
+  // decision; only batching and the install path differ.
+  const DecisionInputs in = gather_inputs(external_routes_, origins_, prefix);
   const AsTopologyGraph topo{graph_, speaker_, /*allow_subcluster_bridging=*/true};
-  const PrefixDecision decision = topo.decide(routes, origin_switch);
+  const PrefixDecision decision = topo.decide(in.routes, in.origin_switch);
   const CompiledFlows flows =
-      compile_flows(decision, graph_, speaker_, origin_host_ports);
+      compile_flows(decision, graph_, speaker_, in.origin_host_ports);
 
   // Install over the relay path. Only switches with a relay peering are
   // reachable; the rest are skipped (and not recorded as installed).
@@ -197,30 +173,12 @@ void FallbackRouting::recompute_prefix(const net::Prefix& prefix) {
   }
   if (installed.empty()) installed_.erase(prefix);
 
-  // Compose legacy announcements exactly as the controller would; the
+  // Compose legacy announcements exactly as the controller does; the
   // speaker's Adj-RIB-Out dedup means taking over after a converged
   // controller produces zero external churn.
-  for (const auto* peering : speaker_.peerings()) {
-    const auto path_it = decision.as_paths.find(peering->border_dpid);
-    bool announce = path_it != decision.as_paths.end();
-    if (announce && peering->expected_peer_as.value() != 0 &&
-        path_it->second.contains(peering->expected_peer_as)) {
-      announce = false;
-    }
-    if (announce) {
-      bgp::PathAttributes attrs;
-      attrs.as_path = path_it->second;
-      attrs.origin = decision.origins.count(peering->border_dpid) > 0
-                         ? decision.origins.at(peering->border_dpid)
-                         : bgp::Origin::kIgp;
-      attrs.next_hop = peering->local_address;
-      ++counters_.announces;
-      speaker_.announce(peering->id, prefix, attrs);
-    } else {
-      ++counters_.withdraws;
-      speaker_.withdraw(peering->id, prefix);
-    }
-  }
+  const AnnounceCounts sent = announce_decision(speaker_, prefix, decision);
+  counters_.announces += sent.announces;
+  counters_.withdraws += sent.withdraws;
 }
 
 }  // namespace bgpsdn::controller

@@ -56,12 +56,6 @@ struct FallbackCounters {
 
 class FallbackRouting : public speaker::SpeakerListener {
  public:
-  /// A cluster-originated prefix the fallback must keep routable.
-  struct Origin {
-    sdn::Dpid dpid{0};
-    std::optional<core::PortId> host_port;
-  };
-
   FallbackRouting(core::EventLoop& loop, core::Logger& logger,
                   telemetry::Telemetry* telemetry, const SwitchGraph& graph,
                   speaker::ClusterBgpSpeaker& speaker)
@@ -76,14 +70,14 @@ class FallbackRouting : public speaker::SpeakerListener {
   /// Take over from a crashed controller: become the speaker's listener,
   /// seed state from its retained Adj-RIBs-In plus `origins`, and schedule
   /// an immediate recomputation of everything known.
-  void activate(const std::map<net::Prefix, Origin>& origins);
+  void activate(const std::map<net::Prefix, ClusterOrigin>& origins);
 
   /// Stand down (the controller restarted). Drops all engine state; the
   /// caller rebinds the controller as the speaker's listener itself.
   void deactivate();
 
   /// Member originations declared while degraded (no-ops when inactive).
-  void originate(const net::Prefix& prefix, Origin origin);
+  void originate(const net::Prefix& prefix, ClusterOrigin origin);
   void withdraw_origin(const net::Prefix& prefix);
 
   bool active() const { return active_; }
@@ -123,9 +117,8 @@ class FallbackRouting : public speaker::SpeakerListener {
   std::uint64_t epoch_{0};
   bool recompute_pending_{false};
 
-  std::map<net::Prefix, std::map<speaker::PeeringId, bgp::AttrSetRef>>
-      external_routes_;
-  std::map<net::Prefix, Origin> origins_;
+  ExternalRib external_routes_;
+  std::map<net::Prefix, ClusterOrigin> origins_;
   /// Flows this engine pushed over the relay path (diff target; the switch
   /// flushed all controller rules when it went standalone).
   std::map<net::Prefix, std::map<sdn::Dpid, sdn::FlowAction>> installed_;

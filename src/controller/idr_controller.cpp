@@ -10,15 +10,13 @@ namespace bgpsdn::controller {
 void IdrController::bind_speaker(speaker::ClusterBgpSpeaker& speaker) {
   speaker_ = &speaker;
   speaker.set_listener(this);
-  if (config_.incremental) {
-    decider_ = std::make_unique<IncrementalDecider>(graph_, *speaker_,
-                                                    config_.subcluster_bridging);
-  }
+  decider_ = std::make_unique<IncrementalDecider>(graph_, *speaker_,
+                                                  config_.subcluster_bridging);
 }
 
 void IdrController::originate(sdn::Dpid origin, const net::Prefix& prefix,
                               std::optional<core::PortId> host_port) {
-  origins_[prefix] = OriginInfo{origin, host_port};
+  origins_[prefix] = ClusterOrigin{origin, host_port};
   logger().log(loop().now(), core::LogLevel::kInfo, idr_log_name(),
                "origin_announce", prefix, " at dpid ", origin);
   mark_dirty(prefix);
@@ -39,7 +37,7 @@ void IdrController::on_crash() {
   installed_.clear();
   decisions_.clear();
   dirty_.clear();
-  if (decider_ != nullptr) decider_->clear();
+  decider_->clear();
   topology_pending_ = false;
   recompute_pending_ = false;
   if (auto* tel = telemetry()) tel->metrics().counter("ctrl.idr.crashes").inc();
@@ -59,7 +57,7 @@ void IdrController::reset_for_takeover() {
   installed_.clear();
   decisions_.clear();
   dirty_.clear();
-  if (decider_ != nullptr) decider_->clear();
+  decider_->clear();
   topology_pending_ = false;
   recompute_pending_ = false;
 }
@@ -92,28 +90,14 @@ void IdrController::on_peer_established(const speaker::Peering&) {
 
 void IdrController::on_peer_down(const speaker::Peering& peering,
                                  const std::string&) {
-  // lint: unordered-ok(dirty_ is a std::set; visit order cannot leak)
-  for (auto& [prefix, routes] : external_routes_) {
-    if (routes.erase(peering.id) > 0) mark_dirty(prefix);
-  }
+  drop_peering(external_routes_, peering.id,
+               [this](const net::Prefix& prefix) { mark_dirty(prefix); });
 }
 
 void IdrController::on_route_update(const speaker::Peering& peering,
                                     const bgp::UpdateMessage& update) {
-  for (const auto& prefix : update.withdrawn) {
-    auto it = external_routes_.find(prefix);
-    if (it != external_routes_.end() && it->second.erase(peering.id) > 0) {
-      mark_dirty(prefix);
-    }
-  }
-  if (update.nlri.empty()) return;
-  const auto attrs = bgp::AttrSetRef::intern(update.attributes);
-  for (const auto& prefix : update.nlri) {
-    auto& slot = external_routes_[prefix][peering.id];
-    if (slot == attrs) continue;  // duplicate announcement
-    slot = attrs;
-    mark_dirty(prefix);
-  }
+  apply_update(external_routes_, peering.id, update,
+               [this](const net::Prefix& prefix) { mark_dirty(prefix); });
 }
 
 // --- switch input -----------------------------------------------------------
@@ -157,14 +141,10 @@ void IdrController::on_port_status(const sdn::SwitchChannel& channel,
     logger().log(loop().now(), core::LogLevel::kInfo, idr_log_name(),
                  "cluster_link_state", "dpid ", channel.dpid, " port ",
                  status.port.value(), status.up ? " up" : " down");
-    if (decider_ != nullptr) {
-      // The change sits in the switch graph's changelog; the recompute
-      // pass replays it into the per-prefix trees and re-decides only the
-      // prefixes whose tree actually moved.
-      mark_topology_dirty();
-    } else {
-      mark_all_dirty();
-    }
+    // The change sits in the switch graph's changelog; the recompute pass
+    // replays it into the per-prefix trees and re-decides only the
+    // prefixes whose decision it can move.
+    mark_topology_dirty();
     return;
   }
   // Border port of a relayed peering? Centralized failure handling: reset
@@ -241,18 +221,15 @@ void IdrController::run_recompute() {
   ++idr_counters_.recompute_passes;
   auto batch = std::move(dirty_);
   dirty_.clear();
-  const std::uint64_t replayed_before =
-      decider_ != nullptr ? decider_->vertices_replayed() : 0;
-  const std::uint64_t fallbacks_before =
-      decider_ != nullptr ? decider_->reference_fallbacks() : 0;
+  const std::uint64_t replayed_before = decider_->vertices_replayed();
+  const std::uint64_t fallbacks_before = decider_->reference_fallbacks();
   if (topology_pending_) {
     topology_pending_ = false;
-    if (decider_ != nullptr) {
-      // Replay the changelog suffix into every tree; only prefixes whose
-      // tree moved join the batch (reference mode marks everything).
-      for (const auto& prefix : decider_->apply_topology_deltas()) {
-        batch.insert(prefix);
-      }
+    // Replay the changelog suffix into every tree; only prefixes whose tree
+    // moved, or whose bridged decision is older than the change, join the
+    // batch.
+    for (const auto& prefix : decider_->apply_topology_deltas()) {
+      batch.insert(prefix);
     }
   }
   idr_counters_.prefixes_dirty += batch.size();
@@ -277,17 +254,14 @@ void IdrController::run_recompute() {
     }
   }
   for (const auto& prefix : batch) recompute_prefix(prefix);
-  if (decider_ != nullptr) {
-    const std::uint64_t replayed =
-        decider_->vertices_replayed() - replayed_before;
-    idr_counters_.spt_vertices_replayed += replayed;
-    idr_counters_.reference_fallbacks +=
-        decider_->reference_fallbacks() - fallbacks_before;
-    if (auto* tel = telemetry(); tel != nullptr && replayed > 0) {
-      tel->metrics()
-          .counter("ctrl.idr.spt_vertices_replayed")
-          .inc(static_cast<std::int64_t>(replayed));
-    }
+  const std::uint64_t replayed = decider_->vertices_replayed() - replayed_before;
+  idr_counters_.spt_vertices_replayed += replayed;
+  idr_counters_.reference_fallbacks +=
+      decider_->reference_fallbacks() - fallbacks_before;
+  if (auto* tel = telemetry(); tel != nullptr && replayed > 0) {
+    tel->metrics()
+        .counter("ctrl.idr.spt_vertices_replayed")
+        .inc(static_cast<std::int64_t>(replayed));
   }
 }
 
@@ -295,20 +269,7 @@ void IdrController::recompute_prefix(const net::Prefix& prefix) {
   ++idr_counters_.prefix_recomputes;
   if (speaker_ == nullptr) return;
 
-  // Gather inputs.
-  std::vector<ExternalRoute> routes;
-  if (const auto it = external_routes_.find(prefix); it != external_routes_.end()) {
-    routes.reserve(it->second.size());
-    for (const auto& [pid, attrs] : it->second) routes.push_back({pid, attrs});
-  }
-  std::optional<sdn::Dpid> origin_switch;
-  std::map<sdn::Dpid, core::PortId> origin_host_ports;
-  if (const auto it = origins_.find(prefix); it != origins_.end()) {
-    origin_switch = it->second.dpid;
-    if (it->second.host_port) {
-      origin_host_ports[it->second.dpid] = *it->second.host_port;
-    }
-  }
+  const DecisionInputs in = gather_inputs(external_routes_, origins_, prefix);
 
   auto* tel = telemetry();
   const bool tracing = tel != nullptr && tel->tracing();
@@ -323,17 +284,11 @@ void IdrController::recompute_prefix(const net::Prefix& prefix) {
   };
 
   // Decide.
-  if (tracing) phase("graph_transform", static_cast<std::int64_t>(routes.size()));
-  PrefixDecision decision;
-  if (decider_ != nullptr) {
-    decision = decider_->decide(prefix, routes, origin_switch);
-    // A prefix with no inputs left converges to an empty decision; free
-    // its tree (it re-seeds if the prefix ever comes back).
-    if (routes.empty() && !origin_switch) decider_->drop(prefix);
-  } else {
-    const AsTopologyGraph topo{graph_, *speaker_, config_.subcluster_bridging};
-    decision = topo.decide(routes, origin_switch);
-  }
+  if (tracing) phase("graph_transform", static_cast<std::int64_t>(in.routes.size()));
+  PrefixDecision decision = decider_->decide(prefix, in.routes, in.origin_switch);
+  // A prefix with no inputs left converges to an empty decision; free its
+  // tree (it re-seeds if the prefix ever comes back).
+  if (in.routes.empty() && !in.origin_switch) decider_->drop(prefix);
   idr_counters_.routes_pruned_loop += decision.pruned_routes;
   if (tracing) phase("dijkstra", static_cast<std::int64_t>(decision.as_paths.size()));
 
@@ -342,7 +297,7 @@ void IdrController::recompute_prefix(const net::Prefix& prefix) {
   const std::uint64_t adds_before = idr_counters_.flow_adds;
   const std::uint64_t deletes_before = idr_counters_.flow_deletes;
   const CompiledFlows flows =
-      compile_flows(decision, graph_, *speaker_, origin_host_ports);
+      compile_flows(decision, graph_, *speaker_, in.origin_host_ports);
   auto& installed = installed_[prefix];
   const FlowDelta delta = diff_flows(flows, installed);
   for (const auto& [dpid, action] : delta.upserts) {
@@ -382,33 +337,9 @@ void IdrController::recompute_prefix(const net::Prefix& prefix) {
     if (tracing) phase("flow_install", adds + dels);
   }
 
-  // Compose announcements to every legacy peering. The AS path starts with
-  // the border switch's own AS and is the exact AS-level route traffic will
-  // take — the cluster stays transparent to the legacy world.
-  for (const auto* peering : speaker_->peerings()) {
-    const sdn::Dpid border = peering->border_dpid;
-    const auto path_it = decision.as_paths.find(border);
-    bool announce = path_it != decision.as_paths.end();
-    if (announce && peering->expected_peer_as.value() != 0 &&
-        path_it->second.contains(peering->expected_peer_as)) {
-      // The path runs through the receiving AS (e.g. it is our chosen
-      // egress); announcing it would be an immediate loop.
-      announce = false;
-    }
-    if (announce) {
-      bgp::PathAttributes attrs;
-      attrs.as_path = path_it->second;
-      attrs.origin = decision.origins.count(border) > 0
-                         ? decision.origins.at(border)
-                         : bgp::Origin::kIgp;
-      attrs.next_hop = peering->local_address;
-      ++idr_counters_.announces;
-      speaker_->announce(peering->id, prefix, attrs);
-    } else {
-      ++idr_counters_.withdraws;
-      speaker_->withdraw(peering->id, prefix);
-    }
-  }
+  const AnnounceCounts sent = announce_decision(*speaker_, prefix, decision);
+  idr_counters_.announces += sent.announces;
+  idr_counters_.withdraws += sent.withdraws;
 
   decisions_[prefix] = std::move(decision);
 }

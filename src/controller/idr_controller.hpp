@@ -20,7 +20,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
 
 #include "controller/as_topology.hpp"
 #include "controller/cluster_controller.hpp"
@@ -38,11 +37,6 @@ struct IdrControllerConfig {
   /// Admit legacy paths that bridge disjoint sub-clusters (pass 2 of the
   /// AS-topology transformation). Off = naive prune-everything rule.
   bool subcluster_bridging{true};
-  /// Maintain per-prefix shortest-path trees under topology deltas instead
-  /// of re-running Dijkstra from scratch every pass. Decisions are
-  /// byte-identical either way (enforced by the equivalence test suite);
-  /// off = the reference engine, kept for ablation.
-  bool incremental{true};
 };
 
 struct IdrCounters {
@@ -54,7 +48,7 @@ struct IdrCounters {
   std::uint64_t withdraws{0};
   std::uint64_t border_port_resets{0};
   std::uint64_t routes_pruned_loop{0};
-  /// Incremental engine cost/outcome (zero in reference mode).
+  /// Recomputation engine cost/outcome (IncrementalDecider).
   std::uint64_t spt_vertices_replayed{0};
   std::uint64_t prefixes_dirty{0};
   std::uint64_t reference_fallbacks{0};
@@ -65,13 +59,8 @@ struct IdrCounters {
 /// installed-flow mirror. The cluster graph is node-resident config and is
 /// not part of the shadow.
 struct IdrShadowState {
-  std::unordered_map<net::Prefix, std::map<speaker::PeeringId, bgp::AttrSetRef>>
-      external_routes;
-  struct Origin {
-    sdn::Dpid dpid{0};
-    std::optional<core::PortId> host_port;
-  };
-  std::map<net::Prefix, Origin> origins;
+  ExternalRib external_routes;
+  std::map<net::Prefix, ClusterOrigin> origins;
   std::map<net::Prefix, std::map<sdn::Dpid, sdn::FlowAction>> installed;
 };
 
@@ -151,9 +140,9 @@ class IdrController : public ClusterController {
  private:
   void mark_dirty(const net::Prefix& prefix);
   void mark_all_dirty();
-  /// Incremental mode's answer to a cluster-link change: note that the
-  /// topology moved and let run_recompute() derive the dirty prefixes from
-  /// the edge-delta changelog, instead of marking everything.
+  /// A cluster-link change: note that the topology moved and let
+  /// run_recompute() derive the dirty prefixes from the edge-delta
+  /// changelog (IncrementalDecider::apply_topology_deltas()).
   void mark_topology_dirty();
   void schedule_recompute();
   void run_recompute();
@@ -165,15 +154,12 @@ class IdrController : public ClusterController {
   IdrControllerConfig config_;
   speaker::ClusterBgpSpeaker* speaker_{nullptr};
   SwitchGraph graph_;
-  /// Per-prefix dynamic SPTs (incremental mode only; null = reference).
+  /// Per-prefix dynamic SPTs; bind_speaker() builds it.
   std::unique_ptr<IncrementalDecider> decider_;
 
-  /// External RIB: prefix -> (peering -> interned attributes as received).
-  std::unordered_map<net::Prefix, std::map<speaker::PeeringId, bgp::AttrSetRef>>
-      external_routes_;
-  /// Cluster-originated prefixes: prefix -> (origin switch, host port).
-  using OriginInfo = IdrShadowState::Origin;
-  std::map<net::Prefix, OriginInfo> origins_;
+  ExternalRib external_routes_;
+  /// Cluster-originated prefixes.
+  std::map<net::Prefix, ClusterOrigin> origins_;
 
   /// Installed flow state: prefix -> per-switch action (diff target).
   std::map<net::Prefix, std::map<sdn::Dpid, sdn::FlowAction>> installed_;

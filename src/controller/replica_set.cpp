@@ -199,7 +199,7 @@ void ControllerReplicaSet::apply_delta(IdrShadowState& shadow,
     }
     case ReplicaDelta::Kind::kOriginate:
       shadow.origins[delta.prefix] =
-          IdrShadowState::Origin{delta.dpid, delta.host_port};
+          ClusterOrigin{delta.dpid, delta.host_port};
       break;
     case ReplicaDelta::Kind::kWithdrawOrigin:
       shadow.origins.erase(delta.prefix);

@@ -2,6 +2,48 @@
 
 namespace bgpsdn::controller {
 
+void apply_update(ExternalRib& rib, speaker::PeeringId peering,
+                  const bgp::UpdateMessage& update,
+                  const PrefixChanged& changed) {
+  for (const auto& prefix : update.withdrawn) {
+    auto it = rib.find(prefix);
+    if (it != rib.end() && it->second.erase(peering) > 0) changed(prefix);
+  }
+  if (update.nlri.empty()) return;
+  const auto attrs = bgp::AttrSetRef::intern(update.attributes);
+  for (const auto& prefix : update.nlri) {
+    auto& slot = rib[prefix][peering];
+    if (slot == attrs) continue;  // duplicate announcement
+    slot = attrs;
+    changed(prefix);
+  }
+}
+
+void drop_peering(ExternalRib& rib, speaker::PeeringId peering,
+                  const PrefixChanged& changed) {
+  // lint: unordered-ok(callers only collect the prefixes into a std::set)
+  for (auto& [prefix, routes] : rib) {
+    if (routes.erase(peering) > 0) changed(prefix);
+  }
+}
+
+DecisionInputs gather_inputs(const ExternalRib& rib,
+                             const std::map<net::Prefix, ClusterOrigin>& origins,
+                             const net::Prefix& prefix) {
+  DecisionInputs in;
+  if (const auto it = rib.find(prefix); it != rib.end()) {
+    in.routes.reserve(it->second.size());
+    for (const auto& [pid, attrs] : it->second) in.routes.push_back({pid, attrs});
+  }
+  if (const auto it = origins.find(prefix); it != origins.end()) {
+    in.origin_switch = it->second.dpid;
+    if (it->second.host_port) {
+      in.origin_host_ports[it->second.dpid] = *it->second.host_port;
+    }
+  }
+  return in;
+}
+
 CompiledFlows compile_flows(
     const PrefixDecision& decision, const SwitchGraph& switches,
     const speaker::ClusterBgpSpeaker& speaker,
@@ -77,6 +119,37 @@ SwitchFlowDelta diff_switch_flows(
     }
   }
   return delta;
+}
+
+AnnounceCounts announce_decision(speaker::ClusterBgpSpeaker& speaker,
+                                 const net::Prefix& prefix,
+                                 const PrefixDecision& decision) {
+  AnnounceCounts sent;
+  for (const auto* peering : speaker.peerings()) {
+    const sdn::Dpid border = peering->border_dpid;
+    const auto path_it = decision.as_paths.find(border);
+    bool announce = path_it != decision.as_paths.end();
+    if (announce && peering->expected_peer_as.value() != 0 &&
+        path_it->second.contains(peering->expected_peer_as)) {
+      // The path runs through the receiving AS (e.g. it is our chosen
+      // egress); announcing it would be an immediate loop.
+      announce = false;
+    }
+    if (announce) {
+      bgp::PathAttributes attrs;
+      attrs.as_path = path_it->second;
+      attrs.origin = decision.origins.count(border) > 0
+                         ? decision.origins.at(border)
+                         : bgp::Origin::kIgp;
+      attrs.next_hop = peering->local_address;
+      ++sent.announces;
+      speaker.announce(peering->id, prefix, attrs);
+    } else {
+      ++sent.withdraws;
+      speaker.withdraw(peering->id, prefix);
+    }
+  }
+  return sent;
 }
 
 }  // namespace bgpsdn::controller

@@ -66,11 +66,6 @@ constexpr Setting kSettings[] = {
                                 ? ControllerStyle::kIdrCentralized
                                 : ControllerStyle::kRouteFlowMirror;
      }},
-    {"spt",
-     [](ExperimentConfig& c, std::string_view k, std::string_view v) {
-       c.incremental_spt =
-           parse_choice(k, v, {"incremental", "reference"}) == 0;
-     }},
     {"damping",
      [](ExperimentConfig& c, std::string_view k, std::string_view v) {
        c.damping.enabled = parse_choice(k, v, {"on", "off"}) == 0;

@@ -78,7 +78,7 @@ net::Prefix parse_prefix(std::string_view token);
 // --- lines the scenario DSL and .matrix share --------------------------------
 
 /// The configuration keys both grammars accept as `<key> <value>`: mrai,
-/// recompute-delay, link-delay-ms, controller, spt, damping, replicas and
+/// recompute-delay, link-delay-ms, controller, damping, replicas and
 /// election-timeout-ms.
 bool is_setting_key(std::string_view key);
 /// Apply one of those keys to `config`.

@@ -74,7 +74,6 @@ void Experiment::build() {
       controller::IdrControllerConfig cc;
       cc.recompute_delay = config_.recompute_delay;
       cc.subcluster_bridging = config_.subcluster_bridging;
-      cc.incremental = config_.incremental_spt;
       idr_ = &net_.add<controller::IdrController>("ctrl", cc);
       controller_ = idr_;
     } else {

@@ -58,11 +58,6 @@ struct ExperimentConfig {
   core::Duration recompute_delay{core::Duration::seconds(2)};
   /// Controller's sub-cluster legacy bridging (off = naive loop pruning).
   bool subcluster_bridging{true};
-  /// IDR controller recomputation engine: true maintains per-prefix
-  /// shortest-path trees under edge deltas, false re-runs the reference
-  /// from-scratch Dijkstra each pass. Decisions are byte-identical either
-  /// way; the knob exists for the equivalence suite and the cost ablation.
-  bool incremental_spt{true};
   /// Cluster controller implementation.
   ControllerStyle controller_style{ControllerStyle::kIdrCentralized};
   /// RouteFlow mirror: RIB->flows poll period.
@@ -316,7 +311,7 @@ class Experiment {
   /// Member originations as declared through the experiment API — the
   /// resync source for restarts and the fallback (the controller's own
   /// origin table dies with it).
-  std::map<net::Prefix, controller::FallbackRouting::Origin> member_origins_;
+  std::map<net::Prefix, controller::ClusterOrigin> member_origins_;
   std::unique_ptr<controller::FallbackRouting> fallback_;
   std::unique_ptr<controller::ControllerReplicaSet> replica_set_;
   bool controller_crashed_{false};

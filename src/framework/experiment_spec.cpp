@@ -300,14 +300,13 @@ std::string ExperimentSpec::signature() const {
   std::snprintf(
       buf, sizeof buf,
       "topo=%s:%zu sdn=%zu event=%s flaps=%zu mrai=%lld recompute=%lld "
-      "damping=%d spt=%s controller=%s quiet=%lld link_delay=%lld "
+      "damping=%d controller=%s quiet=%lld link_delay=%lld "
       "replicas=%zu election=%lld",
       to_string(topology), topology_size, sdn_count, to_string(event),
       event == EventKind::kFlapTrain ? flap_cycles : std::size_t{0},
       static_cast<long long>(config.timers.mrai.count_nanos()),
       static_cast<long long>(config.recompute_delay.count_nanos()),
       config.damping.enabled ? 1 : 0,
-      config.incremental_spt ? "incremental" : "reference",
       config.controller_style == ControllerStyle::kIdrCentralized
           ? "idr"
           : "routeflow",
@@ -402,12 +401,6 @@ ExperimentSpecBuilder& ExperimentSpecBuilder::recompute_delay(
 
 ExperimentSpecBuilder& ExperimentSpecBuilder::damping(bool enabled) {
   spec_.config.damping.enabled = enabled;
-  return *this;
-}
-
-ExperimentSpecBuilder& ExperimentSpecBuilder::incremental_spt(
-    bool incremental) {
-  spec_.config.incremental_spt = incremental;
   return *this;
 }
 

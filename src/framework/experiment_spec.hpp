@@ -3,7 +3,7 @@
 // One value object describes a whole seeded experiment cell: which topology
 // generator and size, how much of the network is centralized, which routing
 // event is injected and measured, the fault plan, the timer profile and the
-// protocol toggles (damping, SPT engine, controller style). Benches build
+// protocol toggles (damping, controller style). Benches build
 // their sweeps from ExperimentSpec cells, the `bgpsdn_matrix` tool expands
 // axis lists into a cross product of cells, and every later scenario axis
 // (scale sweeps, federation, workloads) plugs in here instead of growing
@@ -92,9 +92,9 @@ struct ExperimentSpec {
   FaultPlan faults{};
 
   // --- timers, protocol toggles, seeds ------------------------------------
-  /// Timer profile, damping, SPT engine, controller style, recompute delay
-  /// and the per-trial seed all live in the ExperimentConfig (the seed field
-  /// is overwritten per trial).
+  /// Timer profile, damping, controller style, recompute delay and the
+  /// per-trial seed all live in the ExperimentConfig (the seed field is
+  /// overwritten per trial).
   ExperimentConfig config{};
   /// Quiet window for the post-event convergence wait; zero = the
   /// Experiment default (2x MRAI + 1 s).
@@ -196,7 +196,6 @@ class ExperimentSpecBuilder {
   ExperimentSpecBuilder& mrai(core::Duration mrai);
   ExperimentSpecBuilder& recompute_delay(core::Duration delay);
   ExperimentSpecBuilder& damping(bool enabled);
-  ExperimentSpecBuilder& incremental_spt(bool incremental);
   ExperimentSpecBuilder& controller_style(ControllerStyle style);
   /// Controller replication factor (1 = the single-controller baseline,
   /// 2..16 = hot-standby HA; requires the IDR controller style).

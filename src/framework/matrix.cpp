@@ -58,9 +58,9 @@ void apply_event(ExperimentSpec& spec, const std::string& value) {
 
 const std::vector<std::string>& axis_keys() {
   static const std::vector<std::string> keys{
-      "topology", "sdn-frac",   "sdn-count", "event",
-      "spt",      "damping",    "controller", "mrai",
-      "recompute-delay", "replicas", "election-timeout-ms"};
+      "topology", "sdn-frac",        "sdn-count", "event",
+      "damping",  "controller",      "mrai",      "recompute-delay",
+      "replicas", "election-timeout-ms"};
   return keys;
 }
 

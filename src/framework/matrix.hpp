@@ -14,7 +14,7 @@
 //     recompute-delay 2
 //     axis sdn-frac 0 0.25 0.5 0.75 1
 //     axis event withdrawal announcement failover
-//     axis spt incremental reference
+//     axis damping on off
 //
 // Fixed lines share the scenario DSL's key vocabulary and parsers
 // (config_text.hpp: `topology`, `mrai`, `damping`, `fault`, ...);
@@ -35,7 +35,7 @@
 namespace bgpsdn::framework {
 
 /// The sweepable axis keys, in the order `axis` lines accept them:
-/// topology, sdn-frac, sdn-count, event, spt, damping, controller, mrai,
+/// topology, sdn-frac, sdn-count, event, damping, controller, mrai,
 /// recompute-delay, replicas, election-timeout-ms. Returned by axis_keys()
 /// for diagnostics.
 const std::vector<std::string>& axis_keys();
@@ -57,7 +57,7 @@ struct MatrixAxis {
 /// One expanded cell: the resolved spec plus its coordinates — one
 /// (axis, value) pair per declared axis, in axis order.
 struct MatrixCell {
-  /// "sdn-frac=0.5,event=withdrawal,spt=incremental"
+  /// "sdn-frac=0.5,event=withdrawal,damping=on"
   std::string label;
   std::vector<std::pair<std::string, std::string>> coords;
   ExperimentSpec spec;

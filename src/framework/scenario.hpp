@@ -20,7 +20,7 @@
 // Commands before `start` configure the experiment; commands after it
 // control and verify the running network. The configuration keys shared
 // with `.matrix` files (mrai, recompute-delay, link-delay-ms, controller,
-// spt, damping, replicas, election-timeout-ms), `topology <model> <n>`,
+// damping, replicas, election-timeout-ms), `topology <model> <n>`,
 // `fault` and `fault-seed` parse through the one front end in
 // config_text.hpp, so every number is an exact token checked against its
 // domain. A token starting with '#' comments out the rest of its line.

@@ -167,22 +167,4 @@ std::uint64_t FlowTable::approx_bytes() const {
   return bytes;
 }
 
-const FlowEntry* FlowTable::lookup_linear(core::PortId ingress,
-                                          const net::Packet& p, bool account) {
-  FlowEntry* best = nullptr;
-  for (auto& e : entries_) {
-    if (!e.match.matches(ingress, p)) continue;
-    if (best == nullptr || e.priority > best->priority ||
-        (e.priority == best->priority &&
-         e.match.dst.length() > best->match.dst.length())) {
-      best = &e;
-    }
-  }
-  if (best != nullptr && account) {
-    ++best->packets;
-    best->bytes += p.size_bytes();
-  }
-  return best;
-}
-
 }  // namespace bgpsdn::sdn

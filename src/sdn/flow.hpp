@@ -107,12 +107,6 @@ class FlowTable {
   const FlowEntry* lookup(core::PortId ingress, const net::Packet& p,
                           bool account = true);
 
-  /// Reference implementation of lookup(): the original full linear scan.
-  /// Kept so tests and benches can pin the indexed lookup's selection
-  /// semantics (and speedup) against it; not for production use.
-  const FlowEntry* lookup_linear(core::PortId ingress, const net::Packet& p,
-                                 bool account = false);
-
   std::size_t size() const { return entries_.size(); }
   const std::vector<FlowEntry>& entries() const { return entries_; }
   void clear();

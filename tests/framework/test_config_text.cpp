@@ -110,8 +110,6 @@ TEST(ConfigText, ConversionsKeepTheirArithmetic) {
   EXPECT_EQ(cfg.ha.election_max, core::Duration::seconds_f(150 / 500.0));
   apply_setting(cfg, "controller", "routeflow");
   EXPECT_EQ(cfg.controller_style, ControllerStyle::kRouteFlowMirror);
-  apply_setting(cfg, "spt", "reference");
-  EXPECT_FALSE(cfg.incremental_spt);
   apply_setting(cfg, "damping", "on");
   EXPECT_TRUE(cfg.damping.enabled);
   apply_setting(cfg, "replicas", "16");
@@ -120,11 +118,12 @@ TEST(ConfigText, ConversionsKeepTheirArithmetic) {
 
 TEST(ConfigText, SettingVocabularyIsSharedAndClosed) {
   for (const char* key : {"mrai", "recompute-delay", "link-delay-ms",
-                          "controller", "spt", "damping", "replicas",
+                          "controller", "damping", "replicas",
                           "election-timeout-ms"}) {
     EXPECT_TRUE(is_setting_key(key)) << key;
   }
-  for (const char* key : {"seed", "topology", "sdn-frac", "wait-quiet", ""}) {
+  for (const char* key :
+       {"seed", "topology", "sdn-frac", "wait-quiet", "spt", ""}) {
     EXPECT_FALSE(is_setting_key(key)) << key;
   }
   ExperimentConfig cfg;
@@ -240,9 +239,13 @@ TEST(ConfigText, OneDiagnosticPerValueKindOnEverySurface) {
       {"bad controller 'onos' (want idr|routeflow)",
        {{S::kDsl, "controller onos"}, {S::kMatrix, "controller onos"},
         {S::kMatrix, "axis controller idr onos"}}},
-      {"bad spt 'fast' (want incremental|reference)",
-       {{S::kDsl, "spt fast"}, {S::kMatrix, "spt fast"},
-        {S::kMatrix, "axis spt fast"}}},
+      // Retired keys are unknown on every surface, each in its own words.
+      {"unknown command 'spt'", {{S::kDsl, "spt fast"}}},
+      {"unknown key 'spt'", {{S::kMatrix, "spt fast"}}},
+      {"unknown axis 'spt' (known: topology, sdn-frac, sdn-count, event, "
+       "damping, controller, mrai, recompute-delay, replicas, "
+       "election-timeout-ms)",
+       {{S::kMatrix, "axis spt fast"}}},
       {"bad damping 'yes' (want on|off)",
        {{S::kDsl, "damping yes"}, {S::kMatrix, "damping yes"}}},
       // Topology: DSL, matrix fixed line, matrix axis.

@@ -82,7 +82,7 @@ TEST(Matrix, UnknownKeyNamesItsLine) {
 TEST(Matrix, UnknownAxisListsTheVocabulary) {
   EXPECT_EQ(diagnostic_of([] { MatrixSpec::parse("axis colour red blue\n"); }),
             "line 1: unknown axis 'colour' (known: topology, sdn-frac, "
-            "sdn-count, event, spt, damping, controller, mrai, "
+            "sdn-count, event, damping, controller, mrai, "
             "recompute-delay, replicas, election-timeout-ms)");
 }
 
@@ -100,7 +100,9 @@ TEST(Matrix, MalformedAxisValueNamesAxisValueAndCause) {
   EXPECT_EQ(diagnostic_of([] { MatrixSpec::parse("axis mrai fast\n"); }),
             "line 1: bad mrai 'fast' (want seconds in [0, 1e9])");
   EXPECT_EQ(diagnostic_of([] { MatrixSpec::parse("axis spt maybe\n"); }),
-            "line 1: bad spt 'maybe' (want incremental|reference)");
+            "line 1: unknown axis 'spt' (known: topology, sdn-frac, "
+            "sdn-count, event, damping, controller, mrai, "
+            "recompute-delay, replicas, election-timeout-ms)");
 }
 
 TEST(Matrix, AxisDeclarationErrors) {
@@ -174,7 +176,7 @@ TEST(Matrix, ExpandsRowMajorWithFirstAxisSlowest) {
   EXPECT_EQ(cells[0].spec.base_seed, 4000u);
   ASSERT_NE(cells[3].coord("event"), nullptr);
   EXPECT_EQ(*cells[3].coord("event"), "announcement");
-  EXPECT_EQ(cells[3].coord("spt"), nullptr);
+  EXPECT_EQ(cells[3].coord("damping"), nullptr);
 }
 
 TEST(Matrix, EmptyProductIsRejected) {
@@ -270,9 +272,6 @@ TEST(ExperimentSpecTest, SignatureSeparatesBehaviorRelevantFields) {
   EXPECT_EQ(base.signature(), other.signature());
   other.sdn_count = 4;
   EXPECT_NE(base.signature(), other.signature());
-  auto engine = base;
-  engine.config.incremental_spt = false;
-  EXPECT_NE(base.signature(), engine.signature());
 }
 
 TEST(ExperimentSpecTest, EventKindNamesRoundTrip) {

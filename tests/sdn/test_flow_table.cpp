@@ -1,10 +1,32 @@
 // Flow table semantics: priority, specificity, wildcards, statistics.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <string>
+
+#include "core/random.hpp"
 #include "sdn/flow.hpp"
 
 namespace bgpsdn::sdn {
 namespace {
+
+/// The flow table's selection rule as a full linear scan over entries():
+/// highest priority, then longest dst prefix, then the earliest-inserted
+/// entry. FlowTable::lookup() is indexed; this is its oracle.
+const FlowEntry* lookup_linear(const FlowTable& t, core::PortId ingress,
+                               const net::Packet& p) {
+  const FlowEntry* best = nullptr;
+  for (const auto& e : t.entries()) {
+    if (!e.match.matches(ingress, p)) continue;
+    if (best == nullptr || e.priority > best->priority ||
+        (e.priority == best->priority &&
+         e.match.dst.length() > best->match.dst.length())) {
+      best = &e;
+    }
+  }
+  return best;
+}
 
 net::Packet probe_to(const char* dst) {
   net::Packet p;
@@ -166,8 +188,9 @@ TEST(FlowTable, ClearResetsIndex) {
             2u);
 }
 
-// The indexed lookup must agree with the reference linear scan on every
-// probe, across mixed prefix lengths, priorities, wildcards, and full ties.
+// The indexed lookup must agree with the linear scan on every probe, across
+// mixed prefix lengths, priorities, wildcards, and full ties: a fixed table
+// first, then seeded random ones.
 TEST(FlowTable, IndexedLookupMatchesLinearReference) {
   FlowTable t;
   t.add(entry("0.0.0.0/0", 1, 1));
@@ -189,8 +212,49 @@ TEST(FlowTable, IndexedLookupMatchesLinearReference) {
     for (std::uint32_t port : {0u, 9u}) {
       const auto* indexed =
           t.lookup(core::PortId{port}, probe_to(dst), /*account=*/false);
-      const auto* linear = t.lookup_linear(core::PortId{port}, probe_to(dst));
+      const auto* linear = lookup_linear(t, core::PortId{port}, probe_to(dst));
       EXPECT_EQ(indexed, linear) << "dst=" << dst << " in_port=" << port;
+    }
+  }
+
+  // Random tables over 10.0.0.0/14, so prefixes of every length overlap.
+  // Few priorities, ports and protocols make full ties (same priority and
+  // length, different wildcards) common; removals rebuild the index.
+  const int lengths[] = {0, 8, 14, 16, 20, 23, 24, 25, 30, 32};
+  const std::uint16_t priorities[] = {1, kDataRulePriority, kRelayRulePriority};
+  const net::Protocol protos[] = {net::Protocol::kProbe, net::Protocol::kData};
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    core::Rng rng{seed};
+    const auto random_addr = [&rng] {
+      return net::Ipv4Addr{(10u << 24) |
+                           static_cast<std::uint32_t>(rng.uniform_int(0, 0x3ffff))};
+    };
+    FlowTable table;
+    const auto entries = rng.uniform_int(1, 80);
+    for (std::int64_t i = 0; i < entries; ++i) {
+      FlowEntry e;
+      const int len = lengths[rng.uniform_int(0, std::size(lengths) - 1)];
+      e.match.dst = net::Prefix{random_addr(), static_cast<std::uint8_t>(len)};
+      e.priority = priorities[rng.uniform_int(0, std::size(priorities) - 1)];
+      if (rng.chance(0.3)) {
+        e.match.in_port = core::PortId{static_cast<std::uint32_t>(rng.uniform_int(0, 2))};
+      }
+      if (rng.chance(0.3)) {
+        e.match.proto = protos[rng.uniform_int(0, std::size(protos) - 1)];
+      }
+      e.action = FlowAction::output(core::PortId{static_cast<std::uint32_t>(i)});
+      table.add(e);
+      if (rng.chance(0.05)) table.remove_by_dst(e.match.dst);
+    }
+    for (int probe = 0; probe < 200; ++probe) {
+      net::Packet p;
+      p.dst = random_addr();
+      p.proto = protos[rng.uniform_int(0, std::size(protos) - 1)];
+      const core::PortId port{static_cast<std::uint32_t>(rng.uniform_int(0, 2))};
+      EXPECT_EQ(table.lookup(port, p, /*account=*/false),
+                lookup_linear(table, port, p))
+          << "seed " << seed << " dst=" << p.dst.to_string()
+          << " in_port=" << port.value();
     }
   }
 }

@@ -87,9 +87,9 @@ int main(int argc, char** argv) {
   const double delays[] = {0.0, 2.0, 8.0};
   constexpr std::size_t kCols = std::size(delays);
   // Point = (damping, delay) combo; the whole grid shares the worker pool.
-  std::vector<ChurnResult> grid;
-  const auto timing = bench::run_trial_grid(
-      2 * kCols, runs, grid, [&](std::size_t point, std::size_t r) {
+  const auto sweep = framework::run_sweep(
+      2 * kCols, runs, framework::default_jobs(),
+      [&](std::size_t point, std::size_t r) {
         return run(point / kCols == 1,
                    core::Duration::seconds_f(delays[point % kCols]), 5000 + r);
       });
@@ -97,14 +97,12 @@ int main(int argc, char** argv) {
   report.set_param("runs", telemetry::Json{static_cast<std::int64_t>(runs)});
   for (std::size_t point = 0; point < 2 * kCols; ++point) {
     const bool damping = point / kCols == 1;
-    std::vector<double> upd, mods, sup;
+    const auto upd = sweep.values(point, &ChurnResult::updates_at_observer);
+    const auto mods = sweep.values(point, &ChurnResult::flow_mods);
+    const auto sup = sweep.values(point, &ChurnResult::suppressions);
     int usable = 0;
-    for (std::size_t r = 0; r < runs; ++r) {
-      const auto& res = grid[point * runs + r];
-      upd.push_back(res.updates_at_observer);
-      mods.push_back(res.flow_mods);
-      sup.push_back(res.suppressions);
-      usable += res.usable_at_end ? 1 : 0;
+    for (const double u : sweep.values(point, &ChurnResult::usable_at_end)) {
+      usable += u > 0 ? 1 : 0;
     }
     std::printf("%s\t%.0f\t%.0f\t%.0f\t%.0f\t%d/%zu\n",
                 damping ? "on" : "off", delays[point % kCols],
@@ -123,10 +121,8 @@ int main(int argc, char** argv) {
                        std::move(extra));
     }
   }
-  bench::print_parallel_footer(timing);
-  report.set_footer(static_cast<std::int64_t>(timing.trials),
-                    static_cast<std::int64_t>(timing.jobs),
-                    timing.wall_seconds, timing.trial_seconds);
+  framework::print_footer(sweep.timing);
+  report.set_footer(sweep.timing);
   bench::finish_report(report, cli);
   return 0;
 }

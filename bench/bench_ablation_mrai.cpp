@@ -25,9 +25,10 @@ int main(int argc, char** argv) {
 
   // Every (clique, MRAI, seed) triple is one independent simulation; run
   // the whole grid on the shared pool and print it cell by cell after.
-  framework::ParamSweepRunner runner{runs, cli.seed_or(3000)};
-  const auto sweep = runner.run(
-      std::size(cliques) * kCols, [&](std::size_t point, std::uint64_t seed) {
+  const std::uint64_t base_seed = cli.seed_or(3000);
+  const auto sweep = framework::run_sweep(
+      std::size(cliques) * kCols, runs, framework::default_jobs(),
+      [&](std::size_t point, std::size_t run) {
         const auto cell =
             framework::ExperimentSpecBuilder{}
                 .topology(framework::TopologyModel::kClique,
@@ -36,31 +37,30 @@ int main(int argc, char** argv) {
                 .config(bench::paper_config())
                 .mrai(core::Duration::seconds_f(mrais[point % kCols]))
                 .build();
-        return cell.run_trial(seed);
+        return cell.run_trial(base_seed + run);
       });
   for (std::size_t row = 0; row < std::size(cliques); ++row) {
     std::printf("%zu", cliques[row]);
     for (std::size_t col = 0; col < kCols; ++col) {
-      std::printf("\t%.2f", sweep.points[row * kCols + col].summary.median);
+      std::printf("\t%.2f",
+                  framework::quantile(sweep.values(row * kCols + col), 0.5));
     }
     std::printf("\n");
   }
-  bench::print_parallel_footer(sweep);
+  framework::print_footer(sweep.timing);
   if (cli.want_json()) {
     framework::BenchReport report{"ablation_mrai"};
     report.set_param("runs", telemetry::Json{static_cast<std::int64_t>(runs)});
     for (std::size_t row = 0; row < std::size(cliques); ++row) {
       for (std::size_t col = 0; col < kCols; ++col) {
-        const auto& point = sweep.points[row * kCols + col];
+        const auto values = sweep.values(row * kCols + col);
         char label[48];
         std::snprintf(label, sizeof label, "clique%zu_mrai%.0fs", cliques[row],
                       mrais[col]);
-        report.add_point(label, point.summary, point.values);
+        report.add_point(label, framework::summarize(values), values);
       }
     }
-    report.set_footer(static_cast<std::int64_t>(sweep.trials),
-                      static_cast<std::int64_t>(sweep.jobs), sweep.wall_seconds,
-                      sweep.trial_seconds);
+    report.set_footer(sweep.timing);
     bench::finish_report(report, cli);
   }
   return 0;

@@ -137,14 +137,6 @@ ChurnPoint run_churn(std::size_t flaps, std::uint64_t seed) {
   return p;
 }
 
-std::vector<double> column(const std::vector<ChurnPoint>& grid,
-                           std::size_t point, std::size_t runs,
-                           double ChurnPoint::* field) {
-  std::vector<double> out;
-  for (std::size_t r = 0; r < runs; ++r) out.push_back(grid[point * runs + r].*field);
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -156,24 +148,20 @@ int main(int argc, char** argv) {
   std::printf("# medians over %zu runs\n", runs);
   std::printf("delay_s\tconv_s\trecomputes\tflow_mods\tspeaker_msgs\tbatch_span_s\n");
   const double delays[] = {0.0, 0.5, 1.0, 2.0, 4.0, 8.0};
-  std::vector<AblationPoint> grid;
-  const auto timing = bench::run_trial_grid(
-      std::size(delays), runs, grid, [&](std::size_t point, std::size_t r) {
+  const auto sweep = framework::run_sweep(
+      std::size(delays), runs, framework::default_jobs(),
+      [&](std::size_t point, std::size_t r) {
         return run_point(core::Duration::seconds_f(delays[point]),
                          cli.seed_or(2000) + r);
       });
   framework::BenchReport report{"ablation_recompute"};
   report.set_param("runs", telemetry::Json{static_cast<std::int64_t>(runs)});
   for (std::size_t point = 0; point < std::size(delays); ++point) {
-    std::vector<double> conv, rec, mods, spk, span;
-    for (std::size_t r = 0; r < runs; ++r) {
-      const auto& p = grid[point * runs + r];
-      conv.push_back(p.conv_seconds);
-      rec.push_back(p.recomputes);
-      mods.push_back(p.flow_mods);
-      spk.push_back(p.speaker_msgs);
-      span.push_back(p.batch_span_s);
-    }
+    const auto conv = sweep.values(point, &AblationPoint::conv_seconds);
+    const auto rec = sweep.values(point, &AblationPoint::recomputes);
+    const auto mods = sweep.values(point, &AblationPoint::flow_mods);
+    const auto spk = sweep.values(point, &AblationPoint::speaker_msgs);
+    const auto span = sweep.values(point, &AblationPoint::batch_span_s);
     std::printf("%.1f\t%.2f\t%.0f\t%.0f\t%.0f\t%.2f\n", delays[point],
                 framework::quantile(conv, 0.5), framework::quantile(rec, 0.5),
                 framework::quantile(mods, 0.5), framework::quantile(spk, 0.5),
@@ -191,7 +179,7 @@ int main(int argc, char** argv) {
                        std::move(extra));
     }
   }
-  bench::print_parallel_footer(timing);
+  framework::print_footer(sweep.timing);
 
   // Churn ablation: the recomputation work a cluster-link flap train costs
   // the delta-SPT engine.
@@ -200,19 +188,17 @@ int main(int argc, char** argv) {
       "recomputation\n");
   std::printf("flaps\tconv_s\tprefix_recomputes\tsettles\tflow_mods\n");
   const std::size_t flap_counts[] = {2, 6, 12};
-  std::vector<ChurnPoint> churn_grid;
-  const auto churn_timing = bench::run_trial_grid(
-      std::size(flap_counts), runs, churn_grid,
+  const auto churn = framework::run_sweep(
+      std::size(flap_counts), runs, framework::default_jobs(),
       [&](std::size_t point, std::size_t r) {
         return run_churn(flap_counts[point], cli.seed_or(3000) + r);
       });
   for (std::size_t point = 0; point < std::size(flap_counts); ++point) {
     const std::size_t flaps = flap_counts[point];
-    const auto conv = column(churn_grid, point, runs, &ChurnPoint::conv_seconds);
-    const auto rec =
-        column(churn_grid, point, runs, &ChurnPoint::prefix_recomputes);
-    const auto settles = column(churn_grid, point, runs, &ChurnPoint::settles);
-    const auto mods = column(churn_grid, point, runs, &ChurnPoint::flow_mods);
+    const auto conv = churn.values(point, &ChurnPoint::conv_seconds);
+    const auto rec = churn.values(point, &ChurnPoint::prefix_recomputes);
+    const auto settles = churn.values(point, &ChurnPoint::settles);
+    const auto mods = churn.values(point, &ChurnPoint::flow_mods);
     std::printf("%zu\t%.2f\t%.0f\t%.0f\t%.0f\n", flaps,
                 framework::quantile(conv, 0.5), framework::quantile(rec, 0.5),
                 framework::quantile(settles, 0.5),
@@ -231,11 +217,8 @@ int main(int argc, char** argv) {
                        std::move(extra));
     }
   }
-  bench::print_parallel_footer(churn_timing);
-  report.set_footer(
-      static_cast<std::int64_t>(timing.trials + churn_timing.trials),
-      static_cast<std::int64_t>(timing.jobs), timing.wall_seconds + churn_timing.wall_seconds,
-      timing.trial_seconds + churn_timing.trial_seconds);
+  framework::print_footer(churn.timing);
+  report.set_footer(sweep.timing + churn.timing);
   bench::finish_report(report, cli);
   return 0;
 }

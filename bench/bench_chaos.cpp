@@ -26,7 +26,6 @@
 //
 // Fast timers (MRAI 0.3 s, hold 6 s, recompute 100 ms) keep the virtual
 // clock short; recovery is probed every 100 ms and censored at 60 s.
-#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -75,11 +74,17 @@ constexpr Row kRows[] = {
     {"ha_failover_r5", true, false, kHaPlan, 5},
 };
 
-/// Per-trial HA failover observables, medians of which go into the row's
-/// extra block. Zero for non-HA rows.
-struct HaStats {
+/// One trial's observables: the recovery time, the HA failover figures
+/// whose medians go into the row's extra block (zero for non-HA rows), and
+/// the experiment's counters.
+struct TrialResult {
+  /// Virtual seconds from arming the row's plan until every AS reaches the
+  /// host again (100 ms probe; kTimeoutS when censored). -1 on setup
+  /// failure.
+  double recovery_s{-1.0};
   double flow_mods_replayed{0.0};
   double election_latency_s{0.0};
+  std::map<std::string, std::int64_t> counters;
 };
 
 framework::ExperimentConfig fast_config(std::uint64_t seed) {
@@ -100,11 +105,7 @@ bool all_reach(framework::Experiment& exp, net::Ipv4Addr host) {
   return true;
 }
 
-/// Virtual seconds from arming the row's plan until every AS reaches the
-/// host again (100 ms probe; kTimeoutS when censored). -1 on setup failure.
-double run_row(const Row& row, std::uint64_t seed,
-               std::map<std::string, std::int64_t>* counters,
-               HaStats* ha_stats) {
+TrialResult run_row(const Row& row, std::uint64_t seed) {
   auto cfg = fast_config(seed);
   cfg.controller_replicas = row.replicas;
   const auto spec = topology::clique(kCliqueSize);
@@ -116,7 +117,8 @@ double run_row(const Row& row, std::uint64_t seed,
   }
   framework::Experiment exp{spec, members, cfg};
   const auto host_addr = exp.add_host(kHostAs).address();
-  if (!exp.start(core::Duration::seconds(600))) return -1.0;
+  TrialResult result;
+  if (!exp.start(core::Duration::seconds(600))) return result;
 
   const auto probe_until_reach = [&]() -> double {
     const auto t0 = exp.loop().now();
@@ -131,29 +133,20 @@ double run_row(const Row& row, std::uint64_t seed,
 
   if (row.pre_degrade) {
     exp.crash_controller();
-    if (probe_until_reach() >= kTimeoutS) return -1.0;
+    if (probe_until_reach() >= kTimeoutS) return result;
   }
 
   exp.attach_monitor<framework::FaultInjector>(
       framework::FaultPlan::parse(row.plan));
-  const double recovery = probe_until_reach();
-  if (ha_stats != nullptr && exp.replica_set() != nullptr) {
+  result.recovery_s = probe_until_reach();
+  if (exp.replica_set() != nullptr) {
     const auto& rc = exp.replica_set()->counters();
-    ha_stats->flow_mods_replayed =
-        static_cast<double>(rc.flow_mods_replayed);
-    ha_stats->election_latency_s =
+    result.flow_mods_replayed = static_cast<double>(rc.flow_mods_replayed);
+    result.election_latency_s =
         exp.replica_set()->last_election_latency().to_seconds();
   }
-  if (counters != nullptr) bench::accumulate_counters(exp, *counters);
-  return recovery;
-}
-
-double median_of(std::vector<double> values) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const std::size_t n = values.size();
-  return n % 2 == 1 ? values[n / 2]
-                    : (values[n / 2 - 1] + values[n / 2]) / 2.0;
+  bench::accumulate_counters(exp, result.counters);
+  return result;
 }
 
 }  // namespace
@@ -169,38 +162,28 @@ int main(int argc, char** argv) {
               runs, kTimeoutS);
   std::printf("%s\n", framework::boxplot_header("fault").c_str());
 
-  std::vector<std::map<std::string, std::int64_t>> task_counters(
-      cli.want_json() ? points * runs : 0);
-  std::vector<HaStats> ha_stats(points * runs);
-  std::vector<double> results;
-  const auto timing = bench::run_trial_grid(
-      points, runs, results, [&](std::size_t point, std::size_t run) {
-        auto* counters =
-            cli.want_json() ? &task_counters[point * runs + run] : nullptr;
-        return run_row(kRows[point], kBaseSeed + run, counters,
-                       &ha_stats[point * runs + run]);
+  const auto sweep = framework::run_sweep(
+      points, runs, framework::default_jobs(),
+      [&](std::size_t point, std::size_t run) {
+        return run_row(kRows[point], kBaseSeed + run);
       });
 
   framework::BenchReport report{"bench_chaos"};
   for (std::size_t p = 0; p < points; ++p) {
-    std::vector<double> values{results.begin() + p * runs,
-                               results.begin() + (p + 1) * runs};
+    const auto values = sweep.values(p, &TrialResult::recovery_s);
     const auto summary = framework::summarize(values);
     std::printf("%s\n",
                 framework::boxplot_row(kRows[p].label, summary).c_str());
     telemetry::Json extra = telemetry::Json::object();
     extra["fault"] = std::string{kRows[p].plan};
     extra["replicas"] = static_cast<std::int64_t>(kRows[p].replicas);
-    std::vector<double> replayed, latency;
-    for (std::size_t r = 0; r < runs; ++r) {
-      replayed.push_back(ha_stats[p * runs + r].flow_mods_replayed);
-      latency.push_back(ha_stats[p * runs + r].election_latency_s);
-    }
-    extra["flow_mods_replayed_median"] = median_of(std::move(replayed));
-    extra["election_latency_s_median"] = median_of(std::move(latency));
+    extra["flow_mods_replayed_median"] = framework::quantile(
+        sweep.values(p, &TrialResult::flow_mods_replayed), 0.5);
+    extra["election_latency_s_median"] = framework::quantile(
+        sweep.values(p, &TrialResult::election_latency_s), 0.5);
     report.add_point(kRows[p].label, summary, values, std::move(extra));
   }
-  bench::print_parallel_footer(timing);
+  framework::print_footer(sweep.timing);
 
   if (cli.want_json()) {
     report.set_param("clique_size",
@@ -209,14 +192,8 @@ int main(int argc, char** argv) {
     report.set_param("runs",
                      telemetry::Json{static_cast<std::int64_t>(runs)});
     report.set_param("timeout_s", telemetry::Json{kTimeoutS});
-    for (const auto& per_task : task_counters) {
-      for (const auto& [name, value] : per_task) {
-        report.add_counter(name, value);
-      }
-    }
-    report.set_footer(static_cast<std::int64_t>(timing.trials),
-                      static_cast<std::int64_t>(timing.jobs),
-                      timing.wall_seconds, timing.trial_seconds);
+    for (const auto& trial : sweep.results) report.add_counters(trial.counters);
+    report.set_footer(sweep.timing);
     bench::finish_report(report, cli);
   }
   return 0;

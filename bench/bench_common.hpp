@@ -5,16 +5,15 @@
 // per point, and prints the same boxplot rows the paper's figures show.
 #pragma once
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "framework/config_text.hpp"
 #include "framework/experiment_spec.hpp"
+#include "framework/matrix.hpp"
 #include "framework/report.hpp"
 #include "topology/generators.hpp"
 #include "framework/stats.hpp"
@@ -129,67 +128,6 @@ inline framework::ExperimentSpec sweep_base_spec(
       .build();
 }
 
-/// Footer every bench prints after a parallel sweep: real wall time, the
-/// serial-equivalent time (sum of per-trial wall times — what jobs=1 would
-/// have cost), and the measured speedup between the two.
-inline void print_parallel_footer(std::size_t trials, std::size_t jobs,
-                                  double wall_s, double trial_s) {
-  std::printf(
-      "# sweep: %zu trials, jobs=%zu, wall %.2f s, serial-equivalent %.2f s, "
-      "speedup %.2fx, %.2f trials/s\n",
-      trials, jobs, wall_s, trial_s, wall_s > 0 ? trial_s / wall_s : 0.0,
-      wall_s > 0 ? static_cast<double>(trials) / wall_s : 0.0);
-  std::fflush(stdout);
-}
-
-inline void print_parallel_footer(const framework::SweepResult& sweep) {
-  print_parallel_footer(sweep.trials, sweep.jobs, sweep.wall_seconds,
-                        sweep.trial_seconds);
-}
-
-/// Timing of a run_trial_grid call (benches whose trials return structs).
-struct GridTiming {
-  std::size_t trials{0};
-  std::size_t jobs{1};
-  double wall_seconds{0};
-  double trial_seconds{0};
-};
-
-/// Runs fn(point, run) for every (point, run) pair on a shared worker pool
-/// honoring BGPSDN_JOBS, storing results by index — deterministic output
-/// order regardless of the job count. For benches whose trials produce a
-/// metrics struct rather than one double.
-template <typename R, typename Fn>
-GridTiming run_trial_grid(std::size_t points, std::size_t runs,
-                          std::vector<R>& results, Fn&& fn) {
-  // lint: wall-clock-ok(wall/serial-equivalent footer timing only; never
-  // feeds simulation state or the deterministic JSON points/counters)
-  using Clock = std::chrono::steady_clock;
-  GridTiming timing;
-  timing.trials = points * runs;
-  timing.jobs = framework::default_jobs();
-  results.assign(points * runs, R{});
-  std::vector<double> seconds(points * runs, 0.0);
-  const auto t0 = Clock::now();
-  framework::parallel_for_index(
-      points * runs, timing.jobs, [&](std::size_t task) {
-        const auto s0 = Clock::now();
-        results[task] = fn(task / runs, task % runs);
-        seconds[task] =
-            std::chrono::duration<double>(Clock::now() - s0).count();
-      });
-  timing.wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-  // lint: float-order-ok(index-ordered vector, and wall timing is footer
-  // diagnostics excluded from the determinism diff)
-  for (const double s : seconds) timing.trial_seconds += s;
-  return timing;
-}
-
-inline void print_parallel_footer(const GridTiming& timing) {
-  print_parallel_footer(timing.trials, timing.jobs, timing.wall_seconds,
-                        timing.trial_seconds);
-}
-
 /// Print a full SDN-fraction sweep as boxplot rows. Trials run in parallel
 /// across both fractions and seeds (BGPSDN_JOBS workers); rows keep the
 /// exact serial-run values, plus each row's serial-equivalent seconds and
@@ -205,50 +143,23 @@ inline void run_sdn_sweep(EventKind event, std::size_t clique_size,
               event == EventKind::kWithdrawal
                   ? "Fig. 2"
                   : "SS4 prose result, smaller reductions than Fig. 2");
-  std::printf("%s\ttrial_s\ttrials_per_s\n",
-              framework::boxplot_header("sdn_frac").c_str());
   const framework::ExperimentSpec base =
       sweep_base_spec(event, clique_size, runs, base_config, base_seed);
-  // Per-task counter snapshots land in index-addressed slots and are summed
-  // in task order after the sweep — deterministic at any job count.
-  std::vector<std::map<std::string, std::int64_t>> task_counters(
-      report != nullptr ? clique_size * runs : 0);
-  framework::ParamSweepRunner runner{runs, base_seed};
-  const auto sweep = runner.run(clique_size,
-                                [&](std::size_t k, std::uint64_t seed) {
-    framework::ExperimentSpec cell = base;
-    cell.sdn_count = k;
-    auto* counters =
-        report != nullptr
-            ? &task_counters[k * runs +
-                             static_cast<std::size_t>(seed - base_seed)]
-            : nullptr;
-    return cell.run_trial(seed, counters);
-  });
+  std::vector<framework::MatrixCell> cells;
   for (std::size_t k = 0; k < clique_size; ++k) {
-    const auto& row = sweep.points[k];
-    char label[48];
-    std::snprintf(label, sizeof label, "%zu/%zu", k, clique_size);
-    std::printf("%s\t%.2f\t%.2f\n",
-                framework::boxplot_row(label, row.summary).c_str(),
-                row.trial_seconds, row.trials_per_second());
-    if (report != nullptr) report->add_point(label, row.summary, row.values);
+    framework::MatrixCell& cell = cells.emplace_back();
+    cell.label = std::to_string(k) + "/" + std::to_string(clique_size);
+    cell.spec = base;
+    cell.spec.sdn_count = k;
   }
-  print_parallel_footer(sweep);
+  framework::run_spec_sweep(cells, "sdn_frac", runs, base_seed,
+                            framework::default_jobs(), report);
   if (report != nullptr) {
     report->set_param("event",
                       telemetry::Json{std::string{framework::to_string(event)}});
     report->set_param("clique_size",
                       telemetry::Json{static_cast<std::int64_t>(clique_size)});
     report->set_param("runs", telemetry::Json{static_cast<std::int64_t>(runs)});
-    for (const auto& per_task : task_counters) {
-      for (const auto& [name, value] : per_task) {
-        report->add_counter(name, value);
-      }
-    }
-    report->set_footer(static_cast<std::int64_t>(sweep.trials),
-                       static_cast<std::int64_t>(sweep.jobs),
-                       sweep.wall_seconds, sweep.trial_seconds);
   }
 }
 
@@ -261,9 +172,6 @@ inline framework::ExperimentConfig paper_config() {
 }
 
 /// Trial count: 10 as in the paper; BGPSDN_QUICK=1 drops to 3 for smoke runs.
-inline std::size_t default_runs() {
-  const char* quick = std::getenv("BGPSDN_QUICK");
-  return (quick != nullptr && quick[0] == '1') ? 3 : 10;
-}
+inline std::size_t default_runs() { return framework::quick_mode() ? 3 : 10; }
 
 }  // namespace bgpsdn::bench

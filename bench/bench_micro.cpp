@@ -7,6 +7,7 @@
 // work, and a full hybrid-experiment bring-up.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <map>
 #include <string>
 #include <vector>
@@ -435,7 +436,7 @@ int main(int argc, char** argv) {
       report.add_point(label, framework::summarize(values), values,
                        std::move(extra));
     }
-    report.set_footer(static_cast<std::int64_t>(ran), 1, wall_s, wall_s);
+    report.set_footer(framework::SweepTiming{ran, 1, wall_s, wall_s});
     if (!report.write_file(json_path)) {
       std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
       return 1;

@@ -53,35 +53,33 @@ int main(int argc, char** argv) {
   const std::size_t fractions[] = {0, 4, 8, 12, 15};
   // Point = (fraction, controller style); both styles of a fraction are
   // independent simulations, so the whole comparison shares one pool.
-  framework::ParamSweepRunner runner{runs, 6000};
-  const auto sweep = runner.run(
-      std::size(fractions) * 2, [&](std::size_t point, std::uint64_t seed) {
+  const auto sweep = framework::run_sweep(
+      std::size(fractions) * 2, runs, framework::default_jobs(),
+      [&](std::size_t point, std::size_t run) {
         const auto style = point % 2 == 0
                                ? framework::ControllerStyle::kIdrCentralized
                                : framework::ControllerStyle::kRouteFlowMirror;
-        return run_one(style, fractions[point / 2], seed);
+        return run_one(style, fractions[point / 2], 6000 + run);
       });
   for (std::size_t f = 0; f < std::size(fractions); ++f) {
     std::printf("%zu/16\t%.2f\t%.2f\n", fractions[f],
-                sweep.points[2 * f].summary.median,
-                sweep.points[2 * f + 1].summary.median);
+                framework::quantile(sweep.values(2 * f), 0.5),
+                framework::quantile(sweep.values(2 * f + 1), 0.5));
   }
-  bench::print_parallel_footer(sweep);
+  framework::print_footer(sweep.timing);
   if (cli.want_json()) {
     framework::BenchReport report{"routeflow_comparison"};
     report.set_param("runs", telemetry::Json{static_cast<std::int64_t>(runs)});
     for (std::size_t f = 0; f < std::size(fractions); ++f) {
       for (std::size_t style = 0; style < 2; ++style) {
-        const auto& point = sweep.points[2 * f + style];
+        const auto values = sweep.values(2 * f + style);
         char label[48];
         std::snprintf(label, sizeof label, "sdn%zu_%s", fractions[f],
                       style == 0 ? "idr" : "routeflow");
-        report.add_point(label, point.summary, point.values);
+        report.add_point(label, framework::summarize(values), values);
       }
     }
-    report.set_footer(static_cast<std::int64_t>(sweep.trials),
-                      static_cast<std::int64_t>(sweep.jobs), sweep.wall_seconds,
-                      sweep.trial_seconds);
+    report.set_footer(sweep.timing);
     bench::finish_report(report, cli);
   }
   return 0;

@@ -56,6 +56,7 @@ struct TrialResult {
   core::MemStats mem{};
   std::int64_t updates_rx{0};
   std::int64_t decision_runs{0};
+  std::map<std::string, std::int64_t> counters;
 };
 
 /// Short-MRAI profile: paper semantics, but the virtual clock (and with it
@@ -92,8 +93,7 @@ framework::ExperimentSpec make_spec(const Cell& cell) {
   return builder.build();
 }
 
-TrialResult run_cell(const Cell& cell, std::uint64_t seed,
-                     std::map<std::string, std::int64_t>* counters_out) {
+TrialResult run_cell(const Cell& cell, std::uint64_t seed) {
   const framework::ExperimentSpec spec = make_spec(cell);
   auto experiment = spec.make_experiment(seed);
   if (!experiment->start(core::Duration::seconds(600))) {
@@ -107,20 +107,10 @@ TrialResult run_cell(const Cell& cell, std::uint64_t seed,
       framework::WaitOpts{spec.effective_quiet(), core::Duration::seconds(3600)});
   result.seconds = conv.since(t0).to_seconds();
   result.mem = experiment->memory_stats();
-  std::map<std::string, std::int64_t> counters;
-  bench::accumulate_counters(*experiment, counters);
-  result.updates_rx = counters["bgp.session.updates_rx"];
-  result.decision_runs = counters["bgp.decision.runs"];
-  if (counters_out != nullptr) *counters_out = std::move(counters);
+  bench::accumulate_counters(*experiment, result.counters);
+  result.updates_rx = result.counters["bgp.session.updates_rx"];
+  result.decision_runs = result.counters["bgp.decision.runs"];
   return result;
-}
-
-double median_of(std::vector<double> values) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const std::size_t n = values.size();
-  return n % 2 == 1 ? values[n / 2]
-                    : (values[n / 2 - 1] + values[n / 2]) / 2.0;
 }
 
 telemetry::Json mem_json(const core::MemStats& mem) {
@@ -141,8 +131,7 @@ telemetry::Json mem_json(const core::MemStats& mem) {
 
 int main(int argc, char** argv) {
   const bench::BenchCli cli = bench::parse_cli(argc, argv);
-  const char* quick_env = std::getenv("BGPSDN_QUICK");
-  const bool quick = quick_env != nullptr && quick_env[0] == '1';
+  const bool quick = framework::quick_mode();
   // Same run count (and thus the same seeds) under BGPSDN_QUICK: point
   // values are virtual-time deterministic per seed, so a quick sweep's
   // shared labels stay median-identical to the committed full baseline and
@@ -191,18 +180,14 @@ int main(int argc, char** argv) {
               "deterministic mem model bytes\n");
   std::printf("%s\n", framework::boxplot_header("cell").c_str());
 
-  std::vector<TrialResult> results;
-  std::vector<std::map<std::string, std::int64_t>> task_counters(
-      cli.want_json() ? tasks : 0);
-  const auto timing = bench::run_trial_grid(
-      tasks, 1, results, [&](std::size_t task, std::size_t) {
+  const auto sweep = framework::run_sweep(
+      tasks, 1, framework::default_jobs(), [&](std::size_t task, std::size_t) {
         const std::size_t c = static_cast<std::size_t>(
             std::upper_bound(first_task.begin(), first_task.end(), task) -
             first_task.begin() - 1);
-        auto* counters = cli.want_json() ? &task_counters[task] : nullptr;
-        return run_cell(cells[c], kBaseSeed + (task - first_task[c]),
-                        counters);
+        return run_cell(cells[c], kBaseSeed + (task - first_task[c]));
       });
+  const auto& results = sweep.results;
 
   framework::BenchReport report{"bench_scale"};
   core::MemStats cell_mem;
@@ -219,8 +204,8 @@ int main(int argc, char** argv) {
                 framework::boxplot_row(cell.label, summary).c_str());
     telemetry::Json extra = telemetry::Json::object();
     extra["ases"] = static_cast<std::int64_t>(cell.size);
-    extra["updates_rx_median"] = median_of(std::move(updates));
-    extra["decision_runs_median"] = median_of(std::move(decisions));
+    extra["updates_rx_median"] = framework::quantile(updates, 0.5);
+    extra["decision_runs_median"] = framework::quantile(decisions, 0.5);
     if (cell.mem_cell) {
       const core::MemStats& mem = results[first_task[c]].mem;
       extra["mem"] = mem_json(mem);
@@ -237,7 +222,7 @@ int main(int argc, char** argv) {
     }
     report.add_point(cell.label, summary, values, std::move(extra));
   }
-  bench::print_parallel_footer(timing);
+  framework::print_footer(sweep.timing);
 
   if (cli.want_json()) {
     telemetry::Json sizes = telemetry::Json::array();
@@ -276,14 +261,8 @@ int main(int argc, char** argv) {
                        static_cast<std::int64_t>(cell_mem.speaker_ribs));
     report.add_counter("mem.total",
                        static_cast<std::int64_t>(cell_mem.total()));
-    for (const auto& per_task : task_counters) {
-      for (const auto& [name, value] : per_task) {
-        report.add_counter(name, value);
-      }
-    }
-    report.set_footer(static_cast<std::int64_t>(timing.trials),
-                      static_cast<std::int64_t>(timing.jobs),
-                      timing.wall_seconds, timing.trial_seconds);
+    for (const auto& trial : results) report.add_counters(trial.counters);
+    report.set_footer(sweep.timing);
     bench::finish_report(report, cli);
   }
   return 0;

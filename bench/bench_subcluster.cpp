@@ -82,9 +82,8 @@ int main(int argc, char** argv) {
   const std::size_t member_counts[] = {2, 4, 6};
   // Point = (members_n, bridging) combo, bridging fastest-varying to match
   // the printed row order.
-  std::vector<Result> grid;
-  const auto timing = bench::run_trial_grid(
-      std::size(member_counts) * 2, runs, grid,
+  const auto sweep = framework::run_sweep(
+      std::size(member_counts) * 2, runs, framework::default_jobs(),
       [&](std::size_t point, std::size_t r) {
         return run(point % 2 == 1, member_counts[point / 2], 4000 + r);
       });
@@ -93,13 +92,9 @@ int main(int argc, char** argv) {
   for (std::size_t point = 0; point < std::size(member_counts) * 2; ++point) {
     const std::size_t members_n = member_counts[point / 2];
     const bool bridging = point % 2 == 1;
-    std::vector<double> routed, reach, conv;
-    for (std::size_t r = 0; r < runs; ++r) {
-      const auto& res = grid[point * runs + r];
-      routed.push_back(static_cast<double>(res.members_routed));
-      reach.push_back(res.deep_host_reachable ? 1.0 : 0.0);
-      conv.push_back(res.withdrawal_conv_s);
-    }
+    const auto routed = sweep.values(point, &Result::members_routed);
+    const auto reach = sweep.values(point, &Result::deep_host_reachable);
+    const auto conv = sweep.values(point, &Result::withdrawal_conv_s);
     std::printf("%zu\t%s\t%.0f/%zu\t%.0f%%\t%.2f\n", members_n,
                 bridging ? "on" : "off", framework::quantile(routed, 0.5),
                 members_n, 100.0 * framework::quantile(reach, 0.5),
@@ -117,10 +112,8 @@ int main(int argc, char** argv) {
                        std::move(extra));
     }
   }
-  bench::print_parallel_footer(timing);
-  report.set_footer(static_cast<std::int64_t>(timing.trials),
-                    static_cast<std::int64_t>(timing.jobs),
-                    timing.wall_seconds, timing.trial_seconds);
+  framework::print_footer(sweep.timing);
+  report.set_footer(sweep.timing);
   bench::finish_report(report, cli);
   return 0;
 }

@@ -210,6 +210,18 @@ EOF
 else
   echo "WARNING: python3 not found; skipping matrix determinism diff" >&2
 fi
+# A trial whose convergence wait times out is a failed trial: here a
+# 6000-cycle flap train at a 1 s period outlasts the 3600 s wait budget,
+# so the matrix must exit non-zero rather than print the budget as a
+# convergence time.
+printf 'topology clique 4\nmrai 0.3\nfault 0 flap 1 2 6000 1\naxis event withdrawal announcement\n' \
+  > "$LINT_TMP/timeout.matrix"
+if ./build/tools/bgpsdn_matrix --trials 1 "$LINT_TMP/timeout.matrix" \
+    > /dev/null 2>&1; then
+  echo "matrix: a timed-out trial exited 0" >&2
+  exit 1
+fi
+echo "matrix: timed-out trials fail the run"
 
 # JSON-output job: every --json emitter must produce a document that still
 # matches the frozen bgpsdn.bench/1 schema. Validated with the stdlib-only
@@ -251,34 +263,30 @@ else
   echo "WARNING: neither python3 nor jq found; skipping JSON schema check" >&2
 fi
 
-# Determinism job: the same seeded bench must emit byte-identical points and
-# counters whether trials run serially or on a 4-worker pool. Only the
-# footer (wall-clock timings, jobs count) may differ. This is the
-# end-to-end guard on the interning pools, shared encode buffers, and the
-# reworked event loop: any cross-trial state leak shows up here.
+# Determinism job: every seeded sweep bench must emit byte-identical points
+# and counters whether trials run serially or on a 4-worker pool, and each
+# document must match the schema. Only the footer (wall-clock timings, jobs
+# count) may differ. This is the end-to-end guard on the interning pools,
+# shared encode buffers, the reworked event loop and the sweep runner: any
+# cross-trial state leak shows up here. bench_scale has its own job below.
 echo "===== bench json determinism (BGPSDN_JOBS=1 vs 4)"
 if command -v python3 > /dev/null 2>&1; then
-  BGPSDN_QUICK=1 BGPSDN_JOBS=1 \
-    ./build/bench/bench_fig2_withdrawal --json build/json/fig2_j1.json > /dev/null
-  BGPSDN_QUICK=1 BGPSDN_JOBS=4 \
-    ./build/bench/bench_fig2_withdrawal --json build/json/fig2_j4.json > /dev/null
-  BGPSDN_QUICK=1 BGPSDN_JOBS=1 \
-    ./build/bench/bench_chaos --json build/json/chaos_j1.json > /dev/null
-  BGPSDN_QUICK=1 BGPSDN_JOBS=4 \
-    ./build/bench/bench_chaos --json build/json/chaos_j4.json > /dev/null
-  BGPSDN_QUICK=1 BGPSDN_JOBS=1 \
-    ./build/bench/bench_ablation_recompute --json build/json/ablation_j1.json \
-    > /dev/null
-  BGPSDN_QUICK=1 BGPSDN_JOBS=4 \
-    ./build/bench/bench_ablation_recompute --json build/json/ablation_j4.json \
-    > /dev/null
+  SWEEP_BENCHES=(fig2_withdrawal failover announcement chaos
+                 ablation_recompute ablation_mrai ablation_damping
+                 routeflow_comparison subcluster)
+  for b in "${SWEEP_BENCHES[@]}"; do
+    for jobs in 1 4; do
+      BGPSDN_QUICK=1 BGPSDN_JOBS=$jobs \
+        "./build/bench/bench_$b" --json "build/json/${b}_j$jobs.json" > /dev/null
+    done
+  done
   BGPSDN_JOBS=1 ./build/tools/bgpsdn_run --trials 4 \
     --json build/json/trials_j1.json scenarios/fig2_point.bgpsdn > /dev/null
   BGPSDN_JOBS=4 ./build/tools/bgpsdn_run --trials 4 \
     --json build/json/trials_j4.json scenarios/fig2_point.bgpsdn > /dev/null
-  python3 - <<'EOF'
+  python3 - "${SWEEP_BENCHES[@]}" trials <<'EOF'
 import json, sys
-for name in ("fig2", "chaos", "ablation", "trials"):
+for name in sys.argv[1:]:
     docs = []
     for jobs in (1, 4):
         with open(f"build/json/{name}_j{jobs}.json") as f:
@@ -289,6 +297,8 @@ for name in ("fig2", "chaos", "ablation", "trials"):
         sys.exit(f"{name}: bench JSON differs between BGPSDN_JOBS=1 and 4")
     print(f"{name}: byte-identical across jobs counts (footer excluded)")
 EOF
+  python3 scripts/validate_bench_json.py \
+    $(printf 'build/json/%s_j1.json ' "${SWEEP_BENCHES[@]}")
 else
   echo "WARNING: python3 not found; skipping determinism diff" >&2
 fi
@@ -466,7 +476,7 @@ cmake -B build-tsan "${GENERATOR[@]}" \
 cmake --build build-tsan -j "$(nproc)" \
   --target test_framework test_core test_controller
 ./build-tsan/tests/test_framework \
-  --gtest_filter='Determinism.*:FaultDeterminism.*:TrialRunnerParallel.*:ParamSweepRunnerParallel.*:ParallelForIndex.*:DefaultJobs.*:IncrementalEquivalence.ByteIdenticalAcrossJobCounts:*LayoutEquivalence.ByteIdenticalAcrossJobCounts'
+  --gtest_filter='Determinism.*:FaultDeterminism.*:TrialRunnerParallel.*:ParamSweepRunnerParallel.*:TrialSweepParallel.*:ParallelForIndex.*:DefaultJobs.*:IncrementalEquivalence.ByteIdenticalAcrossJobCounts:*LayoutEquivalence.ByteIdenticalAcrossJobCounts'
 ./build-tsan/tests/test_core --gtest_filter='EventLoop.*'
 ./build-tsan/tests/test_controller --gtest_filter='ReplicaSetDeterminism.*'
 

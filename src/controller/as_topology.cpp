@@ -271,8 +271,7 @@ std::vector<net::Prefix> IncrementalDecider::apply_topology_deltas() {
 
 PrefixDecision IncrementalDecider::decide(const net::Prefix& prefix,
                                           const std::vector<ExternalRoute>& routes,
-                                          std::optional<sdn::Dpid> origin_switch,
-                                          IncrementalStats* stats) {
+                                          std::optional<sdn::Dpid> origin_switch) {
   // Split off cluster-crossing routes. With bridging enabled they engage
   // the admission fixpoint, which is not incrementalized: decide from
   // scratch with AsTopologyGraph. With bridging disabled the fixpoint
@@ -291,13 +290,11 @@ PrefixDecision IncrementalDecider::decide(const net::Prefix& prefix,
     ++fallbacks_;
     states_.erase(prefix);  // the tree would go stale while we bypass it
     bridged_[prefix] = switches_.changelog_size();
-    if (stats != nullptr) stats->reference_fallback = true;
     const AsTopologyGraph fixpoint{switches_, speaker_, allow_bridging_};
     return fixpoint.decide(routes, origin_switch);
   }
 
   bridged_.erase(prefix);
-  const std::uint64_t replayed_before = replayed_total_;
   auto& state = get_state(prefix);
   catch_up(state);
 
@@ -355,10 +352,6 @@ PrefixDecision IncrementalDecider::decide(const net::Prefix& prefix,
   }
   if (state.has_decision && state.decided_revision == state.spt.revision() &&
       state.egress_identity == identity && state.pruned == crossing) {
-    if (stats != nullptr) {
-      stats->vertices_replayed = replayed_total_ - replayed_before;
-      stats->spt_changed = false;
-    }
     return state.decision;
   }
 
@@ -370,10 +363,6 @@ PrefixDecision IncrementalDecider::decide(const net::Prefix& prefix,
   state.decided_revision = state.spt.revision();
   state.egress_identity = std::move(identity);
   state.pruned = crossing;
-  if (stats != nullptr) {
-    stats->vertices_replayed = replayed_total_ - replayed_before;
-    stats->spt_changed = true;
-  }
   return decision;
 }
 

@@ -108,17 +108,6 @@ class AsTopologyGraph {
   bool allow_bridging_;
 };
 
-/// Per-call cost/outcome report from IncrementalDecider::decide().
-struct IncrementalStats {
-  /// Vertices (re)settled by delta replay during this call.
-  std::uint64_t vertices_replayed{0};
-  /// False when the cached decision was returned untouched.
-  bool spt_changed{true};
-  /// True when the call fell back to AsTopologyGraph::decide() (the
-  /// sub-cluster bridging fixpoint is not incrementalized).
-  bool reference_fallback{false};
-};
-
 /// The controller's recomputation engine: the incremental counterpart of
 /// AsTopologyGraph::decide(). Keeps one dynamic shortest-path tree per
 /// prefix, fed by the switch graph's edge-delta changelog and by egress-set
@@ -147,8 +136,7 @@ class IncrementalDecider {
   /// maintained tree can be found again on the next call.
   PrefixDecision decide(const net::Prefix& prefix,
                         const std::vector<ExternalRoute>& routes,
-                        std::optional<sdn::Dpid> origin_switch,
-                        IncrementalStats* stats = nullptr);
+                        std::optional<sdn::Dpid> origin_switch);
 
   /// Catch every maintained tree up with the switch-graph changelog.
   /// Returns the dirty set a topology event implies (sorted): prefixes
@@ -168,7 +156,6 @@ class IncrementalDecider {
     states_.clear();
     bridged_.clear();
   }
-  std::size_t state_count() const { return states_.size(); }
 
  private:
   struct PrefixState {

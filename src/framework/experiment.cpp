@@ -33,7 +33,9 @@ Experiment::Experiment(const topology::TopologySpec& spec,
                                   " not in topology"};
     }
   }
-  log_.set_min_level(config_.log_level);
+  // The convergence detector keys on DEBUG records (update_tx/update_rx),
+  // so any higher minimum level would change measured results.
+  log_.set_min_level(core::LogLevel::kDebug);
   log_.set_retain(config_.retain_logs);
   build();
   detector_ = &attach_monitor<ConvergenceDetector>();

@@ -72,8 +72,6 @@ struct ExperimentConfig {
   controller::ReplicaSetConfig ha{};
   /// Whether to attach the monitoring route collector to legacy routers.
   bool with_collector{true};
-  /// Log level kept by the in-memory logger (kDebug needed for detectors).
-  core::LogLevel log_level{core::LogLevel::kDebug};
   /// Retain log records in memory (off for long sweeps).
   bool retain_logs{false};
 };

@@ -277,6 +277,14 @@ double ExperimentSpec::run_trial(
   if (!faults.events.empty()) {
     experiment->attach_monitor<FaultInjector>(faults);
   }
+  // Every wait below (the flap train's included) counts its timeouts here;
+  // find_counter keeps an untouched counter out of the JSON counters block.
+  const auto timeouts = [&] {
+    const auto* c = experiment->telemetry().metrics().find_counter(
+        "framework.wait_converged.timeouts");
+    return c == nullptr ? 0 : c->value();
+  };
+  const std::int64_t timeouts_before = timeouts();
   double seconds = 0.0;
   if (event == EventKind::kFlapTrain) {
     // Measure the train itself: settle first, then every fail/restore cycle
@@ -292,6 +300,11 @@ double ExperimentSpec::run_trial(
     seconds = conv.since(t0).to_seconds();
   }
   if (counters_out != nullptr) accumulate_counters(*experiment, *counters_out);
+  if (timeouts() != timeouts_before) {
+    std::fprintf(stderr, "trial timed out waiting for convergence (seed %llu)\n",
+                 static_cast<unsigned long long>(seed));
+    return -1.0;
+  }
   return seconds;
 }
 

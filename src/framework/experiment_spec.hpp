@@ -160,9 +160,9 @@ struct ExperimentSpec {
 
   /// One full measured trial: build, start, (settle first for flap trains),
   /// arm faults, inject the event and wait for quiescence. Returns the
-  /// convergence seconds since injection, or -1 when start() fails. With
-  /// `counters_out`, every telemetry counter of the finished experiment is
-  /// summed into the map.
+  /// convergence seconds since injection, or -1 when start() fails or any
+  /// convergence wait times out. With `counters_out`, every telemetry
+  /// counter of the experiment (once it started) is summed into the map.
   double run_trial(std::uint64_t seed,
                    std::map<std::string, std::int64_t>* counters_out =
                        nullptr) const;

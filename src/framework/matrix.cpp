@@ -1,12 +1,16 @@
 #include "framework/matrix.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 
 #include "framework/config_text.hpp"
+#include "framework/report.hpp"
+#include "framework/stats.hpp"
+#include "framework/trial.hpp"
 
 namespace bgpsdn::framework {
 
@@ -235,6 +239,45 @@ std::vector<MatrixCell> MatrixSpec::filter(std::vector<MatrixCell> cells,
   }
   if (kept.empty()) bad("filter " + axis + "=" + value + " matches no cells");
   return kept;
+}
+
+bool run_spec_sweep(const std::vector<MatrixCell>& cells,
+                    const std::string& key, std::size_t runs,
+                    std::uint64_t base_seed, std::size_t jobs,
+                    BenchReport* report,
+                    const std::function<telemetry::Json(std::size_t)>& extra) {
+  struct Trial {
+    double seconds{0};
+    std::map<std::string, std::int64_t> counters;
+  };
+  std::printf("%s\ttrial_s\ttrials_per_s\n", boxplot_header(key).c_str());
+  const auto sweep = run_sweep(
+      cells.size(), runs, jobs, [&](std::size_t cell, std::size_t run) {
+        Trial trial;
+        trial.seconds = cells[cell].spec.run_trial(
+            base_seed + run, report != nullptr ? &trial.counters : nullptr);
+        return trial;
+      });
+  bool all_ok = true;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    const std::vector<double> values = sweep.values(c, &Trial::seconds);
+    for (const double v : values) all_ok &= v >= 0.0;
+    const Summary summary = summarize(values);
+    const double seconds = sweep.point_seconds(c);
+    std::printf("%s\t%.2f\t%.2f\n",
+                boxplot_row(cells[c].label, summary).c_str(), seconds,
+                seconds > 0 ? static_cast<double>(runs) / seconds : 0.0);
+    if (report != nullptr) {
+      report->add_point(cells[c].label, summary, values,
+                        extra ? extra(c) : telemetry::Json::object());
+    }
+  }
+  print_footer(sweep.timing);
+  if (report != nullptr) {
+    for (const Trial& trial : sweep.results) report->add_counters(trial.counters);
+    report->set_footer(sweep.timing);
+  }
+  return all_ok;
 }
 
 }  // namespace bgpsdn::framework

@@ -25,12 +25,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "framework/experiment_spec.hpp"
+#include "telemetry/json.hpp"
 
 namespace bgpsdn::framework {
 
@@ -94,5 +96,20 @@ class MatrixSpec {
                                  const std::string& axis,
                                  const std::string& value) const;
 };
+
+class BenchReport;
+
+/// Runs `runs` seeded trials (seeds base_seed, base_seed+1, ...) of every
+/// cell's spec with ExperimentSpec::run_trial on one sweep (`jobs` workers,
+/// 0 = default_jobs()). Prints the boxplot header (key column `key`), one
+/// row per cell with its trial_s and trials_per_s columns, and the sweep
+/// footer. With a report, adds one point per cell (its extras from
+/// `extra(cell index)` when given), every trial's counters in task order
+/// and the footer. Returns false when any trial failed (run_trial < 0).
+bool run_spec_sweep(
+    const std::vector<MatrixCell>& cells, const std::string& key,
+    std::size_t runs, std::uint64_t base_seed, std::size_t jobs,
+    BenchReport* report,
+    const std::function<telemetry::Json(std::size_t)>& extra = {});
 
 }  // namespace bgpsdn::framework

@@ -43,16 +43,19 @@ void BenchReport::add_counter(const std::string& name, std::int64_t value) {
   }
 }
 
-void BenchReport::set_footer(std::int64_t trials, std::int64_t jobs,
-                             double wall_s, double serial_equivalent_s) {
+void BenchReport::add_counters(
+    const std::map<std::string, std::int64_t>& counters) {
+  for (const auto& [name, value] : counters) add_counter(name, value);
+}
+
+void BenchReport::set_footer(const SweepTiming& timing) {
   footer_ = telemetry::Json::object();
-  footer_["trials"] = trials;
-  footer_["jobs"] = jobs;
-  footer_["wall_s"] = wall_s;
-  footer_["serial_equivalent_s"] = serial_equivalent_s;
-  footer_["speedup"] = wall_s > 0.0 ? serial_equivalent_s / wall_s : 0.0;
-  footer_["trials_per_s"] =
-      wall_s > 0.0 ? static_cast<double>(trials) / wall_s : 0.0;
+  footer_["trials"] = static_cast<std::int64_t>(timing.trials);
+  footer_["jobs"] = static_cast<std::int64_t>(timing.jobs);
+  footer_["wall_s"] = timing.wall_seconds;
+  footer_["serial_equivalent_s"] = timing.serial_seconds;
+  footer_["speedup"] = timing.speedup();
+  footer_["trials_per_s"] = timing.trials_per_second();
 }
 
 telemetry::Json BenchReport::to_json() const {
@@ -74,6 +77,15 @@ bool BenchReport::write_file(const std::string& path) const {
   const bool newline_ok = std::fputc('\n', f) != EOF;
   const bool close_ok = std::fclose(f) == 0;
   return written == doc.size() && newline_ok && close_ok;
+}
+
+void print_footer(const SweepTiming& timing) {
+  std::printf(
+      "# sweep: %zu trials, jobs=%zu, wall %.2f s, serial-equivalent %.2f s, "
+      "speedup %.2fx, %.2f trials/s\n",
+      timing.trials, timing.jobs, timing.wall_seconds, timing.serial_seconds,
+      timing.speedup(), timing.trials_per_second());
+  std::fflush(stdout);
 }
 
 }  // namespace bgpsdn::framework

@@ -22,10 +22,12 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "framework/stats.hpp"
+#include "framework/trial.hpp"
 #include "telemetry/json.hpp"
 
 namespace bgpsdn::framework {
@@ -45,12 +47,14 @@ class BenchReport {
 
   /// Accumulate a run-wide counter (summed across calls with one name).
   void add_counter(const std::string& name, std::int64_t value);
+  /// add_counter for every entry of one task's counter map; callers merge
+  /// the tasks of a sweep in task order.
+  void add_counters(const std::map<std::string, std::int64_t>& counters);
 
-  /// Wall-clock footer. `serial_equivalent_s` is the sum of per-trial wall
-  /// times (what one worker would have taken); speedup and throughput are
-  /// derived here.
-  void set_footer(std::int64_t trials, std::int64_t jobs, double wall_s,
-                  double serial_equivalent_s);
+  /// Wall-clock footer of a sweep: trials, jobs, wall_s, the
+  /// serial-equivalent seconds (what one worker would have taken), speedup
+  /// and throughput.
+  void set_footer(const SweepTiming& timing);
 
   telemetry::Json to_json() const;
   std::string dump() const { return to_json().dump(); }
@@ -66,5 +70,9 @@ class BenchReport {
   telemetry::Json counters_;
   telemetry::Json footer_;
 };
+
+/// Prints the sweep footer line every sweep ends with:
+/// `# sweep: N trials, jobs=J, wall W s, serial-equivalent S s, ...`.
+void print_footer(const SweepTiming& timing);
 
 }  // namespace bgpsdn::framework

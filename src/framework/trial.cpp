@@ -6,21 +6,34 @@
 #include <cstdlib>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <thread>
+
+#include "core/text.hpp"
 
 namespace bgpsdn::framework {
 
+namespace {
+
+/// The value of an environment variable as a whole-token unsigned integer;
+/// nullopt when unset or malformed.
+std::optional<std::uint64_t> env_uint(const char* name) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return std::nullopt;
+  return core::parse_uint64(env);
+}
+
+}  // namespace
+
 std::size_t default_jobs() {
-  if (const char* env = std::getenv("BGPSDN_JOBS"); env != nullptr) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 1) {
-      return static_cast<std::size_t>(v);
-    }
+  if (const auto jobs = env_uint("BGPSDN_JOBS"); jobs && *jobs >= 1) {
+    return static_cast<std::size_t>(*jobs);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }
+
+bool quick_mode() { return env_uint("BGPSDN_QUICK") == 1u; }
 
 void parallel_for_index(std::size_t total, std::size_t jobs,
                         const std::function<void(std::size_t)>& fn) {
@@ -57,55 +70,39 @@ void parallel_for_index(std::size_t total, std::size_t jobs,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-std::vector<double> TrialRunner::run_values(
-    const std::function<double(std::uint64_t seed)>& trial) const {
-  std::vector<double> values(runs_, 0.0);
-  parallel_for_index(runs_, jobs_, [&](std::size_t i) {
-    values[i] = trial(base_seed_ + i);
-  });
-  return values;
+SweepTiming SweepTiming::operator+(const SweepTiming& other) const {
+  return {trials + other.trials, std::max(jobs, other.jobs),
+          wall_seconds + other.wall_seconds,
+          serial_seconds + other.serial_seconds};
 }
 
-SweepResult ParamSweepRunner::run(std::size_t points,
-                                  const PointTrial& trial) const {
-  // The one sanctioned wall-clock site in the library: it feeds only the
-  // wall_s/serial-equivalent/speedup footer, which is explicitly excluded
-  // from the determinism contract (check.sh strips the footer before the
-  // jobs=1-vs-4 byte diff). Trial results themselves are computed on
-  // virtual time and are byte-identical at any BGPSDN_JOBS.
-  // lint: wall-clock-ok(wall_s footer measurement, outside the contract)
+SweepTiming run_timed(std::size_t total, std::size_t jobs,
+                      std::vector<double>& task_seconds,
+                      const std::function<void(std::size_t)>& fn) {
+  // The one sanctioned wall-clock site outside the micro benches: it feeds
+  // only footers and trial_s columns, which every determinism diff strips.
+  // Trial results themselves run on virtual time and are byte-identical at
+  // any BGPSDN_JOBS.
+  // lint: wall-clock-ok(sweep footer and trial_s timing, outside the contract)
   using Clock = std::chrono::steady_clock;
-  const std::size_t total = points * runs_;
-  std::vector<double> values(total, 0.0);
-  std::vector<double> seconds(total, 0.0);
-
+  const auto seconds_since = [](Clock::time_point t0) {
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+  };
+  SweepTiming timing;
+  timing.trials = total;
+  timing.jobs = jobs == 0 ? default_jobs() : jobs;
+  task_seconds.assign(total, 0.0);
   const auto t0 = Clock::now();
-  parallel_for_index(total, jobs_, [&](std::size_t task) {
-    const std::size_t point = task / runs_;
-    const std::uint64_t seed = base_seed_ + (task % runs_);
+  parallel_for_index(total, timing.jobs, [&](std::size_t task) {
     const auto s0 = Clock::now();
-    values[task] = trial(point, seed);
-    seconds[task] = std::chrono::duration<double>(Clock::now() - s0).count();
+    fn(task);
+    task_seconds[task] = seconds_since(s0);
   });
-
-  SweepResult result;
-  result.trials = total;
-  result.jobs = jobs_;
-  result.wall_seconds =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-  result.points.reserve(points);
-  for (std::size_t p = 0; p < points; ++p) {
-    SweepPointResult row;
-    row.values.assign(values.begin() + p * runs_,
-                      values.begin() + (p + 1) * runs_);
-    row.summary = summarize(row.values);
-    for (std::size_t r = 0; r < runs_; ++r) {
-      row.trial_seconds += seconds[p * runs_ + r];
-    }
-    result.trial_seconds += row.trial_seconds;
-    result.points.push_back(row);
+  timing.wall_seconds = seconds_since(t0);
+  for (std::size_t i = 0; i < total; ++i) {
+    timing.serial_seconds += task_seconds[i];
   }
-  return result;
+  return timing;
 }
 
 }  // namespace bgpsdn::framework

@@ -1,120 +1,117 @@
-// TrialRunner / ParamSweepRunner — repeat seeded experiments and summarize.
+// run_sweep — the one timed runner behind every seeded sweep.
 //
-// The paper reports "boxplots over 10 runs"; a trial function maps a seed
-// to one scalar measurement (e.g. convergence seconds), the runner sweeps
-// seeds and returns the five-number summary. Trials are independent
-// simulations — each builds its own Experiment (event loop, network, rng) —
-// so they parallelize across worker threads while each simulation stays
-// single-threaded inside. Results are collected by seed index, which makes
-// the Summary bit-identical whether jobs=1 or jobs=N.
+// The paper reports "boxplots over 10 runs"; every bench, `bgpsdn_run
+// --trials` and `bgpsdn_matrix` sweep is a grid of points x runs trials.
+// Trials are independent simulations — each builds its own Experiment
+// (event loop, network, rng) — so they parallelize across worker threads
+// while each simulation stays single-threaded inside. Results are stored
+// by (point, run) index, which makes them bit-identical whether jobs=1 or
+// jobs=N. The runner also times every task and the whole sweep: this file
+// is the one place outside the micro benches that reads the wall clock,
+// and those figures feed only footers and timing columns, which sit
+// outside the determinism contract.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <vector>
-
-#include "framework/stats.hpp"
 
 namespace bgpsdn::framework {
 
 /// Worker-thread count for parallel trial execution: the BGPSDN_JOBS
-/// environment variable when set to a positive integer, otherwise
-/// std::thread::hardware_concurrency(). Never returns 0.
+/// environment variable when it is a positive integer (whole token),
+/// otherwise std::thread::hardware_concurrency(). Never returns 0.
 std::size_t default_jobs();
+
+/// Smoke mode of the benches and bgpsdn_matrix: true when BGPSDN_QUICK is
+/// set to the integer 1 (whole token).
+bool quick_mode();
 
 /// Runs fn(0), ..., fn(total-1) on up to `jobs` worker threads. Which thread
 /// executes which index is unspecified; callers keep determinism by writing
 /// only to index-addressed slots. jobs <= 1 degenerates to a plain serial
-/// loop on the calling thread (no threads spawned — byte-identical to the
-/// historical serial runner). The first exception thrown by any fn is
-/// rethrown on the calling thread after all workers finish.
+/// loop on the calling thread (no threads spawned). The first exception
+/// thrown by any fn is rethrown on the calling thread after all workers
+/// finish.
 void parallel_for_index(std::size_t total, std::size_t jobs,
                         const std::function<void(std::size_t)>& fn);
 
-class TrialRunner {
- public:
-  explicit TrialRunner(std::size_t runs, std::uint64_t base_seed = 1000,
-                       std::size_t jobs = 1)
-      : runs_{runs}, base_seed_{base_seed}, jobs_{jobs == 0 ? 1 : jobs} {}
-
-  /// Runs `trial` with seeds base, base+1, ... and summarizes the results.
-  /// With jobs > 1 the trial function must be thread-safe (each call builds
-  /// its own simulation); values land in seed order regardless of jobs.
-  Summary run(const std::function<double(std::uint64_t seed)>& trial) const {
-    return summarize(run_values(trial));
-  }
-
-  /// The raw per-seed values, in seed order.
-  std::vector<double> run_values(
-      const std::function<double(std::uint64_t seed)>& trial) const;
-
-  std::size_t runs() const { return runs_; }
-  std::size_t jobs() const { return jobs_; }
-
- private:
-  std::size_t runs_;
-  std::uint64_t base_seed_;
-  std::size_t jobs_;
-};
-
-/// One sweep point's results: the seed summary plus the summed wall-clock
-/// seconds its trials cost (the serial-equivalent time of the row).
-struct SweepPointResult {
-  Summary summary;
-  /// The raw per-seed values behind the summary, in seed order — what the
-  /// JSON bench reports list verbatim.
-  std::vector<double> values;
-  double trial_seconds{0};
-
-  /// Effective throughput had the row run alone: trials per second of
-  /// serial-equivalent work.
-  double trials_per_second() const {
-    return trial_seconds > 0 ? static_cast<double>(summary.n) / trial_seconds
-                             : 0.0;
-  }
-};
-
-/// Whole-sweep results and timing.
-struct SweepResult {
-  std::vector<SweepPointResult> points;  // index = sweep point
-  std::size_t trials{0};                 // points x runs
+/// Wall-clock timing of one sweep.
+struct SweepTiming {
+  std::size_t trials{0};
   std::size_t jobs{1};
-  double wall_seconds{0};   // real elapsed time of the whole sweep
-  double trial_seconds{0};  // sum of every trial's own wall time
+  double wall_seconds{0};    // real elapsed time of the whole sweep
+  double serial_seconds{0};  // sum of every task's own wall time
 
   /// Measured speedup over a serial run: the serial run's wall time is the
-  /// sum of per-trial times, so the ratio is the effective parallelism.
+  /// sum of per-task times, so the ratio is the effective parallelism.
   double speedup() const {
-    return wall_seconds > 0 ? trial_seconds / wall_seconds : 0.0;
+    return wall_seconds > 0 ? serial_seconds / wall_seconds : 0.0;
   }
   double trials_per_second() const {
     return wall_seconds > 0 ? static_cast<double>(trials) / wall_seconds : 0.0;
   }
+  /// The timing of two sweeps run one after the other.
+  SweepTiming operator+(const SweepTiming& other) const;
 };
 
-/// Parallelizes a whole bench: every (sweep point, seed) pair becomes one
-/// task on a shared worker pool, so a fractions x seeds sweep saturates the
-/// machine instead of one core. Output is ordered by (point, seed) index —
-/// byte-identical to running the points one after another serially.
-class ParamSweepRunner {
- public:
-  /// `trial` maps (point index, seed) to a measurement.
-  using PointTrial = std::function<double(std::size_t point, std::uint64_t seed)>;
+/// Runs fn(0..total-1) like parallel_for_index on `jobs` workers
+/// (0 = default_jobs()), storing each task's own wall seconds in
+/// `task_seconds[i]`.
+SweepTiming run_timed(std::size_t total, std::size_t jobs,
+                      std::vector<double>& task_seconds,
+                      const std::function<void(std::size_t)>& fn);
 
-  explicit ParamSweepRunner(std::size_t runs, std::uint64_t base_seed = 1000,
-                            std::size_t jobs = 0)
-      : runs_{runs}, base_seed_{base_seed},
-        jobs_{jobs == 0 ? default_jobs() : jobs} {}
+/// The results of run_sweep, index = point * runs + run.
+template <typename R>
+struct Sweep {
+  std::size_t runs{0};
+  std::vector<R> results;
+  std::vector<double> task_seconds;  // each task's own wall time
+  SweepTiming timing;
 
-  SweepResult run(std::size_t points, const PointTrial& trial) const;
+  /// One point's results in run order, projected to doubles (`proj` may be
+  /// a pointer to a data member).
+  template <typename Proj = std::identity>
+  std::vector<double> values(std::size_t point, Proj proj = {}) const {
+    std::vector<double> out;
+    out.reserve(runs);
+    for (std::size_t r = 0; r < runs; ++r) {
+      out.push_back(
+          static_cast<double>(std::invoke(proj, results[point * runs + r])));
+    }
+    return out;
+  }
 
-  std::size_t runs() const { return runs_; }
-  std::size_t jobs() const { return jobs_; }
-
- private:
-  std::size_t runs_;
-  std::uint64_t base_seed_;
-  std::size_t jobs_;
+  /// One point's serial-equivalent seconds (its tasks' wall times).
+  double point_seconds(std::size_t point) const {
+    double total = 0.0;
+    for (std::size_t r = 0; r < runs; ++r) {
+      total += task_seconds[point * runs + r];
+    }
+    return total;
+  }
 };
+
+/// Runs fn(point, run) for every point < `points` and run < `runs` on
+/// `jobs` workers (0 = default_jobs()). With jobs > 1, fn must be
+/// thread-safe (each call builds its own simulation); results land in
+/// (point, run) order regardless of jobs.
+template <typename Fn>
+auto run_sweep(std::size_t points, std::size_t runs, std::size_t jobs,
+               Fn&& fn) {
+  using R = std::decay_t<std::invoke_result_t<Fn&, std::size_t, std::size_t>>;
+  static_assert(!std::is_same_v<R, bool>,
+                "std::vector<bool> slots are not safe to fill in parallel");
+  Sweep<R> sweep;
+  sweep.runs = runs;
+  sweep.results.resize(points * runs);
+  sweep.timing = run_timed(points * runs, jobs, sweep.task_seconds,
+                           [&](std::size_t task) {
+                             sweep.results[task] = fn(task / runs, task % runs);
+                           });
+  return sweep;
+}
 
 }  // namespace bgpsdn::framework

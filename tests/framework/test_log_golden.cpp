@@ -50,7 +50,6 @@ LogCapture run_logged(std::set<AsNumber> members, bool with_collector) {
   cfg.timers.mrai = core::Duration::millis(500);
   cfg.recompute_delay = core::Duration::millis(200);
   cfg.with_collector = with_collector;
-  cfg.log_level = core::LogLevel::kDebug;
   Experiment exp{spec, std::move(members), cfg};
 
   LogCapture cap;

@@ -300,5 +300,18 @@ TEST(ExperimentSpecTest, RunTrialExecutesOneCellEndToEnd) {
   EXPECT_EQ(cell.run_trial(42), first);
 }
 
+TEST(ExperimentSpecTest, RunTrialReportsATimedOutWaitAsFailed) {
+  // A quiet window longer than the 3600 s wait budget can never be met: the
+  // wait times out, and the trial must fail rather than report the last
+  // activity as a convergence time.
+  const auto cell = ExperimentSpecBuilder{}
+                        .topology(TopologyModel::kClique, 4)
+                        .event(EventKind::kWithdrawal)
+                        .mrai(core::Duration::seconds_f(0.3))
+                        .wait_quiet(core::Duration::seconds(4000))
+                        .build();
+  EXPECT_EQ(cell.run_trial(1), -1.0);
+}
+
 }  // namespace
 }  // namespace bgpsdn::framework

@@ -1,16 +1,19 @@
 // Reentrancy + parallel-trial regression tests: simulations must be fully
 // deterministic given a seed, regardless of how many ran before them in the
-// same process or which thread they run on, and the parallel trial runners
+// same process or which thread they run on, and the parallel trial runner
 // must produce byte-identical summaries at any jobs count.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "framework/experiment.hpp"
+#include "framework/experiment_spec.hpp"
 #include "framework/stats.hpp"
 #include "framework/trial.hpp"
 #include "topology/generators.hpp"
@@ -101,12 +104,15 @@ TEST(Determinism, WorkerThreadMatchesMainThread) {
 }
 
 TEST(TrialRunnerParallel, SummaryIsByteIdenticalAcrossJobs) {
-  const framework::TrialRunner serial{6, 500, 1};
-  const framework::TrialRunner pooled{6, 500, 4};
-  EXPECT_EQ(serial.jobs(), 1u);
-  EXPECT_EQ(pooled.jobs(), 4u);
-  const auto serial_values = serial.run_values(quick_trial);
-  const auto pooled_values = pooled.run_values(quick_trial);
+  const auto trial = [](std::size_t, std::size_t run) {
+    return quick_trial(500 + run);
+  };
+  const auto serial = framework::run_sweep(1, 6, 1, trial);
+  const auto pooled = framework::run_sweep(1, 6, 4, trial);
+  EXPECT_EQ(serial.timing.jobs, 1u);
+  EXPECT_EQ(pooled.timing.jobs, 4u);
+  const auto& serial_values = serial.results;
+  const auto& pooled_values = pooled.results;
   EXPECT_EQ(serial_values, pooled_values);
   const auto serial_row =
       framework::boxplot_row("conv_s", framework::summarize(serial_values));
@@ -116,23 +122,62 @@ TEST(TrialRunnerParallel, SummaryIsByteIdenticalAcrossJobs) {
 }
 
 TEST(ParamSweepRunnerParallel, SweepIsDeterministicAcrossJobs) {
-  const auto trial = [](std::size_t point, std::uint64_t seed) {
+  const auto trial = [](std::size_t point, std::size_t run) {
     // Deterministic stand-in keyed on both coordinates.
+    const std::uint64_t seed = 500 + run;
     return static_cast<double>(point * 1000 + seed % 97);
   };
-  const framework::ParamSweepRunner serial{4, 500, 1};
-  const framework::ParamSweepRunner pooled{4, 500, 3};
-  const auto a = serial.run(3, trial);
-  const auto b = pooled.run(3, trial);
-  ASSERT_EQ(a.points.size(), 3u);
-  ASSERT_EQ(b.points.size(), 3u);
-  EXPECT_EQ(a.trials, 12u);
-  EXPECT_EQ(b.trials, 12u);
-  for (std::size_t p = 0; p < a.points.size(); ++p) {
-    EXPECT_EQ(a.points[p].summary.median, b.points[p].summary.median) << p;
-    EXPECT_EQ(a.points[p].summary.min, b.points[p].summary.min) << p;
-    EXPECT_EQ(a.points[p].summary.max, b.points[p].summary.max) << p;
+  const auto a = framework::run_sweep(3, 4, 1, trial);
+  const auto b = framework::run_sweep(3, 4, 3, trial);
+  ASSERT_EQ(a.results.size(), 12u);
+  ASSERT_EQ(b.results.size(), 12u);
+  EXPECT_EQ(a.timing.trials, 12u);
+  EXPECT_EQ(b.timing.trials, 12u);
+  for (std::size_t p = 0; p < 3; ++p) {
+    const auto sa = framework::summarize(a.values(p));
+    const auto sb = framework::summarize(b.values(p));
+    EXPECT_EQ(sa.median, sb.median) << p;
+    EXPECT_EQ(sa.min, sb.min) << p;
+    EXPECT_EQ(sa.max, sb.max) << p;
   }
+}
+
+/// A struct result, as the benches return: the measurement plus the
+/// experiment's counters.
+struct CountedTrial {
+  double seconds{0};
+  std::map<std::string, std::int64_t> counters;
+  bool operator==(const CountedTrial&) const = default;
+};
+
+TEST(TrialSweepParallel, StructResultsAreIdenticalAcrossJobs) {
+  const auto trial = [](std::size_t point, std::size_t run) {
+    ExperimentConfig cfg;
+    cfg.seed = 700 + run;
+    cfg.timers.mrai = core::Duration::millis(500);
+    cfg.recompute_delay = core::Duration::millis(200);
+    std::set<core::AsNumber> members;
+    if (point == 1) members = {core::AsNumber{3}, core::AsNumber{4}};
+    Experiment exp{topology::clique(4), members, cfg};
+    const auto pfx = *net::Prefix::parse("10.0.0.0/16");
+    exp.announce_prefix(core::AsNumber{1}, pfx);
+    EXPECT_TRUE(exp.start());
+    const auto t0 = exp.loop().now();
+    exp.withdraw_prefix(core::AsNumber{1}, pfx);
+    CountedTrial result;
+    result.seconds = exp.wait_converged().since(t0).to_seconds();
+    framework::accumulate_counters(exp, result.counters);
+    return result;
+  };
+  const auto serial = framework::run_sweep(2, 3, 1, trial);
+  const auto pooled = framework::run_sweep(2, 3, 4, trial);
+  ASSERT_EQ(serial.results.size(), 6u);
+  EXPECT_FALSE(serial.results[0].counters.empty());
+  EXPECT_EQ(serial.results, pooled.results);
+  EXPECT_EQ(pooled.task_seconds.size(), 6u);
+  EXPECT_EQ(pooled.timing.trials, 6u);
+  // Both points really ran: the hybrid point differs from pure BGP.
+  EXPECT_NE(serial.results[0].counters, serial.results[3].counters);
 }
 
 TEST(ParallelForIndex, VisitsEveryIndexExactlyOnce) {
@@ -155,12 +200,18 @@ TEST(ParallelForIndex, PropagatesWorkerExceptions) {
 TEST(DefaultJobs, HonorsEnvVar) {
   const char* prior = std::getenv("BGPSDN_JOBS");
   const std::string saved = prior != nullptr ? prior : "";
+  ::unsetenv("BGPSDN_JOBS");
+  const std::size_t machine = framework::default_jobs();
+  EXPECT_GE(machine, 1u);
   ::setenv("BGPSDN_JOBS", "3", 1);
   EXPECT_EQ(framework::default_jobs(), 3u);
-  ::setenv("BGPSDN_JOBS", "not-a-number", 1);
-  EXPECT_GE(framework::default_jobs(), 1u);  // falls back to the machine
+  // Malformed values fall back to the machine: the whole token must be a
+  // positive integer.
+  for (const char* bad : {"not-a-number", "3x", "+3", " 3", "0", ""}) {
+    ::setenv("BGPSDN_JOBS", bad, 1);
+    EXPECT_EQ(framework::default_jobs(), machine) << "'" << bad << "'";
+  }
   ::unsetenv("BGPSDN_JOBS");
-  EXPECT_GE(framework::default_jobs(), 1u);
   if (prior != nullptr) ::setenv("BGPSDN_JOBS", saved.c_str(), 1);
 }
 

@@ -56,12 +56,13 @@ TEST(Stats, RowFormatting) {
 }
 
 TEST(TrialRunner, SweepsSeedsDeterministically) {
-  TrialRunner runner{5, 100};
   std::vector<std::uint64_t> seeds;
-  const auto s = runner.run([&](std::uint64_t seed) {
+  const auto sweep = run_sweep(1, 5, 1, [&](std::size_t, std::size_t run) {
+    const std::uint64_t seed = 100 + run;
     seeds.push_back(seed);
     return static_cast<double>(seed);
   });
+  const auto s = summarize(sweep.results);
   EXPECT_EQ(seeds, (std::vector<std::uint64_t>{100, 101, 102, 103, 104}));
   EXPECT_EQ(s.n, 5u);
   EXPECT_DOUBLE_EQ(s.median, 102.0);

@@ -12,12 +12,9 @@
 //
 // Exit code 0 when every trial converged; 1 when any trial failed to start
 // or timed out.
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -25,7 +22,6 @@
 #include "framework/config_text.hpp"
 #include "framework/matrix.hpp"
 #include "framework/report.hpp"
-#include "framework/stats.hpp"
 #include "framework/trial.hpp"
 
 namespace {
@@ -129,10 +125,7 @@ int main(int argc, char** argv) {
     matrix = fw::MatrixSpec::parse(text);
     if (trials_override) matrix.trials = *trials_override;
     if (seed_override) matrix.base_seed = *seed_override;
-    const char* quick = std::getenv("BGPSDN_QUICK");
-    if (quick != nullptr && quick[0] == '1' && matrix.trials > 3) {
-      matrix.trials = 3;
-    }
+    if (fw::quick_mode() && matrix.trials > 3) matrix.trials = 3;
     cells = matrix.expand();
     for (const auto& [axis, value] : filters) {
       cells = matrix.filter(std::move(cells), axis, value);
@@ -147,51 +140,26 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // lint: wall-clock-ok(wall/serial-equivalent/speedup footer only; trial
-  // measurements run on virtual time and the determinism diff excludes the
-  // footer)
-  if (jobs == 0) jobs = fw::default_jobs();
   std::printf("# matrix %s: %zu cells x %zu trials (seeds %llu..%llu)\n",
               matrix.name.c_str(), cells.size(), matrix.trials,
               static_cast<unsigned long long>(matrix.base_seed),
               static_cast<unsigned long long>(matrix.base_seed +
                                               matrix.trials - 1));
-  std::printf("%s\ttrial_s\ttrials_per_s\n",
-              fw::boxplot_header("cell").c_str());
-
-  // Per-task counter snapshots land in index-addressed slots and are summed
-  // in task order after the sweep — deterministic at any job count.
-  std::vector<std::map<std::string, std::int64_t>> task_counters(
-      json_path.empty() ? 0 : cells.size() * matrix.trials);
-  fw::ParamSweepRunner runner{matrix.trials, matrix.base_seed, jobs};
-  const auto sweep =
-      runner.run(cells.size(), [&](std::size_t cell, std::uint64_t seed) {
-        auto* counters =
-            json_path.empty()
-                ? nullptr
-                : &task_counters[cell * matrix.trials +
-                                 static_cast<std::size_t>(seed -
-                                                          matrix.base_seed)];
-        return cells[cell].spec.run_trial(seed, counters);
+  namespace tel = bgpsdn::telemetry;
+  fw::BenchReport report{"bgpsdn_matrix"};
+  const bool all_ok = fw::run_spec_sweep(
+      cells, "cell", matrix.trials, matrix.base_seed, jobs,
+      json_path.empty() ? nullptr : &report, [&](std::size_t c) {
+        tel::Json coords = tel::Json::object();
+        for (const auto& [axis, value] : cells[c].coords) {
+          coords[axis] = tel::Json{value};
+        }
+        tel::Json extra = tel::Json::object();
+        extra["coords"] = std::move(coords);
+        return extra;
       });
 
-  bool all_ok = true;
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    const auto& row = sweep.points[c];
-    for (const double v : row.values) all_ok &= v >= 0.0;
-    std::printf("%s\t%.2f\t%.2f\n",
-                fw::boxplot_row(cells[c].label, row.summary).c_str(),
-                row.trial_seconds, row.trials_per_second());
-  }
-  std::printf(
-      "# sweep: %zu trials, jobs=%zu, wall %.2f s, serial-equivalent %.2f s, "
-      "speedup %.2fx, %.2f trials/s\n",
-      sweep.trials, sweep.jobs, sweep.wall_seconds, sweep.trial_seconds,
-      sweep.speedup(), sweep.trials_per_second());
-
   if (!json_path.empty()) {
-    namespace tel = bgpsdn::telemetry;
-    fw::BenchReport report{"bgpsdn_matrix"};
     report.set_param("matrix", tel::Json{matrix.name});
     report.set_param("file", tel::Json{input});
     report.set_param("trials",
@@ -212,24 +180,6 @@ int main(int argc, char** argv) {
       }
       report.set_param("filters", std::move(applied));
     }
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      tel::Json extra = tel::Json::object();
-      tel::Json coords = tel::Json::object();
-      for (const auto& [axis, value] : cells[c].coords) {
-        coords[axis] = tel::Json{value};
-      }
-      extra["coords"] = std::move(coords);
-      report.add_point(cells[c].label, sweep.points[c].summary,
-                       sweep.points[c].values, std::move(extra));
-    }
-    for (const auto& per_task : task_counters) {
-      for (const auto& [name, value] : per_task) {
-        report.add_counter(name, value);
-      }
-    }
-    report.set_footer(static_cast<std::int64_t>(sweep.trials),
-                      static_cast<std::int64_t>(sweep.jobs),
-                      sweep.wall_seconds, sweep.trial_seconds);
     if (!report.write_file(json_path)) {
       std::cerr << "failed to write " << json_path << "\n";
       return 1;

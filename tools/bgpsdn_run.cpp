@@ -12,7 +12,6 @@
 //
 // Exit code 0 when the script ran and every expectation held (in every
 // trial); 1 otherwise.
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -22,6 +21,7 @@
 #include <vector>
 
 #include "framework/config_text.hpp"
+#include "framework/experiment_spec.hpp"
 #include "framework/report.hpp"
 #include "framework/scenario.hpp"
 #include "framework/stats.hpp"
@@ -134,135 +134,92 @@ int main(int argc, char** argv) {
     have_faults = true;
   }
 
-  if (trials == 1) {
-    // lint: wall-clock-ok(wall_s footer only; the simulation itself runs on
-    // virtual time and the determinism diff excludes the footer)
-    using Clock = std::chrono::steady_clock;
-    const auto t0 = Clock::now();
-    bgpsdn::framework::ScenarioRunner runner;
-    runner.set_capture_telemetry(!json_path.empty());
-    if (have_faults) runner.set_fault_plan(fault_plan);
-    const auto result = runner.run(script);
-    const double wall =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    for (const auto& line : result.output) std::cout << line << "\n";
-    if (!json_path.empty()) {
-      namespace fw = bgpsdn::framework;
-      namespace tel = bgpsdn::telemetry;
-      fw::BenchReport report{"bgpsdn_run"};
-      report.set_param("scenario", tel::Json{input});
-      report.set_param("trials", tel::Json{std::int64_t{1}});
-      if (have_faults) report.set_param("faults", tel::Json{faults_path});
-      tel::Json extra = tel::Json::object();
-      if (auto* exp = runner.experiment(); exp != nullptr) {
-        extra["monitors"] = exp->monitors_snapshot();
-        tel::Json snap = exp->telemetry().metrics().snapshot();
-        for (const auto& [name, value] : snap["counters"].entries()) {
-          report.add_counter(name, value.as_int());
+  namespace fw = bgpsdn::framework;
+  namespace tel = bgpsdn::telemetry;
+  // A single run keeps the script's own seed and runs on this thread;
+  // --trials N overrides the seed per trial and spreads the trials over the
+  // worker pool.
+  const bool single = trials == 1;
+  const bool want_json = !json_path.empty();
+  struct Trial {
+    fw::ScenarioResult result;
+    std::map<std::string, std::int64_t> counters;
+    tel::Json extra = tel::Json::object();
+  };
+  const auto sweep = fw::run_sweep(
+      1, trials, single ? 1 : jobs, [&](std::size_t, std::size_t i) {
+        fw::ScenarioRunner runner;
+        if (single) {
+          runner.set_capture_telemetry(want_json);
+        } else {
+          runner.override_seed(base_seed + i);
         }
-      }
-      report.add_point("wait_converged_s",
-                       fw::summarize(result.convergence_seconds),
-                       result.convergence_seconds, std::move(extra));
-      report.set_footer(1, 1, wall, wall);
-      if (!report.write_file(json_path)) {
-        std::cerr << "failed to write " << json_path << "\n";
-        return 1;
-      }
-      std::printf("# json: %s\n", json_path.c_str());
-    }
-    if (!result.ok) {
-      std::cerr << "FAILED: " << result.error << "\n";
-      return 1;
-    }
-    return 0;
-  }
-
-  // lint: wall-clock-ok(wall/serial-equivalent/speedup footer of --trials
-  // runs; excluded from the jobs=1-vs-4 determinism diff)
-  using Clock = std::chrono::steady_clock;
-  if (jobs == 0) jobs = bgpsdn::framework::default_jobs();
-  std::vector<bgpsdn::framework::ScenarioResult> results(trials);
-  std::vector<double> trial_seconds(trials, 0.0);
-  // Per-trial counter snapshots, index-addressed and summed in trial order
-  // afterwards — deterministic at any job count.
-  std::vector<std::map<std::string, std::int64_t>> trial_counters(
-      json_path.empty() ? 0 : trials);
-  const auto t0 = Clock::now();
-  bgpsdn::framework::parallel_for_index(trials, jobs, [&](std::size_t i) {
-    const auto s0 = Clock::now();
-    bgpsdn::framework::ScenarioRunner runner;
-    runner.override_seed(base_seed + i);
-    if (have_faults) runner.set_fault_plan(fault_plan);
-    results[i] = runner.run(script);
-    if (!json_path.empty()) {
-      if (auto* exp = runner.experiment(); exp != nullptr) {
-        bgpsdn::telemetry::Json snap = exp->telemetry().metrics().snapshot();
-        for (const auto& [name, value] : snap["counters"].entries()) {
-          trial_counters[i][name] += value.as_int();
+        if (have_faults) runner.set_fault_plan(fault_plan);
+        Trial trial;
+        trial.result = runner.run(script);
+        if (auto* exp = runner.experiment(); want_json && exp != nullptr) {
+          fw::accumulate_counters(*exp, trial.counters);
+          if (single) trial.extra["monitors"] = exp->monitors_snapshot();
         }
-      }
-    }
-    trial_seconds[i] = std::chrono::duration<double>(Clock::now() - s0).count();
-  });
-  const double wall = std::chrono::duration<double>(Clock::now() - t0).count();
+        return trial;
+      });
 
   bool all_ok = true;
   std::vector<double> final_conv;
-  for (std::size_t i = 0; i < trials; ++i) {
-    if (!results[i].ok) {
-      all_ok = false;
-      std::cerr << "FAILED (seed " << base_seed + i
-                << "): " << results[i].error << "\n";
-    } else if (!results[i].convergence_seconds.empty()) {
-      final_conv.push_back(results[i].convergence_seconds.back());
-    }
-  }
-
-  std::printf("# %zu seeded trials (seeds %llu..%llu), jobs=%zu\n", trials,
-              static_cast<unsigned long long>(base_seed),
-              static_cast<unsigned long long>(base_seed + trials - 1), jobs);
-  if (!final_conv.empty()) {
-    std::printf("%s\n",
-                bgpsdn::framework::boxplot_header("metric").c_str());
-    std::printf("%s\n",
-                bgpsdn::framework::boxplot_row(
-                    "wait_converged_s",
-                    bgpsdn::framework::summarize(final_conv))
-                    .c_str());
-  }
-  double serial = 0.0;
-  // lint: float-order-ok(index-ordered vector, and the speedup footer is
-  // wall-clock diagnostics excluded from the determinism diff)
-  for (const double s : trial_seconds) serial += s;
-  std::printf(
-      "# wall %.2f s, serial-equivalent %.2f s, speedup %.2fx, %.2f trials/s\n",
-      wall, serial, wall > 0 ? serial / wall : 0.0,
-      wall > 0 ? static_cast<double>(trials) / wall : 0.0);
-  if (!json_path.empty()) {
-    namespace fw = bgpsdn::framework;
-    namespace tel = bgpsdn::telemetry;
-    fw::BenchReport report{"bgpsdn_run"};
-    report.set_param("scenario", tel::Json{input});
-    report.set_param("trials",
-                     tel::Json{static_cast<std::int64_t>(trials)});
-    report.set_param("base_seed",
-                     tel::Json{static_cast<std::int64_t>(base_seed)});
-    if (have_faults) report.set_param("faults", tel::Json{faults_path});
-    report.add_point("wait_converged_s", fw::summarize(final_conv),
-                     final_conv);
-    for (const auto& per_trial : trial_counters) {
-      for (const auto& [name, value] : per_trial) {
-        report.add_counter(name, value);
+  if (single) {
+    const Trial& trial = sweep.results.front();
+    for (const auto& line : trial.result.output) std::cout << line << "\n";
+    all_ok = trial.result.ok;
+    final_conv = trial.result.convergence_seconds;
+  } else {
+    for (std::size_t i = 0; i < trials; ++i) {
+      const fw::ScenarioResult& result = sweep.results[i].result;
+      if (!result.ok) {
+        all_ok = false;
+        std::cerr << "FAILED (seed " << base_seed + i << "): " << result.error
+                  << "\n";
+      } else if (!result.convergence_seconds.empty()) {
+        final_conv.push_back(result.convergence_seconds.back());
       }
     }
-    report.set_footer(static_cast<std::int64_t>(trials),
-                      static_cast<std::int64_t>(jobs), wall, serial);
+    std::printf("# %zu seeded trials (seeds %llu..%llu), jobs=%zu\n", trials,
+                static_cast<unsigned long long>(base_seed),
+                static_cast<unsigned long long>(base_seed + trials - 1),
+                sweep.timing.jobs);
+    if (!final_conv.empty()) {
+      std::printf("%s\n", fw::boxplot_header("metric").c_str());
+      std::printf(
+          "%s\n",
+          fw::boxplot_row("wait_converged_s", fw::summarize(final_conv))
+              .c_str());
+    }
+    fw::print_footer(sweep.timing);
+  }
+
+  if (want_json) {
+    fw::BenchReport report{"bgpsdn_run"};
+    report.set_param("scenario", tel::Json{input});
+    report.set_param("trials", tel::Json{static_cast<std::int64_t>(trials)});
+    if (!single) {
+      report.set_param("base_seed",
+                       tel::Json{static_cast<std::int64_t>(base_seed)});
+    }
+    if (have_faults) report.set_param("faults", tel::Json{faults_path});
+    // A single run lists every wait's convergence time and its monitors;
+    // --trials lists each trial's last wait.
+    report.add_point("wait_converged_s", fw::summarize(final_conv), final_conv,
+                     single ? sweep.results.front().extra
+                            : tel::Json::object());
+    for (const Trial& trial : sweep.results) report.add_counters(trial.counters);
+    report.set_footer(sweep.timing);
     if (!report.write_file(json_path)) {
       std::cerr << "failed to write " << json_path << "\n";
       return 1;
     }
     std::printf("# json: %s\n", json_path.c_str());
+  }
+  if (single && !all_ok) {
+    std::cerr << "FAILED: " << sweep.results.front().result.error << "\n";
   }
   return all_ok ? 0 : 1;
 }

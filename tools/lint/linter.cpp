@@ -798,7 +798,7 @@ void rule_t1_threads(FileContext& ctx) {
     if (t == "jthread") {
       ctx.add("T1", toks[i].line, t,
               "raw threading outside src/framework/trial.*; all "
-              "parallelism goes through TrialRunner");
+              "parallelism goes through the trial pool");
       continue;
     }
     if (kStdQualified.contains(t)) {
@@ -809,7 +809,7 @@ void rule_t1_threads(FileContext& ctx) {
       if (!std_qualified) continue;
       ctx.add("T1", toks[i].line, "std::" + t,
               "raw threading/synchronization outside src/framework/trial.*; "
-              "all parallelism goes through TrialRunner");
+              "all parallelism goes through the trial pool");
       continue;
     }
     if (t == "detach") {
@@ -818,7 +818,7 @@ void rule_t1_threads(FileContext& ctx) {
       if (!is_member_access(toks, i)) continue;
       ctx.add("T1", toks[i].line, "detach()",
               "detached threads can outlive the trial; all parallelism "
-              "goes through TrialRunner");
+              "goes through the trial pool");
     }
   }
 }

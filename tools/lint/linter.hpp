@@ -10,8 +10,9 @@
 // Pass 1 — token rules, per translation unit (DESIGN.md §10 has the full
 // table and rationale):
 //   D1  no wall clocks (system_clock/steady_clock/high_resolution_clock/
-//       time()/clock_gettime/gettimeofday) — virtual time only. The wall
-//       footer paths are annotated with `// lint: wall-clock-ok(reason)`.
+//       time()/clock_gettime/gettimeofday) — virtual time only. The two
+//       sanctioned wall-clock sites, the sweep runner (framework/trial.cpp)
+//       and bench_micro, are annotated with `// lint: wall-clock-ok(reason)`.
 //   D2  no ambient randomness (rand/srand/std::random_device/
 //       default_random_engine) and no default-seeded std engines — all
 //       randomness must flow from trial seeds through core::Rng.
@@ -31,7 +32,8 @@
 //       reach serialized output must come from a sorted or index-ordered
 //       source, documented via `// lint: float-order-ok(reason)`.
 //   T1  no std::thread/jthread/async/atomic/mutex/detach() outside
-//       src/framework/trial.* — all parallelism goes through TrialRunner.
+//       src/framework/trial.* — all parallelism goes through the trial pool
+//       (parallel_for_index / run_sweep).
 //   H1  header hygiene: `#pragma once` in every header, no
 //       `using namespace` in headers, no <iostream> in library headers
 //       (under src/).

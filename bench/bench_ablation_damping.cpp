@@ -40,38 +40,41 @@ ChurnResult run(bool damping, core::Duration recompute_delay,
   const core::AsNumber origin{1}, observer{8};
   const auto pfx = *net::Prefix::parse("10.0.0.0/16");
   exp.announce_prefix(origin, pfx);
-  if (!exp.start()) return {};
-
-  const auto updates0 = exp.router(observer).counters().updates_rx;
-  const auto mods0 = exp.idr_controller()->counters().flow_adds +
-                     exp.idr_controller()->counters().flow_deletes;
-
-  // Five withdraw/re-announce cycles, 8 s apart (inside the half-life).
-  for (int i = 0; i < 5; ++i) {
-    exp.withdraw_prefix(origin, pfx);
-    exp.run_for(core::Duration::seconds(8));
-    exp.announce_prefix(origin, pfx);
-    exp.run_for(core::Duration::seconds(8));
-  }
-  exp.wait_converged(framework::WaitOpts{core::Duration::seconds(11),
-                                         core::Duration::seconds(2400)});
-  // Give damping reuse timers a chance before judging usability.
-  exp.run_for(core::Duration::seconds(240));
 
   ChurnResult res;
-  res.updates_at_observer = static_cast<double>(
-      exp.router(observer).counters().updates_rx - updates0);
-  res.flow_mods =
-      static_cast<double>(exp.idr_controller()->counters().flow_adds +
-                          exp.idr_controller()->counters().flow_deletes - mods0);
-  std::uint64_t suppressions = 0;
-  for (const auto as : spec.ases) {
-    if (!exp.is_member(as)) {
-      suppressions += exp.router(as).counters().routes_suppressed;
+  const bool started = exp.start();
+  const bool ok = bench::checked_trial(exp, started, [&] {
+    const auto updates0 = exp.router(observer).counters().updates_rx;
+    const auto mods0 = exp.idr_controller()->counters().flow_adds +
+                       exp.idr_controller()->counters().flow_deletes;
+
+    // Five withdraw/re-announce cycles, 8 s apart (inside the half-life).
+    for (int i = 0; i < 5; ++i) {
+      exp.withdraw_prefix(origin, pfx);
+      exp.run_for(core::Duration::seconds(8));
+      exp.announce_prefix(origin, pfx);
+      exp.run_for(core::Duration::seconds(8));
     }
-  }
-  res.suppressions = static_cast<double>(suppressions);
-  res.usable_at_end = exp.router(observer).loc_rib().find(pfx) != nullptr;
+    exp.wait_converged(framework::WaitOpts{core::Duration::seconds(11),
+                                           core::Duration::seconds(2400)});
+    // Give damping reuse timers a chance before judging usability.
+    exp.run_for(core::Duration::seconds(240));
+
+    res.updates_at_observer = static_cast<double>(
+        exp.router(observer).counters().updates_rx - updates0);
+    res.flow_mods = static_cast<double>(
+        exp.idr_controller()->counters().flow_adds +
+        exp.idr_controller()->counters().flow_deletes - mods0);
+    std::uint64_t suppressions = 0;
+    for (const auto as : spec.ases) {
+      if (!exp.is_member(as)) {
+        suppressions += exp.router(as).counters().routes_suppressed;
+      }
+    }
+    res.suppressions = static_cast<double>(suppressions);
+    res.usable_at_end = exp.router(observer).loc_rib().find(pfx) != nullptr;
+  });
+  if (!ok) res.updates_at_observer = -1.0;
   return res;
 }
 
@@ -86,12 +89,14 @@ int main(int argc, char** argv) {
   std::printf("damping\trecompute_s\tobs_updates\tflow_mods\tsuppressions\tusable\n");
   const double delays[] = {0.0, 2.0, 8.0};
   constexpr std::size_t kCols = std::size(delays);
+  const std::uint64_t base_seed = cli.seed_or(5000);
   // Point = (damping, delay) combo; the whole grid shares the worker pool.
   const auto sweep = framework::run_sweep(
       2 * kCols, runs, framework::default_jobs(),
       [&](std::size_t point, std::size_t r) {
         return run(point / kCols == 1,
-                   core::Duration::seconds_f(delays[point % kCols]), 5000 + r);
+                   core::Duration::seconds_f(delays[point % kCols]),
+                   base_seed + r);
       });
   framework::BenchReport report{"ablation_damping"};
   report.set_param("runs", telemetry::Json{static_cast<std::int64_t>(runs)});
@@ -124,5 +129,5 @@ int main(int argc, char** argv) {
   framework::print_footer(sweep.timing);
   report.set_footer(sweep.timing);
   bench::finish_report(report, cli);
-  return 0;
+  return bench::any_failed(sweep, &ChurnResult::updates_at_observer) ? 1 : 0;
 }

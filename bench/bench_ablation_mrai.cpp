@@ -63,5 +63,5 @@ int main(int argc, char** argv) {
     report.set_footer(sweep.timing);
     bench::finish_report(report, cli);
   }
-  return 0;
+  return bench::any_failed(sweep) ? 1 : 0;
 }

@@ -56,30 +56,32 @@ AblationPoint run_point(core::Duration recompute_delay, std::uint64_t seed) {
   // The cell is driven by hand (not run_trial) because the result reads
   // controller deltas around the event, not just the convergence time.
   const auto exp = cell.make_experiment(seed);
-  if (!exp->start()) return {};
-
-  auto* ctrl = exp->idr_controller();
-  const auto recomputes0 = ctrl->counters().recompute_passes;
-  const auto mods0 = ctrl->counters().flow_adds + ctrl->counters().flow_deletes;
-  const auto spk0 = exp->cluster_speaker()->counters().announces_tx +
-                    exp->cluster_speaker()->counters().withdraws_tx;
-  const double span0 = batch_span_seconds(*exp);
-
-  const auto t0 = cell.inject_event(*exp);
-  const auto conv = exp->wait_converged(framework::WaitOpts{
-      cell.effective_quiet(), core::Duration::seconds(3600)});
-
   AblationPoint p;
-  p.conv_seconds = conv.since(t0).to_seconds();
-  p.recomputes =
-      static_cast<double>(ctrl->counters().recompute_passes - recomputes0);
-  p.flow_mods = static_cast<double>(ctrl->counters().flow_adds +
-                                    ctrl->counters().flow_deletes - mods0);
-  p.speaker_msgs =
-      static_cast<double>(exp->cluster_speaker()->counters().announces_tx +
-                          exp->cluster_speaker()->counters().withdraws_tx -
-                          spk0);
-  p.batch_span_s = batch_span_seconds(*exp) - span0;
+  const bool started = exp->start();
+  const bool ok = bench::checked_trial(*exp, started, [&] {
+    auto* ctrl = exp->idr_controller();
+    const auto recomputes0 = ctrl->counters().recompute_passes;
+    const auto mods0 = ctrl->counters().flow_adds + ctrl->counters().flow_deletes;
+    const auto spk0 = exp->cluster_speaker()->counters().announces_tx +
+                      exp->cluster_speaker()->counters().withdraws_tx;
+    const double span0 = batch_span_seconds(*exp);
+
+    const auto t0 = cell.inject_event(*exp);
+    const auto conv = exp->wait_converged(framework::WaitOpts{
+        cell.effective_quiet(), core::Duration::seconds(3600)});
+
+    p.conv_seconds = conv.since(t0).to_seconds();
+    p.recomputes =
+        static_cast<double>(ctrl->counters().recompute_passes - recomputes0);
+    p.flow_mods = static_cast<double>(ctrl->counters().flow_adds +
+                                      ctrl->counters().flow_deletes - mods0);
+    p.speaker_msgs =
+        static_cast<double>(exp->cluster_speaker()->counters().announces_tx +
+                            exp->cluster_speaker()->counters().withdraws_tx -
+                            spk0);
+    p.batch_span_s = batch_span_seconds(*exp) - span0;
+  });
+  if (!ok) p.conv_seconds = -1.0;
   return p;
 }
 
@@ -116,24 +118,27 @@ ChurnPoint run_churn(std::size_t flaps, std::uint64_t seed) {
   // train itself — fail/restore the link between the two lowest members,
   // waiting out convergence after every transition — is inject_event().
   const auto exp = cell.make_experiment(seed);
-  if (!exp->start()) return {};
-  exp->wait_converged();
-
-  auto* ctrl = exp->idr_controller();
-  const auto recomputes0 = ctrl->counters().prefix_recomputes;
-  const auto replayed0 = ctrl->counters().spt_vertices_replayed;
-  const auto mods0 = ctrl->counters().flow_adds + ctrl->counters().flow_deletes;
-  const auto t0 = exp->loop().now();
-  cell.inject_event(*exp);
-
   ChurnPoint p;
-  p.conv_seconds = (exp->loop().now() - t0).to_seconds();
-  p.prefix_recomputes =
-      static_cast<double>(ctrl->counters().prefix_recomputes - recomputes0);
-  p.settles = static_cast<double>(ctrl->counters().spt_vertices_replayed -
-                                  replayed0);
-  p.flow_mods = static_cast<double>(ctrl->counters().flow_adds +
-                                    ctrl->counters().flow_deletes - mods0);
+  const bool started = exp->start();
+  const bool ok = bench::checked_trial(*exp, started, [&] {
+    exp->wait_converged();
+
+    auto* ctrl = exp->idr_controller();
+    const auto recomputes0 = ctrl->counters().prefix_recomputes;
+    const auto replayed0 = ctrl->counters().spt_vertices_replayed;
+    const auto mods0 = ctrl->counters().flow_adds + ctrl->counters().flow_deletes;
+    const auto t0 = exp->loop().now();
+    cell.inject_event(*exp);
+
+    p.conv_seconds = (exp->loop().now() - t0).to_seconds();
+    p.prefix_recomputes =
+        static_cast<double>(ctrl->counters().prefix_recomputes - recomputes0);
+    p.settles = static_cast<double>(ctrl->counters().spt_vertices_replayed -
+                                    replayed0);
+    p.flow_mods = static_cast<double>(ctrl->counters().flow_adds +
+                                      ctrl->counters().flow_deletes - mods0);
+  });
+  if (!ok) p.conv_seconds = -1.0;
   return p;
 }
 
@@ -220,5 +225,8 @@ int main(int argc, char** argv) {
   framework::print_footer(churn.timing);
   report.set_footer(sweep.timing + churn.timing);
   bench::finish_report(report, cli);
-  return 0;
+  return bench::any_failed(sweep, &AblationPoint::conv_seconds) ||
+                 bench::any_failed(churn, &ChurnPoint::conv_seconds)
+             ? 1
+             : 0;
 }

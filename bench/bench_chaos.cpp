@@ -39,7 +39,7 @@ using namespace bgpsdn;
 namespace {
 
 constexpr std::size_t kCliqueSize = 10;
-constexpr std::uint64_t kBaseSeed = 9000;
+constexpr std::uint64_t kDefaultBaseSeed = 9000;
 const core::AsNumber kHostAs{1};
 constexpr double kTimeoutS = 60.0;
 
@@ -118,8 +118,7 @@ TrialResult run_row(const Row& row, std::uint64_t seed) {
   framework::Experiment exp{spec, members, cfg};
   const auto host_addr = exp.add_host(kHostAs).address();
   TrialResult result;
-  if (!exp.start(core::Duration::seconds(600))) return result;
-
+  const bool started = exp.start(core::Duration::seconds(600));
   const auto probe_until_reach = [&]() -> double {
     const auto t0 = exp.loop().now();
     while ((exp.loop().now() - t0).to_seconds() < kTimeoutS) {
@@ -130,22 +129,25 @@ TrialResult run_row(const Row& row, std::uint64_t seed) {
     }
     return kTimeoutS;  // censored
   };
+  const bool ok = bench::checked_trial(exp, started, [&] {
+    if (row.pre_degrade) {
+      exp.crash_controller();
+      // A fallback that never reconverges is a setup failure.
+      if (probe_until_reach() >= kTimeoutS) return;
+    }
 
-  if (row.pre_degrade) {
-    exp.crash_controller();
-    if (probe_until_reach() >= kTimeoutS) return result;
-  }
-
-  exp.attach_monitor<framework::FaultInjector>(
-      framework::FaultPlan::parse(row.plan));
-  result.recovery_s = probe_until_reach();
-  if (exp.replica_set() != nullptr) {
-    const auto& rc = exp.replica_set()->counters();
-    result.flow_mods_replayed = static_cast<double>(rc.flow_mods_replayed);
-    result.election_latency_s =
-        exp.replica_set()->last_election_latency().to_seconds();
-  }
-  bench::accumulate_counters(exp, result.counters);
+    exp.attach_monitor<framework::FaultInjector>(
+        framework::FaultPlan::parse(row.plan));
+    result.recovery_s = probe_until_reach();
+    if (exp.replica_set() != nullptr) {
+      const auto& rc = exp.replica_set()->counters();
+      result.flow_mods_replayed = static_cast<double>(rc.flow_mods_replayed);
+      result.election_latency_s =
+          exp.replica_set()->last_election_latency().to_seconds();
+    }
+    bench::accumulate_counters(exp, result.counters);
+  });
+  if (!ok) result.recovery_s = -1.0;
   return result;
 }
 
@@ -155,6 +157,7 @@ int main(int argc, char** argv) {
   const bench::BenchCli cli = bench::parse_cli(argc, argv);
   const std::size_t runs = cli.runs_or(bench::default_runs());
   const std::size_t points = std::size(kRows);
+  const std::uint64_t base_seed = cli.seed_or(kDefaultBaseSeed);
   std::printf("# data-plane time-to-recovery [s] under injected faults, "
               "%zu-AS clique, members 7-%zu\n",
               kCliqueSize, kCliqueSize);
@@ -165,7 +168,7 @@ int main(int argc, char** argv) {
   const auto sweep = framework::run_sweep(
       points, runs, framework::default_jobs(),
       [&](std::size_t point, std::size_t run) {
-        return run_row(kRows[point], kBaseSeed + run);
+        return run_row(kRows[point], base_seed + run);
       });
 
   framework::BenchReport report{"bench_chaos"};
@@ -196,5 +199,5 @@ int main(int argc, char** argv) {
     report.set_footer(sweep.timing);
     bench::finish_report(report, cli);
   }
-  return 0;
+  return bench::any_failed(sweep, &TrialResult::recovery_s) ? 1 : 0;
 }

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -103,6 +104,22 @@ inline void finish_report(const framework::BenchReport& report,
   std::printf("# json: %s\n", cli.json_path.c_str());
 }
 
+/// ExperimentSpec::run_trial's failure rule for the benches that drive an
+/// experiment by hand (framework helper, re-exported for the benches): a
+/// failed trial reports its point value as -1 (see any_failed()).
+using framework::checked_trial;
+
+/// Whether any trial of `sweep` failed, i.e. reads a negative point value
+/// through `point`. A bench prints its rows and report first, then exits 1
+/// when this holds.
+template <typename R, typename Proj = std::identity>
+bool any_failed(const framework::Sweep<R>& sweep, Proj point = {}) {
+  for (const R& r : sweep.results) {
+    if (std::invoke(point, r) < 0) return true;
+  }
+  return false;
+}
+
 /// Sums every telemetry counter of a finished experiment into `out` —
 /// the "key counters" block of the JSON reports (framework helper,
 /// re-exported for the benches).
@@ -131,8 +148,8 @@ inline framework::ExperimentSpec sweep_base_spec(
 /// Print a full SDN-fraction sweep as boxplot rows. Trials run in parallel
 /// across both fractions and seeds (BGPSDN_JOBS workers); rows keep the
 /// exact serial-run values, plus each row's serial-equivalent seconds and
-/// effective trials/sec.
-inline void run_sdn_sweep(EventKind event, std::size_t clique_size,
+/// effective trials/sec. Returns false when any trial failed.
+inline bool run_sdn_sweep(EventKind event, std::size_t clique_size,
                           std::size_t runs,
                           const framework::ExperimentConfig& base_config,
                           framework::BenchReport* report = nullptr,
@@ -152,8 +169,8 @@ inline void run_sdn_sweep(EventKind event, std::size_t clique_size,
     cell.spec = base;
     cell.spec.sdn_count = k;
   }
-  framework::run_spec_sweep(cells, "sdn_frac", runs, base_seed,
-                            framework::default_jobs(), report);
+  const bool ok = framework::run_spec_sweep(cells, "sdn_frac", runs, base_seed,
+                                            framework::default_jobs(), report);
   if (report != nullptr) {
     report->set_param("event",
                       telemetry::Json{std::string{framework::to_string(event)}});
@@ -161,6 +178,7 @@ inline void run_sdn_sweep(EventKind event, std::size_t clique_size,
                       telemetry::Json{static_cast<std::int64_t>(clique_size)});
     report->set_param("runs", telemetry::Json{static_cast<std::int64_t>(runs)});
   }
+  return ok;
 }
 
 /// Paper-faithful timer defaults (Quagga eBGP profile).

@@ -14,11 +14,11 @@ int main(int argc, char** argv) {
   using namespace bgpsdn;
   const bench::BenchCli cli = bench::parse_cli(argc, argv);
   framework::BenchReport report{"failover"};
-  bench::run_sdn_sweep(bench::EventKind::kFailover, 16,
-                       cli.runs_or(bench::default_runs()),
-                       bench::paper_config(),
-                       cli.want_json() ? &report : nullptr,
-                       cli.seed_or(1000));
+  const bool ok = bench::run_sdn_sweep(bench::EventKind::kFailover, 16,
+                                       cli.runs_or(bench::default_runs()),
+                                       bench::paper_config(),
+                                       cli.want_json() ? &report : nullptr,
+                                       cli.seed_or(1000));
   bench::finish_report(report, cli);
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -33,12 +33,16 @@ double run_one(framework::ControllerStyle style, std::size_t sdn_count,
   framework::Experiment exp{spec, members, cfg};
   const auto pfx = *net::Prefix::parse("10.0.0.0/16");
   exp.announce_prefix(core::AsNumber{1}, pfx);
-  if (!exp.start(core::Duration::seconds(600))) return -1;
-  const auto t0 = exp.loop().now();
-  exp.withdraw_prefix(core::AsNumber{1}, pfx);
-  const auto conv = exp.wait_converged(framework::WaitOpts{
-      core::Duration::seconds(61), core::Duration::seconds(3600)});
-  return conv.since(t0).to_seconds();
+  double seconds = -1.0;
+  const bool started = exp.start(core::Duration::seconds(600));
+  const bool ok = bench::checked_trial(exp, started, [&] {
+    const auto t0 = exp.loop().now();
+    exp.withdraw_prefix(core::AsNumber{1}, pfx);
+    const auto conv = exp.wait_converged(framework::WaitOpts{
+        core::Duration::seconds(61), core::Duration::seconds(3600)});
+    seconds = conv.since(t0).to_seconds();
+  });
+  return ok ? seconds : -1.0;
 }
 
 }  // namespace
@@ -51,6 +55,7 @@ int main(int argc, char** argv) {
   std::printf("# medians over %zu runs, paper-faithful timers\n", runs);
   std::printf("sdn_frac\tidr\trouteflow\n");
   const std::size_t fractions[] = {0, 4, 8, 12, 15};
+  const std::uint64_t base_seed = cli.seed_or(6000);
   // Point = (fraction, controller style); both styles of a fraction are
   // independent simulations, so the whole comparison shares one pool.
   const auto sweep = framework::run_sweep(
@@ -59,7 +64,7 @@ int main(int argc, char** argv) {
         const auto style = point % 2 == 0
                                ? framework::ControllerStyle::kIdrCentralized
                                : framework::ControllerStyle::kRouteFlowMirror;
-        return run_one(style, fractions[point / 2], 6000 + run);
+        return run_one(style, fractions[point / 2], base_seed + run);
       });
   for (std::size_t f = 0; f < std::size(fractions); ++f) {
     std::printf("%zu/16\t%.2f\t%.2f\n", fractions[f],
@@ -82,5 +87,5 @@ int main(int argc, char** argv) {
     report.set_footer(sweep.timing);
     bench::finish_report(report, cli);
   }
-  return 0;
+  return bench::any_failed(sweep) ? 1 : 0;
 }

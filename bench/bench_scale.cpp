@@ -36,7 +36,7 @@ using namespace bgpsdn;
 
 namespace {
 
-constexpr std::uint64_t kBaseSeed = 11000;
+constexpr std::uint64_t kDefaultBaseSeed = 11000;
 constexpr std::size_t kOrigins = 16;
 constexpr std::size_t kPrefixesPerOrigin = 11;
 
@@ -73,8 +73,7 @@ framework::ExperimentSpec make_spec(const Cell& cell) {
   builder.topology(cell.model, cell.size)
       .event(cell.event)
       .config(scale_config())
-      .trials(cell.runs)
-      .base_seed(kBaseSeed);
+      .trials(cell.runs);
   // 16 origins spread over the top half of the AS range (the stub tier of
   // internet_like numbers stubs last), 11 /24s each. The withdrawal event
   // retracts the first declared announcement, so it always retracts one
@@ -96,20 +95,19 @@ framework::ExperimentSpec make_spec(const Cell& cell) {
 TrialResult run_cell(const Cell& cell, std::uint64_t seed) {
   const framework::ExperimentSpec spec = make_spec(cell);
   auto experiment = spec.make_experiment(seed);
-  if (!experiment->start(core::Duration::seconds(600))) {
-    std::fprintf(stderr, "%s: trial failed to start (seed %llu)\n",
-                 cell.label.c_str(), static_cast<unsigned long long>(seed));
-    return {};
-  }
   TrialResult result;
-  const auto t0 = spec.inject_event(*experiment);
-  const auto conv = experiment->wait_converged(
-      framework::WaitOpts{spec.effective_quiet(), core::Duration::seconds(3600)});
-  result.seconds = conv.since(t0).to_seconds();
-  result.mem = experiment->memory_stats();
-  bench::accumulate_counters(*experiment, result.counters);
-  result.updates_rx = result.counters["bgp.session.updates_rx"];
-  result.decision_runs = result.counters["bgp.decision.runs"];
+  const bool started = experiment->start(core::Duration::seconds(600));
+  const bool ok = bench::checked_trial(*experiment, started, [&] {
+    const auto t0 = spec.inject_event(*experiment);
+    const auto conv = experiment->wait_converged(framework::WaitOpts{
+        spec.effective_quiet(), core::Duration::seconds(3600)});
+    result.seconds = conv.since(t0).to_seconds();
+    result.mem = experiment->memory_stats();
+    bench::accumulate_counters(*experiment, result.counters);
+    result.updates_rx = result.counters["bgp.session.updates_rx"];
+    result.decision_runs = result.counters["bgp.decision.runs"];
+  });
+  if (!ok) result.seconds = -1.0;
   return result;
 }
 
@@ -137,6 +135,7 @@ int main(int argc, char** argv) {
   // shared labels stay median-identical to the committed full baseline and
   // check.sh can gate them at near-zero tolerance.
   const std::size_t runs = cli.runs_or(3);
+  const std::uint64_t base_seed = cli.seed_or(kDefaultBaseSeed);
 
   const std::vector<std::size_t> il_sizes =
       quick ? std::vector<std::size_t>{100, 1000}
@@ -185,7 +184,7 @@ int main(int argc, char** argv) {
         const std::size_t c = static_cast<std::size_t>(
             std::upper_bound(first_task.begin(), first_task.end(), task) -
             first_task.begin() - 1);
-        return run_cell(cells[c], kBaseSeed + (task - first_task[c]));
+        return run_cell(cells[c], base_seed + (task - first_task[c]));
       });
   const auto& results = sweep.results;
 
@@ -265,5 +264,5 @@ int main(int argc, char** argv) {
     report.set_footer(sweep.timing);
     bench::finish_report(report, cli);
   }
-  return 0;
+  return bench::any_failed(sweep, &TrialResult::seconds) ? 1 : 0;
 }

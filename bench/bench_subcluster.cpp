@@ -46,26 +46,29 @@ Result run(bool bridging, std::size_t members_n, std::uint64_t seed) {
   auto& origin_host = exp.add_host(core::AsNumber{1});
   const core::AsNumber deepest{static_cast<std::uint32_t>(2 * members_n)};
   exp.add_host(deepest);
-  if (!exp.start()) return {};
 
   Result res;
   res.members_total = members_n;
-  const auto pfx = exp.as_prefix(core::AsNumber{1});
-  const auto* decision = exp.idr_controller()->decision_for(pfx);
-  for (const auto as : members) {
-    if (decision != nullptr &&
-        decision->reachable(exp.member_switch(as).dpid())) {
-      ++res.members_routed;
+  const bool started = exp.start();
+  const bool ok = bench::checked_trial(exp, started, [&] {
+    const auto pfx = exp.as_prefix(core::AsNumber{1});
+    const auto* decision = exp.idr_controller()->decision_for(pfx);
+    for (const auto as : members) {
+      if (decision != nullptr &&
+          decision->reachable(exp.member_switch(as).dpid())) {
+        ++res.members_routed;
+      }
     }
-  }
-  res.deep_host_reachable =
-      !exp.trace_route(deepest, origin_host.address()).empty();
+    res.deep_host_reachable =
+        !exp.trace_route(deepest, origin_host.address()).empty();
 
-  const auto t0 = exp.loop().now();
-  exp.withdraw_prefix(core::AsNumber{1}, pfx);
-  const auto conv = exp.wait_converged(framework::WaitOpts{
-      core::Duration::seconds(11), core::Duration::seconds(1200)});
-  res.withdrawal_conv_s = conv.since(t0).to_seconds();
+    const auto t0 = exp.loop().now();
+    exp.withdraw_prefix(core::AsNumber{1}, pfx);
+    const auto conv = exp.wait_converged(framework::WaitOpts{
+        core::Duration::seconds(11), core::Duration::seconds(1200)});
+    res.withdrawal_conv_s = conv.since(t0).to_seconds();
+  });
+  if (!ok) res.withdrawal_conv_s = -1.0;
   return res;
 }
 
@@ -80,12 +83,13 @@ int main(int argc, char** argv) {
   std::printf("# medians over %zu runs; MRAI 5 s\n", runs);
   std::printf("members\tbridging\trouted\tdeep_reach\twithdraw_conv_s\n");
   const std::size_t member_counts[] = {2, 4, 6};
+  const std::uint64_t base_seed = cli.seed_or(4000);
   // Point = (members_n, bridging) combo, bridging fastest-varying to match
   // the printed row order.
   const auto sweep = framework::run_sweep(
       std::size(member_counts) * 2, runs, framework::default_jobs(),
       [&](std::size_t point, std::size_t r) {
-        return run(point % 2 == 1, member_counts[point / 2], 4000 + r);
+        return run(point % 2 == 1, member_counts[point / 2], base_seed + r);
       });
   framework::BenchReport report{"subcluster"};
   report.set_param("runs", telemetry::Json{static_cast<std::int64_t>(runs)});
@@ -115,5 +119,5 @@ int main(int argc, char** argv) {
   framework::print_footer(sweep.timing);
   report.set_footer(sweep.timing);
   bench::finish_report(report, cli);
-  return 0;
+  return bench::any_failed(sweep, &Result::withdrawal_conv_s) ? 1 : 0;
 }

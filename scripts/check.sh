@@ -303,6 +303,39 @@ else
   echo "WARNING: python3 not found; skipping determinism diff" >&2
 fi
 
+# Seed job: --seed moves a bench's base seed, so one trial at seed D+1
+# must reproduce, point for point, the second trial of a two-trial run at
+# the bench's default base seed D.
+echo "===== bench --seed (chaos, routeflow_comparison)"
+if command -v python3 > /dev/null 2>&1; then
+  SEEDED_BENCHES=(chaos:9000 routeflow_comparison:6000)
+  for entry in "${SEEDED_BENCHES[@]}"; do
+    b="${entry%%:*}"
+    d="${entry##*:}"
+    BGPSDN_JOBS="$(nproc)" "./build/bench/bench_$b" --trials 2 \
+      --json "build/json/${b}_trials2.json" > /dev/null
+    BGPSDN_JOBS="$(nproc)" "./build/bench/bench_$b" --trials 1 \
+      --seed "$((d + 1))" --json "build/json/${b}_seed1.json" > /dev/null
+  done
+  python3 - "${SEEDED_BENCHES[@]%%:*}" <<'EOF'
+import json, sys
+for name in sys.argv[1:]:
+    with open(f"build/json/{name}_trials2.json") as f:
+        two = {p["label"]: p["values"] for p in json.load(f)["points"]}
+    with open(f"build/json/{name}_seed1.json") as f:
+        one = {p["label"]: p["values"] for p in json.load(f)["points"]}
+    if sorted(one) != sorted(two):
+        sys.exit(f"{name}: --seed run has other points than the default run")
+    for label, values in one.items():
+        if values != two[label][1:2]:
+            sys.exit(f"{name}: {label}: --seed D+1 read {values}, "
+                     f"the default run's second trial {two[label][1:2]}")
+    print(f"{name}: --seed D+1 reproduces the second trial of every point")
+EOF
+else
+  echo "WARNING: python3 not found; skipping bench --seed check" >&2
+fi
+
 # Scale job: the AS-count sweep (capped at 1k ASes under BGPSDN_QUICK) must
 # emit byte-identical JSON across job counts, match the bench_scale schema —
 # including the memory cell's mem.* block and its mirror in the top-level
@@ -404,8 +437,8 @@ fi
 # hot-path machinery: the attribute-interning pool (weak_ptr sweep,
 # canonical lifetime, the per-experiment sweep), the shared encode
 # buffers, the COW byte payloads, the slot-slab event loop under churn,
-# the router's export fan-out (borrowed Loc-RIB winners, flat dirty
-# sets), and the slab RIB (memmoved candidate spans, backshift deletion in
+# the router's once-per-UPDATE import and its export fan-out (borrowed
+# Loc-RIB winners, flat dirty sets, UPDATE packing), and the slab RIB (memmoved candidate spans, backshift deletion in
 # the open-addressing tables, the attribute registry) through its
 # oracle-diff fuzzers and the framework golden captures, and the
 # controller's per-prefix tree bookkeeping (the decider oracle sweep and
@@ -434,7 +467,7 @@ cmake --build build-asan -j "$(nproc)" \
 ./build-asan/tools/bgpsdn_run --faults scenarios/ha_chaos.plan \
   scenarios/ha_chaos.bgpsdn > /dev/null
 ./build-asan/tests/test_bgp \
-  --gtest_filter='*CodecFuzz*:*LiveSessionFuzz*:AttrIntern.*:EncodeShared.*:ExportMapPeers.*:ExportFanOut.*:PrefixSet.*:MraiWindow.*:*LayoutEquivalence.*:PrefixTableFuzz.*:AdjRibInDefrag.*:AttrRegistry.*'
+  --gtest_filter='*CodecFuzz*:*LiveSessionFuzz*:AttrIntern.*:EncodeShared.*:ExportFanOut.*:ImportOncePerUpdate.*:PolicyEngine.*:RouterUnits.*:PrefixSet.*:MraiWindow.*:*LayoutEquivalence.*:PrefixTableFuzz.*:AdjRibInDefrag.*:AttrRegistry.*'
 ./build-asan/tests/test_net \
   --gtest_filter='*LinkParams*:*RuntimeLoss*:*Corruption*:Bytes.*'
 ./build-asan/tests/test_core --gtest_filter='EventLoop.*'

@@ -122,8 +122,7 @@ void BgpRouter::session_established(Session& session) {
   Peer* peer = peer_of(session);
   logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
                "session_up", "peer ", session.peer_as());
-  if (config_.timers.mrai_style == MraiStyle::kPeriodicQuagga &&
-      peer_mrai(*peer) > core::Duration::zero()) {
+  if (peer_mrai(*peer) > core::Duration::zero()) {
     // Initial table transfer goes out promptly; afterwards the
     // free-running advertisement timer paces everything.
     for (const auto& prefix : loc_rib_.prefixes()) peer->pending.insert(prefix);
@@ -146,7 +145,6 @@ void BgpRouter::session_down(Session& session, const std::string& reason) {
   peer->pending.clear();
   peer->batch_dirty.clear();
   if (peer->mrai_timer.is_valid()) loop().cancel(peer->mrai_timer);
-  peer->mrai_running = false;
   // The reset ends the MRAI window unsampled: the next session's first
   // flush is not paced by the cancelled timer.
   peer->mrai_span_open = false;
@@ -219,29 +217,13 @@ void BgpRouter::process_update(Peer& peer, const UpdateMessage& update) {
     }
     return;
   }
-  const PeerPolicy& policy = peer.config.policy;
-  // Every NLRI carries the same bundle, and the import map sees only the
-  // bundle, so it is rewritten and interned once, at the first NLRI the
-  // prefix filter admits (never for an UPDATE whose NLRI are all filtered).
-  // A map that rejects the bundle rejects every admitted NLRI.
-  bool rewritten = false;
-  std::optional<AttrSetRef> imported;  // stays empty if the map rejects
-  for (const auto& prefix : update.nlri) {
-    const bool allowed = PolicyEngine::import_allowed(policy, prefix);
-    if (allowed && !rewritten) {
-      rewritten = true;
-      PathAttributes attrs = update.attributes;
-      if (PolicyEngine::rewrite_import(policy, attrs)) {
-        imported = AttrSetRef::intern(std::move(attrs));
-      }
-    }
-    if (!allowed || !imported) {
-      ++counters_.routes_rejected_policy;
-      reject_candidate(sid, prefix);
-      continue;
-    }
-    import_candidate(peer, prefix, *imported);
-  }
+  if (update.nlri.empty()) return;
+  // Every NLRI carries the same bundle, so it is rewritten and interned
+  // once per UPDATE.
+  PathAttributes attrs = update.attributes;
+  PolicyEngine::rewrite_import(peer.config.policy, attrs);
+  const AttrSetRef imported = AttrSetRef::intern(std::move(attrs));
+  for (const auto& prefix : update.nlri) import_candidate(peer, prefix, imported);
 }
 
 void BgpRouter::import_candidate(Peer& peer, const net::Prefix& prefix,
@@ -399,29 +381,17 @@ BgpRouter::ExportSource BgpRouter::export_source(const Route* best) const {
 }
 
 // lint: hotpath(the export verdict runs for every peer on every best-path
-// change; only export-map peers pay for an attribute build)
-bool BgpRouter::export_verdict(const Peer& peer, const net::Prefix& prefix,
+// change, ahead of any attribute build)
+bool BgpRouter::export_verdict(const Peer& peer,
                                const ExportSource& source) const {
-  if (source.best == nullptr) return false;
-  if (config_.split_horizon &&
-      source.best->learned_from == peer.session->id()) {
-    return false;
-  }
-  if (!PolicyEngine::export_allowed(peer.config.policy, source.learned_rel,
-                                    prefix)) {
-    return false;
-  }
-  return !peer.config.policy.export_map ||
-         build_export(peer, *source.best).has_value();
+  return source.best != nullptr &&
+         PolicyEngine::export_allowed(peer.config.policy, source.learned_rel);
 }
 
-std::optional<AttrSetRef> BgpRouter::build_export(const Peer& peer,
-                                                  const Route& best) const {
+AttrSetRef BgpRouter::build_export(const Peer& peer, const Route& best) const {
   // Copy-out / edit / re-intern: the canonical bundle is immutable.
   PathAttributes attrs = *best.attributes;
-  if (!PolicyEngine::rewrite_export(peer.config.policy, attrs, config_.asn)) {
-    return std::nullopt;
-  }
+  PolicyEngine::rewrite_export(attrs);
   attrs.as_path = attrs.as_path.prepend(config_.asn);
   attrs.next_hop = peer.config.local_address;
   return AttrSetRef::intern(std::move(attrs));
@@ -440,33 +410,21 @@ bool BgpRouter::gated(const Peer& peer, bool announce) const {
 void BgpRouter::schedule_peer_update(Peer& peer, const net::Prefix& prefix,
                                      const ExportSource& source) {
   if (!peer.session->established()) return;
-  const bool announce = export_verdict(peer, prefix, source);
-  if (!gated(peer, announce)) {
-    // Ungated (withdrawal, or MRAI disabled): leave any MRAI-gated
-    // announcements queued and defer the send to the batch flush, where
-    // same-bundle prefixes pack into one multi-NLRI UPDATE.
-    peer.pending.erase(prefix);
-    // A withdrawal of something never advertised would find nothing to
-    // send at the flush, so it needs no entry. Immediate-then-gate pacing
-    // with a positive MRAI keeps it: should a later change in this batch
-    // announce the prefix, the flush re-queues it behind the MRAI gate.
-    const bool may_requeue =
-        config_.timers.mrai_style == MraiStyle::kImmediateThenGate &&
-        peer_mrai(peer) > core::Duration::zero();
-    if (announce || may_requeue || peer.rib_out.advertised(prefix) != nullptr) {
-      peer.batch_dirty.insert(prefix);
-    }
-    return;
-  }
-  peer.pending.insert(prefix);
-  if (config_.timers.mrai_style == MraiStyle::kPeriodicQuagga) {
+  const bool announce = export_verdict(peer, source);
+  if (gated(peer, announce)) {
     // The free-running advertisement timer (armed at session
     // establishment) will flush this at its next tick.
+    peer.pending.insert(prefix);
     return;
   }
-  if (!peer.mrai_running) {
-    flush_peer(peer);
-    arm_mrai(peer);
+  // Ungated (withdrawal, or MRAI disabled): leave any MRAI-gated
+  // announcements queued and defer the send to the batch flush, where
+  // same-bundle prefixes pack into one multi-NLRI UPDATE. A withdrawal of
+  // something never advertised would find nothing to send there, so it
+  // needs no entry.
+  peer.pending.erase(prefix);
+  if (announce || peer.rib_out.advertised(prefix) != nullptr) {
+    peer.batch_dirty.insert(prefix);
   }
 }
 
@@ -503,26 +461,36 @@ void BgpRouter::flush_peer(Peer& peer) {
   groups.reserve(peer.pending.size());
   for (const auto& prefix : peer.pending) {
     const ExportSource source = export_source(loc_rib_.find(prefix));
-    const auto attrs = export_verdict(peer, prefix, source)
-                           ? build_export(peer, *source.best)
-                           : std::nullopt;
-    if (attrs) {
-      if (!peer.rib_out.advertise(prefix, *attrs)) continue;  // unchanged
-      auto it = std::find_if(groups.begin(), groups.end(),
-                             [&](const auto& g) { return g.first == *attrs; });
-      if (it == groups.end()) {
-        groups.push_back({*attrs, {prefix}});
-      } else {
-        // lint: alloc-ok(grows the per-bundle NLRI list; amortized across
-        // the burst and bounded by the pending set just reserved for)
-        it->second.push_back(prefix);
-      }
-    } else {
-      if (peer.rib_out.withdraw(prefix)) withdrawals.push_back(prefix);
-    }
+    pack_update(peer, prefix, source, export_verdict(peer, source), groups,
+                withdrawals);
   }
   peer.pending.clear();
   emit_updates(peer, groups, withdrawals);
+}
+
+// lint: hotpath(runs for every prefix either flush sends; a convergence
+// burst funnels every dirty prefix through here)
+void BgpRouter::pack_update(Peer& peer, const net::Prefix& prefix,
+                            const ExportSource& source, bool announce,
+                            UpdateGroups& groups,
+                            std::vector<net::Prefix>& withdrawals) {
+  if (!announce) {
+    // lint: alloc-ok(reserved by the caller for the whole dirty set)
+    if (peer.rib_out.withdraw(prefix)) withdrawals.push_back(prefix);
+    return;
+  }
+  const AttrSetRef attrs = build_export(peer, *source.best);
+  if (!peer.rib_out.advertise(prefix, attrs)) return;  // unchanged
+  auto it = std::find_if(groups.begin(), groups.end(),
+                         [&](const auto& g) { return g.first == attrs; });
+  if (it == groups.end()) {
+    // lint: alloc-ok(reserved by the caller for the whole dirty set)
+    groups.push_back({attrs, {prefix}});
+  } else {
+    // lint: alloc-ok(grows the per-bundle NLRI list; amortized across the
+    // burst and bounded by the dirty set the caller reserved for)
+    it->second.push_back(prefix);
+  }
 }
 
 // lint: hotpath(every UPDATE leaving the router is packed here; TX volume
@@ -575,73 +543,35 @@ void BgpRouter::flush_tx_batches() {
     withdrawals.reserve(peer.batch_dirty.size());
     UpdateGroups groups;
     groups.reserve(peer.batch_dirty.size());
-    bool spilled = false;
     for (const auto& prefix : peer.batch_dirty) {
       const ExportSource source = export_source(loc_rib_.find(prefix));
-      const bool announce = export_verdict(peer, prefix, source);
+      const bool announce = export_verdict(peer, source);
       if (gated(peer, announce)) {
         // The export flipped announce/withdraw since it was queued and is
-        // now subject to MRAI: hand it to the gated machinery.
+        // now subject to MRAI: it waits for the next advertisement tick.
         peer.pending.insert(prefix);
-        spilled = true;
         continue;
       }
-      const auto attrs =
-          announce ? build_export(peer, *source.best) : std::nullopt;
-      if (attrs) {
-        if (!peer.rib_out.advertise(prefix, *attrs)) continue;  // duplicate
-        auto it = std::find_if(groups.begin(), groups.end(),
-                               [&](const auto& g) { return g.first == *attrs; });
-        if (it == groups.end()) {
-          groups.push_back({*attrs, {prefix}});
-        } else {
-          // lint: alloc-ok(grows the per-bundle NLRI list; amortized
-          // across the burst and bounded by the dirty set reserved for)
-          it->second.push_back(prefix);
-        }
-      } else {
-        if (peer.rib_out.withdraw(prefix)) withdrawals.push_back(prefix);
-      }
+      pack_update(peer, prefix, source, announce, groups, withdrawals);
     }
     peer.batch_dirty.clear();
     emit_updates(peer, groups, withdrawals);
-    if (spilled && config_.timers.mrai_style == MraiStyle::kImmediateThenGate &&
-        !peer.mrai_running) {
-      flush_peer(peer);
-      arm_mrai(peer);
-    }
   }
 }
 
 void BgpRouter::arm_mrai(Peer& peer) {
   const auto mrai = peer_mrai(peer);
   if (mrai <= core::Duration::zero()) return;
-  peer.mrai_running = true;
   peer.mrai_armed_at = loop().now();
   peer.mrai_span_open = true;
   const auto delay =
       rng().jittered(mrai, config_.timers.jitter_low, config_.timers.jitter_high);
   const auto epoch = peer.epoch;
   Peer* p = &peer;
-  if (config_.timers.mrai_style == MraiStyle::kPeriodicQuagga) {
-    // Free-running tick: flush pending (if any) and always re-arm.
-    peer.mrai_timer = loop().schedule(delay, [this, p, epoch] {
-      if (p->epoch != epoch || !p->session->established()) return;
-      if (!p->pending.empty()) flush_peer(*p);
-      arm_mrai(*p);
-    });
-    return;
-  }
+  // Free-running tick: flush pending (if any) and always re-arm.
   peer.mrai_timer = loop().schedule(delay, [this, p, epoch] {
-    if (p->epoch != epoch) return;
-    p->mrai_running = false;
-    if (p->pending.empty()) {
-      // Idle expiry: the window closes with nothing sent, so it records no
-      // wait; the next change goes out immediately.
-      p->mrai_span_open = false;
-      return;
-    }
-    flush_peer(*p);
+    if (p->epoch != epoch || !p->session->established()) return;
+    if (!p->pending.empty()) flush_peer(*p);
     arm_mrai(*p);
   });
 }

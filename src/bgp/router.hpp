@@ -35,12 +35,6 @@ struct RouterConfig {
   net::Ipv4Addr router_id;
   Timers timers;
   ProcessingModel processing;
-  /// When false (Quagga behaviour), the best route is advertised even to
-  /// the peer it was learned from; the receiver rejects it via AS_PATH
-  /// loop detection — at MRAI pace, which is part of BGP's convergence
-  /// dynamics. When true, such advertisements become immediate
-  /// withdrawals instead (Cisco-like sender-side suppression).
-  bool split_horizon{false};
   /// Route-flap damping (RFC 2439); disabled by default like Quagga.
   DampingConfig damping{};
   /// Attribute-handle registry shared across the simulation (the Experiment
@@ -64,7 +58,6 @@ struct RouterCounters {
   std::uint64_t updates_rx{0};
   std::uint64_t updates_tx{0};
   std::uint64_t routes_rejected_loop{0};
-  std::uint64_t routes_rejected_policy{0};
   std::uint64_t best_changes{0};
   std::uint64_t routes_suppressed{0};
   std::uint64_t packets_forwarded{0};
@@ -148,11 +141,10 @@ class BgpRouter : public net::Node, public SessionHost {
     /// deferred to the batch flush (where same-bundle prefixes coalesce
     /// into one multi-NLRI message).
     PrefixSet batch_dirty;
-    bool mrai_running{false};
     core::TimerId mrai_timer{core::TimerId::invalid()};
     std::uint64_t epoch{0};
-    /// Open "mrai_wait" span: armed instant, closed at the gated flush (or,
-    /// without a sample, at an idle expiry or a session reset).
+    /// Open "mrai_wait" span: armed at each advertisement tick, closed at
+    /// the gated flush (or, without a sample, at a session reset).
     core::TimePoint mrai_armed_at{};
     bool mrai_span_open{false};
   };
@@ -164,14 +156,14 @@ class BgpRouter : public net::Node, public SessionHost {
   void enqueue_work(core::Duration cost, core::SmallFunc fn);
 
   /// Import one UPDATE: withdrawals, then the NLRI. The attribute bundle is
-  /// loop-checked, rewritten (import map included) and interned once per
-  /// UPDATE; only the prefix filter runs per NLRI.
+  /// loop-checked, rewritten and interned once per UPDATE that carries
+  /// NLRI.
   void process_update(Peer& peer, const UpdateMessage& update);
   /// Offer `prefix` with the imported bundle `attrs` as `peer`'s candidate
   /// in the Adj-RIB-In, re-running the decision when the set changed.
   void import_candidate(Peer& peer, const net::Prefix& prefix,
                         const AttrSetRef& attrs);
-  /// Drop the candidate `session` offered for a rejected `prefix`, if any.
+  /// Drop the candidate `session` offered for a looped `prefix`, if any.
   void reject_candidate(core::SessionId session, const net::Prefix& prefix);
   /// Re-run the decision process for one prefix; on change, update Loc-RIB +
   /// FIB and queue advertisements. Damping-suppressed candidates are
@@ -198,17 +190,13 @@ class BgpRouter : public net::Node, public SessionHost {
   void schedule_peer_update(Peer& peer, const net::Prefix& prefix,
                             const ExportSource& source);
   /// The export verdict: true to announce the winner to `peer`, false to
-  /// withdraw. Covers the route's presence, split horizon and the policy
-  /// filters without touching attributes; a peer with an export map keeps
-  /// the full evaluation, since the map judges the rewritten bundle.
-  bool export_verdict(const Peer& peer, const net::Prefix& prefix,
-                      const ExportSource& source) const;
+  /// withdraw. There must be a winner, and the valley-free rule must let it
+  /// through; no attribute is touched.
+  bool export_verdict(const Peer& peer, const ExportSource& source) const;
   /// The bundle announced to `peer` for winner `best`: copied out,
   /// rewritten for export, prefixed with the local AS and next hop, then
-  /// interned. Nullopt when the export map rejects the route. Runs only
-  /// where an UPDATE is packed (and in an export-map peer's verdict).
-  std::optional<AttrSetRef> build_export(const Peer& peer,
-                                         const Route& best) const;
+  /// interned. Runs only where an UPDATE is packed.
+  AttrSetRef build_export(const Peer& peer, const Route& best) const;
   /// Whether an announcement (or withdrawal) to `peer` waits for MRAI.
   bool gated(const Peer& peer, bool announce) const;
   /// Send everything pending for the peer; groups NLRI by attribute bundle.
@@ -219,6 +207,13 @@ class BgpRouter : public net::Node, public SessionHost {
   /// One announcement group: every prefix advertised with the same bundle
   /// rides in a single multi-NLRI UPDATE.
   using UpdateGroups = std::vector<std::pair<AttrSetRef, std::vector<net::Prefix>>>;
+  /// Add `prefix`'s export state towards `peer` to the UPDATEs being packed:
+  /// when `announce`, the winner's export bundle joins its group (unless
+  /// `peer` already has it); otherwise an advertised prefix joins
+  /// `withdrawals`.
+  void pack_update(Peer& peer, const net::Prefix& prefix,
+                   const ExportSource& source, bool announce,
+                   UpdateGroups& groups, std::vector<net::Prefix>& withdrawals);
   /// Emit one UPDATE per group (withdrawals ride in the first message),
   /// with per-message counters, logging and tracing.
   void emit_updates(Peer& peer, UpdateGroups& groups,

@@ -45,17 +45,6 @@ constexpr std::uint32_t default_local_pref(Relationship r) {
   return 100;
 }
 
-/// How the Minimum Route Advertisement Interval paces updates.
-enum class MraiStyle : std::uint8_t {
-  /// Quagga's behaviour: a free-running per-peer advertisement timer fires
-  /// every (jittered) MRAI and flushes whatever changes are pending. A
-  /// change waits for the next tick — on average half an interval.
-  kPeriodicQuagga,
-  /// Cisco-style: the first change after an idle interval is sent
-  /// immediately, then the peer is gated for one MRAI.
-  kImmediateThenGate,
-};
-
 /// Protocol timer defaults. MRAI and keepalive follow Quagga's eBGP
 /// defaults; jitter fraction matches BGP implementations (75%-100%).
 struct Timers {
@@ -63,9 +52,11 @@ struct Timers {
   core::Duration keepalive{core::Duration::seconds(30)};
   core::Duration connect_retry{core::Duration::seconds(5)};
   /// Minimum Route Advertisement Interval (per peer). The dominant clock of
-  /// BGP path exploration and therefore of the paper's experiments.
+  /// BGP path exploration and therefore of the paper's experiments. Paced
+  /// the Quagga way: a free-running per-peer advertisement timer fires
+  /// every (jittered) MRAI and flushes whatever announcements are pending,
+  /// so a change waits for the next tick — on average half an interval.
   core::Duration mrai{core::Duration::seconds(30)};
-  MraiStyle mrai_style{MraiStyle::kPeriodicQuagga};
   double jitter_low{0.75};
   double jitter_high{1.0};
 };

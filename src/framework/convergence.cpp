@@ -38,34 +38,30 @@ telemetry::Json ConvergenceDetector::snapshot() const {
 }
 
 ConvergenceResult ConvergenceDetector::wait(const WaitOpts& opts) {
-  ConvergenceResult result;
-  result.quiet_window = opts.quiet;
-  result.instant = run_until_converged(opts.quiet, opts.timeout);
-  result.timed_out = timed_out_;
-  return result;
-}
-
-core::TimePoint ConvergenceDetector::run_until_converged(core::Duration quiet,
-                                                         core::Duration timeout) {
   timed_out_ = false;
   // Anchor the quiet window at the call time: the caller has typically just
   // injected an event (withdrawal, link failure) whose consequences are
   // still queued, and a stale activity timestamp must not end the wait
   // before they run.
   if (last_activity_ < loop_.now()) last_activity_ = loop_.now();
-  const core::TimePoint deadline = loop_.now() + timeout;
+  const core::TimePoint deadline = loop_.now() + opts.timeout;
   while (true) {
-    const core::TimePoint quiet_until = last_activity_ + quiet;
-    if (loop_.now() >= quiet_until) return last_activity_;
+    const core::TimePoint quiet_until = last_activity_ + opts.quiet;
+    if (loop_.now() >= quiet_until) break;
     if (loop_.now() >= deadline) {
       timed_out_ = true;
-      return last_activity_;
+      break;
     }
     const core::TimePoint target = std::min(quiet_until, deadline);
     // Execute everything due before the target; if the queue runs dry the
     // loop clock still advances to the target.
     loop_.advance_to(target);
   }
+  ConvergenceResult result;
+  result.instant = last_activity_;
+  result.timed_out = timed_out_;
+  result.quiet_window = opts.quiet;
+  return result;
 }
 
 }  // namespace bgpsdn::framework

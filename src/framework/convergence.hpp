@@ -55,43 +55,24 @@ class ConvergenceDetector : public Monitor {
   /// {activity_count, last_activity_ns, timed_out}
   telemetry::Json snapshot() const override;
 
-  /// The events that count as routing activity. Defaults cover BGP, the
-  /// controller and the speaker.
-  void set_activity_events(const std::set<std::string>& events) {
-    events_ = {events.begin(), events.end()};
-  }
-
   /// Timestamp of the most recent routing activity (origin if none yet).
   core::TimePoint last_activity() const { return last_activity_; }
   std::uint64_t activity_count() const { return activity_count_; }
 
-  /// Reset the activity clock (typically right before injecting the event
-  /// whose convergence is being measured).
-  void restart() {
-    last_activity_ = loop_.now();
-    activity_count_ = 0;
-  }
-
-  /// Drive the event loop until `quiet` virtual time passes with no routing
-  /// activity, or `timeout` virtual time elapses. Returns the time of the
-  /// last routing activity — the convergence instant. If the timeout hits,
-  /// returns the last activity anyway; check timed_out().
-  core::TimePoint run_until_converged(core::Duration quiet,
-                                      core::Duration timeout);
-
-  /// Structured variant of run_until_converged. A zero quiet window in
-  /// `opts` is used as-is here (the Experiment layer owns the MRAI-based
-  /// defaulting).
+  /// Drive the event loop until `opts.quiet` virtual time passes with no
+  /// routing activity, or `opts.timeout` virtual time elapses. The result's
+  /// instant is the time of the last routing activity — the convergence
+  /// instant, reported even when the timeout hits. A zero quiet window is
+  /// used as-is here (the Experiment layer owns the MRAI-based defaulting).
   ConvergenceResult wait(const WaitOpts& opts);
-
-  bool timed_out() const { return timed_out_; }
 
  private:
   core::EventLoop& loop_;
   core::Logger& logger_;
   std::size_t sink_id_;
-  /// Transparent comparator: the sink looks records' event views up
-  /// without building a std::string.
+  /// The events that count as routing activity (BGP, the controller and
+  /// the speaker). Transparent comparator: the sink looks records' event
+  /// views up without building a std::string.
   std::set<std::string, std::less<>> events_;
   core::TimePoint last_activity_{};
   std::uint64_t activity_count_{0};

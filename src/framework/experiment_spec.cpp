@@ -269,43 +269,51 @@ double ExperimentSpec::run_trial(
     std::uint64_t seed, std::map<std::string, std::int64_t>* counters_out)
     const {
   auto experiment = make_experiment(seed);
-  if (!experiment->start()) {
-    std::fprintf(stderr, "trial failed to start (seed %llu)\n",
-                 static_cast<unsigned long long>(seed));
-    return -1.0;
+  const bool started = experiment->start();
+  double seconds = 0.0;
+  const bool ok = checked_trial(*experiment, started, [&] {
+    if (!faults.events.empty()) {
+      experiment->attach_monitor<FaultInjector>(faults);
+    }
+    if (event == EventKind::kFlapTrain) {
+      // Measure the train itself: settle first, then every fail/restore
+      // cycle (each waited to quiescence) is the measured interval.
+      experiment->wait_converged();
+      const auto t0 = experiment->loop().now();
+      inject_event(*experiment);
+      seconds = (experiment->loop().now() - t0).to_seconds();
+    } else {
+      const auto t0 = inject_event(*experiment);
+      const auto conv = experiment->wait_converged(
+          WaitOpts{effective_quiet(), core::Duration::seconds(3600)});
+      seconds = conv.since(t0).to_seconds();
+    }
+    if (counters_out != nullptr) accumulate_counters(*experiment, *counters_out);
+  });
+  return ok ? seconds : -1.0;
+}
+
+bool checked_trial(Experiment& experiment, bool started,
+                   const std::function<void()>& measure) {
+  const auto seed = static_cast<unsigned long long>(experiment.config().seed);
+  if (!started) {
+    std::fprintf(stderr, "trial failed to start (seed %llu)\n", seed);
+    return false;
   }
-  if (!faults.events.empty()) {
-    experiment->attach_monitor<FaultInjector>(faults);
-  }
-  // Every wait below (the flap train's included) counts its timeouts here;
   // find_counter keeps an untouched counter out of the JSON counters block.
-  const auto timeouts = [&] {
-    const auto* c = experiment->telemetry().metrics().find_counter(
+  const auto timeouts = [&experiment] {
+    const auto* c = experiment.telemetry().metrics().find_counter(
         "framework.wait_converged.timeouts");
     return c == nullptr ? 0 : c->value();
   };
-  const std::int64_t timeouts_before = timeouts();
-  double seconds = 0.0;
-  if (event == EventKind::kFlapTrain) {
-    // Measure the train itself: settle first, then every fail/restore cycle
-    // (each waited to quiescence) is the measured interval.
-    experiment->wait_converged();
-    const auto t0 = experiment->loop().now();
-    inject_event(*experiment);
-    seconds = (experiment->loop().now() - t0).to_seconds();
-  } else {
-    const auto t0 = inject_event(*experiment);
-    const auto conv = experiment->wait_converged(
-        WaitOpts{effective_quiet(), core::Duration::seconds(3600)});
-    seconds = conv.since(t0).to_seconds();
-  }
-  if (counters_out != nullptr) accumulate_counters(*experiment, *counters_out);
-  if (timeouts() != timeouts_before) {
+  const std::int64_t before = timeouts();
+  measure();
+  if (timeouts() != before) {
     std::fprintf(stderr, "trial timed out waiting for convergence (seed %llu)\n",
-                 static_cast<unsigned long long>(seed));
-    return -1.0;
+                 seed);
+    return false;
   }
-  return seconds;
+  return true;
 }
 
 std::string ExperimentSpec::signature() const {

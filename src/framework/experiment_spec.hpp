@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -172,6 +173,16 @@ struct ExperimentSpec {
   /// matrix cells are detected with this).
   std::string signature() const;
 };
+
+/// The trial failure rule of ExperimentSpec::run_trial, shared with the
+/// benches that drive an experiment by hand. `started` is what
+/// `experiment.start()` returned; when it holds, this runs `measure()`.
+/// The trial failed when the start failed or when any convergence wait in
+/// `measure()` timed out (a flap train's waits included); then one line
+/// naming the seed goes to stderr and the result is false, and the caller
+/// reports the trial's point value as -1.
+bool checked_trial(Experiment& experiment, bool started,
+                   const std::function<void()>& measure);
 
 /// Sums every telemetry counter of a finished experiment into `out` — the
 /// "key counters" block of the JSON reports.

@@ -1,6 +1,6 @@
-// BgpRouter internals: MRAI pacing (both styles), per-peer MRAI overrides,
-// processing-delay serialization, policy/loop rejection accounting, FIB and
-// host forwarding, update grouping, and the route collector.
+// BgpRouter internals: periodic MRAI pacing, per-peer MRAI overrides,
+// processing-delay serialization, loop rejection accounting, FIB and host
+// forwarding, update grouping, and the route collector.
 #include <gtest/gtest.h>
 
 #include "bgp/collector.hpp"
@@ -16,7 +16,6 @@ TEST(RouterUnits, PeriodicMraiDelaysPostEstablishmentChanges) {
   MiniTopo topo;
   bgp::Timers timers = MiniTopo::quick_timers();
   timers.mrai = core::Duration::seconds(10);
-  timers.mrai_style = bgp::MraiStyle::kPeriodicQuagga;
   auto& a = topo.add_router(1, timers);
   auto& b = topo.add_router(2, timers);
   topo.peer(a, b);
@@ -33,29 +32,6 @@ TEST(RouterUnits, PeriodicMraiDelaysPostEstablishmentChanges) {
   const bgp::Route* r = b.loc_rib().find(*net::Prefix::parse("10.50.0.0/16"));
   ASSERT_NE(r, nullptr);
   EXPECT_GE(r->installed_at - t0, core::Duration::seconds_f(5.0));
-}
-
-TEST(RouterUnits, ImmediateThenGateSendsFirstChangeAtOnce) {
-  MiniTopo topo;
-  bgp::Timers timers = MiniTopo::quick_timers();
-  timers.mrai = core::Duration::seconds(10);
-  timers.mrai_style = bgp::MraiStyle::kImmediateThenGate;
-  auto& a = topo.add_router(1, timers);
-  auto& b = topo.add_router(2, timers);
-  topo.peer(a, b);
-  topo.start();
-  topo.run_for(core::Duration::seconds(2));
-
-  a.originate(*net::Prefix::parse("10.50.0.0/16"));
-  topo.run_for(core::Duration::seconds(1));
-  EXPECT_NE(b.loc_rib().find(*net::Prefix::parse("10.50.0.0/16")), nullptr);
-
-  // But the second change within the interval is gated.
-  a.originate(*net::Prefix::parse("10.51.0.0/16"));
-  topo.run_for(core::Duration::seconds(1));
-  EXPECT_EQ(b.loc_rib().find(*net::Prefix::parse("10.51.0.0/16")), nullptr);
-  topo.run_for(core::Duration::seconds(12));
-  EXPECT_NE(b.loc_rib().find(*net::Prefix::parse("10.51.0.0/16")), nullptr);
 }
 
 TEST(RouterUnits, WithdrawalsBypassMrai) {
@@ -141,37 +117,9 @@ TEST(RouterUnits, ProcessingDelaySerializesUpdates) {
             core::Duration::millis(100));
 }
 
-TEST(RouterUnits, ImportDenyCountsPolicyRejections) {
-  MiniTopo topo;
-  auto& a = topo.add_router(1);
-  auto& b = topo.add_router(2);
-  const auto link = topo.net().connect(a.id(), b.id());
-  const auto& l = topo.net().link(link);
-  const auto p2p = topo.alloc().next_p2p();
-  bgp::PeerConfig pa;
-  pa.local_address = p2p.left;
-  pa.remote_address = p2p.right;
-  pa.expected_peer_as = b.asn();
-  a.add_peer(l.a.port, pa);
-  bgp::PeerConfig pb;
-  pb.local_address = p2p.right;
-  pb.remote_address = p2p.left;
-  pb.expected_peer_as = a.asn();
-  pb.policy.import_deny = {*net::Prefix::parse("10.0.0.0/12")};
-  b.add_peer(l.b.port, pb);
-
-  a.originate(*net::Prefix::parse("10.1.0.0/16"));   // inside the deny
-  a.originate(*net::Prefix::parse("10.99.0.0/16"));  // outside 10.0.0.0/12
-  topo.start();
-  topo.run_for(core::Duration::seconds(2));
-  EXPECT_EQ(b.loc_rib().find(*net::Prefix::parse("10.1.0.0/16")), nullptr);
-  EXPECT_NE(b.loc_rib().find(*net::Prefix::parse("10.99.0.0/16")), nullptr);
-  EXPECT_GE(b.counters().routes_rejected_policy, 1u);
-}
-
 TEST(RouterUnits, LoopRejectionCounted) {
-  // Without split horizon (default), B re-advertises A's own route back to
-  // A; A must reject it and count the loop.
+  // B re-advertises A's own route back to A (no sender-side suppression,
+  // as in Quagga); A must reject it and count the loop.
   MiniTopo topo;
   auto& a = topo.add_router(1);
   auto& b = topo.add_router(2);
@@ -183,27 +131,6 @@ TEST(RouterUnits, LoopRejectionCounted) {
   // And the looped path is not in A's Adj-RIB-In.
   EXPECT_EQ(a.adj_rib_in().candidates(*net::Prefix::parse("10.0.0.0/16")).size(),
             0u);
-}
-
-TEST(RouterUnits, SplitHorizonSuppressesEcho) {
-  MiniTopo topo;
-  bgp::RouterConfig rc;
-  rc.asn = core::AsNumber{1};
-  rc.router_id = topo.alloc().router_id(rc.asn);
-  rc.timers = MiniTopo::quick_timers();
-  rc.split_horizon = true;
-  auto& a = topo.net().add<bgp::BgpRouter>("AS1", rc);
-  topo.routers().push_back(&a);
-  rc.asn = core::AsNumber{2};
-  rc.router_id = topo.alloc().router_id(rc.asn);
-  auto& b = topo.net().add<bgp::BgpRouter>("AS2", rc);
-  topo.routers().push_back(&b);
-  topo.peer(a, b);
-  a.originate(*net::Prefix::parse("10.0.0.0/16"));
-  topo.start();
-  topo.run_for(core::Duration::seconds(5));
-  EXPECT_EQ(a.counters().routes_rejected_loop, 0u);
-  EXPECT_NE(b.loc_rib().find(*net::Prefix::parse("10.0.0.0/16")), nullptr);
 }
 
 TEST(RouterUnits, UpdatesGroupedByAttributes) {

@@ -145,28 +145,6 @@ TEST(Properties, GaoRexfordPathsAreValleyFree) {
   }
 }
 
-// --- MRAI styles agree on the fixed point ----------------------------------
-
-TEST(Properties, MraiStylesConvergeToSameRibs) {
-  const auto final_rib = [](bgp::MraiStyle style) {
-    auto cfg = fast_config(5);
-    cfg.timers.mrai_style = style;
-    const auto spec = topology::clique(6);
-    framework::Experiment exp{spec, {}, cfg};
-    const auto pfx = *net::Prefix::parse("10.0.0.0/16");
-    exp.announce_prefix(core::AsNumber{1}, pfx);
-    EXPECT_TRUE(exp.start());
-    std::vector<std::string> paths;
-    for (const auto as : spec.ases) {
-      const auto* r = exp.router(as).loc_rib().find(pfx);
-      paths.push_back(r == nullptr ? "-" : r->attributes->as_path.to_string());
-    }
-    return paths;
-  };
-  EXPECT_EQ(final_rib(bgp::MraiStyle::kPeriodicQuagga),
-            final_rib(bgp::MraiStyle::kImmediateThenGate));
-}
-
 // --- withdrawal leaves no residue -------------------------------------------
 
 class WithdrawalCleanup

@@ -81,10 +81,11 @@ TEST(ConvergenceDetector, TracksActivityAndQuiesces) {
   loop.schedule(core::Duration::seconds(2), [&] {
     log.log(loop.now(), core::LogLevel::kDebug, "bgp.AS2", "update_tx", "x");
   });
-  const auto conv = det.run_until_converged(core::Duration::seconds(5),
-                                            core::Duration::seconds(60));
-  EXPECT_FALSE(det.timed_out());
-  EXPECT_EQ(conv, core::TimePoint::origin() + core::Duration::seconds(2));
+  const auto conv =
+      det.wait(WaitOpts{core::Duration::seconds(5), core::Duration::seconds(60)});
+  EXPECT_FALSE(conv.timed_out);
+  EXPECT_EQ(conv.instant, core::TimePoint::origin() + core::Duration::seconds(2));
+  EXPECT_EQ(conv.quiet_window, core::Duration::seconds(5));
   EXPECT_EQ(det.activity_count(), 2u);
 }
 
@@ -96,7 +97,10 @@ TEST(ConvergenceDetector, IgnoresNonRoutingEvents) {
   loop.schedule(core::Duration::seconds(1), [&] {
     log.log(loop.now(), core::LogLevel::kDebug, "bgp.AS1", "keepalive", "x");
   });
-  det.run_until_converged(core::Duration::seconds(2), core::Duration::seconds(60));
+  const auto conv =
+      det.wait(WaitOpts{core::Duration::seconds(2), core::Duration::seconds(60)});
+  EXPECT_FALSE(conv.timed_out);
+  EXPECT_EQ(conv.instant, core::TimePoint::origin());
   EXPECT_EQ(det.activity_count(), 0u);
 }
 
@@ -111,22 +115,11 @@ TEST(ConvergenceDetector, TimesOutUnderSustainedChatter) {
     loop.schedule(core::Duration::seconds(1), chatter);
   };
   loop.schedule(core::Duration::seconds(1), chatter);
-  det.run_until_converged(core::Duration::seconds(5), core::Duration::seconds(30));
-  EXPECT_TRUE(det.timed_out());
-}
-
-TEST(ConvergenceDetector, CustomEventSet) {
-  core::EventLoop loop;
-  core::Logger log;
-  log.set_min_level(core::LogLevel::kDebug);
-  ConvergenceDetector det{loop, log};
-  det.set_activity_events({"my_event"});
-  loop.schedule(core::Duration::seconds(1), [&] {
-    log.log(loop.now(), core::LogLevel::kDebug, "x", "update_tx", "ignored now");
-    log.log(loop.now(), core::LogLevel::kDebug, "x", "my_event", "counted");
-  });
-  det.run_until_converged(core::Duration::seconds(2), core::Duration::seconds(30));
-  EXPECT_EQ(det.activity_count(), 1u);
+  const auto conv =
+      det.wait(WaitOpts{core::Duration::seconds(5), core::Duration::seconds(30)});
+  EXPECT_TRUE(conv.timed_out);
+  // The instant is still the last activity: the tick at the 30 s deadline.
+  EXPECT_EQ(conv.instant, core::TimePoint::origin() + core::Duration::seconds(30));
 }
 
 TEST(RouteChangeTracker, CapturesBestChanges) {

@@ -134,14 +134,12 @@ using framework::EventKind;
 /// scenario shapes (kWithdrawal = paper Fig. 2, kFailover = Tlong,
 /// kAnnouncement = Tup).
 inline framework::ExperimentSpec sweep_base_spec(
-    EventKind event, std::size_t clique_size, std::size_t runs,
-    const framework::ExperimentConfig& base_config, std::uint64_t base_seed) {
+    EventKind event, std::size_t clique_size,
+    const framework::ExperimentConfig& base_config) {
   return framework::ExperimentSpecBuilder{}
       .topology(framework::TopologyModel::kClique, clique_size)
       .event(event)
       .config(base_config)
-      .trials(runs)
-      .base_seed(base_seed)
       .build();
 }
 
@@ -161,7 +159,7 @@ inline bool run_sdn_sweep(EventKind event, std::size_t clique_size,
                   ? "Fig. 2"
                   : "SS4 prose result, smaller reductions than Fig. 2");
   const framework::ExperimentSpec base =
-      sweep_base_spec(event, clique_size, runs, base_config, base_seed);
+      sweep_base_spec(event, clique_size, base_config);
   std::vector<framework::MatrixCell> cells;
   for (std::size_t k = 0; k < clique_size; ++k) {
     framework::MatrixCell& cell = cells.emplace_back();

@@ -216,10 +216,12 @@ BENCHMARK(BM_AttrIntern);
 
 template <bool kShared>
 void BM_UpdateFanoutImpl(benchmark::State& state) {
-  // One UPDATE fanned out to `n` peers, as a router flushing its Adj-RIBs-Out
-  // does after a decision change: identical attributes, identical codec
-  // options, n transmissions. Legacy encodes n times; the shared path encodes
-  // once and hands out refcounted views of the same buffer.
+  // One UPDATE sent unchanged to `n` peers: identical attributes, identical
+  // codec options, n transmissions. Legacy encodes n times; the shared path
+  // encodes once and hands out refcounted views of the same buffer. In a
+  // router only withdraw-only UPDATEs go out unchanged like this, since an
+  // announcement carries each peer's own next hop
+  // (BM_UpdateFanoutPerPeerNextHop).
   const auto n = state.range(0);
   const auto u = sample_update(8);
   const bgp::Message msg{u};
@@ -248,6 +250,29 @@ void BM_UpdateFanoutLegacy(benchmark::State& state) {
   BM_UpdateFanoutImpl<false>(state);
 }
 BENCHMARK(BM_UpdateFanoutLegacy)->Arg(16)->Arg(64);
+
+void BM_UpdateFanoutPerPeerNextHop(benchmark::State& state) {
+  // One 8-NLRI announcement to `n` peers as a router sends it: each copy
+  // carries the next hop of its own peering, so each is encoded once, by
+  // the encoder Session::send_update uses.
+  const auto n = state.range(0);
+  std::vector<bgp::UpdateMessage> updates(static_cast<std::size_t>(n),
+                                          sample_update(8));
+  for (std::int64_t peer = 0; peer < n; ++peer) {
+    updates[static_cast<std::size_t>(peer)].attributes.next_hop = net::Ipv4Addr{
+        (172u << 24) | (16u << 16) | (static_cast<std::uint32_t>(peer) << 2) | 1u};
+  }
+  for (auto _ : state) {
+    std::size_t total = 0;
+    for (const auto& u : updates) {
+      const net::Bytes wire = bgp::encode_shared(u);
+      total += wire.size();
+    }
+    benchmark::DoNotOptimize(total);
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_UpdateFanoutPerPeerNextHop)->Arg(16)->Arg(64);
 
 void BM_Dijkstra(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));
@@ -343,8 +368,8 @@ void BM_WithdrawalConvergenceWallTime(benchmark::State& state) {
   // hunting) — the "rapid prototyping" claim in one number.
   for (auto _ : state) {
     framework::ExperimentSpec cell =
-        bench::sweep_base_spec(bench::EventKind::kWithdrawal, 16, 1,
-                               bench::paper_config(), 1234);
+        bench::sweep_base_spec(bench::EventKind::kWithdrawal, 16,
+                               bench::paper_config());
     cell.sdn_count = static_cast<std::size_t>(state.range(0));
     benchmark::DoNotOptimize(cell.run_trial(1234));
   }

@@ -72,8 +72,7 @@ framework::ExperimentSpec make_spec(const Cell& cell) {
   framework::ExperimentSpecBuilder builder;
   builder.topology(cell.model, cell.size)
       .event(cell.event)
-      .config(scale_config())
-      .trials(cell.runs);
+      .config(scale_config());
   // 16 origins spread over the top half of the AS range (the stub tier of
   // internet_like numbers stubs last), 11 /24s each. The withdrawal event
   // retracts the first declared announcement, so it always retracts one

@@ -204,6 +204,29 @@ void encode_body(ByteWriter& w, const NotificationMessage& m, const CodecOptions
 
 void encode_body(ByteWriter&, const KeepaliveMessage&, const CodecOptions&) {}
 
+/// This thread's encode buffer, emptied for the next message. It is never
+/// shrunk, so a steady stream of messages encodes without growing it.
+ByteWriter& encode_buffer() {
+  thread_local ByteWriter w;
+  w.clear();
+  return w;
+}
+
+/// The wire image of `m`, a message of type `type`, built in the encode
+/// buffer; valid until the next encode on this thread.
+template <typename M>
+const std::vector<std::byte>& encode_image(const M& m, MessageType type,
+                                           const CodecOptions& opts) {
+  ByteWriter& w = encode_buffer();
+  for (int i = 0; i < 16; ++i) w.u8(0xff);  // marker
+  const std::size_t len_pos = w.size();
+  w.u16(0);
+  w.u8(static_cast<std::uint8_t>(type));
+  encode_body(w, m, opts);
+  w.patch_u16(len_pos, static_cast<std::uint16_t>(w.size()));
+  return w.data();
+}
+
 std::optional<Message> decode_open(ByteReader& r) {
   OpenMessage m;
   m.version = r.u8();
@@ -303,14 +326,16 @@ void UpdateMessage::append_to(std::string& out) const {
 std::string UpdateMessage::to_string() const { return core::text_of(*this); }
 
 std::vector<std::byte> encode(const Message& message, const CodecOptions& opts) {
-  ByteWriter w;
-  for (int i = 0; i < 16; ++i) w.u8(0xff);  // marker
-  const std::size_t len_pos = w.size();
-  w.u16(0);
-  w.u8(static_cast<std::uint8_t>(type_of(message)));
-  std::visit([&](const auto& m) { encode_body(w, m, opts); }, message);
-  w.patch_u16(len_pos, static_cast<std::uint16_t>(w.size()));
-  return w.take();
+  return std::visit(
+      [&](const auto& m) {
+        return std::vector<std::byte>(encode_image(m, type_of(message), opts));
+      },
+      message);
+}
+
+std::vector<std::byte> encode(const UpdateMessage& update,
+                              const CodecOptions& opts) {
+  return encode_image(update, MessageType::kUpdate, opts);
 }
 
 net::Bytes encode_shared(const Message& message, const CodecOptions& opts) {
@@ -322,31 +347,41 @@ net::Bytes encode_shared(const Message& message, const CodecOptions& opts) {
     return net::Bytes::adopt(kWire);
   }
   if (const auto* update = std::get_if<UpdateMessage>(&message)) {
-    // Fan-out cache: a best-path change is advertised on every session
-    // back-to-back with identical content. Tiny per-thread ring, keyed by
-    // message value + codec width — encode once, share the buffer N ways.
-    struct Entry {
-      UpdateMessage msg;
-      bool four_octet{false};
-      std::shared_ptr<const std::vector<std::byte>> wire;
-    };
-    constexpr std::size_t kCacheSize = 8;
-    thread_local Entry cache[kCacheSize];
-    thread_local std::size_t next = 0;
-    for (const auto& e : cache) {
-      if (e.wire != nullptr && e.four_octet == opts.four_octet_as &&
-          e.msg == *update) {
-        return net::Bytes::adopt(e.wire);
-      }
-    }
-    std::shared_ptr<const std::vector<std::byte>> wire =
-        std::make_shared<std::vector<std::byte>>(encode(message, opts));
-    cache[next] = Entry{*update, opts.four_octet_as, wire};
-    next = (next + 1) % kCacheSize;
-    return net::Bytes::adopt(std::move(wire));
+    return encode_shared(*update, opts);
   }
   // OPEN / NOTIFICATION: rare, connection-scoped, not worth caching.
   return net::Bytes{encode(message, opts)};
+}
+
+// lint: hotpath(every UPDATE a speaker sends is encoded here, once)
+net::Bytes encode_shared(const UpdateMessage& update, const CodecOptions& opts) {
+  // Fan-out cache: a tiny per-thread ring keyed by message value + codec
+  // width. An insert overwrites the oldest slot in place, so the slot's
+  // vectors keep their capacity.
+  struct Entry {
+    UpdateMessage msg;
+    bool four_octet{false};
+    std::shared_ptr<const std::vector<std::byte>> wire;
+  };
+  constexpr std::size_t kCacheSize = 8;
+  thread_local Entry cache[kCacheSize];
+  thread_local std::size_t next = 0;
+  for (const auto& e : cache) {
+    if (e.wire != nullptr && e.four_octet == opts.four_octet_as &&
+        e.msg == update) {
+      return net::Bytes::adopt(e.wire);
+    }
+  }
+  // lint: alloc-ok(the wire buffer the packet owns: it travels with the
+  // packet, shared with the cache slot, after this call returns)
+  auto wire = std::make_shared<std::vector<std::byte>>(
+      encode_image(update, MessageType::kUpdate, opts));
+  Entry& slot = cache[next];
+  slot.msg = update;
+  slot.four_octet = opts.four_octet_as;
+  slot.wire = wire;
+  next = (next + 1) % kCacheSize;
+  return net::Bytes::adopt(std::move(wire));
 }
 
 std::vector<UpdateMessage> split_update(const UpdateMessage& update,

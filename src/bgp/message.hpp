@@ -83,14 +83,26 @@ struct CodecOptions {
 };
 
 /// Serialize to RFC 4271 wire format (16-byte marker, length, type, body).
+/// Messages are built in a per-thread buffer that keeps its capacity, so
+/// the returned vector is the only allocation.
 std::vector<std::byte> encode(const Message& message, const CodecOptions& opts = {});
+/// encode() of one UPDATE, without wrapping it in a Message first.
+std::vector<std::byte> encode(const UpdateMessage& update,
+                              const CodecOptions& opts = {});
 
-/// Serialize with buffer sharing (the encode-once fan-out path):
-/// KEEPALIVEs reuse one static wire image, and UPDATEs hit a small
-/// per-thread cache keyed by message value + codec so advertising one
-/// best-path change to N peers encodes once and shares the bytes N ways.
+/// Serialize with buffer sharing: KEEPALIVEs reuse one static wire image,
+/// and UPDATEs go through encode_shared(const UpdateMessage&).
 /// Byte-for-byte identical to encode().
 net::Bytes encode_shared(const Message& message, const CodecOptions& opts = {});
+
+/// The UPDATE encoder behind Session::send_update. A small per-thread
+/// cache keyed by message value + codec hands an UPDATE sent unchanged to
+/// several peers one shared buffer. Announcements carry each peer's own
+/// next hop, so in practice its hits are withdraw-only UPDATEs; anything
+/// else is encoded once, in the per-thread buffer, and copied into the
+/// packet's own. Byte-for-byte identical to encode().
+net::Bytes encode_shared(const UpdateMessage& update,
+                         const CodecOptions& opts = {});
 
 /// Split an UPDATE into pieces that each encode within kMaxMessageSize
 /// (withdrawn routes and NLRI distributed across messages; the attribute

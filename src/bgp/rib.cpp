@@ -431,6 +431,14 @@ const Route* LocRib::find(const net::Prefix& prefix) const {
   return &scratch_;
 }
 
+LocRib::WinnerKey LocRib::winner(const net::Prefix& prefix) const {
+  const LocEntry* entry = table_.find(prefix);
+  if (entry == nullptr) return {};
+  const AttrSetRef& attrs = attrs_->at(entry->attr);
+  if (!scratch_.attributes.same_set(attrs)) scratch_.attributes = attrs;
+  return {&attrs.get(), core::SessionId{entry->session}};
+}
+
 std::size_t LocRib::size() const { return table_.size(); }
 
 std::vector<net::Prefix> LocRib::prefixes() const {
@@ -471,13 +479,13 @@ bool RibOutStore::advertise(std::uint16_t col, const net::Prefix& prefix,
     span = widen_row(span);
   }
   std::uint32_t& slot = slab_[span->offset + col];
-  // Index equality is value equality: within one trial thread interning
+  // Bundle identity is value identity: within one trial thread interning
   // canonicalizes bundles and the registry dedups by canonical address.
-  const std::uint32_t index = attrs_->acquire(attrs);
-  if (slot == index) {
-    attrs_->release(index);
+  if (slot != kNone && attrs_->at(slot).same_set(attrs)) {
+    attrs_->reserve_one();
     return false;
   }
+  const std::uint32_t index = attrs_->acquire(attrs);
   if (slot != kNone) {
     attrs_->release(slot);
   } else {

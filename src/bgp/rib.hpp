@@ -245,6 +245,14 @@ class AttrRegistry {
   std::uint32_t acquire(const AttrSetRef& ref);
   /// Refcount +1 on an index already held.
   void retain(std::uint32_t index) { ++entries_[index].refs; }
+  /// The load check acquire() runs before its probe: grow the index if one
+  /// more live entry would pass 70 % load. An acquire()/release() pair on
+  /// an entry the caller already holds does nothing else, so a caller that
+  /// skips such a pair runs this instead; the index then grows at the same
+  /// points of the sequence and bytes() is unchanged.
+  void reserve_one() {
+    if ((live_ + 1) * 10 > slots_.size() * 7) grow();
+  }
   /// Refcount -1; frees the slot (and the bundle reference) at zero.
   void release(std::uint32_t index);
 
@@ -389,6 +397,19 @@ class LocRib {
   /// The winner, or nullptr. The pointer refers to a scratch slot valid
   /// until the next LocRib call.
   const Route* find(const net::Prefix& prefix) const;
+
+  /// What export needs of a winner: its canonical attribute bundle (null
+  /// when the prefix has none) and the session it was learned from
+  /// (invalid for a local route).
+  struct WinnerKey {
+    const PathAttributes* attrs{nullptr};
+    core::SessionId learned_from{core::SessionId::invalid()};
+  };
+  /// The winner's key, read from the entry without materializing a Route.
+  /// The bundle stays alive while it is the winner. Like find(), a hit
+  /// leaves the bundle in the scratch slot: mem.attr_pool counts the
+  /// bundles that slot pins, so both lookups must pin the same ones.
+  WinnerKey winner(const net::Prefix& prefix) const;
   std::size_t size() const;
   /// Installed prefixes, sorted.
   std::vector<net::Prefix> prefixes() const;

@@ -25,6 +25,11 @@ const AttrSetRef& local_route_attrs() {
   }();
   return attrs;
 }
+
+/// peers_ is sorted by port: the lower_bound predicate.
+constexpr auto port_below = [](const auto& peer, core::PortId port) {
+  return peer->port < port;
+};
 }  // namespace
 
 void BgpRouter::add_peer(core::PortId port, PeerConfig peer_config) {
@@ -37,12 +42,11 @@ void BgpRouter::add_peer(core::PortId port, PeerConfig peer_config) {
   sc.expected_peer_as = peer_config.expected_peer_as;
   sc.timers = config_.timers;
 
-  auto [it, fresh] = peers_.try_emplace(port);
-  Peer& peer = it->second;
-  // Every peer's Adj-RIB-Out is one column of the router-wide store so
-  // per-prefix advertised state is shared across peers.
-  if (fresh) peer.rib_out = AdjRibOut(rib_out_store_);
-  peer.port = port;
+  auto it = std::lower_bound(peers_.begin(), peers_.end(), port, port_below);
+  if (it == peers_.end() || (*it)->port != port) {
+    it = peers_.insert(it, std::make_unique<Peer>(port, rib_out_store_));
+  }
+  Peer& peer = **it;
   peer.config = std::move(peer_config);
   peer.session = std::make_unique<Session>(*this, sc);
   peers_by_session_[sc.id.value()] = &peer;
@@ -73,7 +77,7 @@ void BgpRouter::withdraw_origin(const net::Prefix& prefix) {
 
 void BgpRouter::start() {
   started_ = true;
-  for (auto& [port, peer] : peers_) peer.session->start();
+  for (const auto& peer : peers_) peer->session->start();
 }
 
 void BgpRouter::handle_packet(core::PortId ingress, const net::Packet& packet) {
@@ -131,7 +135,9 @@ void BgpRouter::session_established(Session& session) {
   } else {
     TxBatch batch{*this};
     for (const auto& prefix : loc_rib_.prefixes()) {
-      schedule_peer_update(*peer, prefix, export_source(loc_rib_.find(prefix)));
+      const LocRib::WinnerKey winner = loc_rib_.winner(prefix);
+      schedule_peer_update(*peer, prefix,
+                           export_source(winner.attrs, winner.learned_from));
     }
   }
 }
@@ -364,17 +370,20 @@ void BgpRouter::recompute(const net::Prefix& prefix) {
 
   // The winner and its learned relationship are resolved once for the
   // whole fan-out.
-  const ExportSource source = export_source(have_best ? &best : nullptr);
-  for (auto& [port, peer] : peers_) schedule_peer_update(peer, prefix, source);
+  const ExportSource source =
+      export_source(have_best ? &best.attributes.get() : nullptr,
+                    best.learned_from);
+  for (const auto& peer : peers_) schedule_peer_update(*peer, prefix, source);
 }
 
 // --- advertisement / MRAI ---------------------------------------------------
 
-BgpRouter::ExportSource BgpRouter::export_source(const Route* best) const {
+BgpRouter::ExportSource BgpRouter::export_source(
+    const PathAttributes* winner, core::SessionId learned_from) const {
   ExportSource source;
-  source.best = best;
-  if (best != nullptr && !best->is_local()) {
-    source.learned_rel = peers_by_session_.at(best->learned_from.value())
+  source.winner = winner;
+  if (winner != nullptr && learned_from.is_valid()) {
+    source.learned_rel = peers_by_session_.at(learned_from.value())
                              ->config.policy.relationship;
   }
   return source;
@@ -384,13 +393,14 @@ BgpRouter::ExportSource BgpRouter::export_source(const Route* best) const {
 // change, ahead of any attribute build)
 bool BgpRouter::export_verdict(const Peer& peer,
                                const ExportSource& source) const {
-  return source.best != nullptr &&
+  return source.winner != nullptr &&
          PolicyEngine::export_allowed(peer.config.policy, source.learned_rel);
 }
 
-AttrSetRef BgpRouter::build_export(const Peer& peer, const Route& best) const {
+AttrSetRef BgpRouter::build_export(const Peer& peer,
+                                   const PathAttributes& winner) const {
   // Copy-out / edit / re-intern: the canonical bundle is immutable.
-  PathAttributes attrs = *best.attributes;
+  PathAttributes attrs = winner;
   PolicyEngine::rewrite_export(attrs);
   attrs.as_path = attrs.as_path.prepend(config_.asn);
   attrs.next_hop = peer.config.local_address;
@@ -424,6 +434,7 @@ void BgpRouter::schedule_peer_update(Peer& peer, const net::Prefix& prefix,
   // needs no entry.
   peer.pending.erase(prefix);
   if (announce || peer.rib_out.advertised(prefix) != nullptr) {
+    if (peer.batch_dirty.empty()) batch_peers_.push_back(&peer);
     peer.batch_dirty.insert(prefix);
   }
 }
@@ -453,63 +464,64 @@ void BgpRouter::flush_peer(Peer& peer) {
       }
     }
   }
-  std::vector<net::Prefix> withdrawals;
-  withdrawals.reserve(peer.pending.size());
-  // Announcement groups keyed by attribute bundle (one bundle per UPDATE).
-  // Interned handles make the group lookup a pointer compare.
-  UpdateGroups groups;
-  groups.reserve(peer.pending.size());
+  FlushPack pack{peer.pending.size()};
   for (const auto& prefix : peer.pending) {
-    const ExportSource source = export_source(loc_rib_.find(prefix));
-    pack_update(peer, prefix, source, export_verdict(peer, source), groups,
-                withdrawals);
+    pack_update(peer, prefix, flush_verdict(peer, prefix, pack), pack);
   }
   peer.pending.clear();
-  emit_updates(peer, groups, withdrawals);
+  emit_updates(peer, pack);
+}
+
+// lint: hotpath(runs for every prefix either flush visits; a run of
+// prefixes with one winner key returns at the first compare)
+bool BgpRouter::flush_verdict(const Peer& peer, const net::Prefix& prefix,
+                              FlushPack& pack) const {
+  const LocRib::WinnerKey key = loc_rib_.winner(prefix);
+  if (key.attrs == pack.key.attrs && key.learned_from == pack.key.learned_from) {
+    return pack.announce;
+  }
+  pack.key = key;
+  pack.announce =
+      export_verdict(peer, export_source(key.attrs, key.learned_from));
+  pack.has_built = false;
+  pack.group = FlushPack::kNoGroup;
+  return pack.announce;
 }
 
 // lint: hotpath(runs for every prefix either flush sends; a convergence
 // burst funnels every dirty prefix through here)
 void BgpRouter::pack_update(Peer& peer, const net::Prefix& prefix,
-                            const ExportSource& source, bool announce,
-                            UpdateGroups& groups,
-                            std::vector<net::Prefix>& withdrawals) {
+                            bool announce, FlushPack& pack) {
   if (!announce) {
-    // lint: alloc-ok(reserved by the caller for the whole dirty set)
-    if (peer.rib_out.withdraw(prefix)) withdrawals.push_back(prefix);
+    // lint: alloc-ok(reserved by FlushPack for the whole dirty set)
+    if (peer.rib_out.withdraw(prefix)) pack.withdrawals.push_back(prefix);
     return;
   }
-  const AttrSetRef attrs = build_export(peer, *source.best);
-  if (!peer.rib_out.advertise(prefix, attrs)) return;  // unchanged
-  auto it = std::find_if(groups.begin(), groups.end(),
-                         [&](const auto& g) { return g.first == attrs; });
-  if (it == groups.end()) {
-    // lint: alloc-ok(reserved by the caller for the whole dirty set)
-    groups.push_back({attrs, {prefix}});
-  } else {
-    // lint: alloc-ok(grows the per-bundle NLRI list; amortized across the
-    // burst and bounded by the dirty set the caller reserved for)
-    it->second.push_back(prefix);
+  if (!pack.has_built) {
+    pack.built = build_export(peer, *pack.key.attrs);
+    pack.has_built = true;
   }
+  if (!peer.rib_out.advertise(prefix, pack.built)) return;  // unchanged
+  if (pack.group == FlushPack::kNoGroup) {
+    // Interned bundles: the group lookup is a pointer compare.
+    const auto it = std::find_if(
+        pack.groups.begin(), pack.groups.end(),
+        [&](const auto& g) { return g.first.same_set(pack.built); });
+    pack.group = static_cast<std::size_t>(it - pack.groups.begin());
+    if (it == pack.groups.end()) {
+      // lint: alloc-ok(reserved by FlushPack for the whole dirty set)
+      pack.groups.push_back({pack.built, {}});
+    }
+  }
+  // lint: alloc-ok(grows the per-bundle NLRI list; amortized across the
+  // burst and bounded by the dirty set)
+  pack.groups[pack.group].second.push_back(prefix);
 }
 
 // lint: hotpath(every UPDATE leaving the router is packed here; TX volume
 // scales with topology size times churn)
-void BgpRouter::emit_updates(Peer& peer, UpdateGroups& groups,
-                             std::vector<net::Prefix>& withdrawals) {
-  std::vector<UpdateMessage> messages;
-  messages.reserve(groups.size() + 1);
-  for (auto& [attrs, nlri] : groups) {
-    UpdateMessage m;
-    m.attributes = *attrs;
-    m.nlri = std::move(nlri);
-    messages.push_back(std::move(m));
-  }
-  if (!withdrawals.empty()) {
-    if (messages.empty()) messages.emplace_back();
-    messages.front().withdrawn = std::move(withdrawals);
-  }
-  for (auto& m : messages) {
+void BgpRouter::emit_updates(Peer& peer, FlushPack& pack) {
+  const auto transmit = [&](const UpdateMessage& m) {
     ++counters_.updates_tx;
     init_metrics();
     if (updates_tx_metric_ != nullptr) updates_tx_metric_->inc();
@@ -524,39 +536,55 @@ void BgpRouter::emit_updates(Peer& peer, UpdateGroups& groups,
       tel->emit(span);
     }
     peer.session->send_update(m);
+  };
+  // One message carries the flush's UPDATEs in turn, one per group; the
+  // withdrawals ride in the first.
+  UpdateMessage m;
+  m.withdrawn = std::move(pack.withdrawals);
+  if (pack.groups.empty()) {
+    if (!m.withdrawn.empty()) transmit(m);
+    return;
+  }
+  for (auto& [attrs, nlri] : pack.groups) {
+    m.attributes = *attrs;
+    m.nlri = std::move(nlri);
+    transmit(m);
+    m.withdrawn.clear();
   }
 }
 
 // lint: hotpath(batch-mode coalescing: one pass over every dirty prefix of
-// every peer at each batch boundary)
+// the peers that have one, at each batch boundary)
 void BgpRouter::flush_tx_batches() {
-  for (auto& [port, peer] : peers_) {
-    if (peer.batch_dirty.empty()) continue;
-    if (!peer.session->established()) {
-      peer.batch_dirty.clear();
+  // Port order, the order a walk of every peer gives. A peer listed twice
+  // (a session reset emptied its batch_dirty, and it refilled) finds
+  // nothing the second time.
+  std::sort(batch_peers_.begin(), batch_peers_.end(),
+            [](const Peer* a, const Peer* b) { return a->port < b->port; });
+  for (Peer* peer : batch_peers_) {
+    if (peer->batch_dirty.empty()) continue;
+    if (!peer->session->established()) {
+      peer->batch_dirty.clear();
       continue;
     }
     // Export state is re-evaluated now, against the final Loc-RIB of the
     // burst — intermediate states within one batch never hit the wire
     // (exactly the coalescing the MRAI flush path always did).
-    std::vector<net::Prefix> withdrawals;
-    withdrawals.reserve(peer.batch_dirty.size());
-    UpdateGroups groups;
-    groups.reserve(peer.batch_dirty.size());
-    for (const auto& prefix : peer.batch_dirty) {
-      const ExportSource source = export_source(loc_rib_.find(prefix));
-      const bool announce = export_verdict(peer, source);
-      if (gated(peer, announce)) {
+    FlushPack pack{peer->batch_dirty.size()};
+    for (const auto& prefix : peer->batch_dirty) {
+      const bool announce = flush_verdict(*peer, prefix, pack);
+      if (gated(*peer, announce)) {
         // The export flipped announce/withdraw since it was queued and is
         // now subject to MRAI: it waits for the next advertisement tick.
-        peer.pending.insert(prefix);
+        peer->pending.insert(prefix);
         continue;
       }
-      pack_update(peer, prefix, source, announce, groups, withdrawals);
+      pack_update(*peer, prefix, announce, pack);
     }
-    peer.batch_dirty.clear();
-    emit_updates(peer, groups, withdrawals);
+    peer->batch_dirty.clear();
+    emit_updates(*peer, pack);
   }
+  batch_peers_.clear();
 }
 
 void BgpRouter::arm_mrai(Peer& peer) {
@@ -585,9 +613,9 @@ void BgpRouter::enqueue_work(core::Duration cost, core::SmallFunc fn) {
   loop().schedule_at(busy_until_, std::move(fn));
 }
 
-BgpRouter::Peer* BgpRouter::peer_on(core::PortId port) {
-  const auto it = peers_.find(port);
-  return it == peers_.end() ? nullptr : &it->second;
+BgpRouter::Peer* BgpRouter::peer_on(core::PortId port) const {
+  const auto it = std::lower_bound(peers_.begin(), peers_.end(), port, port_below);
+  return it != peers_.end() && (*it)->port == port ? it->get() : nullptr;
 }
 
 BgpRouter::Peer* BgpRouter::peer_of(const Session& session) {
@@ -596,14 +624,14 @@ BgpRouter::Peer* BgpRouter::peer_of(const Session& session) {
 }
 
 const Session* BgpRouter::session_on(core::PortId port) const {
-  const auto it = peers_.find(port);
-  return it == peers_.end() ? nullptr : it->second.session.get();
+  const Peer* peer = peer_on(port);
+  return peer == nullptr ? nullptr : peer->session.get();
 }
 
 std::vector<const Session*> BgpRouter::sessions() const {
   std::vector<const Session*> out;
   out.reserve(peers_.size());
-  for (const auto& [port, peer] : peers_) out.push_back(peer.session.get());
+  for (const auto& peer : peers_) out.push_back(peer->session.get());
   return out;
 }
 

@@ -9,6 +9,7 @@
 // paper's experiments measure.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -131,6 +132,10 @@ class BgpRouter : public net::Node, public SessionHost {
 
  private:
   struct Peer {
+    /// Every peer's Adj-RIB-Out is one column of the router-wide store, so
+    /// per-prefix advertised state is shared across peers.
+    Peer(core::PortId p, RibOutStore& store) : port{p}, rib_out{store} {}
+
     core::PortId port;
     PeerConfig config;
     std::unique_ptr<Session> session;
@@ -149,7 +154,7 @@ class BgpRouter : public net::Node, public SessionHost {
     bool mrai_span_open{false};
   };
 
-  Peer* peer_on(core::PortId port);
+  Peer* peer_on(core::PortId port) const;
   Peer* peer_of(const Session& session);
 
   /// Serialized-CPU work model: runs `fn` after queued processing cost.
@@ -173,16 +178,15 @@ class BgpRouter : public net::Node, public SessionHost {
   /// reuse-time re-evaluation.
   void note_flap(core::SessionId session, const net::Prefix& prefix,
                  bool withdrawal);
-  /// The Loc-RIB winner of one prefix as export sees it: the route (null
-  /// when there is none) and the relationship of the session it was
-  /// learned over (nullopt for a local route). `best` may point at the
-  /// Loc-RIB's scratch slot, so a source is only valid until the next
-  /// Loc-RIB call.
+  /// The Loc-RIB winner of one prefix as export sees it: its canonical
+  /// bundle (null when there is none) and the relationship of the session
+  /// it was learned over (nullopt for a local route).
   struct ExportSource {
-    const Route* best{nullptr};
+    const PathAttributes* winner{nullptr};
     std::optional<Relationship> learned_rel;
   };
-  ExportSource export_source(const Route* best) const;
+  ExportSource export_source(const PathAttributes* winner,
+                             core::SessionId learned_from) const;
 
   /// Queue the export state of `prefix`, whose winner is `source`, for
   /// `peer`: MRAI-gated changes go to `pending`, ungated ones to
@@ -193,10 +197,10 @@ class BgpRouter : public net::Node, public SessionHost {
   /// withdraw. There must be a winner, and the valley-free rule must let it
   /// through; no attribute is touched.
   bool export_verdict(const Peer& peer, const ExportSource& source) const;
-  /// The bundle announced to `peer` for winner `best`: copied out,
-  /// rewritten for export, prefixed with the local AS and next hop, then
-  /// interned. Runs only where an UPDATE is packed.
-  AttrSetRef build_export(const Peer& peer, const Route& best) const;
+  /// The bundle announced to `peer` for `winner`: copied out, rewritten
+  /// for export, prefixed with the local AS and next hop, then interned.
+  /// Runs only where an UPDATE is packed.
+  AttrSetRef build_export(const Peer& peer, const PathAttributes& winner) const;
   /// Whether an announcement (or withdrawal) to `peer` waits for MRAI.
   bool gated(const Peer& peer, bool announce) const;
   /// Send everything pending for the peer; groups NLRI by attribute bundle.
@@ -204,20 +208,44 @@ class BgpRouter : public net::Node, public SessionHost {
   void arm_mrai(Peer& peer);
   core::Duration peer_mrai(const Peer& peer) const;
 
-  /// One announcement group: every prefix advertised with the same bundle
-  /// rides in a single multi-NLRI UPDATE.
-  using UpdateGroups = std::vector<std::pair<AttrSetRef, std::vector<net::Prefix>>>;
+  /// The UPDATEs one peer's flush is packing, and the export state of the
+  /// last Loc-RIB winner key it resolved. Dirty prefixes are visited in
+  /// sorted order and runs of them share a winner (the NLRI of one
+  /// received UPDATE), so while the key repeats the verdict and the export
+  /// bundle are reused: build_export runs once per (peer, winner key) per
+  /// flush, not once per prefix.
+  struct FlushPack {
+    static constexpr std::size_t kNoGroup = static_cast<std::size_t>(-1);
+    explicit FlushPack(std::size_t dirty) {
+      groups.reserve(dirty);
+      withdrawals.reserve(dirty);
+    }
+    /// One announcement group per export bundle, in order of first use:
+    /// every prefix advertised with that bundle rides in one UPDATE.
+    std::vector<std::pair<AttrSetRef, std::vector<net::Prefix>>> groups;
+    std::vector<net::Prefix> withdrawals;
+    /// The last winner key and what it resolved to.
+    LocRib::WinnerKey key;
+    bool announce{false};
+    /// `built` holds the key's export bundle once one was needed, and
+    /// `group` indexes its group once a prefix joined it.
+    bool has_built{false};
+    AttrSetRef built;
+    std::size_t group{kNoGroup};
+  };
+  /// The export verdict of `prefix` towards `peer`, read from its Loc-RIB
+  /// winner key; resolved afresh only when the key differs from `pack`'s.
+  bool flush_verdict(const Peer& peer, const net::Prefix& prefix,
+                     FlushPack& pack) const;
   /// Add `prefix`'s export state towards `peer` to the UPDATEs being packed:
-  /// when `announce`, the winner's export bundle joins its group (unless
-  /// `peer` already has it); otherwise an advertised prefix joins
-  /// `withdrawals`.
-  void pack_update(Peer& peer, const net::Prefix& prefix,
-                   const ExportSource& source, bool announce,
-                   UpdateGroups& groups, std::vector<net::Prefix>& withdrawals);
+  /// when `announce`, the key's export bundle (built on first use) joins
+  /// its group unless `peer` already has it; otherwise an advertised prefix
+  /// joins the withdrawals.
+  void pack_update(Peer& peer, const net::Prefix& prefix, bool announce,
+                   FlushPack& pack);
   /// Emit one UPDATE per group (withdrawals ride in the first message),
   /// with per-message counters, logging and tracing.
-  void emit_updates(Peer& peer, UpdateGroups& groups,
-                    std::vector<net::Prefix>& withdrawals);
+  void emit_updates(Peer& peer, FlushPack& pack);
 
   /// RAII scope coalescing ungated UPDATE emission across one burst of RIB
   /// mutations (one received UPDATE, session event or origin change):
@@ -238,8 +266,14 @@ class BgpRouter : public net::Node, public SessionHost {
 
   RouterConfig config_;
   bool started_{false};
-  std::map<core::PortId, Peer> peers_;
+  /// Ascending by port, the order every fan-out visits peers in. Each Peer
+  /// is heap-held so its address survives later add_peer calls: timers and
+  /// peers_by_session_ keep Peer*.
+  std::vector<std::unique_ptr<Peer>> peers_;
   std::unordered_map<std::uint32_t, Peer*> peers_by_session_;
+  /// Peers whose batch_dirty filled since the last batch flush, which
+  /// visits them in port order.
+  std::vector<Peer*> batch_peers_;
   AdjRibIn adj_rib_in_;
   LocRib loc_rib_;
   /// Shared advertised-state store; every Peer's rib_out is one column.

@@ -273,16 +273,27 @@ void Session::enter_established() {
   host_.session_established(*this);
 }
 
+// lint: hotpath(every UPDATE a router sends passes here: one encode, no
+// message copies)
 void Session::send_update(const UpdateMessage& update) {
   if (!established()) return;
+  init_metrics();
+  net::Bytes wire = encode_shared(update, codec_);
+  if (wire.size() <= kMaxMessageSize) {
+    transmit_update(std::move(wire));
+    return;
+  }
   // Honour the RFC 4271 4096-byte message cap: oversized updates are split
   // transparently (one attribute bundle per NLRI piece).
-  init_metrics();
   for (const auto& piece : split_update(update, codec_)) {
-    ++counters_.updates_tx;
-    if (updates_tx_metric_ != nullptr) updates_tx_metric_->inc();
-    transmit(piece);
+    transmit_update(encode_shared(piece, codec_));
   }
+}
+
+void Session::transmit_update(net::Bytes wire) {
+  ++counters_.updates_tx;
+  if (updates_tx_metric_ != nullptr) updates_tx_metric_->inc();
+  host_.session_transmit(*this, std::move(wire));
 }
 
 void Session::reset_hold_timer() {

@@ -52,8 +52,11 @@ class SessionHost {
   virtual ~SessionHost() = default;
 
   /// Transmit wire bytes towards the peer (the host wraps them in a Packet
-  /// and picks the right port). The buffer is copy-on-write shared: the
-  /// same encoded UPDATE fans out to many peers without re-encoding.
+  /// and picks the right port). The buffer is copy-on-write shared: every
+  /// hop and every copy of a packet holds the one encoded image, and a
+  /// withdraw-only UPDATE sent unchanged to several peers is encoded once
+  /// (announcements carry each peer's own next hop, so each is encoded
+  /// once per peer).
   virtual void session_transmit(Session& session, net::Bytes wire) = 0;
 
   virtual void session_established(Session& session) = 0;
@@ -142,6 +145,8 @@ class Session {
   void transition(SessionState next);
   void init_metrics();
   void transmit(const Message& m);
+  /// Hand one encoded UPDATE to the host and count it.
+  void transmit_update(net::Bytes wire);
   void on_open(const OpenMessage& m);
   void on_keepalive();
   void on_update(UpdateMessage m);

@@ -48,6 +48,8 @@ class ByteWriter {
   std::size_t size() const { return buf_.size(); }
   const std::vector<std::byte>& data() const { return buf_; }
   std::vector<std::byte> take() { return std::move(buf_); }
+  /// Empty the buffer, keeping its capacity for the next message.
+  void clear() { buf_.clear(); }
 
  private:
   std::vector<std::byte> buf_;

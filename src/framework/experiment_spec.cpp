@@ -110,7 +110,6 @@ void ExperimentSpec::validate() const {
     }
     if (flap_cycles < 1) bad("flap-train needs at least 1 cycle");
   }
-  if (trials < 1) bad("trials must be >= 1");
   if (config.controller_replicas < 1 || config.controller_replicas > 16) {
     bad("controller replicas must be in [1, 16], got " +
         std::to_string(config.controller_replicas));
@@ -458,17 +457,6 @@ ExperimentSpecBuilder& ExperimentSpecBuilder::wait_quiet(core::Duration quiet) {
 ExperimentSpecBuilder& ExperimentSpecBuilder::announce(
     core::AsNumber as, const net::Prefix& prefix) {
   spec_.announcements.emplace_back(as, prefix);
-  return *this;
-}
-
-ExperimentSpecBuilder& ExperimentSpecBuilder::trials(std::size_t count) {
-  if (count < 1) bad("trials must be >= 1");
-  spec_.trials = count;
-  return *this;
-}
-
-ExperimentSpecBuilder& ExperimentSpecBuilder::base_seed(std::uint64_t seed) {
-  spec_.base_seed = seed;
   return *this;
 }
 

@@ -105,10 +105,6 @@ struct ExperimentSpec {
   /// event kind: the origin AS announces primary_prefix().
   std::vector<std::pair<core::AsNumber, net::Prefix>> announcements;
 
-  /// How many seeded trials a runner should execute, and from which seed.
-  std::size_t trials{10};
-  std::uint64_t base_seed{1000};
-
   // --- canonical constants -------------------------------------------------
   /// The measured prefix (10.0.0.0/16) and the fresh prefix announced by
   /// kAnnouncement events (10.200.0.0/16).
@@ -215,8 +211,6 @@ class ExperimentSpecBuilder {
   ExperimentSpecBuilder& election_timeout(core::Duration timeout);
   ExperimentSpecBuilder& wait_quiet(core::Duration quiet);
   ExperimentSpecBuilder& announce(core::AsNumber as, const net::Prefix& prefix);
-  ExperimentSpecBuilder& trials(std::size_t count);
-  ExperimentSpecBuilder& base_seed(std::uint64_t seed);
 
   /// Resolve + validate; throws std::invalid_argument on inconsistency.
   ExperimentSpec build() const;

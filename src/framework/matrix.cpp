@@ -181,8 +181,6 @@ std::vector<MatrixCell> MatrixSpec::expand() const {
   for (std::size_t index = 0; index < total; ++index) {
     MatrixCell cell;
     cell.spec = base;
-    cell.spec.trials = trials;
-    cell.spec.base_seed = base_seed;
     for (std::size_t a = 0; a < axes.size(); ++a) {
       const std::string& value = axes[a].values[odometer[a]];
       cell.coords.emplace_back(axes[a].name, value);

@@ -1,6 +1,6 @@
 // The Adj-RIB-Out export path: the attribute-pool cost of one announcement
-// and of one imported UPDATE, the flat per-peer dirty set, and the MRAI wait
-// window across session resets.
+// and of one imported UPDATE, the port order of batch sends, the flat
+// per-peer dirty set, and the MRAI wait window across session resets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -38,10 +38,18 @@ class ScriptedPeer : public net::Node, public bgp::SessionHost {
  public:
   explicit ScriptedPeer(core::AsNumber asn) : asn_{asn} {}
 
-  /// Add a peer with AS `asn` to `router` over a fresh link; the router
-  /// applies `policy` towards it.
-  static ScriptedPeer& attach(MiniTopo& topo, bgp::BgpRouter& router,
-                              std::uint32_t asn, bgp::PeerPolicy policy) {
+  /// A scripted peer on a fresh link to a router, and the configuration of
+  /// the router's side, which the test adds with `router.add_peer`.
+  struct Link {
+    ScriptedPeer* peer;
+    core::PortId router_port;
+    bgp::PeerConfig config;
+  };
+
+  /// Wire a peer with AS `asn` to `router` over a fresh link; the router's
+  /// side applies `policy` towards it once added.
+  static Link link(MiniTopo& topo, bgp::BgpRouter& router, std::uint32_t asn,
+                   bgp::PeerPolicy policy) {
     const core::AsNumber as{asn};
     auto& peer = topo.net().add<ScriptedPeer>("AS" + std::to_string(asn), as);
     const auto link = topo.net().connect(router.id(), peer.id(),
@@ -53,7 +61,6 @@ class ScriptedPeer : public net::Node, public bgp::SessionHost {
     pc.local_address = p2p.left;
     pc.remote_address = p2p.right;
     pc.expected_peer_as = as;
-    router.add_peer(ends.a.port, pc);
 
     peer.port_ = ends.b.port;
     peer.address_ = p2p.right;
@@ -67,7 +74,16 @@ class ScriptedPeer : public net::Node, public bgp::SessionHost {
     sc.expected_peer_as = router.asn();
     sc.timers = router.config().timers;
     peer.session_ = std::make_unique<bgp::Session>(peer, sc);
-    return peer;
+    return {&peer, ends.a.port, pc};
+  }
+
+  /// Add a peer with AS `asn` to `router` over a fresh link; the router
+  /// applies `policy` towards it.
+  static ScriptedPeer& attach(MiniTopo& topo, bgp::BgpRouter& router,
+                              std::uint32_t asn, bgp::PeerPolicy policy) {
+    const Link l = link(topo, router, asn, std::move(policy));
+    router.add_peer(l.router_port, l.config);
+    return *l.peer;
   }
 
   /// Announce `prefixes` with AS path `asn` + `tail`.
@@ -157,6 +173,34 @@ TEST(ExportFanOut, OneAnnouncementInternsOnceOnImportAndOnceOnExport) {
   EXPECT_TRUE(peer.received.empty());
 }
 
+// The export bundle is built once per winner bundle per flush, not once per
+// prefix: a provider's 3-NLRI UPDATE costs one intern on import and one on
+// export to the customer, which receives all three NLRI in one UPDATE.
+TEST(ExportFanOut, MultiPrefixAnnouncementBuildsOneExportBundle) {
+  MiniTopo topo;
+  auto& router = topo.add_router(1);
+  auto& provider =
+      ScriptedPeer::attach(topo, router, 2, gao(bgp::Relationship::kProvider));
+  auto& customer =
+      ScriptedPeer::attach(topo, router, 4, gao(bgp::Relationship::kCustomer));
+  topo.start();
+  topo.run_for(core::Duration::seconds(2));
+  ASSERT_TRUE(provider.established());
+  ASSERT_TRUE(customer.established());
+
+  const std::uint64_t before = bgp::attr_pool_stats().interns;
+  provider.announce({pfx("10.9.0.0/16"), pfx("10.10.0.0/16"), pfx("10.11.0.0/16")});
+  topo.run_for(core::Duration::seconds(2));
+
+  EXPECT_EQ(bgp::attr_pool_stats().interns - before, 2u);
+  ASSERT_EQ(customer.received.size(), 1u);
+  EXPECT_NE(customer.received[0].find(
+                "announce{10.9.0.0/16 10.10.0.0/16 10.11.0.0/16}"),
+            std::string::npos)
+      << customer.received[0];
+  EXPECT_TRUE(provider.received.empty());
+}
+
 // One UPDATE carries one bundle: a 3-NLRI announcement is loop-checked,
 // rewritten and interned once on import. From a provider, over a router
 // whose only other neighbour is a peer, nothing is exported, so that one
@@ -204,6 +248,65 @@ TEST(ImportOncePerUpdate, MultiNlriUpdateInternsOnce) {
   EXPECT_EQ(router.counters().routes_rejected_loop - loops, 2u);
   EXPECT_EQ(bgp::attr_pool_stats().interns - before, 0u);
   EXPECT_TRUE(peer.received.empty());
+}
+
+// --- the port order of batch sends ----------------------------------------------
+
+// A batch flush sends to its peers in ascending port order, whatever order
+// they were added in, their AS numbers or the order the burst dirtied them.
+// Ports 0, 1 and 2 belong to customers AS 30, 10 and 20, added in
+// descending port order; MRAI paces announcements to AS 30 only. AS 20's
+// session drops: 10.8.0.0/16 falls back to AS 10's longer path, which is
+// announced at once to AS 10 and waits for MRAI towards AS 30, and
+// 10.9.0.0/16 is withdrawn from both. The burst dirties AS 10 before AS 30,
+// yet AS 30's withdrawal leaves first.
+TEST(ExportFanOut, BatchUpdatesLeaveInAscendingPortOrder) {
+  MiniTopo topo;
+  topo.log().set_min_level(core::LogLevel::kDebug);
+  auto& router = topo.add_router(1);
+  std::vector<ScriptedPeer::Link> links;
+  for (const std::uint32_t asn : {30u, 10u, 20u}) {
+    links.push_back(
+        ScriptedPeer::link(topo, router, asn, gao(bgp::Relationship::kCustomer)));
+  }
+  ASSERT_LT(links[0].router_port, links[1].router_port);
+  ASSERT_LT(links[1].router_port, links[2].router_port);
+  links[1].config.mrai = core::Duration::zero();
+  links[2].config.mrai = core::Duration::zero();
+  for (auto it = links.rbegin(); it != links.rend(); ++it) {
+    router.add_peer(it->router_port, it->config);
+  }
+  ScriptedPeer& as10 = *links[1].peer;
+  ScriptedPeer& as20 = *links[2].peer;
+  topo.start();
+  topo.run_for(core::Duration::seconds(2));
+  for (const auto& l : links) ASSERT_TRUE(l.peer->established());
+
+  const auto fallback = pfx("10.8.0.0/16");
+  const auto lost = pfx("10.9.0.0/16");
+  as20.announce({fallback, lost});
+  as10.announce({fallback}, {99});
+  topo.run_for(core::Duration::seconds(2));
+  const std::size_t before = topo.log().filter("update_tx", "bgp.AS1").size();
+  topo.net().set_link_up(topo.net().find_link(router.id(), as20.id()), false);
+  topo.run_for(core::Duration::seconds(2));
+
+  std::vector<std::string> sent;
+  for (const auto& rec : topo.log().filter("update_tx", "bgp.AS1")) {
+    sent.push_back(rec.detail);
+  }
+  ASSERT_GE(sent.size(), before);
+  sent.erase(sent.begin(), sent.begin() + static_cast<std::ptrdiff_t>(before));
+  const auto announce = [](const ScriptedPeer::Link& l) {
+    return "announce{10.8.0.0/16} path=[1 10 99] nh=" +
+           l.config.local_address.to_string() + " origin=IGP";
+  };
+  const std::vector<std::string> want = {
+      "to AS30 UPDATE withdraw{10.9.0.0/16}",
+      "to AS10 UPDATE withdraw{10.9.0.0/16} " + announce(links[1]),
+      "to AS30 UPDATE " + announce(links[0]),
+  };
+  EXPECT_EQ(sent, want);
 }
 
 // --- the flat dirty set ---------------------------------------------------------

@@ -1,9 +1,17 @@
-// RFC 4271 wire codec tests: round-trips, capability negotiation, and
-// rejection of malformed input (truncation fuzzing included).
+// RFC 4271 wire codec tests: round-trips, capability negotiation,
+// rejection of malformed input (truncation fuzzing included), and the bytes
+// a session puts on the wire.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "bgp/message.hpp"
+#include "bgp/session.hpp"
 #include "bgp/wire.hpp"
+#include "core/event_loop.hpp"
+#include "core/logger.hpp"
+#include "core/random.hpp"
 
 namespace bgpsdn::bgp {
 namespace {
@@ -338,6 +346,112 @@ TEST(EncodeShared, CodecWidthIsPartOfTheCacheKey) {
   EXPECT_NE(wide.data(), narrow.data());
   EXPECT_EQ(wide.vec(), encode(u, {.four_octet_as = true}));
   EXPECT_EQ(narrow.vec(), encode(u, {.four_octet_as = false}));
+}
+
+/// A bare session host that records every wire image the session hands it.
+class RecordingHost : public SessionHost {
+ public:
+  void session_transmit(Session&, net::Bytes wire) override {
+    sent.push_back(wire.vec());
+  }
+  void session_established(Session&) override {}
+  void session_down(Session&, const std::string&) override {}
+  void session_update(Session&, UpdateMessage) override {}
+  core::EventLoop& session_loop() override { return loop; }
+  core::Rng& session_rng() override { return rng; }
+  core::Logger& session_logger() override { return logger; }
+  const std::string& session_log_name() const override { return name; }
+
+  core::EventLoop loop;
+  core::Rng rng{7};
+  core::Logger logger;
+  std::string name{"host"};
+  std::vector<std::vector<std::byte>> sent;
+};
+
+std::vector<net::Prefix> random_prefixes(core::Rng& rng) {
+  // Half the draws stay small, so both whole and split sends are common.
+  const std::int64_t most = rng.chance(0.5) ? 20 : 1500;
+  std::vector<net::Prefix> out(static_cast<std::size_t>(rng.uniform_int(0, most)));
+  for (auto& p : out) {
+    p = net::Prefix{net::Ipv4Addr{static_cast<std::uint32_t>(
+                        rng.uniform_int(0, 0xffffffffLL))},
+                    static_cast<std::uint8_t>(rng.uniform_int(0, 32))};
+  }
+  return out;
+}
+
+UpdateMessage random_update(core::Rng& rng, bool communities) {
+  UpdateMessage u;
+  u.withdrawn = random_prefixes(rng);
+  u.nlri = random_prefixes(rng);
+  std::vector<core::AsNumber> hops(static_cast<std::size_t>(rng.uniform_int(1, 12)));
+  for (auto& as : hops) {
+    // Some hops need four octets, so the two-octet codec writes AS_TRANS.
+    as = core::AsNumber{static_cast<std::uint32_t>(
+        rng.uniform_int(1, rng.chance(0.3) ? 0xffffffffLL : 0xffffLL))};
+  }
+  u.attributes.as_path = AsPath{std::move(hops)};
+  u.attributes.next_hop =
+      net::Ipv4Addr{static_cast<std::uint32_t>(rng.uniform_int(0, 0xffffffffLL))};
+  if (rng.chance(0.5)) u.attributes.med = static_cast<std::uint32_t>(rng.uniform_int(0, 1000));
+  if (rng.chance(0.5)) {
+    u.attributes.local_pref = static_cast<std::uint32_t>(rng.uniform_int(0, 1000));
+  }
+  if (communities) {
+    u.attributes.communities.resize(static_cast<std::size_t>(rng.uniform_int(1, 10)));
+    for (auto& c : u.attributes.communities) {
+      c = static_cast<std::uint32_t>(rng.uniform_int(0, 0xffffffffLL));
+    }
+  }
+  return u;
+}
+
+// Session::send_update encodes an UPDATE once and splits only what exceeds
+// the 4096-byte cap: the bytes it hands the host are encode() of each
+// split_update() piece, in order, for UPDATEs of every size (0 to 1500 NLRI
+// and withdrawn prefixes), both AS widths, with and without communities.
+TEST(EncodeShared, SendUpdateMatchesSplitEncode) {
+  core::Rng rng{2020};
+  std::size_t whole_sends = 0;
+  std::size_t split_sends = 0;
+  for (const bool four_octet : {true, false}) {
+    RecordingHost host;
+    SessionConfig config;
+    config.id = core::SessionId{1};
+    config.local_as = core::AsNumber{65001};
+    config.local_id = net::Ipv4Addr{10, 0, 0, 1};
+    Session session{host, config};
+    session.start();
+    host.loop.run(host.loop.now() + core::Duration::seconds(1));
+    OpenMessage open;
+    open.my_as = core::AsNumber{65002};
+    open.bgp_id = net::Ipv4Addr{10, 0, 0, 2};
+    open.four_octet_as = four_octet;
+    session.receive(encode(Message{open}));
+    session.receive(encode(Message{KeepaliveMessage{}}));
+    ASSERT_TRUE(session.established());
+    ASSERT_EQ(session.codec().four_octet_as, four_octet);
+
+    for (const bool communities : {false, true}) {
+      for (int i = 0; i < 40; ++i) {
+        const UpdateMessage u = random_update(rng, communities);
+        std::vector<std::vector<std::byte>> want;
+        for (const auto& piece : split_update(u, session.codec())) {
+          want.push_back(encode(piece, session.codec()));
+        }
+        ++(want.size() > 1 ? split_sends : whole_sends);
+        host.sent.clear();
+        session.send_update(u);
+        ASSERT_EQ(host.sent, want)
+            << "four_octet=" << four_octet << " communities=" << communities
+            << " update " << i << ": " << u.nlri.size() << " NLRI, "
+            << u.withdrawn.size() << " withdrawn";
+      }
+    }
+  }
+  EXPECT_GT(whole_sends, 0u);
+  EXPECT_GT(split_sends, 0u);
 }
 
 TEST(EncodeShared, OpenFallsThroughToPlainEncoding) {

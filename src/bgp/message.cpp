@@ -227,6 +227,48 @@ const std::vector<std::byte>& encode_image(const M& m, MessageType type,
   return w.data();
 }
 
+/// The fan-out cache: a tiny per-thread ring keyed by message value + codec
+/// width, so an UPDATE sent unchanged to several peers is encoded once.
+/// Both encode_shared overloads run the lookup inline: a hit makes no call.
+using WireImage = std::shared_ptr<const std::vector<std::byte>>;
+struct FanoutEntry {
+  UpdateMessage msg;
+  bool four_octet{false};
+  WireImage wire;
+};
+constexpr std::size_t kFanoutSize = 8;
+thread_local FanoutEntry fanout_cache[kFanoutSize];
+thread_local std::size_t fanout_next = 0;
+
+/// The cached wire image of `update`, or null.
+// lint: hotpath(every UPDATE a speaker sends is looked up here first)
+[[gnu::always_inline]] inline const WireImage* fanout_hit(
+    const UpdateMessage& update, const CodecOptions& opts) {
+  for (const auto& e : fanout_cache) {
+    if (e.wire != nullptr && e.four_octet == opts.four_octet_as &&
+        e.msg == update) {
+      return &e.wire;
+    }
+  }
+  return nullptr;
+}
+
+/// A miss: encode `update` once and keep the image in the oldest slot,
+/// overwritten in place so the slot's vectors keep their capacity.
+// lint: hotpath(every UPDATE the fan-out cache misses is encoded here)
+net::Bytes fanout_insert(const UpdateMessage& update, const CodecOptions& opts) {
+  // lint: alloc-ok(the wire buffer the packet owns: it travels with the
+  // packet, shared with the cache slot, after this call returns)
+  auto wire = std::make_shared<std::vector<std::byte>>(
+      encode_image(update, MessageType::kUpdate, opts));
+  FanoutEntry& slot = fanout_cache[fanout_next];
+  slot.msg = update;
+  slot.four_octet = opts.four_octet_as;
+  slot.wire = wire;
+  fanout_next = (fanout_next + 1) % kFanoutSize;
+  return net::Bytes::adopt(std::move(wire));
+}
+
 std::optional<Message> decode_open(ByteReader& r) {
   OpenMessage m;
   m.version = r.u8();
@@ -347,7 +389,10 @@ net::Bytes encode_shared(const Message& message, const CodecOptions& opts) {
     return net::Bytes::adopt(kWire);
   }
   if (const auto* update = std::get_if<UpdateMessage>(&message)) {
-    return encode_shared(*update, opts);
+    if (const auto* wire = fanout_hit(*update, opts)) {
+      return net::Bytes::adopt(*wire);
+    }
+    return fanout_insert(*update, opts);
   }
   // OPEN / NOTIFICATION: rare, connection-scoped, not worth caching.
   return net::Bytes{encode(message, opts)};
@@ -355,33 +400,10 @@ net::Bytes encode_shared(const Message& message, const CodecOptions& opts) {
 
 // lint: hotpath(every UPDATE a speaker sends is encoded here, once)
 net::Bytes encode_shared(const UpdateMessage& update, const CodecOptions& opts) {
-  // Fan-out cache: a tiny per-thread ring keyed by message value + codec
-  // width. An insert overwrites the oldest slot in place, so the slot's
-  // vectors keep their capacity.
-  struct Entry {
-    UpdateMessage msg;
-    bool four_octet{false};
-    std::shared_ptr<const std::vector<std::byte>> wire;
-  };
-  constexpr std::size_t kCacheSize = 8;
-  thread_local Entry cache[kCacheSize];
-  thread_local std::size_t next = 0;
-  for (const auto& e : cache) {
-    if (e.wire != nullptr && e.four_octet == opts.four_octet_as &&
-        e.msg == update) {
-      return net::Bytes::adopt(e.wire);
-    }
+  if (const auto* wire = fanout_hit(update, opts)) {
+    return net::Bytes::adopt(*wire);
   }
-  // lint: alloc-ok(the wire buffer the packet owns: it travels with the
-  // packet, shared with the cache slot, after this call returns)
-  auto wire = std::make_shared<std::vector<std::byte>>(
-      encode_image(update, MessageType::kUpdate, opts));
-  Entry& slot = cache[next];
-  slot.msg = update;
-  slot.four_octet = opts.four_octet_as;
-  slot.wire = wire;
-  next = (next + 1) % kCacheSize;
-  return net::Bytes::adopt(std::move(wire));
+  return fanout_insert(update, opts);
 }
 
 std::vector<UpdateMessage> split_update(const UpdateMessage& update,

@@ -479,13 +479,13 @@ bool RibOutStore::advertise(std::uint16_t col, const net::Prefix& prefix,
     span = widen_row(span);
   }
   std::uint32_t& slot = slab_[span->offset + col];
-  // Bundle identity is value identity: within one trial thread interning
+  // Index equality is value equality: within one trial thread interning
   // canonicalizes bundles and the registry dedups by canonical address.
-  if (slot != kNone && attrs_->at(slot).same_set(attrs)) {
-    attrs_->reserve_one();
+  const std::uint32_t index = attrs_->acquire(attrs);
+  if (slot == index) {
+    attrs_->release(index);
     return false;
   }
-  const std::uint32_t index = attrs_->acquire(attrs);
   if (slot != kNone) {
     attrs_->release(slot);
   } else {

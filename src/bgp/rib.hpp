@@ -245,14 +245,6 @@ class AttrRegistry {
   std::uint32_t acquire(const AttrSetRef& ref);
   /// Refcount +1 on an index already held.
   void retain(std::uint32_t index) { ++entries_[index].refs; }
-  /// The load check acquire() runs before its probe: grow the index if one
-  /// more live entry would pass 70 % load. An acquire()/release() pair on
-  /// an entry the caller already holds does nothing else, so a caller that
-  /// skips such a pair runs this instead; the index then grows at the same
-  /// points of the sequence and bytes() is unchanged.
-  void reserve_one() {
-    if ((live_ + 1) * 10 > slots_.size() * 7) grow();
-  }
   /// Refcount -1; frees the slot (and the bundle reference) at zero.
   void release(std::uint32_t index);
 

@@ -434,7 +434,6 @@ void BgpRouter::schedule_peer_update(Peer& peer, const net::Prefix& prefix,
   // needs no entry.
   peer.pending.erase(prefix);
   if (announce || peer.rib_out.advertised(prefix) != nullptr) {
-    if (peer.batch_dirty.empty()) batch_peers_.push_back(&peer);
     peer.batch_dirty.insert(prefix);
   }
 }
@@ -554,14 +553,10 @@ void BgpRouter::emit_updates(Peer& peer, FlushPack& pack) {
 }
 
 // lint: hotpath(batch-mode coalescing: one pass over every dirty prefix of
-// the peers that have one, at each batch boundary)
+// every peer at each batch boundary)
 void BgpRouter::flush_tx_batches() {
-  // Port order, the order a walk of every peer gives. A peer listed twice
-  // (a session reset emptied its batch_dirty, and it refilled) finds
-  // nothing the second time.
-  std::sort(batch_peers_.begin(), batch_peers_.end(),
-            [](const Peer* a, const Peer* b) { return a->port < b->port; });
-  for (Peer* peer : batch_peers_) {
+  // peers_ is port-sorted, so the batch's UPDATEs leave in port order.
+  for (const auto& peer : peers_) {
     if (peer->batch_dirty.empty()) continue;
     if (!peer->session->established()) {
       peer->batch_dirty.clear();
@@ -584,7 +579,6 @@ void BgpRouter::flush_tx_batches() {
     peer->batch_dirty.clear();
     emit_updates(*peer, pack);
   }
-  batch_peers_.clear();
 }
 
 void BgpRouter::arm_mrai(Peer& peer) {
@@ -613,7 +607,7 @@ void BgpRouter::enqueue_work(core::Duration cost, core::SmallFunc fn) {
   loop().schedule_at(busy_until_, std::move(fn));
 }
 
-BgpRouter::Peer* BgpRouter::peer_on(core::PortId port) const {
+const BgpRouter::Peer* BgpRouter::peer_on(core::PortId port) const {
   const auto it = std::lower_bound(peers_.begin(), peers_.end(), port, port_below);
   return it != peers_.end() && (*it)->port == port ? it->get() : nullptr;
 }

@@ -16,6 +16,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bgp/damping.hpp"
@@ -154,7 +155,10 @@ class BgpRouter : public net::Node, public SessionHost {
     bool mrai_span_open{false};
   };
 
-  Peer* peer_on(core::PortId port) const;
+  Peer* peer_on(core::PortId port) {
+    return const_cast<Peer*>(std::as_const(*this).peer_on(port));
+  }
+  const Peer* peer_on(core::PortId port) const;
   Peer* peer_of(const Session& session);
 
   /// Serialized-CPU work model: runs `fn` after queued processing cost.
@@ -271,9 +275,6 @@ class BgpRouter : public net::Node, public SessionHost {
   /// peers_by_session_ keep Peer*.
   std::vector<std::unique_ptr<Peer>> peers_;
   std::unordered_map<std::uint32_t, Peer*> peers_by_session_;
-  /// Peers whose batch_dirty filled since the last batch flush, which
-  /// visits them in port order.
-  std::vector<Peer*> batch_peers_;
   AdjRibIn adj_rib_in_;
   LocRib loc_rib_;
   /// Shared advertised-state store; every Peer's rib_out is one column.

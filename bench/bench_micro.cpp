@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -115,6 +116,7 @@ BENCHMARK(BM_BgpDecode)->Arg(1)->Arg(64);
 
 void BM_DecisionProcess(benchmark::State& state) {
   const auto n = state.range(0);
+  bgp::AttrRegistry store;
   std::vector<bgp::Route> routes;
   for (std::int64_t i = 0; i < n; ++i) {
     bgp::Route r;
@@ -126,7 +128,7 @@ void BM_DecisionProcess(benchmark::State& state) {
     bgp::PathAttributes attrs;
     attrs.as_path = bgp::AsPath{std::move(hops)};
     attrs.local_pref = 100;
-    r.attributes = bgp::AttrSetRef::intern(std::move(attrs));
+    r.attributes = store.intern(std::move(attrs));
     r.peer_bgp_id = net::Ipv4Addr{static_cast<std::uint32_t>(i + 1)};
     r.learned_from = core::SessionId{static_cast<std::uint32_t>(i)};
     routes.push_back(std::move(r));
@@ -197,7 +199,8 @@ BENCHMARK(BM_FlowTableLookup)->Arg(1024)->Arg(4096);
 void BM_AttrIntern(benchmark::State& state) {
   // Hit path: interning a bundle already in the pool (the common case once
   // a route has been seen on one session) must cost a hash + one compare.
-  const auto canonical = bgp::AttrSetRef::intern([] {
+  bgp::AttrRegistry store;
+  const auto canonical = store.intern([] {
     bgp::PathAttributes a;
     a.as_path = bgp::AsPath{{core::AsNumber{65001}, core::AsNumber{2},
                              core::AsNumber{1}}};
@@ -208,7 +211,7 @@ void BM_AttrIntern(benchmark::State& state) {
   }());
   for (auto _ : state) {
     bgp::PathAttributes copy = *canonical;
-    benchmark::DoNotOptimize(bgp::AttrSetRef::intern(std::move(copy)));
+    benchmark::DoNotOptimize(store.intern(std::move(copy)));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -216,23 +219,23 @@ BENCHMARK(BM_AttrIntern);
 
 template <bool kShared>
 void BM_UpdateFanoutImpl(benchmark::State& state) {
-  // One UPDATE sent unchanged to `n` peers: identical attributes, identical
-  // codec options, n transmissions. Legacy encodes n times; the shared path
-  // encodes once and hands out refcounted views of the same buffer. In a
-  // router only withdraw-only UPDATEs go out unchanged like this, since an
+  // One withdraw-only UPDATE sent unchanged to `n` peers, n transmissions:
+  // in a router only withdrawals go out unchanged like this, since an
   // announcement carries each peer's own next hop
-  // (BM_UpdateFanoutPerPeerNextHop).
+  // (BM_UpdateFanoutPerPeerNextHop). Legacy encodes n times; the shared
+  // path is the encoder Session::send_update uses, whose fan-out cache
+  // encodes once and hands out refcounted views of the same buffer.
   const auto n = state.range(0);
-  const auto u = sample_update(8);
-  const bgp::Message msg{u};
+  bgp::UpdateMessage u;
+  u.withdrawn = sample_update(8).nlri;
   for (auto _ : state) {
     std::size_t total = 0;
     for (std::int64_t peer = 0; peer < n; ++peer) {
       if constexpr (kShared) {
-        const net::Bytes wire = bgp::encode_shared(msg);
+        const net::Bytes wire = bgp::encode_shared(u);
         total += wire.size();
       } else {
-        const auto wire = bgp::encode(msg);
+        const auto wire = bgp::encode(u);
         total += wire.size();
       }
     }
@@ -311,7 +314,7 @@ BENCHMARK(BM_IncrementalSptFlap)->Arg(8)->Arg(16)->Arg(64);
 void BM_AsTopologyDecide(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));
   controller::SwitchGraph graph;
-  speaker::ClusterBgpSpeaker speaker;
+  speaker::ClusterBgpSpeaker speaker{{}, std::make_shared<bgp::AttrRegistry>()};
   for (std::uint64_t i = 0; i < n; ++i) {
     graph.add_switch(i, core::AsNumber{static_cast<std::uint32_t>(100 + i)});
   }
@@ -332,7 +335,7 @@ void BM_AsTopologyDecide(benchmark::State& state) {
     rattrs.as_path =
         bgp::AsPath{{core::AsNumber{static_cast<std::uint32_t>(500 + i)},
                      core::AsNumber{999}}};
-    r.attributes = bgp::AttrSetRef::intern(std::move(rattrs));
+    r.attributes = speaker.attr_registry().intern(std::move(rattrs));
     routes.push_back(std::move(r));
   }
   controller::AsTopologyGraph topo{graph, speaker};

@@ -371,36 +371,26 @@ else
   echo "WARNING: python3 not found; skipping bench_scale checks" >&2
 fi
 
-# Perf job: micro-bench medians gated against the committed baseline. Each
-# bench runs 5 repetitions, and its point carries the median and quartiles
-# of the 5 per-iteration times. Tolerance is 25% because this runs on
-# whatever machine the developer has; it exists to catch regressions in the
-# hot paths (event loop, flow lookup, fan-out encode, interning, in-place
-# log formatting), not to police noise. Refresh the baseline with:
-#   ./build/bench/bench_micro --benchmark_repetitions=5 \
-#     --json BENCH_baseline.json
-echo "===== perf gate"
+# Virtual-time gates: the churn ablation and the failover bench against
+# their committed baselines. Their medians are virtual time, so they are
+# deterministic and gated at 1 %: any drift is a behaviour change, never
+# host noise, and they run before any host-time gate.
+echo "===== virtual-time gates (ablation, HA)"
 if command -v python3 > /dev/null 2>&1; then
-  ./build/bench/bench_micro --benchmark_repetitions=5 \
-    --json build/json/micro.json > /dev/null
-  python3 scripts/compare_bench.py build/json/micro.json \
-    --baseline BENCH_baseline.json --tolerance 0.25
-  # Churn-ablation gate against its own baseline: the medians are virtual
-  # time (deterministic), so any drift means the recomputation change
-  # altered convergence behaviour. Refresh after an intentional change with:
+  # Churn-ablation gate: any drift means the recomputation change altered
+  # convergence behaviour. Refresh after an intentional change with:
   #   BGPSDN_QUICK=1 ./build/bench/bench_ablation_recompute \
   #     --json BENCH_baseline_recompute.json
   python3 scripts/compare_bench.py build/json/ablation.json \
     --baseline BENCH_baseline_recompute.json --tolerance 0.01
-  # Failover gate against the committed HA baseline: bench_chaos medians are
-  # virtual time (deterministic), so any drift means an election-timing or
-  # replication change altered recovery behaviour. Refresh after an
-  # intentional change with:
+  # Failover gate against the committed HA baseline: any drift means an
+  # election-timing or replication change altered recovery behaviour.
+  # Refresh after an intentional change with:
   #   BGPSDN_QUICK=1 ./build/bench/bench_chaos --json BENCH_baseline_ha.json
   python3 scripts/compare_bench.py build/json/chaos.json \
     --baseline BENCH_baseline_ha.json --tolerance 0.01
 else
-  echo "WARNING: python3 not found; skipping perf gate" >&2
+  echo "WARNING: python3 not found; skipping virtual-time gates" >&2
 fi
 
 # Perfbench job: the host-time benchmark's self-test, then one untraced
@@ -435,8 +425,8 @@ fi
 # mid-flight — exactly where lifetime and UB bugs would hide. Rebuild with
 # both sanitizers and run every fault/chaos/fuzz test, plus the refcounted
 # hot-path machinery: the attribute-interning pool (weak_ptr sweep,
-# canonical lifetime, the per-experiment sweep), the shared encode
-# buffers, the COW byte payloads, the slot-slab event loop under churn,
+# canonical lifetime, one pool per experiment), the cached encode
+# images, the COW byte payloads, the slot-slab event loop under churn,
 # the router's once-per-UPDATE import and its export fan-out (borrowed
 # Loc-RIB winners, flat dirty sets, UPDATE packing), and the slab RIB (memmoved candidate spans, backshift deletion in
 # the open-addressing tables, the attribute registry) through its
@@ -458,7 +448,7 @@ cmake --build build-asan -j "$(nproc)" \
   --target test_framework test_bgp test_net test_core test_controller \
   test_topology bgpsdn_run bgpsdn_matrix
 ./build-asan/tests/test_framework \
-  --gtest_filter='FaultPlanParse.*:FaultInjector.*:FaultDsl.*:FaultDeterminism.*:CrashRecovery.*:HybridExperiment.DestructionSweepsTheAttributePool:HybridExperiment.BridgedPrefixReroutesAfterClusterLinkFailure:*LayoutEquivalence.*:ScenarioNumbers.*:MatrixNumbers.*:ConfigText.*:ConfigFuzz.*:Scenario.*:Matrix.*'
+  --gtest_filter='FaultPlanParse.*:FaultInjector.*:FaultDsl.*:FaultDeterminism.*:CrashRecovery.*:HybridExperiment.AttrPoolBelongsToItsExperiment:HybridExperiment.BridgedPrefixReroutesAfterClusterLinkFailure:*LayoutEquivalence.*:ScenarioNumbers.*:MatrixNumbers.*:ConfigText.*:ConfigFuzz.*:Scenario.*:Matrix.*'
 ./build-asan/tests/test_topology --gtest_filter='Datasets.*'
 ./build-asan/tests/test_controller \
   --gtest_filter='ReplicaSet*:IncrementalDeciderOracle.*'
@@ -512,5 +502,32 @@ cmake --build build-tsan -j "$(nproc)" \
   --gtest_filter='Determinism.*:FaultDeterminism.*:TrialRunnerParallel.*:ParamSweepRunnerParallel.*:TrialSweepParallel.*:ParallelForIndex.*:DefaultJobs.*:IncrementalEquivalence.ByteIdenticalAcrossJobCounts:*LayoutEquivalence.ByteIdenticalAcrossJobCounts'
 ./build-tsan/tests/test_core --gtest_filter='EventLoop.*'
 ./build-tsan/tests/test_controller --gtest_filter='ReplicaSetDeterminism.*'
+
+# Release job: the optimized build must compile cleanly too. The library
+# targets build with -Werror, and GCC reports some diagnostics (such as
+# -Wstringop-overflow) only at -O3.
+echo "===== release build"
+cmake -B build-release "${GENERATOR[@]}" -DCMAKE_BUILD_TYPE=Release
+cmake --build build-release -j "$(nproc)"
+
+# Perf job, last because it is the one host-time gate: micro-bench medians
+# against the committed baseline. Each bench runs 5 repetitions, and its
+# point carries the median and quartiles of the 5 per-iteration times.
+# Tolerance is 25% because this runs on whatever machine the developer
+# has; it exists to catch regressions in the hot paths (event loop, flow
+# lookup, fan-out encode, interning, in-place log formatting), not to
+# police noise. Every deterministic gate above has run by now, so host
+# noise here cannot hide them. Refresh the baseline with:
+#   ./build/bench/bench_micro --benchmark_repetitions=5 \
+#     --json BENCH_baseline.json
+echo "===== perf gate"
+if command -v python3 > /dev/null 2>&1; then
+  ./build/bench/bench_micro --benchmark_repetitions=5 \
+    --json build/json/micro.json > /dev/null
+  python3 scripts/compare_bench.py build/json/micro.json \
+    --baseline BENCH_baseline.json --tolerance 0.25
+else
+  echo "WARNING: python3 not found; skipping perf gate" >&2
+fi
 
 echo "ALL CHECKS PASSED"

@@ -1,7 +1,6 @@
 #include "bgp/attr_intern.hpp"
 
-#include <functional>
-#include <unordered_map>
+#include <algorithm>
 #include <utility>
 
 #include "core/mem_stats.hpp"
@@ -10,30 +9,19 @@ namespace bgpsdn::bgp {
 
 namespace {
 
-/// Below this many entries the pool is never swept.
-constexpr std::size_t kPurgeFloor = 64;
+/// What every default-constructed AttrSetRef points at: immutable, so one
+/// instance serves every simulation.
+const PathAttributes kDefaultAttributes{};
 
-struct Pool {
-  std::unordered_multimap<std::size_t, std::weak_ptr<const PathAttributes>>
-      entries;
-  /// Sweep when entries reaches this; doubled after each sweep so the cost
-  /// amortizes to O(1) per intern.
-  std::size_t purge_threshold{kPurgeFloor};
-  std::uint64_t interns{0};
-  std::uint64_t hits{0};
-  std::uint64_t purges{0};
-
-  void sweep() {
-    std::erase_if(entries,
-                  [](const auto& kv) { return kv.second.expired(); });
-    purge_threshold = std::max(kPurgeFloor, entries.size() * 2);
-    ++purges;
-  }
-};
-
-Pool& pool() {
-  thread_local Pool p;
-  return p;
+std::size_t attr_slot_hash(const PathAttributes* key) {
+  // splitmix64 finalizer over the canonical bundle address. Heap addresses
+  // differ across runs, which only steers the probe order — slot counts and
+  // lookup results depend on the acquire/release sequence alone.
+  auto x = static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(key));
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return static_cast<std::size_t>(x ^ (x >> 31));
 }
 
 }  // namespace
@@ -51,48 +39,51 @@ std::size_t hash_value(const PathAttributes& attrs) {
   return h;
 }
 
-AttrSetRef::AttrSetRef() {
-  // One shared default bundle per thread: default-constructed Routes and
-  // RIB slots all point here instead of each allocating empty vectors.
-  thread_local const std::shared_ptr<const PathAttributes> kDefault =
-      std::make_shared<const PathAttributes>();
-  ptr_ = kDefault;
-}
+// The aliasing constructor with an empty owner: a handle to the default
+// bundle without a control block.
+AttrSetRef::AttrSetRef()
+    : ptr_{std::shared_ptr<const PathAttributes>{}, &kDefaultAttributes} {}
 
-AttrSetRef AttrSetRef::intern(PathAttributes attrs) {
-  Pool& p = pool();
-  ++p.interns;
+// ---------------------------------------------------------------------------
+// Intern pool
+
+AttrSetRef AttrRegistry::intern(PathAttributes attrs) {
+  ++interns_;
   const std::size_t h = hash_value(attrs);
-  const auto [lo, hi] = p.entries.equal_range(h);
+  const auto [lo, hi] = pool_.equal_range(h);
   for (auto it = lo; it != hi; ++it) {
     if (auto sp = it->second.lock(); sp != nullptr && *sp == attrs) {
-      ++p.hits;
+      ++hits_;
       return AttrSetRef{std::move(sp)};
     }
   }
   auto sp = std::make_shared<const PathAttributes>(std::move(attrs));
-  p.entries.emplace(h, sp);
-  if (p.entries.size() >= p.purge_threshold) p.sweep();
+  pool_.emplace(h, sp);
+  if (pool_.size() >= purge_threshold_) sweep_pool();
   return AttrSetRef{std::move(sp)};
 }
 
-AttrPoolStats attr_pool_stats() {
-  const Pool& p = pool();
+void AttrRegistry::sweep_pool() {
+  std::erase_if(pool_, [](const auto& kv) { return kv.second.expired(); });
+  purge_threshold_ = std::max(kPurgeFloor, pool_.size() * 2);
+  ++purges_;
+}
+
+AttrPoolStats AttrRegistry::pool_stats() const {
   AttrPoolStats stats;
-  stats.entries = p.entries.size();
-  for (const auto& [h, wp] : p.entries) {
+  stats.entries = pool_.size();
+  for (const auto& [h, wp] : pool_) {
     if (!wp.expired()) ++stats.live;
   }
-  stats.interns = p.interns;
-  stats.hits = p.hits;
-  stats.purges = p.purges;
+  stats.interns = interns_;
+  stats.hits = hits_;
+  stats.purges = purges_;
   return stats;
 }
 
-std::uint64_t attr_pool_live_bytes() {
-  const Pool& p = pool();
+std::uint64_t AttrRegistry::pool_live_bytes() const {
   std::uint64_t bytes = 0;
-  for (const auto& [h, wp] : p.entries) {
+  for (const auto& [h, wp] : pool_) {
     if (const auto sp = wp.lock(); sp != nullptr) {
       // Bundle plus its shared_ptr control block, then the heap arrays
       // behind the AS-path and community vectors.
@@ -110,6 +101,80 @@ std::uint64_t attr_pool_live_bytes() {
   return bytes;
 }
 
-void attr_pool_purge() { pool().sweep(); }
+// ---------------------------------------------------------------------------
+// Handle registry
+
+std::uint32_t AttrRegistry::acquire(const AttrSetRef& ref) {
+  // Interning makes the canonical bundle address a value key within one
+  // store, so dedup is a pointer probe.
+  const PathAttributes* key = &ref.get();
+  if (slots_.empty() || (live_ + 1) * 10 > slots_.size() * 7) grow();
+  std::size_t i = attr_slot_hash(key) & slot_mask_;
+  while (slots_[i] != kNone) {
+    Entry& e = entries_[slots_[i]];
+    if (&e.ref.get() == key) {
+      ++e.refs;
+      return slots_[i];
+    }
+    i = (i + 1) & slot_mask_;
+  }
+  std::uint32_t index;
+  if (!free_.empty()) {
+    index = free_.back();
+    free_.pop_back();
+  } else {
+    index = static_cast<std::uint32_t>(entries_.size());
+    entries_.emplace_back();
+  }
+  entries_[index].ref = ref;
+  entries_[index].refs = 1;
+  slots_[i] = index;
+  ++live_;
+  return index;
+}
+
+void AttrRegistry::release(std::uint32_t index) {
+  Entry& e = entries_[index];
+  if (--e.refs > 0) return;
+  const PathAttributes* key = &e.ref.get();
+  std::size_t i = attr_slot_hash(key) & slot_mask_;
+  while (slots_[i] != index) i = (i + 1) & slot_mask_;
+  // Backshift: pull later entries of the probe chain over the hole so
+  // lookups never need tombstones.
+  std::size_t hole = i;
+  std::size_t j = i;
+  for (;;) {
+    j = (j + 1) & slot_mask_;
+    if (slots_[j] == kNone) break;
+    const std::size_t ideal =
+        attr_slot_hash(&entries_[slots_[j]].ref.get()) & slot_mask_;
+    if (((j - ideal) & slot_mask_) >= ((j - hole) & slot_mask_)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = kNone;
+  e.ref = AttrSetRef{};
+  free_.push_back(index);
+  --live_;
+}
+
+void AttrRegistry::grow() {
+  std::vector<std::uint32_t> old = std::move(slots_);
+  slots_.assign(old.empty() ? 16 : old.size() * 2, kNone);
+  slot_mask_ = slots_.size() - 1;
+  for (const std::uint32_t id : old) {
+    if (id == kNone) continue;
+    std::size_t i = attr_slot_hash(&entries_[id].ref.get()) & slot_mask_;
+    while (slots_[i] != kNone) i = (i + 1) & slot_mask_;
+    slots_[i] = id;
+  }
+}
+
+std::uint64_t AttrRegistry::bytes() const {
+  return static_cast<std::uint64_t>(entries_.size()) * sizeof(Entry) +
+         static_cast<std::uint64_t>(free_.size()) * sizeof(std::uint32_t) +
+         static_cast<std::uint64_t>(slots_.size()) * sizeof(std::uint32_t);
+}
 
 }  // namespace bgpsdn::bgp

@@ -204,32 +204,40 @@ void encode_body(ByteWriter& w, const NotificationMessage& m, const CodecOptions
 
 void encode_body(ByteWriter&, const KeepaliveMessage&, const CodecOptions&) {}
 
-/// This thread's encode buffer, emptied for the next message. It is never
-/// shrunk, so a steady stream of messages encodes without growing it.
-ByteWriter& encode_buffer() {
-  thread_local ByteWriter w;
-  w.clear();
-  return w;
+/// Upper bounds on the encoded size of each message, header included, so
+/// an image is built in one allocation of its own.
+std::size_t size_bound(const OpenMessage&) { return 37; }
+std::size_t size_bound(const UpdateMessage& m) {
+  // Two length fields, at most 5 bytes per prefix, and per attribute at
+  // most a 4-byte header plus its body.
+  std::size_t n = 23 + 5 * (m.withdrawn.size() + m.nlri.size());
+  if (!m.nlri.empty()) {
+    n += 39 + 4 * (m.attributes.as_path.hops().size() +
+                   m.attributes.communities.size());
+  }
+  return n;
 }
+std::size_t size_bound(const NotificationMessage& m) {
+  return 21 + m.data.size();
+}
+std::size_t size_bound(const KeepaliveMessage&) { return 19; }
 
-/// The wire image of `m`, a message of type `type`, built in the encode
-/// buffer; valid until the next encode on this thread.
+/// The wire image of `m`, a message of type `type`, encoded straight into
+/// a buffer of its own that a packet can adopt without a copy.
 template <typename M>
-const std::vector<std::byte>& encode_image(const M& m, MessageType type,
-                                           const CodecOptions& opts) {
-  ByteWriter& w = encode_buffer();
+std::vector<std::byte> encode_image(const M& m, MessageType type,
+                                    const CodecOptions& opts) {
+  ByteWriter w;
+  w.reserve(size_bound(m));
   for (int i = 0; i < 16; ++i) w.u8(0xff);  // marker
   const std::size_t len_pos = w.size();
   w.u16(0);
   w.u8(static_cast<std::uint8_t>(type));
   encode_body(w, m, opts);
   w.patch_u16(len_pos, static_cast<std::uint16_t>(w.size()));
-  return w.data();
+  return w.take();
 }
 
-/// The fan-out cache: a tiny per-thread ring keyed by message value + codec
-/// width, so an UPDATE sent unchanged to several peers is encoded once.
-/// Both encode_shared overloads run the lookup inline: a hit makes no call.
 using WireImage = std::shared_ptr<const std::vector<std::byte>>;
 struct FanoutEntry {
   UpdateMessage msg;
@@ -237,14 +245,33 @@ struct FanoutEntry {
   WireImage wire;
 };
 constexpr std::size_t kFanoutSize = 8;
-thread_local FanoutEntry fanout_cache[kFanoutSize];
-thread_local std::size_t fanout_next = 0;
+
+/// Two caches of immutable wire images. The fan-out ring, keyed by message
+/// value + codec width, encodes an UPDATE sent unchanged to several peers
+/// once; in a router those are withdraw-only UPDATEs, since announcements
+/// carry each peer's own next hop. KEEPALIVE is 19 fixed bytes whatever
+/// the codec options, so one image serves every session.
+struct WireCache {
+  FanoutEntry fanout[kFanoutSize];
+  std::size_t next{0};
+  WireImage keepalive{std::make_shared<std::vector<std::byte>>(
+      encode_image(KeepaliveMessage{}, MessageType::kKeepalive, {}))};
+};
+
+WireCache& wire_cache() {
+  // lint: thread-ok(pure caches of immutable wire images: a hit returns
+  // exactly the bytes a fresh encode would, and nothing counted or printed
+  // depends on them)
+  thread_local WireCache cache;
+  return cache;
+}
 
 /// The cached wire image of `update`, or null.
 // lint: hotpath(every UPDATE a speaker sends is looked up here first)
 [[gnu::always_inline]] inline const WireImage* fanout_hit(
-    const UpdateMessage& update, const CodecOptions& opts) {
-  for (const auto& e : fanout_cache) {
+    const WireCache& cache, const UpdateMessage& update,
+    const CodecOptions& opts) {
+  for (const auto& e : cache.fanout) {
     if (e.wire != nullptr && e.four_octet == opts.four_octet_as &&
         e.msg == update) {
       return &e.wire;
@@ -256,16 +283,17 @@ thread_local std::size_t fanout_next = 0;
 /// A miss: encode `update` once and keep the image in the oldest slot,
 /// overwritten in place so the slot's vectors keep their capacity.
 // lint: hotpath(every UPDATE the fan-out cache misses is encoded here)
-net::Bytes fanout_insert(const UpdateMessage& update, const CodecOptions& opts) {
+net::Bytes fanout_insert(WireCache& cache, const UpdateMessage& update,
+                         const CodecOptions& opts) {
   // lint: alloc-ok(the wire buffer the packet owns: it travels with the
   // packet, shared with the cache slot, after this call returns)
   auto wire = std::make_shared<std::vector<std::byte>>(
       encode_image(update, MessageType::kUpdate, opts));
-  FanoutEntry& slot = fanout_cache[fanout_next];
+  FanoutEntry& slot = cache.fanout[cache.next];
   slot.msg = update;
   slot.four_octet = opts.four_octet_as;
   slot.wire = wire;
-  fanout_next = (fanout_next + 1) % kFanoutSize;
+  cache.next = (cache.next + 1) % kFanoutSize;
   return net::Bytes::adopt(std::move(wire));
 }
 
@@ -369,9 +397,7 @@ std::string UpdateMessage::to_string() const { return core::text_of(*this); }
 
 std::vector<std::byte> encode(const Message& message, const CodecOptions& opts) {
   return std::visit(
-      [&](const auto& m) {
-        return std::vector<std::byte>(encode_image(m, type_of(message), opts));
-      },
+      [&](const auto& m) { return encode_image(m, type_of(message), opts); },
       message);
 }
 
@@ -382,17 +408,7 @@ std::vector<std::byte> encode(const UpdateMessage& update,
 
 net::Bytes encode_shared(const Message& message, const CodecOptions& opts) {
   if (std::holds_alternative<KeepaliveMessage>(message)) {
-    // KEEPALIVE is 19 fixed bytes regardless of codec options: one wire
-    // image per thread serves every session for the whole run.
-    thread_local const std::shared_ptr<const std::vector<std::byte>> kWire =
-        std::make_shared<std::vector<std::byte>>(encode(Message{KeepaliveMessage{}}));
-    return net::Bytes::adopt(kWire);
-  }
-  if (const auto* update = std::get_if<UpdateMessage>(&message)) {
-    if (const auto* wire = fanout_hit(*update, opts)) {
-      return net::Bytes::adopt(*wire);
-    }
-    return fanout_insert(*update, opts);
+    return net::Bytes::adopt(wire_cache().keepalive);
   }
   // OPEN / NOTIFICATION: rare, connection-scoped, not worth caching.
   return net::Bytes{encode(message, opts)};
@@ -400,10 +416,11 @@ net::Bytes encode_shared(const Message& message, const CodecOptions& opts) {
 
 // lint: hotpath(every UPDATE a speaker sends is encoded here, once)
 net::Bytes encode_shared(const UpdateMessage& update, const CodecOptions& opts) {
-  if (const auto* wire = fanout_hit(update, opts)) {
+  WireCache& cache = wire_cache();
+  if (const auto* wire = fanout_hit(cache, update, opts)) {
     return net::Bytes::adopt(*wire);
   }
-  return fanout_insert(update, opts);
+  return fanout_insert(cache, update, opts);
 }
 
 std::vector<UpdateMessage> split_update(const UpdateMessage& update,

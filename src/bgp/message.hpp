@@ -83,24 +83,24 @@ struct CodecOptions {
 };
 
 /// Serialize to RFC 4271 wire format (16-byte marker, length, type, body).
-/// Messages are built in a per-thread buffer that keeps its capacity, so
-/// the returned vector is the only allocation.
+/// Each message is encoded straight into the returned vector, reserved
+/// from an upper bound on its size, so that vector is the only allocation.
 std::vector<std::byte> encode(const Message& message, const CodecOptions& opts = {});
 /// encode() of one UPDATE, without wrapping it in a Message first.
 std::vector<std::byte> encode(const UpdateMessage& update,
                               const CodecOptions& opts = {});
 
-/// Serialize with buffer sharing: KEEPALIVEs reuse one static wire image,
-/// and UPDATEs go through encode_shared(const UpdateMessage&).
-/// Byte-for-byte identical to encode().
+/// Serialize into a packet buffer: KEEPALIVEs reuse one cached wire image,
+/// anything else is encoded afresh. Routers send every UPDATE through
+/// encode_shared(const UpdateMessage&). Byte-for-byte identical to encode().
 net::Bytes encode_shared(const Message& message, const CodecOptions& opts = {});
 
-/// The UPDATE encoder behind Session::send_update. A small per-thread
-/// cache keyed by message value + codec hands an UPDATE sent unchanged to
-/// several peers one shared buffer. Announcements carry each peer's own
-/// next hop, so in practice its hits are withdraw-only UPDATEs; anything
-/// else is encoded once, in the per-thread buffer, and copied into the
-/// packet's own. Byte-for-byte identical to encode().
+/// The UPDATE encoder behind Session::send_update. A small ring cache of
+/// wire images keyed by message value + codec hands an UPDATE sent
+/// unchanged to several peers one shared buffer. Announcements carry each
+/// peer's own next hop, so in practice its hits are withdraw-only UPDATEs;
+/// anything else is encoded once, into the buffer the packet adopts.
+/// Byte-for-byte identical to encode().
 net::Bytes encode_shared(const UpdateMessage& update,
                          const CodecOptions& opts = {});
 

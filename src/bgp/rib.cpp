@@ -40,102 +40,9 @@ void SessionTable::drop(std::uint32_t session) {
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
-// AttrRegistry
-
-namespace {
-
-std::size_t attr_slot_hash(const PathAttributes* key) {
-  // splitmix64 finalizer over the canonical bundle address. Heap addresses
-  // differ across runs, which only steers the probe order — slot counts and
-  // lookup results depend on the acquire/release sequence alone.
-  auto x = static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(key));
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return static_cast<std::size_t>(x ^ (x >> 31));
-}
-
-}  // namespace
-
-std::uint32_t AttrRegistry::acquire(const AttrSetRef& ref) {
-  // Interning makes the canonical bundle address a value key within one
-  // trial thread, so dedup is a pointer probe.
-  const PathAttributes* key = &ref.get();
-  if (slots_.empty() || (live_ + 1) * 10 > slots_.size() * 7) grow();
-  std::size_t i = attr_slot_hash(key) & slot_mask_;
-  while (slots_[i] != kNone) {
-    Entry& e = entries_[slots_[i]];
-    if (&e.ref.get() == key) {
-      ++e.refs;
-      return slots_[i];
-    }
-    i = (i + 1) & slot_mask_;
-  }
-  std::uint32_t index;
-  if (!free_.empty()) {
-    index = free_.back();
-    free_.pop_back();
-  } else {
-    index = static_cast<std::uint32_t>(entries_.size());
-    entries_.emplace_back();
-  }
-  entries_[index].ref = ref;
-  entries_[index].refs = 1;
-  slots_[i] = index;
-  ++live_;
-  return index;
-}
-
-void AttrRegistry::release(std::uint32_t index) {
-  Entry& e = entries_[index];
-  if (--e.refs > 0) return;
-  const PathAttributes* key = &e.ref.get();
-  std::size_t i = attr_slot_hash(key) & slot_mask_;
-  while (slots_[i] != index) i = (i + 1) & slot_mask_;
-  // Backshift: pull later entries of the probe chain over the hole so
-  // lookups never need tombstones.
-  std::size_t hole = i;
-  std::size_t j = i;
-  for (;;) {
-    j = (j + 1) & slot_mask_;
-    if (slots_[j] == kNone) break;
-    const std::size_t ideal =
-        attr_slot_hash(&entries_[slots_[j]].ref.get()) & slot_mask_;
-    if (((j - ideal) & slot_mask_) >= ((j - hole) & slot_mask_)) {
-      slots_[hole] = slots_[j];
-      hole = j;
-    }
-  }
-  slots_[hole] = kNone;
-  e.ref = AttrSetRef{};
-  free_.push_back(index);
-  --live_;
-}
-
-void AttrRegistry::grow() {
-  std::vector<std::uint32_t> old = std::move(slots_);
-  slots_.assign(old.empty() ? 16 : old.size() * 2, kNone);
-  slot_mask_ = slots_.size() - 1;
-  for (const std::uint32_t id : old) {
-    if (id == kNone) continue;
-    std::size_t i = attr_slot_hash(&entries_[id].ref.get()) & slot_mask_;
-    while (slots_[i] != kNone) i = (i + 1) & slot_mask_;
-    slots_[i] = id;
-  }
-}
-
-std::uint64_t AttrRegistry::bytes() const {
-  return static_cast<std::uint64_t>(entries_.size()) * sizeof(Entry) +
-         static_cast<std::uint64_t>(free_.size()) * sizeof(std::uint32_t) +
-         static_cast<std::uint64_t>(slots_.size()) * sizeof(std::uint32_t);
-}
-
-// ---------------------------------------------------------------------------
 // AdjRibIn
 
-AdjRibIn::AdjRibIn(AttrRegistryRef attrs)
-    : attrs_{attrs != nullptr ? std::move(attrs)
-                              : std::make_shared<AttrRegistry>()} {}
+AdjRibIn::AdjRibIn(AttrRegistryRef attrs) : attrs_{std::move(attrs)} {}
 
 // lint: hotpath(Adj-RIB-In insert runs once per received route; the slab
 // layout exists precisely so this path never touches the heap per call)
@@ -368,9 +275,7 @@ void AdjRibIn::note_usage() {
 // ---------------------------------------------------------------------------
 // LocRib
 
-LocRib::LocRib(AttrRegistryRef attrs)
-    : attrs_{attrs != nullptr ? std::move(attrs)
-                              : std::make_shared<AttrRegistry>()} {}
+LocRib::LocRib(AttrRegistryRef attrs) : attrs_{std::move(attrs)} {}
 
 bool LocRib::install(const Route& route) {
   LocEntry* entry = table_.find(route.prefix);
@@ -456,9 +361,7 @@ void LocRib::note_usage() {
 // ---------------------------------------------------------------------------
 // RibOutStore
 
-RibOutStore::RibOutStore(AttrRegistryRef attrs)
-    : attrs_{attrs != nullptr ? std::move(attrs)
-                              : std::make_shared<AttrRegistry>()} {}
+RibOutStore::RibOutStore(AttrRegistryRef attrs) : attrs_{std::move(attrs)} {}
 
 std::uint16_t RibOutStore::add_column() {
   const std::uint16_t column = columns_++;

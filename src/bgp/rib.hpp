@@ -8,9 +8,10 @@
 // whose cells index into shared slabs. An Adj-RIB-In candidate costs 16
 // bytes (session, attr-registry index, installed-at) because the prefix
 // lives in the table key, the peer tiebreak identity in a per-session side
-// table and the attribute bundle in the simulation-wide refcounted
-// AttrRegistry; Adj-RIB-Out keeps one row per prefix with a per-peer column
-// of attr indices shared across all peers of the router (RibOutStore).
+// table and the attribute bundle in the simulation's refcounted
+// AttrRegistry (bgp/attr_intern.hpp); Adj-RIB-Out keeps one row per prefix
+// with a per-peer column of attr indices shared across all peers of the
+// router (RibOutStore).
 //
 // Iteration order and tie-break semantics are those of plain ordered maps:
 // candidates visit in session-ascending order, and whole-table walks
@@ -220,71 +221,14 @@ class SessionTable {
 
 }  // namespace detail
 
-/// Refcounted attribute-handle registry: the RIBs store 4-byte indices into
-/// here instead of 16-byte AttrSetRef handles per entry.
-/// Deduplicated by canonical-bundle address (interning makes pointer
-/// identity equal value identity within a trial thread).
-///
-/// One registry is shared by every RIB of a simulation — the Experiment
-/// wires a single instance through all routers and the speaker — so a
-/// bundle referenced from thousands of RIB entries pays one handle entry
-/// network-wide. Its footprint therefore scales with distinct bundles (like
-/// the intern pool), not with (prefix x peer) entries, and is accounted by
-/// its owner as mem.attr_registry, never inside RIB peak bytes. Standalone
-/// RIBs fall back to a private instance.
-///
-/// The dedup index is open addressing over entry ids: a pointer-keyed
-/// unordered_map node costs ~7x the 4-byte slot. Pointer values hash the
-/// probe order, which is invisible to callers; slot counts depend only on
-/// the acquire/release sequence, so bytes() stays deterministic.
-class AttrRegistry {
- public:
-  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
-
-  /// Index for `ref`, refcount +1.
-  std::uint32_t acquire(const AttrSetRef& ref);
-  /// Refcount +1 on an index already held.
-  void retain(std::uint32_t index) { ++entries_[index].refs; }
-  /// Refcount -1; frees the slot (and the bundle reference) at zero.
-  void release(std::uint32_t index);
-
-  const AttrSetRef& at(std::uint32_t index) const {
-    return entries_[index].ref;
-  }
-
-  /// Live (referenced) entries.
-  std::size_t size() const { return live_; }
-  /// Deterministic footprint (core/mem_stats.hpp model): the entry slab
-  /// plus the open-addressing id index.
-  std::uint64_t bytes() const;
-
- private:
-  struct Entry {
-    AttrSetRef ref{};
-    std::uint32_t refs{0};
-  };
-
-  void grow();
-
-  std::vector<Entry> entries_;
-  std::vector<std::uint32_t> free_;
-  /// Open-addressing dedup index: slots hold entry ids (kNone = empty),
-  /// keyed by the canonical bundle address of the entry's ref. Linear
-  /// probing with backshift deletion, 70% max load.
-  std::vector<std::uint32_t> slots_;
-  std::size_t slot_mask_{0};
-  std::size_t live_{0};
-};
-
-using AttrRegistryRef = std::shared_ptr<AttrRegistry>;
-
 /// Inbound routes, indexed prefix-first so the decision process can see all
 /// candidates for a prefix at once. Candidates for a prefix are kept in
 /// session-ascending order, so iteration (and thus any residual tie
 /// behaviour) is deterministic.
 class AdjRibIn {
  public:
-  explicit AdjRibIn(AttrRegistryRef attrs = nullptr);
+  /// `attrs` is the simulation's attribute store (never null).
+  explicit AdjRibIn(AttrRegistryRef attrs);
 
   /// Insert/replace the route from one peer (implicit withdraw semantics).
   /// Returns true when the stored entry actually changed — new candidate,
@@ -322,9 +266,6 @@ class AdjRibIn {
       fn(static_cast<const Route&>(r));
     }
   }
-
-  /// The registry this RIB stores attribute handles in (shared or private).
-  const AttrRegistryRef& attr_registry() const { return attrs_; }
 
   std::size_t route_count() const;
   /// All prefixes with at least one candidate, sorted.
@@ -378,7 +319,7 @@ class AdjRibIn {
 /// The selected best route per prefix.
 class LocRib {
  public:
-  explicit LocRib(AttrRegistryRef attrs = nullptr);
+  explicit LocRib(AttrRegistryRef attrs);
 
   /// Install/replace the best route. Returns true if this changed the entry.
   bool install(const Route& route);
@@ -448,7 +389,7 @@ class LocRib {
 /// facade owns one column.
 class RibOutStore {
  public:
-  explicit RibOutStore(AttrRegistryRef attrs = nullptr);
+  explicit RibOutStore(AttrRegistryRef attrs);
 
   /// Register one more peer; returns its column ordinal.
   std::uint16_t add_column();
@@ -498,10 +439,9 @@ class RibOutStore {
 /// What has been advertised to one peer, for delta-based update generation.
 /// A thin facade over one RibOutStore column: routers hand every peer a
 /// column of their shared store; standalone uses (speaker slots, tests) own
-/// a private single-column store.
+/// a single-column store over the simulation's attribute store.
 class AdjRibOut {
  public:
-  AdjRibOut() : AdjRibOut(AttrRegistryRef{}) {}
   explicit AdjRibOut(AttrRegistryRef attrs)
       : owned_{std::make_unique<RibOutStore>(std::move(attrs))},
         store_{owned_.get()},

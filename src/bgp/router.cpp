@@ -14,18 +14,6 @@ namespace {
 /// Locally-originated routes always win the decision process.
 constexpr std::uint32_t kLocalRoutePref = 1000;
 
-/// Shared bundle for locally-originated candidates (one canonical instance
-/// per thread instead of a fresh PathAttributes per recompute).
-const AttrSetRef& local_route_attrs() {
-  thread_local const AttrSetRef attrs = [] {
-    PathAttributes a;
-    a.origin = Origin::kIgp;
-    a.local_pref = kLocalRoutePref;
-    return AttrSetRef::intern(std::move(a));
-  }();
-  return attrs;
-}
-
 /// peers_ is sorted by port: the lower_bound predicate.
 constexpr auto port_below = [](const auto& peer, core::PortId port) {
   return peer->port < port;
@@ -60,6 +48,14 @@ void BgpRouter::attach_host(core::PortId port, const net::Prefix& prefix) {
 }
 
 void BgpRouter::originate(const net::Prefix& prefix) {
+  if (!local_attrs_) {
+    // Interned at the first origination, not at construction: a router
+    // that originates nothing adds no bundle to the store.
+    PathAttributes a;
+    a.origin = Origin::kIgp;
+    a.local_pref = kLocalRoutePref;
+    local_attrs_ = config_.attr_registry->intern(std::move(a));
+  }
   local_prefixes_.emplace(prefix, loop().now());
   logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
                "origin_announce", prefix);
@@ -228,7 +224,7 @@ void BgpRouter::process_update(Peer& peer, const UpdateMessage& update) {
   // once per UPDATE.
   PathAttributes attrs = update.attributes;
   PolicyEngine::rewrite_import(peer.config.policy, attrs);
-  const AttrSetRef imported = AttrSetRef::intern(std::move(attrs));
+  const AttrSetRef imported = config_.attr_registry->intern(std::move(attrs));
   for (const auto& prefix : update.nlri) import_candidate(peer, prefix, imported);
 }
 
@@ -308,7 +304,7 @@ void BgpRouter::recompute(const net::Prefix& prefix) {
   if (const auto it = local_prefixes_.find(prefix); it != local_prefixes_.end()) {
     Route local;
     local.prefix = prefix;
-    local.attributes = local_route_attrs();
+    local.attributes = *local_attrs_;
     local.installed_at = it->second;
     ++candidate_count;
     if (!have_best || compare_routes(local, best) < 0) {
@@ -404,7 +400,7 @@ AttrSetRef BgpRouter::build_export(const Peer& peer,
   PolicyEngine::rewrite_export(attrs);
   attrs.as_path = attrs.as_path.prepend(config_.asn);
   attrs.next_hop = peer.config.local_address;
-  return AttrSetRef::intern(std::move(attrs));
+  return config_.attr_registry->intern(std::move(attrs));
 }
 
 core::Duration BgpRouter::peer_mrai(const Peer& peer) const {

@@ -39,9 +39,9 @@ struct RouterConfig {
   ProcessingModel processing;
   /// Route-flap damping (RFC 2439); disabled by default like Quagga.
   DampingConfig damping{};
-  /// Attribute-handle registry shared across the simulation (the Experiment
-  /// wires one instance through every router and the speaker). Null makes
-  /// each RIB create a private registry, which standalone-router tests use.
+  /// The simulation's attribute store, shared by every router, the speaker
+  /// and the controller (the Experiment wires one instance through all of
+  /// them). Required: every bundle the router interns goes through it.
   AttrRegistryRef attr_registry{};
 };
 
@@ -282,6 +282,9 @@ class BgpRouter : public net::Node, public SessionHost {
   int tx_batch_depth_{0};
   /// Locally-originated prefixes and when they were originated.
   std::map<net::Prefix, core::TimePoint> local_prefixes_;
+  /// The bundle of every locally-originated candidate, interned at the
+  /// first origination.
+  std::optional<AttrSetRef> local_attrs_;
   /// Host delivery: local prefix -> port of the attached host.
   std::map<net::Prefix, core::PortId> host_ports_;
   net::LpmTable<core::PortId> fib_;

@@ -52,11 +52,12 @@ class SessionHost {
   virtual ~SessionHost() = default;
 
   /// Transmit wire bytes towards the peer (the host wraps them in a Packet
-  /// and picks the right port). The buffer is copy-on-write shared: every
-  /// hop and every copy of a packet holds the one encoded image, and a
-  /// withdraw-only UPDATE sent unchanged to several peers is encoded once
-  /// (announcements carry each peer's own next hop, so each is encoded
-  /// once per peer).
+  /// and picks the right port). The buffer is the one the message was
+  /// encoded into, adopted without a copy, and copy-on-write shared: every
+  /// hop and every copy of a packet holds that one image. Only a
+  /// withdraw-only UPDATE sent unchanged to several peers shares one image
+  /// across peers (announcements carry each peer's own next hop, so each
+  /// is encoded once per peer).
   virtual void session_transmit(Session& session, net::Bytes wire) = 0;
 
   virtual void session_established(Session& session) = 0;

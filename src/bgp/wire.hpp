@@ -46,10 +46,8 @@ class ByteWriter {
   }
 
   std::size_t size() const { return buf_.size(); }
-  const std::vector<std::byte>& data() const { return buf_; }
   std::vector<std::byte> take() { return std::move(buf_); }
-  /// Empty the buffer, keeping its capacity for the next message.
-  void clear() { buf_.clear(); }
+  void reserve(std::size_t n) { buf_.reserve(n); }
 
  private:
   std::vector<std::byte> buf_;

@@ -84,7 +84,7 @@ void FallbackRouting::on_peer_down(const speaker::Peering& peering,
 void FallbackRouting::on_route_update(const speaker::Peering& peering,
                                       const bgp::UpdateMessage& update) {
   if (!active_) return;
-  apply_update(external_routes_, peering.id, update,
+  apply_update(speaker_.attr_registry(), external_routes_, peering.id, update,
                [this](const net::Prefix& prefix) { mark_dirty(prefix); });
 }
 

@@ -96,7 +96,7 @@ void IdrController::on_peer_down(const speaker::Peering& peering,
 
 void IdrController::on_route_update(const speaker::Peering& peering,
                                     const bgp::UpdateMessage& update) {
-  apply_update(external_routes_, peering.id, update,
+  apply_update(speaker_->attr_registry(), external_routes_, peering.id, update,
                [this](const net::Prefix& prefix) { mark_dirty(prefix); });
 }
 

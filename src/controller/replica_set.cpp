@@ -11,6 +11,16 @@ namespace bgpsdn::controller {
 
 namespace {
 constexpr std::uint32_t kMaxBackoffMult = 64;
+/// Leader lease renewal period.
+constexpr core::Duration kHeartbeat = core::Duration::millis(50);
+/// One-way replication/election message latency (intra-node channel).
+constexpr core::Duration kReplicationDelay = core::Duration::micros(200);
+/// Initial retransmit backoff; doubles per retry up to kMaxBackoffMult.
+constexpr core::Duration kRetryBackoff = core::Duration::millis(20);
+/// Full-snapshot anti-entropy period.
+constexpr core::Duration kAntiEntropy = core::Duration::seconds(1);
+/// Ack gap (in deltas) beyond which anti-entropy snapshots a laggard.
+constexpr std::size_t kSnapshotGap = 64;
 }  // namespace
 
 ControllerReplicaSet::ControllerReplicaSet(core::EventLoop& loop,
@@ -112,13 +122,8 @@ void ControllerReplicaSet::send_suffix(std::size_t to) {
     arm_retry(to);
     return;
   }
-  if (config_.replication_loss > 0.0 && rng_.chance(config_.replication_loss)) {
-    counters_.deltas_lost += batch;
-    arm_retry(to);
-    return;
-  }
   counters_.deltas_replicated += batch;
-  loop_.schedule(config_.replication_delay,
+  loop_.schedule(kReplicationDelay,
                  [this, to, end] { deliver_suffix(to, end); });
   arm_retry(to);
 }
@@ -134,7 +139,7 @@ void ControllerReplicaSet::deliver_suffix(std::size_t to, std::size_t end) {
   // side at send time (the leader's retransmit backoff covers the loss).
   if (!leader_ || degraded_ || channel_blocked(to, *leader_)) return;
   const std::size_t pos = r.applied;
-  loop_.schedule(config_.replication_delay,
+  loop_.schedule(kReplicationDelay,
                  [this, to, pos] { deliver_ack(to, pos); });
 }
 
@@ -152,7 +157,7 @@ void ControllerReplicaSet::arm_retry(std::size_t to) {
   if (r.retry_armed) return;
   r.retry_armed = true;
   const core::Duration delay =
-      config_.retry_backoff * static_cast<std::int64_t>(r.backoff_mult);
+      kRetryBackoff * static_cast<std::int64_t>(r.backoff_mult);
   loop_.schedule(delay, [this, to] {
     Replica& rr = replicas_[to];
     rr.retry_armed = false;
@@ -178,7 +183,8 @@ void ControllerReplicaSet::apply_delta(IdrShadowState& shadow,
         if (it->second.empty()) shadow.external_routes.erase(it);
       }
       if (delta.update.nlri.empty()) break;
-      const auto attrs = bgp::AttrSetRef::intern(delta.update.attributes);
+      const auto attrs =
+          speaker_.attr_registry().intern(delta.update.attributes);
       for (const auto& prefix : delta.update.nlri) {
         shadow.external_routes[prefix][delta.peering] = attrs;
       }
@@ -238,7 +244,7 @@ void ControllerReplicaSet::harvest_graph_deltas() {
 
 void ControllerReplicaSet::arm_heartbeat() {
   const std::uint64_t gen = ++hb_gen_;
-  loop_.schedule(config_.heartbeat, [this, gen] { heartbeat_tick(gen); });
+  loop_.schedule(kHeartbeat, [this, gen] { heartbeat_tick(gen); });
 }
 
 void ControllerReplicaSet::heartbeat_tick(std::uint64_t gen) {
@@ -251,7 +257,7 @@ void ControllerReplicaSet::heartbeat_tick(std::uint64_t gen) {
     if (channel_blocked(l, i)) continue;
     ++counters_.heartbeats_sent;
     const std::uint64_t term = replicas_[l].term;
-    loop_.schedule(config_.replication_delay, [this, i, term] {
+    loop_.schedule(kReplicationDelay, [this, i, term] {
       Replica& r = replicas_[i];
       if (r.crashed) return;
       r.last_leader_contact = loop_.now();
@@ -264,12 +270,12 @@ void ControllerReplicaSet::heartbeat_tick(std::uint64_t gen) {
   }
   // Re-arm from the same generation so a leadership change (which bumps
   // hb_gen_) silently retires this chain.
-  loop_.schedule(config_.heartbeat, [this, gen] { heartbeat_tick(gen); });
+  loop_.schedule(kHeartbeat, [this, gen] { heartbeat_tick(gen); });
 }
 
 void ControllerReplicaSet::arm_anti_entropy() {
   const std::uint64_t gen = ++ae_gen_;
-  loop_.schedule(config_.anti_entropy, [this, gen] { anti_entropy_tick(gen); });
+  loop_.schedule(kAntiEntropy, [this, gen] { anti_entropy_tick(gen); });
 }
 
 void ControllerReplicaSet::anti_entropy_tick(std::uint64_t gen) {
@@ -279,23 +285,19 @@ void ControllerReplicaSet::anti_entropy_tick(std::uint64_t gen) {
       if (i == *leader_ || replicas_[i].crashed) continue;
       const Replica& r = replicas_[i];
       const std::size_t gap = log_.size() - std::min(r.acked, log_.size());
-      if (r.needs_snapshot || gap >= config_.snapshot_gap) send_snapshot(i);
+      if (r.needs_snapshot || gap >= kSnapshotGap) send_snapshot(i);
     }
   }
-  loop_.schedule(config_.anti_entropy, [this, gen] { anti_entropy_tick(gen); });
+  loop_.schedule(kAntiEntropy, [this, gen] { anti_entropy_tick(gen); });
 }
 
 void ControllerReplicaSet::send_snapshot(std::size_t to) {
   if (!leader_ || degraded_) return;
   if (channel_blocked(*leader_, to)) return;
-  if (config_.replication_loss > 0.0 && rng_.chance(config_.replication_loss)) {
-    ++counters_.deltas_lost;
-    return;  // next anti-entropy period retries
-  }
   ++counters_.snapshots_sent;
   const std::size_t end = log_.size();
   loop_.schedule(
-      config_.replication_delay,
+      kReplicationDelay,
       [this, to, end, snap = controller_.export_shadow()]() mutable {
         Replica& r = replicas_[to];
         if (r.crashed) return;
@@ -304,7 +306,7 @@ void ControllerReplicaSet::send_snapshot(std::size_t to) {
         r.needs_snapshot = false;
         if (!leader_ || degraded_ || channel_blocked(to, *leader_)) return;
         const std::size_t pos = r.applied;
-        loop_.schedule(config_.replication_delay,
+        loop_.schedule(kReplicationDelay,
                        [this, to, pos] { deliver_ack(to, pos); });
       });
 }
@@ -352,7 +354,7 @@ void ControllerReplicaSet::start_candidacy(std::size_t id) {
     if (i == id || replicas_[i].crashed) continue;
     if (channel_blocked(id, i)) continue;
     const std::uint64_t term = r.candidacy_term;
-    loop_.schedule(config_.replication_delay, [this, id, i, term, cg] {
+    loop_.schedule(kReplicationDelay, [this, id, i, term, cg] {
       deliver_vote_request(id, i, term, cg);
     });
   }
@@ -379,7 +381,7 @@ void ControllerReplicaSet::deliver_vote_request(std::size_t from,
   voter.voted_term = term;
   if (leader_ != to) arm_election(to);  // granted: stand down this round
   if (channel_blocked(to, from)) return;
-  loop_.schedule(config_.replication_delay, [this, from, term, candidacy_gen] {
+  loop_.schedule(kReplicationDelay, [this, from, term, candidacy_gen] {
     deliver_vote_grant(from, term, candidacy_gen);
   });
 }

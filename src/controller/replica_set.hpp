@@ -12,9 +12,9 @@
 // application state over a deterministic virtual-time replication channel:
 //   - a sequence-numbered state-delta log (external-RIB updates, origin
 //     changes, installed-flow mirror changes, SwitchGraph edge deltas),
-//     fanned out to each standby with per-transmission seeded loss and
-//     per-replica partitions, cumulative ACKs, and exponential-backoff
-//     retransmission of the unacknowledged suffix;
+//     fanned out to each standby subject to per-replica partitions, with
+//     cumulative ACKs and exponential-backoff retransmission of the
+//     unacknowledged suffix;
 //   - periodic full-snapshot anti-entropy for fresh joiners and chronic
 //     laggards (and after a takeover, whose speaker replay bypasses the log).
 //
@@ -37,9 +37,9 @@
 // FallbackRouting, via the experiment-provided hooks.
 //
 // Determinism: all channel behaviour runs on the event loop in virtual
-// time; the only randomness is the forked, seeded Rng for election jitter
-// and loss draws, created exclusively in HA mode so non-HA runs draw the
-// exact same stream as before this layer existed.
+// time; the only randomness is the forked, seeded Rng for election jitter,
+// created exclusively in HA mode so non-HA runs draw the exact same stream
+// as before this layer existed.
 #pragma once
 
 #include <cstdint>
@@ -65,22 +65,10 @@ namespace bgpsdn::controller {
 
 struct ReplicaSetConfig {
   std::size_t replicas{2};
-  /// Leader lease renewal period.
-  core::Duration heartbeat{core::Duration::millis(50)};
   /// Election timeout drawn uniformly from [election_min, election_max].
   core::Duration election_min{core::Duration::millis(150)};
   core::Duration election_max{core::Duration::millis(300)};
-  /// One-way replication/election message latency (intra-node channel).
-  core::Duration replication_delay{core::Duration::micros(200)};
-  /// Initial retransmit backoff; doubles per retry up to 64x.
-  core::Duration retry_backoff{core::Duration::millis(20)};
-  /// Full-snapshot anti-entropy period.
-  core::Duration anti_entropy{core::Duration::seconds(1)};
-  /// Ack gap (in deltas) beyond which anti-entropy snapshots a laggard.
-  std::size_t snapshot_gap{64};
-  /// Per-transmission drop probability on the delta channel.
-  double replication_loss{0.0};
-  /// Seed for the replica set's private jitter/loss stream.
+  /// Seed for the replica set's private election-jitter stream.
   std::uint64_t seed{1};
 };
 
@@ -91,7 +79,6 @@ struct ReplicaSetCounters {
   std::uint64_t heartbeats_sent{0};
   std::uint64_t deltas_appended{0};
   std::uint64_t deltas_replicated{0};  // delta transmissions that left the leader
-  std::uint64_t deltas_lost{0};        // dropped by the seeded loss coin
   std::uint64_t retransmits{0};        // backoff-timer resends of a suffix
   std::uint64_t snapshots_sent{0};     // anti-entropy full snapshots
   std::uint64_t deltas_replayed{0};    // unacknowledged suffix at takeovers

@@ -2,19 +2,19 @@
 
 namespace bgpsdn::controller {
 
-void apply_update(ExternalRib& rib, speaker::PeeringId peering,
-                  const bgp::UpdateMessage& update,
+void apply_update(bgp::AttrRegistry& attrs, ExternalRib& rib,
+                  speaker::PeeringId peering, const bgp::UpdateMessage& update,
                   const PrefixChanged& changed) {
   for (const auto& prefix : update.withdrawn) {
     auto it = rib.find(prefix);
     if (it != rib.end() && it->second.erase(peering) > 0) changed(prefix);
   }
   if (update.nlri.empty()) return;
-  const auto attrs = bgp::AttrSetRef::intern(update.attributes);
+  const auto bundle = attrs.intern(update.attributes);
   for (const auto& prefix : update.nlri) {
     auto& slot = rib[prefix][peering];
-    if (slot == attrs) continue;  // duplicate announcement
-    slot = attrs;
+    if (slot == bundle) continue;  // duplicate announcement
+    slot = bundle;
     changed(prefix);
   }
 }

@@ -44,10 +44,11 @@ using ExternalRib =
 using PrefixChanged = std::function<void(const net::Prefix&)>;
 
 /// Apply one UPDATE received on `peering` to the RIB: withdrawals first,
-/// then the announced NLRI, interned once. A re-announcement with the same
+/// then the announced NLRI, interned once into `attrs` (the store of the
+/// speaker the RIB's owner is bound to). A re-announcement with the same
 /// attributes changes nothing.
-void apply_update(ExternalRib& rib, speaker::PeeringId peering,
-                  const bgp::UpdateMessage& update,
+void apply_update(bgp::AttrRegistry& attrs, ExternalRib& rib,
+                  speaker::PeeringId peering, const bgp::UpdateMessage& update,
                   const PrefixChanged& changed);
 
 /// Forget every route learned on `peering` (its session went down).

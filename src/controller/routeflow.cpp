@@ -111,6 +111,7 @@ void RouteFlowController::finalize() {
   if (finalized_ || speaker_ == nullptr) return;
   finalized_ = true;
 
+  mirror_attrs_ = std::make_shared<bgp::AttrRegistry>();
   mirror_ = std::make_unique<net::Network>(loop(), logger(), rng());
   net::AddressAllocator alloc;
   const net::LinkParams mirror_link{core::Duration::micros(100), 0, 0.0};
@@ -121,6 +122,7 @@ void RouteFlowController::finalize() {
     rc.asn = sw.owner_as;
     rc.router_id = alloc.router_id(sw.owner_as);
     rc.timers = config_.timers;
+    rc.attr_registry = mirror_attrs_;
     std::string vname = "v";
     vname += sw.owner_as.to_string();
     auto& vr = mirror_->add<bgp::BgpRouter>(vname, rc);

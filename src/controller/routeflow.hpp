@@ -143,7 +143,9 @@ class RouteFlowController : public ClusterController {
   SwitchGraph graph_;
   speaker::ClusterBgpSpeaker* speaker_{nullptr};
 
-  /// The mirror world. Shares the real event loop/logger/rng.
+  /// The mirror world. Shares the real event loop/logger/rng, but its
+  /// routers intern into an attribute store of their own.
+  bgp::AttrRegistryRef mirror_attrs_;
   std::unique_ptr<net::Network> mirror_;
   std::map<sdn::Dpid, bgp::BgpRouter*> vrouters_;
   std::map<speaker::PeeringId, GhostPeer*> ghosts_;

@@ -13,8 +13,6 @@ constexpr std::uint32_t kCollectorAs = 64512;
 const net::LinkParams kControlLink{core::Duration::micros(100), 0, 0.0};
 }  // namespace
 
-Experiment::AttrPoolSweep::~AttrPoolSweep() { bgp::attr_pool_purge(); }
-
 Experiment::Experiment(const topology::TopologySpec& spec,
                        std::set<core::AsNumber> sdn_members,
                        ExperimentConfig config)
@@ -48,9 +46,10 @@ net::LinkParams Experiment::link_params(const topology::LinkSpec& link) const {
 }
 
 void Experiment::build() {
-  // One attr-handle registry for the whole simulation: every RIB of every
-  // router (and the speaker) stores 4-byte indices into it, so a distinct
-  // bundle pays one handle entry network-wide.
+  // One attribute store for the whole simulation: every router, the
+  // speaker and the controller intern into it, and every RIB stores 4-byte
+  // indices into it, so a distinct bundle pays one handle entry
+  // network-wide. Its pool dies with the experiment.
   attr_registry_ = std::make_shared<bgp::AttrRegistry>();
 
   // Nodes first: routers for legacy ASes, switches for members.
@@ -63,7 +62,6 @@ void Experiment::build() {
       rc.asn = as;
       rc.router_id = alloc_.router_id(as);
       rc.timers = config_.timers;
-      rc.processing = config_.processing;
       rc.damping = config_.damping;
       rc.attr_registry = attr_registry_;
       auto& r = net_.add<bgp::BgpRouter>(as.to_string(), rc);
@@ -106,7 +104,7 @@ void Experiment::build() {
       }
       controller::ReplicaSetConfig rc = config_.ha;
       rc.replicas = config_.controller_replicas;
-      // A private forked stream: HA jitter/loss draws never perturb the
+      // A private forked stream: HA jitter draws never perturb the
       // experiment's main stream (and non-HA runs never fork at all).
       rc.seed = rng_.engine()();
       replica_set_ = std::make_unique<controller::ControllerReplicaSet>(
@@ -526,7 +524,7 @@ core::MemStats Experiment::memory_stats() const {
   for (const auto& [as, sw] : switches_) {
     stats.flow_tables += sw->table().approx_bytes();
   }
-  stats.attr_pool += bgp::attr_pool_live_bytes();
+  stats.attr_pool += attr_registry_->pool_live_bytes();
   stats.attr_registry += attr_registry_->bytes();
   return stats;
 }

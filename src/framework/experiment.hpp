@@ -48,7 +48,6 @@ struct ExperimentConfig {
   /// BGP timer profile for every legacy router (paper-faithful defaults:
   /// Quagga eBGP MRAI 30 s etc. — see bgp::Timers).
   bgp::Timers timers{};
-  bgp::ProcessingModel processing{};
   /// Route-flap damping on every legacy router (off by default, as in
   /// Quagga).
   bgp::DampingConfig damping{};
@@ -67,8 +66,8 @@ struct ExperimentConfig {
   /// epoch-fenced failover (requires the IDR controller style). Only when
   /// all replicas are down does the cluster degrade to FallbackRouting.
   std::size_t controller_replicas{1};
-  /// HA channel/election timers (replicas and seed fields are overridden
-  /// from controller_replicas and the experiment seed).
+  /// HA election timers (replicas and seed fields are overridden from
+  /// controller_replicas and the experiment seed).
   controller::ReplicaSetConfig ha{};
   /// Whether to attach the monitoring route collector to legacy routers.
   bool with_collector{true};
@@ -268,19 +267,6 @@ class Experiment {
   void attach_collector(core::AsNumber as);
   net::LinkParams link_params(const topology::LinkSpec& link) const;
 
-  /// Sweeps this thread's attribute intern pool on destruction. Declared
-  /// first so it runs last, after every node has released its bundles: the
-  /// pool's weak references keep an expired bundle's memory allocated
-  /// until a sweep, and without one a finished experiment's bundles would
-  /// linger into the next.
-  struct AttrPoolSweep {
-    AttrPoolSweep() = default;
-    AttrPoolSweep(const AttrPoolSweep&) = delete;
-    AttrPoolSweep& operator=(const AttrPoolSweep&) = delete;
-    ~AttrPoolSweep();
-  };
-  AttrPoolSweep attr_pool_sweep_;
-
   topology::TopologySpec spec_;
   std::set<core::AsNumber> members_;
   ExperimentConfig config_;
@@ -291,8 +277,8 @@ class Experiment {
   net::Network net_;
   net::AddressAllocator alloc_;
 
-  /// Simulation-wide attr-handle registry shared by every RIB (created in
-  /// build(), wired into each RouterConfig and the speaker).
+  /// The simulation's one attribute store (created in build(), wired into
+  /// every router and the speaker, and through it into the controller).
   bgp::AttrRegistryRef attr_registry_;
   std::map<core::AsNumber, bgp::BgpRouter*> routers_;
   std::map<core::AsNumber, sdn::SdnSwitch*> switches_;

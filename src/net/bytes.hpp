@@ -1,10 +1,11 @@
 // Copy-on-write byte buffer for packet payloads.
 //
-// An UPDATE fanned out to N peers, relayed across M hops, used to be copied
-// at every send and every delivery. Bytes keeps one refcounted buffer and
-// copies only when someone actually writes (the fault-injection corruption
-// path). Copying a Bytes is a shared_ptr bump; encode-once fan-out shares
-// one encoded wire image across every peer's packet.
+// A packet relayed across M hops used to be copied at every send and every
+// delivery. Bytes keeps one refcounted buffer and copies only when someone
+// actually writes (the fault-injection corruption path). Copying a Bytes is
+// a shared_ptr bump. Each message is encoded into a buffer the packet then
+// owns; only a withdraw-only UPDATE sent unchanged to several peers, and
+// the fixed KEEPALIVE image, share one buffer across peers' packets.
 #pragma once
 
 #include <cstddef>
@@ -25,8 +26,9 @@ class Bytes {
   Bytes(std::initializer_list<std::byte> init)
       : Bytes{std::vector<std::byte>(init)} {}
 
-  /// Adopt an already-shared buffer (the encode-once path). The buffer must
-  /// have been created as a non-const vector (e.g. via make_shared) so the
+  /// Adopt a buffer that an encoder's cache may also hold (the cached
+  /// withdraw-only UPDATE and KEEPALIVE images). The buffer must have been
+  /// created as a non-const vector (e.g. via make_shared) so the
   /// copy-on-write unique-owner fast path in mutate() stays well-defined.
   static Bytes adopt(std::shared_ptr<const std::vector<std::byte>> data) {
     Bytes b;

@@ -42,13 +42,20 @@ std::optional<Ipv4Addr> Ipv4Addr::parse(std::string_view s) {
 }
 
 void Ipv4Addr::append_to(std::string& out) const {
-  char buf[16];
-  char* p = buf;
+  // Digits by hand into a buffer sized for the longest address, then one
+  // append: GCC cannot bound std::to_chars into a shared buffer and
+  // reports -Wstringop-overflow in Release builds, and an append per octet
+  // slows every log record that carries an address.
+  char text[15];
+  char* p = text;
   for (int shift = 24; shift >= 0; shift -= 8) {
-    p = std::to_chars(p, buf + sizeof buf, (bits_ >> shift) & 0xffu).ptr;
+    const unsigned octet = (bits_ >> shift) & 0xffu;
+    if (octet >= 100) *p++ = static_cast<char>('0' + octet / 100);
+    if (octet >= 10) *p++ = static_cast<char>('0' + octet / 10 % 10);
+    *p++ = static_cast<char>('0' + octet % 10);
     if (shift > 0) *p++ = '.';
   }
-  out.append(buf, p);
+  out.append(text, p);
 }
 
 std::string Ipv4Addr::to_string() const { return core::text_of(*this); }

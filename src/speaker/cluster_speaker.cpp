@@ -23,9 +23,8 @@ PeeringId ClusterBgpSpeaker::add_peering(core::PortId relay_port, Peering peerin
   sc.expected_peer_as = peering.expected_peer_as;
   sc.timers = timers_;
 
-  auto slot = std::make_unique<Slot>();
+  auto slot = std::make_unique<Slot>(attr_registry_);
   slot->info = peering;
-  slot->rib_out = bgp::AdjRibOut(attr_registry_);
   slot->relay_port = relay_port;
   slot->session = std::make_unique<bgp::Session>(*this, sc);
   Slot* raw = slot.get();
@@ -41,7 +40,7 @@ void ClusterBgpSpeaker::announce(PeeringId id, const net::Prefix& prefix,
   if (crashed_) return;
   Slot& slot = *slots_.at(id);
   if (!slot.session->established()) return;
-  if (!slot.rib_out.advertise(prefix, bgp::AttrSetRef::intern(attrs))) {
+  if (!slot.rib_out.advertise(prefix, attr_registry_->intern(attrs))) {
     return;  // duplicate
   }
   bgp::UpdateMessage m;
@@ -226,7 +225,7 @@ void ClusterBgpSpeaker::session_update(bgp::Session& session,
   ++counters_.updates_rx;
   for (const auto& prefix : update.withdrawn) slot->rib_in.erase(prefix);
   if (!update.nlri.empty()) {
-    const auto attrs = bgp::AttrSetRef::intern(update.attributes);
+    const auto attrs = attr_registry_->intern(update.attributes);
     for (const auto& prefix : update.nlri) slot->rib_in[prefix] = attrs;
   }
   if (auto* tel = telemetry()) tel->metrics().counter("speaker.updates_rx").inc();

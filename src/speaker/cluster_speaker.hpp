@@ -69,8 +69,8 @@ struct SpeakerCounters {
 
 class ClusterBgpSpeaker : public net::Node, public bgp::SessionHost {
  public:
-  explicit ClusterBgpSpeaker(bgp::Timers timers = {},
-                             bgp::AttrRegistryRef attr_registry = nullptr)
+  /// `attr_registry` is the simulation's attribute store (never null).
+  ClusterBgpSpeaker(bgp::Timers timers, bgp::AttrRegistryRef attr_registry)
       : timers_{timers}, attr_registry_{std::move(attr_registry)} {}
 
   void set_listener(SpeakerListener* listener) { listener_ = listener; }
@@ -115,6 +115,9 @@ class ClusterBgpSpeaker : public net::Node, public bgp::SessionHost {
   std::vector<const Peering*> peerings() const;
   bool peering_established(PeeringId id) const;
   const SpeakerCounters& counters() const { return counters_; }
+  /// The attribute store the speaker interns into; the controller bound to
+  /// the speaker interns through it too.
+  bgp::AttrRegistry& attr_registry() const { return *attr_registry_; }
 
   /// Report deterministic footprints (core/mem_stats.hpp model): Adj-RIB-Out
   /// peaks into rib_out, the per-peering relay Adj-RIBs-In into speaker_ribs.
@@ -147,6 +150,8 @@ class ClusterBgpSpeaker : public net::Node, public bgp::SessionHost {
 
  private:
   struct Slot {
+    explicit Slot(bgp::AttrRegistryRef attrs) : rib_out{std::move(attrs)} {}
+
     Peering info;
     core::PortId relay_port;
     std::unique_ptr<bgp::Session> session;
@@ -161,9 +166,9 @@ class ClusterBgpSpeaker : public net::Node, public bgp::SessionHost {
   Slot* slot_of(const bgp::Session& session);
 
   bgp::Timers timers_;
-  /// Shared attr-handle registry for the per-peering Adj-RIBs-Out (null =
-  /// each slot's store creates a private one).
-  bgp::AttrRegistryRef attr_registry_{};
+  /// The simulation's attribute store: the relay Adj-RIBs-In intern into
+  /// it, and the per-peering Adj-RIBs-Out store handles in it.
+  bgp::AttrRegistryRef attr_registry_;
   SpeakerListener* listener_{nullptr};
   bool started_{false};
   bool crashed_{false};

@@ -1,4 +1,4 @@
-// Tests of the path-attribute interning pool (attr_intern.hpp).
+// Tests of path-attribute interning in an attribute store (attr_intern.hpp).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -19,18 +19,29 @@ PathAttributes make_attrs(std::vector<std::uint32_t> path,
   return attrs;
 }
 
+/// Interns `n` distinct bundles that die at once: enough expired entries to
+/// make the store sweep its pool at least once.
+void churn(AttrRegistry& store, std::uint32_t n) {
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const auto r = store.intern(make_attrs({i & 0xffff, i >> 16, 7}));
+    ASSERT_EQ(r->as_path.length(), 3u);
+  }
+}
+
 TEST(AttrIntern, SameBundleSharesOneCanonicalInstance) {
-  const auto a = AttrSetRef::intern(make_attrs({1, 2, 3}));
-  const auto b = AttrSetRef::intern(make_attrs({1, 2, 3}));
+  AttrRegistry store;
+  const auto a = store.intern(make_attrs({1, 2, 3}));
+  const auto b = store.intern(make_attrs({1, 2, 3}));
   EXPECT_TRUE(a.same_set(b));
   EXPECT_EQ(a, b);
   EXPECT_EQ(&*a, &*b);
 }
 
 TEST(AttrIntern, DistinctBundlesGetDistinctInstances) {
-  const auto a = AttrSetRef::intern(make_attrs({1, 2, 3}));
-  const auto b = AttrSetRef::intern(make_attrs({1, 2, 4}));
-  const auto c = AttrSetRef::intern(make_attrs({1, 2, 3}, 200));
+  AttrRegistry store;
+  const auto a = store.intern(make_attrs({1, 2, 3}));
+  const auto b = store.intern(make_attrs({1, 2, 4}));
+  const auto c = store.intern(make_attrs({1, 2, 3}, 200));
   EXPECT_FALSE(a.same_set(b));
   EXPECT_FALSE(a.same_set(c));
   EXPECT_FALSE(a == b);
@@ -45,63 +56,70 @@ TEST(AttrIntern, DefaultRefPointsAtSharedDefaultBundle) {
 }
 
 TEST(AttrIntern, EqualityFallsBackToValueComparison) {
-  // Build one ref outside the pool's canonical instance by value-comparing
-  // against a plain bundle.
-  const auto a = AttrSetRef::intern(make_attrs({7}));
+  // Two stores hold two canonical instances of one bundle: the handles are
+  // not the same set, yet they compare equal by value.
+  AttrRegistry one;
+  AttrRegistry other;
+  const auto a = one.intern(make_attrs({7}));
+  const auto b = other.intern(make_attrs({7}));
+  EXPECT_FALSE(a.same_set(b));
+  EXPECT_EQ(a, b);
   EXPECT_TRUE(a == make_attrs({7}));
   EXPECT_FALSE(a == make_attrs({8}));
 }
 
 TEST(AttrIntern, HitAndMissCountersAdvance) {
-  const auto before = attr_pool_stats();
-  const auto a = AttrSetRef::intern(make_attrs({90, 91, 92}));
-  const auto mid = attr_pool_stats();
+  AttrRegistry store;
+  const auto before = store.pool_stats();
+  const auto a = store.intern(make_attrs({90, 91, 92}));
+  const auto mid = store.pool_stats();
   EXPECT_EQ(mid.interns, before.interns + 1);
   EXPECT_EQ(mid.hits, before.hits);  // first sighting is a miss
-  const auto b = AttrSetRef::intern(make_attrs({90, 91, 92}));
-  const auto after = attr_pool_stats();
+  const auto b = store.intern(make_attrs({90, 91, 92}));
+  const auto after = store.pool_stats();
   EXPECT_EQ(after.interns, mid.interns + 1);
   EXPECT_EQ(after.hits, mid.hits + 1);
   EXPECT_TRUE(a.same_set(b));
 }
 
 TEST(AttrIntern, ExpiredEntriesAreSweptAndCanonicalIsReplaced) {
-  attr_pool_purge();
-  const void* first_instance = nullptr;
+  AttrRegistry store;
   {
-    const auto a = AttrSetRef::intern(make_attrs({50, 51}));
-    first_instance = &*a;
+    const auto a = store.intern(make_attrs({50, 51}));
+    EXPECT_EQ(store.pool_stats().live, 1u);
   }
-  // The only holder died; the pool entry is now expired.
-  attr_pool_purge();
-  const auto stats = attr_pool_stats();
-  EXPECT_EQ(stats.entries, stats.live);
+  // The only holder died; the pool entry is now expired, and the churn's
+  // intern traffic sweeps it with the churn's own dead entries.
+  churn(store, 200);
+  const auto stats = store.pool_stats();
+  EXPECT_GT(stats.purges, 0u);
+  EXPECT_EQ(stats.live, 0u);
+  EXPECT_LT(stats.entries, 200u);
   // Re-interning adopts a fresh canonical bundle (no stale revival).
-  const auto b = AttrSetRef::intern(make_attrs({50, 51}));
+  const auto hits = stats.hits;
+  const auto b = store.intern(make_attrs({50, 51}));
   EXPECT_EQ(*b, make_attrs({50, 51}));
-  (void)first_instance;  // address may legitimately be reused
+  EXPECT_EQ(store.pool_stats().hits, hits);
 }
 
 TEST(AttrIntern, CanonicalSurvivesWhileAnyHolderLives) {
-  const auto a = AttrSetRef::intern(make_attrs({60, 61}));
-  attr_pool_purge();  // must not drop the live entry
-  const auto b = AttrSetRef::intern(make_attrs({60, 61}));
+  AttrRegistry store;
+  const auto a = store.intern(make_attrs({60, 61}));
+  churn(store, 200);  // sweeps must not drop the live entry
+  ASSERT_GT(store.pool_stats().purges, 0u);
+  const auto b = store.intern(make_attrs({60, 61}));
   EXPECT_TRUE(a.same_set(b));
 }
 
 TEST(AttrIntern, PoolStaysBoundedUnderChurn) {
-  attr_pool_purge();
-  const auto base = attr_pool_stats();
+  AttrRegistry store;
   // Interning N distinct short-lived bundles must not grow the pool
   // without bound: the lazy sweep reclaims expired entries.
-  for (std::uint32_t i = 0; i < 100000; ++i) {
-    const auto r = AttrSetRef::intern(make_attrs({i & 0xffff, i >> 16}));
-    ASSERT_EQ(r->as_path.length(), 2u);
-  }
-  attr_pool_purge();
-  const auto after = attr_pool_stats();
-  EXPECT_LE(after.entries, base.entries + 8);
-  EXPECT_GT(after.purges, base.purges);
+  churn(store, 100000);
+  const auto after = store.pool_stats();
+  EXPECT_LE(after.entries, 64u);
+  EXPECT_GT(after.purges, 0u);
+  EXPECT_EQ(store.pool_live_bytes(), 0u);
 }
 
 TEST(AttrIntern, HashCoversAllComparedFields) {
@@ -124,12 +142,13 @@ TEST(AttrIntern, HashCoversAllComparedFields) {
 }
 
 TEST(AttrIntern, MedZeroDistinctFromAbsent) {
+  AttrRegistry store;
   auto absent = make_attrs({1});
   auto zero = make_attrs({1});
   zero.med = 0;
   EXPECT_NE(hash_value(absent), hash_value(zero));
-  const auto a = AttrSetRef::intern(absent);
-  const auto z = AttrSetRef::intern(zero);
+  const auto a = store.intern(absent);
+  const auto z = store.intern(zero);
   EXPECT_FALSE(a.same_set(z));
   EXPECT_FALSE(a == z);
 }

@@ -117,6 +117,7 @@ TEST(DampingIntegration, FlappingOriginGetsSuppressedAndRecovers) {
   rc.router_id = topo.alloc().router_id(rc.asn);
   rc.timers = timers;
   rc.damping = quick_damping();
+  rc.attr_registry = topo.attr_registry();
   auto& b = topo.net().add<BgpRouter>("AS2", rc);
   topo.routers().push_back(&b);
   topo.peer(a, b);
@@ -151,6 +152,7 @@ TEST(DampingIntegration, StableRouteNeverDamped) {
   rc.router_id = topo.alloc().router_id(rc.asn);
   rc.timers = testing::MiniTopo::quick_timers();
   rc.damping = quick_damping();
+  rc.attr_registry = topo.attr_registry();
   auto& b = topo.net().add<BgpRouter>("AS2", rc);
   topo.routers().push_back(&b);
   auto& a = topo.add_router(1);

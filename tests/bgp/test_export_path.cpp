@@ -161,12 +161,12 @@ TEST(ExportFanOut, OneAnnouncementInternsOnceOnImportAndOnceOnExport) {
   ASSERT_TRUE(customer.established());
 
   const auto prefix = pfx("10.9.0.0/16");
-  const std::uint64_t before = bgp::attr_pool_stats().interns;
+  const std::uint64_t before = topo.attr_registry()->pool_stats().interns;
   provider.announce({prefix});
   topo.run_for(core::Duration::seconds(2));
 
   ASSERT_NE(router.loc_rib().find(prefix), nullptr);
-  EXPECT_EQ(bgp::attr_pool_stats().interns - before, 2u);
+  EXPECT_EQ(topo.attr_registry()->pool_stats().interns - before, 2u);
   ASSERT_EQ(customer.received.size(), 1u);
   EXPECT_NE(customer.received[0].find("announce{10.9.0.0/16}"), std::string::npos);
   EXPECT_TRUE(provider.received.empty());
@@ -188,11 +188,11 @@ TEST(ExportFanOut, MultiPrefixAnnouncementBuildsOneExportBundle) {
   ASSERT_TRUE(provider.established());
   ASSERT_TRUE(customer.established());
 
-  const std::uint64_t before = bgp::attr_pool_stats().interns;
+  const std::uint64_t before = topo.attr_registry()->pool_stats().interns;
   provider.announce({pfx("10.9.0.0/16"), pfx("10.10.0.0/16"), pfx("10.11.0.0/16")});
   topo.run_for(core::Duration::seconds(2));
 
-  EXPECT_EQ(bgp::attr_pool_stats().interns - before, 2u);
+  EXPECT_EQ(topo.attr_registry()->pool_stats().interns - before, 2u);
   ASSERT_EQ(customer.received.size(), 1u);
   EXPECT_NE(customer.received[0].find(
                 "announce{10.9.0.0/16 10.10.0.0/16 10.11.0.0/16}"),
@@ -220,7 +220,7 @@ TEST(ImportOncePerUpdate, MultiNlriUpdateInternsOnce) {
 
   const std::vector<net::Prefix> prefixes = {
       pfx("10.9.0.0/16"), pfx("10.10.0.0/16"), pfx("10.11.0.0/16")};
-  std::uint64_t before = bgp::attr_pool_stats().interns;
+  std::uint64_t before = topo.attr_registry()->pool_stats().interns;
   provider.announce(prefixes);
   topo.run_for(core::Duration::seconds(2));
   for (const auto& p : prefixes) {
@@ -229,24 +229,24 @@ TEST(ImportOncePerUpdate, MultiNlriUpdateInternsOnce) {
     EXPECT_EQ(route->attributes->local_pref,
               bgp::default_local_pref(bgp::Relationship::kProvider));
   }
-  EXPECT_EQ(bgp::attr_pool_stats().interns - before, 1u);
+  EXPECT_EQ(topo.attr_registry()->pool_stats().interns - before, 1u);
 
-  before = bgp::attr_pool_stats().interns;
+  before = topo.attr_registry()->pool_stats().interns;
   provider.withdraw({prefixes[0]});
   topo.run_for(core::Duration::seconds(2));
   EXPECT_EQ(router.loc_rib().find(prefixes[0]), nullptr);
-  EXPECT_EQ(bgp::attr_pool_stats().interns - before, 0u);
+  EXPECT_EQ(topo.attr_registry()->pool_stats().interns - before, 0u);
 
   // The path [2 1] carries the router's own AS: both NLRI are rejected and
   // the provider's earlier routes for them dropped.
   const std::uint64_t loops = router.counters().routes_rejected_loop;
-  before = bgp::attr_pool_stats().interns;
+  before = topo.attr_registry()->pool_stats().interns;
   provider.announce({prefixes[1], prefixes[2]}, {1});
   topo.run_for(core::Duration::seconds(2));
   EXPECT_EQ(router.loc_rib().find(prefixes[1]), nullptr);
   EXPECT_EQ(router.loc_rib().find(prefixes[2]), nullptr);
   EXPECT_EQ(router.counters().routes_rejected_loop - loops, 2u);
-  EXPECT_EQ(bgp::attr_pool_stats().interns - before, 0u);
+  EXPECT_EQ(topo.attr_registry()->pool_stats().interns - before, 0u);
   EXPECT_TRUE(peer.received.empty());
 }
 

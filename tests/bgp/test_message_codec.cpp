@@ -315,7 +315,7 @@ TEST(EncodeShared, UpdateBytesIdenticalToPlainEncode) {
   u.withdrawn = {net::Prefix{net::Ipv4Addr{192, 168, 0, 0}, 24}};
   for (const bool four_octet : {true, false}) {
     const CodecOptions opts{.four_octet_as = four_octet};
-    const net::Bytes shared = encode_shared(Message{u}, opts);
+    const net::Bytes shared = encode_shared(u, opts);
     EXPECT_EQ(shared.vec(), encode(u, opts)) << "four_octet=" << four_octet;
   }
 }
@@ -331,8 +331,8 @@ TEST(EncodeShared, RepeatedUpdateSharesOneBuffer) {
   UpdateMessage u;
   u.attributes = sample_attrs();
   u.nlri = {net::Prefix{net::Ipv4Addr{10, 9, 0, 0}, 16}};
-  const net::Bytes first = encode_shared(Message{u});
-  const net::Bytes second = encode_shared(Message{u});
+  const net::Bytes first = encode_shared(u);
+  const net::Bytes second = encode_shared(u);
   EXPECT_EQ(first.data(), second.data());  // cache hit: encoded once
   EXPECT_EQ(first.vec(), encode(u));
 }
@@ -341,8 +341,8 @@ TEST(EncodeShared, CodecWidthIsPartOfTheCacheKey) {
   UpdateMessage u;
   u.attributes = sample_attrs();
   u.nlri = {net::Prefix{net::Ipv4Addr{10, 8, 0, 0}, 16}};
-  const net::Bytes wide = encode_shared(Message{u}, {.four_octet_as = true});
-  const net::Bytes narrow = encode_shared(Message{u}, {.four_octet_as = false});
+  const net::Bytes wide = encode_shared(u, {.four_octet_as = true});
+  const net::Bytes narrow = encode_shared(u, {.four_octet_as = false});
   EXPECT_NE(wide.data(), narrow.data());
   EXPECT_EQ(wide.vec(), encode(u, {.four_octet_as = true}));
   EXPECT_EQ(narrow.vec(), encode(u, {.four_octet_as = false}));

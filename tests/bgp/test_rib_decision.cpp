@@ -7,6 +7,12 @@
 namespace bgpsdn::bgp {
 namespace {
 
+/// The attribute store every route and RIB of these tests interns into.
+const AttrRegistryRef& attr_store() {
+  static const AttrRegistryRef kStore = std::make_shared<AttrRegistry>();
+  return kStore;
+}
+
 Route make_route(const char* prefix, std::uint32_t session,
                  std::vector<std::uint32_t> path, std::uint32_t local_pref = 100) {
   Route r;
@@ -17,7 +23,7 @@ Route make_route(const char* prefix, std::uint32_t session,
   attrs.as_path = AsPath{std::move(hops)};
   attrs.local_pref = local_pref;
   attrs.next_hop = net::Ipv4Addr{172, 16, 0, 1};
-  r.attributes = AttrSetRef::intern(std::move(attrs));
+  r.attributes = attr_store()->intern(std::move(attrs));
   r.learned_from = core::SessionId{session};
   r.peer_bgp_id = net::Ipv4Addr{10, 0, 0, session % 256 == 0 ? 1 : session};
   r.peer_address = net::Ipv4Addr{172, 16, session, 1};
@@ -29,11 +35,11 @@ template <typename Fn>
 void edit_attrs(Route& r, Fn&& fn) {
   PathAttributes attrs = *r.attributes;
   fn(attrs);
-  r.attributes = AttrSetRef::intern(std::move(attrs));
+  r.attributes = attr_store()->intern(std::move(attrs));
 }
 
 TEST(AdjRibIn, PutReplacesPerSession) {
-  AdjRibIn rib;
+  AdjRibIn rib{attr_store()};
   rib.put(make_route("10.0.0.0/16", 1, {3, 1}));
   rib.put(make_route("10.0.0.0/16", 1, {4, 1}));  // implicit withdraw
   EXPECT_EQ(rib.route_count(), 1u);
@@ -43,7 +49,7 @@ TEST(AdjRibIn, PutReplacesPerSession) {
 }
 
 TEST(AdjRibIn, MultipleSessionsCoexist) {
-  AdjRibIn rib;
+  AdjRibIn rib{attr_store()};
   rib.put(make_route("10.0.0.0/16", 1, {1}));
   rib.put(make_route("10.0.0.0/16", 2, {2, 1}));
   rib.put(make_route("10.1.0.0/16", 1, {1}));
@@ -53,7 +59,7 @@ TEST(AdjRibIn, MultipleSessionsCoexist) {
 }
 
 TEST(AdjRibIn, EraseSpecific) {
-  AdjRibIn rib;
+  AdjRibIn rib{attr_store()};
   rib.put(make_route("10.0.0.0/16", 1, {1}));
   rib.put(make_route("10.0.0.0/16", 2, {2, 1}));
   EXPECT_TRUE(rib.erase(*net::Prefix::parse("10.0.0.0/16"), core::SessionId{1}));
@@ -62,7 +68,7 @@ TEST(AdjRibIn, EraseSpecific) {
 }
 
 TEST(AdjRibIn, EraseSessionReturnsAffectedPrefixes) {
-  AdjRibIn rib;
+  AdjRibIn rib{attr_store()};
   rib.put(make_route("10.0.0.0/16", 1, {1}));
   rib.put(make_route("10.1.0.0/16", 1, {1}));
   rib.put(make_route("10.2.0.0/16", 2, {2}));
@@ -72,7 +78,7 @@ TEST(AdjRibIn, EraseSessionReturnsAffectedPrefixes) {
 }
 
 TEST(AdjRibIn, FindExact) {
-  AdjRibIn rib;
+  AdjRibIn rib{attr_store()};
   rib.put(make_route("10.0.0.0/16", 1, {1}));
   EXPECT_NE(rib.find(*net::Prefix::parse("10.0.0.0/16"), core::SessionId{1}),
             nullptr);
@@ -83,7 +89,7 @@ TEST(AdjRibIn, FindExact) {
 }
 
 TEST(LocRib, GenerationBumpsOnChange) {
-  LocRib rib;
+  LocRib rib{attr_store()};
   const auto g0 = rib.generation();
   EXPECT_TRUE(rib.install(make_route("10.0.0.0/16", 1, {1})));
   EXPECT_GT(rib.generation(), g0);
@@ -96,14 +102,14 @@ TEST(LocRib, GenerationBumpsOnChange) {
 }
 
 TEST(AdjRibOut, SuppressesDuplicateAdvertisements) {
-  AdjRibOut out;
+  AdjRibOut out{attr_store()};
   PathAttributes attrs;
   attrs.as_path = AsPath{{core::AsNumber{1}}};
   const auto p = *net::Prefix::parse("10.0.0.0/16");
-  EXPECT_TRUE(out.advertise(p, AttrSetRef::intern(attrs)));
-  EXPECT_FALSE(out.advertise(p, AttrSetRef::intern(attrs)));  // suppressed
+  EXPECT_TRUE(out.advertise(p, attr_store()->intern(attrs)));
+  EXPECT_FALSE(out.advertise(p, attr_store()->intern(attrs)));  // suppressed
   attrs.as_path = AsPath{{core::AsNumber{2}, core::AsNumber{1}}};
-  EXPECT_TRUE(out.advertise(p, AttrSetRef::intern(attrs)));  // changed attrs
+  EXPECT_TRUE(out.advertise(p, attr_store()->intern(attrs)));  // changed attrs
   EXPECT_TRUE(out.withdraw(p));
   EXPECT_FALSE(out.withdraw(p));  // nothing left to withdraw
 }

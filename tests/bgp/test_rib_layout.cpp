@@ -21,6 +21,12 @@
 namespace bgpsdn::bgp {
 namespace {
 
+/// The attribute store every route and RIB of these tests interns into.
+const AttrRegistryRef& attr_store() {
+  static const AttrRegistryRef kStore = std::make_shared<AttrRegistry>();
+  return kStore;
+}
+
 net::Prefix prefix_of(std::uint32_t i) {
   return net::Prefix{net::Ipv4Addr{(10u << 24) | (i << 8)}, 24};
 }
@@ -34,7 +40,7 @@ Route make_route(std::uint32_t prefix, std::uint32_t session,
   PathAttributes attrs;
   attrs.as_path = AsPath{std::move(hops)};
   attrs.next_hop = net::Ipv4Addr{172, 16, 0, 1};
-  r.attributes = AttrSetRef::intern(std::move(attrs));
+  r.attributes = attr_store()->intern(std::move(attrs));
   r.learned_from = core::SessionId{session};
   r.peer_bgp_id = net::Ipv4Addr{
       10, 0, 0, static_cast<std::uint8_t>(session == 0 ? 1 : session)};
@@ -104,7 +110,7 @@ AttrSetRef bundle(std::uint32_t tag) {
   PathAttributes attrs;
   attrs.as_path = AsPath{{core::AsNumber{tag + 1}}};
   attrs.next_hop = net::Ipv4Addr{172, 16, 0, 1};
-  return AttrSetRef::intern(std::move(attrs));
+  return attr_store()->intern(std::move(attrs));
 }
 
 TEST(AttrRegistry, DeduplicatesByCanonicalBundle) {
@@ -216,7 +222,7 @@ class RibInPair {
   const AdjRibIn& slab() const { return slab_; }
 
  private:
-  AdjRibIn slab_;
+  AdjRibIn slab_{attr_store()};
   oracle::AdjRibIn oracle_;
 };
 
@@ -244,7 +250,7 @@ TEST(RibLayoutEquivalence, AdjRibInFuzz) {
 }
 
 TEST(RibLayoutEquivalence, AdjRibInFindMatchesAcrossLayouts) {
-  AdjRibIn slab;
+  AdjRibIn slab{attr_store()};
   oracle::AdjRibIn oracle;
   const auto route = make_route(3, 5, {5, 9});
   slab.put(route);
@@ -295,7 +301,7 @@ TEST(AdjRibInDefrag, SlabChurnPreservesContents) {
 // --- Loc-RIB vs the oracle ------------------------------------------------
 
 TEST(RibLayoutEquivalence, LocRibFuzz) {
-  LocRib slab;
+  LocRib slab{attr_store()};
   oracle::LocRib oracle;
   std::mt19937_64 rng{77};
   for (std::uint32_t op = 0; op < 20'000; ++op) {
@@ -326,7 +332,7 @@ TEST(RibLayoutEquivalence, LocRibFuzz) {
 TEST(RibLayoutEquivalence, LocRibLocalRoutes) {
   // Locally-originated routes carry SessionId::invalid(); the slab layout
   // must round-trip them (it parks them on a shared side entry).
-  LocRib slab;
+  LocRib slab{attr_store()};
   oracle::LocRib oracle;
   Route local = make_route(1, 0, {42});
   local.learned_from = core::SessionId::invalid();
@@ -343,7 +349,7 @@ TEST(RibLayoutEquivalence, LocRibLocalRoutes) {
 // --- Adj-RIB-Out / RibOutStore vs the oracle -----------------------------
 
 TEST(RibLayoutEquivalence, RibOutStoreFuzz) {
-  RibOutStore slab;
+  RibOutStore slab{attr_store()};
   oracle::RibOutStore oracle;
   constexpr std::uint16_t kCols = 4;
   for (std::uint16_t c = 0; c < kCols; ++c) {
@@ -383,7 +389,7 @@ TEST(RibLayoutEquivalence, RibOutStoreFuzz) {
 TEST(RibLayoutEquivalence, RibOutLateColumnWidening) {
   // Adding a peer after prefixes are advertised forces row widening; the
   // earlier columns' state must be untouched.
-  RibOutStore store;
+  RibOutStore store{attr_store()};
   const auto c0 = store.add_column();
   const auto a = bundle(1);
   ASSERT_TRUE(store.advertise(c0, prefix_of(1), a));

@@ -93,6 +93,7 @@ TEST(RouterUnits, ProcessingDelaySerializesUpdates) {
   rc.router_id = topo.alloc().router_id(rc.asn);
   rc.timers = timers;
   rc.processing.per_update = core::Duration::millis(100);
+  rc.attr_registry = topo.attr_registry();
   auto& b = topo.net().add<bgp::BgpRouter>("AS2", rc);
   topo.routers().push_back(&b);
   topo.peer(a, b);

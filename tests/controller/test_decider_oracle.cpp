@@ -172,7 +172,7 @@ class OracleRun {
     bgp::PathAttributes attrs;
     attrs.as_path = bgp::AsPath{std::move(hops)};
     attrs.origin = static_cast<bgp::Origin>(rng_.uniform_int(0, 2));
-    return bgp::AttrSetRef::intern(std::move(attrs));
+    return speaker_.attr_registry().intern(std::move(attrs));
   }
 
   /// Announce, replace or withdraw one route, or move a member origin.
@@ -225,8 +225,10 @@ class OracleRun {
   core::Rng rng_;
   bool bridging_;
   SwitchGraph graph_;
-  // Speaker is only used as a peering registry here (no network attach).
-  speaker::ClusterBgpSpeaker speaker_;
+  // Speaker is only used as a peering registry and attribute store here
+  // (no network attach).
+  speaker::ClusterBgpSpeaker speaker_{{},
+                                      std::make_shared<bgp::AttrRegistry>()};
   IncrementalDecider decider_;
   std::vector<LinkEnd> links_;
   std::vector<speaker::Peering> peerings_;

@@ -150,13 +150,14 @@ class AsTopologyTest : public ::testing::Test {
     for (const auto as : path) hops.emplace_back(as);
     bgp::PathAttributes attrs;
     attrs.as_path = bgp::AsPath{std::move(hops)};
-    r.attributes = bgp::AttrSetRef::intern(std::move(attrs));
+    r.attributes = speaker.attr_registry().intern(std::move(attrs));
     return r;
   }
 
   SwitchGraph graph;
-  // Speaker is only used as a peering registry here (no network attach).
-  speaker::ClusterBgpSpeaker speaker;
+  // Speaker is only used as a peering registry and attribute store here
+  // (no network attach).
+  speaker::ClusterBgpSpeaker speaker{{}, std::make_shared<bgp::AttrRegistry>()};
 };
 
 TEST_F(AsTopologyTest, SingleEgressAllSwitchesRoute) {
@@ -293,12 +294,12 @@ class SubClusterTest : public ::testing::Test {
     for (const auto as : path) hops.emplace_back(as);
     bgp::PathAttributes attrs;
     attrs.as_path = bgp::AsPath{std::move(hops)};
-    r.attributes = bgp::AttrSetRef::intern(std::move(attrs));
+    r.attributes = speaker.attr_registry().intern(std::move(attrs));
     return r;
   }
 
   SwitchGraph graph;
-  speaker::ClusterBgpSpeaker speaker;
+  speaker::ClusterBgpSpeaker speaker{{}, std::make_shared<bgp::AttrRegistry>()};
 };
 
 TEST_F(SubClusterTest, LegacyBridgeConnectsSubClusters) {

@@ -4,7 +4,9 @@
 // data-plane connectivity through the cluster.
 #include <gtest/gtest.h>
 
-#include "bgp/attr_intern.hpp"
+#include <memory>
+#include <set>
+
 #include "framework/connectivity.hpp"
 #include "framework/experiment.hpp"
 #include "topology/generators.hpp"
@@ -296,24 +298,39 @@ TEST(HybridExperiment, BridgedPrefixReroutesAfterClusterLinkFailure) {
   EXPECT_EQ(traced_path(), "3 2 1");
 }
 
-// The last thing an experiment does is sweep this thread's attribute pool:
-// every bundle it interned expires with its nodes, and the pool's weak
-// references would otherwise keep their memory until a later sweep.
-TEST(HybridExperiment, DestructionSweepsTheAttributePool) {
-  {
-    const auto spec = topology::clique(5);
-    const core::AsNumber as1{1}, as4{4};
-    Experiment exp{spec, {as4, core::AsNumber{5}}, quick_config()};
+// Each experiment owns its attribute store: a second experiment alive on
+// the same thread neither moves the first one's mem.attr_pool nor counts
+// the first one's bundles in its own.
+TEST(HybridExperiment, AttrPoolBelongsToItsExperiment) {
+  const core::AsNumber as1{1}, as2{2}, as4{4}, as5{5};
+  const auto converged_a = [&] {
+    auto exp = std::make_unique<Experiment>(topology::clique(5),
+                                            std::set{as4, as5}, quick_config());
     const auto legacy = *net::Prefix::parse("10.0.0.0/16");
-    exp.announce_prefix(as1, legacy);
-    exp.announce_prefix(as4, *net::Prefix::parse("10.4.0.0/16"));
-    ASSERT_TRUE(exp.start());
-    exp.withdraw_prefix(as1, legacy);
-    exp.wait_converged();
-    EXPECT_GT(bgp::attr_pool_stats().live, 1u);
-  }
-  const auto stats = bgp::attr_pool_stats();
-  EXPECT_EQ(stats.entries, stats.live);
+    exp->announce_prefix(as1, legacy);
+    exp->announce_prefix(as4, *net::Prefix::parse("10.4.0.0/16"));
+    EXPECT_TRUE(exp->start());
+    exp->withdraw_prefix(as1, legacy);
+    exp->wait_converged();
+    return exp;
+  };
+  const auto converged_b = [&] {
+    auto exp = std::make_unique<Experiment>(topology::clique(4),
+                                            std::set<core::AsNumber>{},
+                                            quick_config(11));
+    exp->announce_prefix(as2, *net::Prefix::parse("10.9.0.0/16"));
+    EXPECT_TRUE(exp->start());
+    return exp;
+  };
+  const std::uint64_t b_alone = converged_b()->memory_stats().attr_pool;
+
+  const auto a = converged_a();
+  const std::uint64_t a_pool = a->memory_stats().attr_pool;
+  EXPECT_GT(a_pool, 0u);
+  const auto b = converged_b();
+  EXPECT_EQ(a->memory_stats().attr_pool, a_pool);
+  EXPECT_EQ(b->memory_stats().attr_pool, b_alone);
+  EXPECT_GT(b_alone, 0u);
 }
 
 }  // namespace

@@ -6,8 +6,8 @@
 // convergence wait, the full telemetry snapshot, and the deterministic
 // memory model. Memory lines were recorded from the slab layout itself (the
 // reference layout charged its own node model); they leave out the
-// thread-wide attribute pool, whose size depends on what else ran on the
-// thread. The captures must also not depend on the worker-thread count.
+// attribute pool (mem.attr_pool). The captures must also not depend on the
+// worker-thread count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -229,8 +229,8 @@ TEST(RibLayoutEquivalence, InternetLikeChurn) {
 TEST(RibLayoutEquivalence, ByteIdenticalAcrossJobCounts) {
   // Two seeds, each run twice, raced across worker threads: the captures
   // must not depend on the job count, and the two runs of one seed must
-  // agree. The shared AttrRegistry and the per-thread intern pool are the
-  // structures under suspicion here.
+  // agree. Each experiment's attribute store (intern pool and handle
+  // registry) is the structure under suspicion here.
   const auto run_with_jobs = [](std::size_t jobs) {
     std::vector<std::string> caps(4);
     parallel_for_index(4, jobs, [&](std::size_t i) {

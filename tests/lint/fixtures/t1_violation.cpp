@@ -1,4 +1,4 @@
-// Fixture: T1 — raw threading outside src/framework/trial.* (never compiled).
+// Fixture: T1 — threads and thread_local outside trial.* (never compiled).
 #include <atomic>
 #include <thread>
 
@@ -6,4 +6,6 @@ void spin() {
   std::atomic<int> hits{0};
   std::thread worker{[&] { hits.fetch_add(1); }};
   worker.detach();
+  thread_local int spins = 0;
+  ++spins;
 }

@@ -323,10 +323,12 @@ TEST(LintL1, PiecesPassedToTheLoggerAreClean) {
 
 TEST(LintT1, FlagsRawThreadingWithExactLines) {
   const auto findings = bgpsdn::lint::lint_file(fixture("t1_violation.cpp"));
-  EXPECT_EQ(rule_lines(findings), (RL{{"T1", 6}, {"T1", 7}, {"T1", 8}}));
+  EXPECT_EQ(rule_lines(findings),
+            (RL{{"T1", 6}, {"T1", 7}, {"T1", 8}, {"T1", 9}}));
   EXPECT_EQ(findings[0].token, "std::atomic");
   EXPECT_EQ(findings[1].token, "std::thread");
   EXPECT_EQ(findings[2].token, "detach()");
+  EXPECT_EQ(findings[3].token, "thread_local");
 }
 
 TEST(LintT1, TrialRunnerFilesAreAllowlisted) {
@@ -423,6 +425,7 @@ TEST(LintCorpus, WholeFixtureDirectoryExactFindings) {
       {"t1_violation.cpp", "T1@6"},
       {"t1_violation.cpp", "T1@7"},
       {"t1_violation.cpp", "T1@8"},
+      {"t1_violation.cpp", "T1@9"},
   };
   EXPECT_EQ(got, expected);
 }

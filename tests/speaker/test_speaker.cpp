@@ -33,13 +33,14 @@ class SpeakerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     log.set_min_level(core::LogLevel::kInfo);
-    speaker = &net.add<ClusterBgpSpeaker>("spk", quick_timers());
+    speaker = &net.add<ClusterBgpSpeaker>("spk", quick_timers(), store);
     speaker->set_listener(&listener);
 
     bgp::RouterConfig rc;
     rc.asn = core::AsNumber{100};
     rc.router_id = net::Ipv4Addr{10, 0, 0, 100};
     rc.timers = quick_timers();
+    rc.attr_registry = store;
     router = &net.add<bgp::BgpRouter>("AS100", rc);
 
     link = net.connect(speaker->id(), router->id(),
@@ -89,6 +90,7 @@ class SpeakerTest : public ::testing::Test {
   core::Logger log;
   core::Rng rng{1};
   net::Network net{loop, log, rng};
+  bgp::AttrRegistryRef store = std::make_shared<bgp::AttrRegistry>();
   ClusterBgpSpeaker* speaker{};
   bgp::BgpRouter* router{};
   RecordingListener listener;

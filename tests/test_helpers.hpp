@@ -30,6 +30,7 @@ class MiniTopo {
     rc.asn = core::AsNumber{asn};
     rc.router_id = alloc_.router_id(rc.asn);
     rc.timers = timers;
+    rc.attr_registry = attrs_;
     auto& r = net_.add<bgp::BgpRouter>("AS" + std::to_string(asn), rc);
     routers_.push_back(&r);
     return r;
@@ -81,6 +82,8 @@ class MiniTopo {
   core::Logger& log() { return log_; }
   net::Network& net() { return net_; }
   net::AddressAllocator& alloc() { return alloc_; }
+  /// The network's one attribute store; routers built by hand take it too.
+  const bgp::AttrRegistryRef& attr_registry() const { return attrs_; }
   std::vector<bgp::BgpRouter*>& routers() { return routers_; }
 
  private:
@@ -89,6 +92,7 @@ class MiniTopo {
   core::Rng rng_;
   net::Network net_;
   net::AddressAllocator alloc_;
+  bgp::AttrRegistryRef attrs_ = std::make_shared<bgp::AttrRegistry>();
   std::vector<bgp::BgpRouter*> routers_;
 };
 

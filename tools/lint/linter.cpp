@@ -801,6 +801,12 @@ void rule_t1_threads(FileContext& ctx) {
               "parallelism goes through the trial pool");
       continue;
     }
+    if (t == "thread_local") {
+      ctx.add("T1", toks[i].line, t,
+              "per-thread state outside src/framework/trial.*; simulation "
+              "state belongs to its simulation, not to the thread it runs on");
+      continue;
+    }
     if (kStdQualified.contains(t)) {
       const Tok* p = prev_tok(toks, i);
       const Tok* pp = i >= 2 ? &toks[i - 2] : nullptr;

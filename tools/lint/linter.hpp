@@ -31,9 +31,10 @@
 //       in a range-for body. Float addition is not associative; sums that
 //       reach serialized output must come from a sorted or index-ordered
 //       source, documented via `// lint: float-order-ok(reason)`.
-//   T1  no std::thread/jthread/async/atomic/mutex/detach() outside
-//       src/framework/trial.* — all parallelism goes through the trial pool
-//       (parallel_for_index / run_sweep).
+//   T1  no std::thread/jthread/async/atomic/mutex/detach() and no
+//       thread_local outside src/framework/trial.* — all parallelism goes
+//       through the trial pool (parallel_for_index / run_sweep), and
+//       simulation state belongs to its simulation, not to a thread.
 //   H1  header hygiene: `#pragma once` in every header, no
 //       `using namespace` in headers, no <iostream> in library headers
 //       (under src/).

@@ -45,11 +45,13 @@ int main() {
   // 6. Inspect the outcome: the legacy router's view...
   const bgp::BgpRouter& as2 = exp.router(core::AsNumber{2});
   const bgp::Route* route = as2.loc_rib().find(pfx);
+  std::size_t candidates = 0;
+  as2.adj_rib_in().for_each_candidate(
+      pfx, [&](const bgp::RouteView&) { ++candidates; });
   std::printf("\nAS2 (legacy BGP) best route for %s:\n", pfx.to_string().c_str());
   std::printf("  AS path [%s], next hop %s, %zu candidate(s) in Adj-RIB-In\n",
               route->attributes->as_path.to_string().c_str(),
-              route->attributes->next_hop.to_string().c_str(),
-              as2.adj_rib_in().candidates(pfx).size());
+              route->attributes->next_hop.to_string().c_str(), candidates);
 
   // ...the controller's decision for the cluster...
   const auto* decision = exp.idr_controller()->decision_for(pfx);

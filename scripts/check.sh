@@ -430,7 +430,9 @@ fi
 # the router's once-per-UPDATE import and its export fan-out (borrowed
 # Loc-RIB winners, flat dirty sets, UPDATE packing), and the slab RIB (memmoved candidate spans, backshift deletion in
 # the open-addressing tables, the attribute registry) through its
-# oracle-diff fuzzers and the framework golden captures, and the
+# oracle-diff fuzzers and the framework golden captures, the decision
+# ladder over candidate views that point into the slab and the registry,
+# and the
 # controller's per-prefix tree bookkeeping (the decider oracle sweep and
 # the bridged-prefix regression). The configuration front end rides
 # along: the scenario DSL, matrix and fault-plan grammars, their seeded
@@ -457,7 +459,7 @@ cmake --build build-asan -j "$(nproc)" \
 ./build-asan/tools/bgpsdn_run --faults scenarios/ha_chaos.plan \
   scenarios/ha_chaos.bgpsdn > /dev/null
 ./build-asan/tests/test_bgp \
-  --gtest_filter='*CodecFuzz*:*LiveSessionFuzz*:AttrIntern.*:EncodeShared.*:ExportFanOut.*:ImportOncePerUpdate.*:PolicyEngine.*:RouterUnits.*:PrefixSet.*:MraiWindow.*:*LayoutEquivalence.*:PrefixTableFuzz.*:AdjRibInDefrag.*:AttrRegistry.*'
+  --gtest_filter='*CodecFuzz*:*LiveSessionFuzz*:AttrIntern.*:EncodeShared.*:ExportFanOut.*:ImportOncePerUpdate.*:PolicyEngine.*:RouterUnits.*:PrefixSet.*:MraiWindow.*:*LayoutEquivalence.*:PrefixTableFuzz.*:AdjRibInDefrag.*:AttrRegistry.*:AdjRibIn.*:Decision.*'
 ./build-asan/tests/test_net \
   --gtest_filter='*LinkParams*:*RuntimeLoss*:*Corruption*:Bytes.*'
 ./build-asan/tests/test_core --gtest_filter='EventLoop.*'

@@ -55,7 +55,9 @@ class AttrSetRef {
   bool operator==(const AttrSetRef& other) const {
     return ptr_ == other.ptr_ || *ptr_ == *other.ptr_;
   }
-  bool operator==(const PathAttributes& value) const { return *ptr_ == value; }
+  bool operator==(const PathAttributes& value) const {
+    return ptr_.get() == &value || *ptr_ == value;
+  }
 
  private:
   friend class AttrRegistry;

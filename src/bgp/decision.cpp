@@ -6,13 +6,13 @@ namespace {
 
 constexpr std::uint32_t kDefaultLocalPref = 100;
 
-std::uint32_t local_pref_of(const Route& r) {
-  return r.attributes->local_pref.value_or(kDefaultLocalPref);
+std::uint32_t local_pref_of(const PathAttributes& a) {
+  return a.local_pref.value_or(kDefaultLocalPref);
 }
 
-std::uint32_t med_of(const Route& r) {
+std::uint32_t med_of(const PathAttributes& a) {
   // Missing MED is treated as the best (0), Quagga's default.
-  return r.attributes->med.value_or(0);
+  return a.med.value_or(0);
 }
 
 template <typename T>
@@ -24,59 +24,24 @@ int cmp(T a, T b) {
 
 }  // namespace
 
-int compare_routes(const Route& a, const Route& b) {
+int compare_routes(const RouteView& a, const RouteView& b) {
+  const PathAttributes& x = a.attributes->get();
+  const PathAttributes& y = b.attributes->get();
   // 1. LOCAL_PREF, higher wins.
-  if (const int c = cmp(local_pref_of(b), local_pref_of(a))) return c;
+  if (const int c = cmp(local_pref_of(y), local_pref_of(x))) return c;
   // 2. AS_PATH length, shorter wins.
-  if (const int c = cmp(a.attributes->as_path.length(), b.attributes->as_path.length()))
-    return c;
+  if (const int c = cmp(x.as_path.length(), y.as_path.length())) return c;
   // 3. ORIGIN, lower wins.
-  if (const int c = cmp(static_cast<int>(a.attributes->origin),
-                        static_cast<int>(b.attributes->origin)))
+  if (const int c = cmp(static_cast<int>(x.origin), static_cast<int>(y.origin)))
     return c;
   // 4. MED, lower wins.
-  if (const int c = cmp(med_of(a), med_of(b))) return c;
+  if (const int c = cmp(med_of(x), med_of(y))) return c;
   // 5. Older route wins (stability).
   if (const int c = cmp(a.installed_at, b.installed_at)) return c;
   // 6. Lower peer BGP id wins.
   if (const int c = cmp(a.peer_bgp_id, b.peer_bgp_id)) return c;
   // 7. Lower peer address wins.
   return cmp(a.peer_address, b.peer_address);
-}
-
-const Route* select_best(const std::vector<const Route*>& candidates) {
-  const Route* best = nullptr;
-  for (const Route* r : candidates) {
-    if (best == nullptr || compare_routes(*r, *best) < 0) best = r;
-  }
-  return best;
-}
-
-const char* to_string(DecisionReason r) {
-  switch (r) {
-    case DecisionReason::kOnlyCandidate: return "only-candidate";
-    case DecisionReason::kLocalPref: return "local-pref";
-    case DecisionReason::kAsPathLength: return "as-path-length";
-    case DecisionReason::kOrigin: return "origin";
-    case DecisionReason::kMed: return "med";
-    case DecisionReason::kAge: return "age";
-    case DecisionReason::kBgpId: return "bgp-id";
-    case DecisionReason::kPeerAddress: return "peer-address";
-    case DecisionReason::kTie: return "tie";
-  }
-  return "?";
-}
-
-DecisionReason decide_reason(const Route& a, const Route& b) {
-  if (local_pref_of(a) != local_pref_of(b)) return DecisionReason::kLocalPref;
-  if (a.attributes->as_path.length() != b.attributes->as_path.length())
-    return DecisionReason::kAsPathLength;
-  if (a.attributes->origin != b.attributes->origin) return DecisionReason::kOrigin;
-  if (med_of(a) != med_of(b)) return DecisionReason::kMed;
-  if (a.installed_at != b.installed_at) return DecisionReason::kAge;
-  if (a.peer_bgp_id != b.peer_bgp_id) return DecisionReason::kBgpId;
-  if (a.peer_address != b.peer_address) return DecisionReason::kPeerAddress;
-  return DecisionReason::kTie;
 }
 
 }  // namespace bgpsdn::bgp

@@ -11,8 +11,6 @@
 //   7. lowest peer address
 #pragma once
 
-#include <vector>
-
 #include "bgp/rib.hpp"
 
 namespace bgpsdn::bgp {
@@ -20,27 +18,6 @@ namespace bgpsdn::bgp {
 /// Three-way comparison: negative if `a` is preferred, positive if `b` is,
 /// zero only for fully tied candidates (which cannot happen for distinct
 /// peers thanks to the address tiebreak).
-int compare_routes(const Route& a, const Route& b);
-
-/// The best candidate, or nullptr if the set is empty.
-const Route* select_best(const std::vector<const Route*>& candidates);
-
-/// Which rung of the ladder decided between two routes; for diagnostics and
-/// tests ("why did this path win?").
-enum class DecisionReason {
-  kOnlyCandidate,
-  kLocalPref,
-  kAsPathLength,
-  kOrigin,
-  kMed,
-  kAge,
-  kBgpId,
-  kPeerAddress,
-  kTie,
-};
-
-const char* to_string(DecisionReason r);
-
-DecisionReason decide_reason(const Route& a, const Route& b);
+int compare_routes(const RouteView& a, const RouteView& b);
 
 }  // namespace bgpsdn::bgp

@@ -46,20 +46,20 @@ AdjRibIn::AdjRibIn(AttrRegistryRef attrs) : attrs_{std::move(attrs)} {}
 
 // lint: hotpath(Adj-RIB-In insert runs once per received route; the slab
 // layout exists precisely so this path never touches the heap per call)
-bool AdjRibIn::put(const Route& route) {
+AdjRibIn::PutResult AdjRibIn::put(const net::Prefix& prefix,
+                                  const RouteView& route) {
   const std::uint32_t sid = route.learned_from.value();
   const std::uint32_t bgp_id = route.peer_bgp_id.bits();
   const std::uint32_t address = route.peer_address.bits();
-  const std::int64_t installed = route.installed_at.nanos_since_origin();
 
-  InSpan* span = spans_.find(route.prefix);
+  InSpan* span = spans_.find(prefix);
   if (span == nullptr) {
     InSpan fresh;
     fresh.capacity = 1;
     fresh.size = 0;
     fresh.offset = alloc_span(1);
-    spans_.put(route.prefix, fresh);
-    span = spans_.find(route.prefix);
+    spans_.put(prefix, fresh);
+    span = spans_.find(prefix);
   }
 
   // Candidates are kept session-ascending: iteration order is that of a
@@ -78,18 +78,18 @@ bool AdjRibIn::put(const Route& route) {
   if (lo < span->size && slab_[span->offset + lo].session == sid) {
     Candidate& c = slab_[span->offset + lo];
     detail::SessionInfo* info = sessions_.find(sid);
-    const bool same = attrs_->at(c.attr) == route.attributes &&
-                      c.installed_ns == installed && info->bgp_id == bgp_id &&
-                      info->address == address;
-    if (same) return false;
-    const std::uint32_t index = attrs_->acquire(route.attributes);
+    const bool same_bundle = attrs_->at(c.attr) == *route.attributes;
+    if (same_bundle && info->bgp_id == bgp_id && info->address == address) {
+      return PutResult::kUnchanged;
+    }
+    const std::uint32_t index = attrs_->acquire(*route.attributes);
     attrs_->release(c.attr);
     c.attr = index;
-    c.installed_ns = installed;
+    if (!same_bundle) c.installed_ns = route.installed_at.nanos_since_origin();
     info->bgp_id = bgp_id;
     info->address = address;
     note_usage();
-    return true;
+    return same_bundle ? PutResult::kNewIdentity : PutResult::kReplaced;
   }
 
   if (span->size == span->capacity) {
@@ -104,13 +104,14 @@ bool AdjRibIn::put(const Route& route) {
   Candidate* base = slab_.data() + span->offset;
   std::memmove(base + lo + 1, base + lo,
                (span->size - lo) * sizeof(Candidate));
-  base[lo] = Candidate{sid, attrs_->acquire(route.attributes), installed};
+  base[lo] = Candidate{sid, attrs_->acquire(*route.attributes),
+                       route.installed_at.nanos_since_origin()};
   ++span->size;
   ++count_;
   sessions_.add(sid, bgp_id, address);
   maybe_defrag();
   note_usage();
-  return true;
+  return PutResult::kAdded;
 }
 
 bool AdjRibIn::erase(const net::Prefix& prefix, core::SessionId session) {
@@ -169,37 +170,6 @@ std::vector<net::Prefix> AdjRibIn::erase_session(core::SessionId session) {
   return affected;
 }
 
-const Route* AdjRibIn::find(const net::Prefix& prefix,
-                            core::SessionId session) const {
-  const InSpan* span = spans_.find(prefix);
-  if (span == nullptr) return nullptr;
-  const std::uint32_t sid = session.value();
-  for (std::uint32_t i = 0; i < span->size; ++i) {
-    const Candidate& c = slab_[span->offset + i];
-    if (c.session == sid) {
-      scratch_.prefix = prefix;
-      materialize(c, scratch_);
-      return &scratch_;
-    }
-  }
-  return nullptr;
-}
-
-std::vector<const Route*> AdjRibIn::candidates(
-    const net::Prefix& prefix) const {
-  std::vector<const Route*> out;
-  const InSpan* span = spans_.find(prefix);
-  if (span == nullptr) return out;
-  scratch_candidates_.assign(span->size, Route{});
-  for (std::uint32_t i = 0; i < span->size; ++i) {
-    scratch_candidates_[i].prefix = prefix;
-    materialize(slab_[span->offset + i], scratch_candidates_[i]);
-  }
-  out.reserve(span->size);
-  for (const auto& route : scratch_candidates_) out.push_back(&route);
-  return out;
-}
-
 std::size_t AdjRibIn::route_count() const { return count_; }
 
 std::vector<net::Prefix> AdjRibIn::prefixes() const {
@@ -249,13 +219,11 @@ void AdjRibIn::maybe_defrag() {
   free_slots_ = 0;
 }
 
-void AdjRibIn::materialize(const Candidate& c, Route& out) const {
+RouteView AdjRibIn::view(const Candidate& c) const {
   const detail::SessionInfo* info = sessions_.find(c.session);
-  out.attributes = attrs_->at(c.attr);
-  out.learned_from = core::SessionId{c.session};
-  out.peer_bgp_id = net::Ipv4Addr{info->bgp_id};
-  out.peer_address = net::Ipv4Addr{info->address};
-  out.installed_at = core::TimePoint::from_nanos(c.installed_ns);
+  return {&attrs_->at(c.attr), core::SessionId{c.session},
+          net::Ipv4Addr{info->bgp_id}, net::Ipv4Addr{info->address},
+          core::TimePoint::from_nanos(c.installed_ns)};
 }
 
 std::uint64_t AdjRibIn::current_bytes() const {

@@ -13,6 +13,12 @@
 // with a per-peer column of attr indices shared across all peers of the
 // router (RibOutStore).
 //
+// The decision process reads the Adj-RIB-In in place: for_each_candidate
+// hands out RouteViews (bundle and tiebreak inputs, no refcount touched),
+// and the one put() per imported NLRI both stores the candidate and says
+// what changed. Route is the Loc-RIB's install and read value;
+// LocRib::find() builds it in a scratch slot.
+//
 // Iteration order and tie-break semantics are those of plain ordered maps:
 // candidates visit in session-ascending order, and whole-table walks
 // (for_each, prefixes, erase_session) are in sorted-prefix order. The
@@ -38,6 +44,20 @@
 
 namespace bgpsdn::bgp {
 
+/// What the decision process compares of one candidate: its bundle and
+/// tiebreak inputs, without the prefix. A stored Adj-RIB-In candidate, the
+/// local route and a Route each yield one without touching a refcount. It
+/// reads its source in place, so it is valid only while that source and
+/// the attribute store are unchanged.
+struct RouteView {
+  /// Null only in a view of no route.
+  const AttrSetRef* attributes{nullptr};
+  core::SessionId learned_from{core::SessionId::invalid()};
+  net::Ipv4Addr peer_bgp_id;
+  net::Ipv4Addr peer_address;
+  core::TimePoint installed_at;
+};
+
 /// One candidate route for one prefix. Attributes are an interned handle:
 /// every route carrying the same bundle shares one canonical instance.
 struct Route {
@@ -51,6 +71,9 @@ struct Route {
   core::TimePoint installed_at;
 
   bool is_local() const { return !learned_from.is_valid(); }
+  RouteView view() const {
+    return {&attributes, learned_from, peer_bgp_id, peer_address, installed_at};
+  }
 };
 
 namespace detail {
@@ -230,11 +253,26 @@ class AdjRibIn {
   /// `attrs` is the simulation's attribute store (never null).
   explicit AdjRibIn(AttrRegistryRef attrs);
 
-  /// Insert/replace the route from one peer (implicit withdraw semantics).
-  /// Returns true when the stored entry actually changed — new candidate,
-  /// different attributes, different installed-at, or different peer
-  /// identity — so callers can skip the decision process otherwise.
-  bool put(const Route& route);
+  /// What put() did with the offered candidate.
+  enum class PutResult : std::uint8_t {
+    /// The session's stored bundle from the same peer identity: nothing
+    /// changed.
+    kUnchanged,
+    /// The stored bundle from a changed peer identity: the identity was
+    /// updated and the candidate kept its installed-at.
+    kNewIdentity,
+    /// A different bundle replaced the session's candidate.
+    kReplaced,
+    /// The session had no candidate for the prefix.
+    kAdded,
+  };
+
+  /// Offer `route` as its session's candidate for `prefix` (implicit
+  /// withdraw semantics); `route.installed_at` is the time of the offer.
+  /// A re-announcement of the stored bundle is not a change: the candidate
+  /// keeps its installed-at, so the decision process still sees it as the
+  /// older route.
+  PutResult put(const net::Prefix& prefix, const RouteView& route);
 
   /// Remove the route for (prefix, session). Returns true if present.
   bool erase(const net::Prefix& prefix, core::SessionId session);
@@ -243,27 +281,16 @@ class AdjRibIn {
   /// affected prefixes in sorted order.
   std::vector<net::Prefix> erase_session(core::SessionId session);
 
-  /// The stored route, or nullptr. The pointer refers to a scratch slot
-  /// valid until the next AdjRibIn call.
-  const Route* find(const net::Prefix& prefix, core::SessionId session) const;
-
-  /// All candidates for one prefix, session-ascending. The pointers refer
-  /// to scratch storage valid until the next call.
-  std::vector<const Route*> candidates(const net::Prefix& prefix) const;
-
-  /// Allocation-light visitation of the candidates for one prefix, in the
-  /// same deterministic (session-ascending) order as candidates(). The
-  /// decision process runs per prefix on every received update; the Route&
-  /// handed to `fn` is only valid for the duration of the call.
+  /// Visit the candidates for one prefix, session-ascending, each as a view
+  /// read in place from the slab: the decision process runs per prefix on
+  /// every received update and builds no Route. A view is valid until the
+  /// next change to this RIB or to the attribute store.
   template <typename Fn>
   void for_each_candidate(const net::Prefix& prefix, Fn&& fn) const {
     const InSpan* span = spans_.find(prefix);
     if (span == nullptr) return;
-    Route r;
-    r.prefix = prefix;
     for (std::uint16_t i = 0; i < span->size; ++i) {
-      materialize(slab_[span->offset + i], r);
-      fn(static_cast<const Route&>(r));
+      fn(view(slab_[span->offset + i]));
     }
   }
 
@@ -298,7 +325,7 @@ class AdjRibIn {
   /// Rebuild the slab tightly (spans packed, free lists emptied) once dead
   /// span slots from the grow-by-doubling churn exceed a third of it.
   void maybe_defrag();
-  void materialize(const Candidate& c, Route& out) const;
+  RouteView view(const Candidate& c) const;
   std::uint64_t current_bytes() const;
   void note_usage();
 
@@ -311,8 +338,6 @@ class AdjRibIn {
   AttrRegistryRef attrs_;
   detail::SessionTable sessions_;
   std::size_t count_{0};
-  mutable Route scratch_;
-  mutable std::vector<Route> scratch_candidates_;
   std::uint64_t peak_bytes_{0};
 };
 

@@ -122,20 +122,11 @@ void BgpRouter::session_established(Session& session) {
   Peer* peer = peer_of(session);
   logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
                "session_up", "peer ", session.peer_as());
-  if (peer_mrai(*peer) > core::Duration::zero()) {
-    // Initial table transfer goes out promptly; afterwards the
-    // free-running advertisement timer paces everything.
-    for (const auto& prefix : loc_rib_.prefixes()) peer->pending.insert(prefix);
-    flush_peer(*peer);
-    arm_mrai(*peer);
-  } else {
-    TxBatch batch{*this};
-    for (const auto& prefix : loc_rib_.prefixes()) {
-      const LocRib::WinnerKey winner = loc_rib_.winner(prefix);
-      schedule_peer_update(*peer, prefix,
-                           export_source(winner.attrs, winner.learned_from));
-    }
-  }
+  // Initial table transfer goes out promptly; afterwards the free-running
+  // advertisement timer paces everything (without MRAI there is none).
+  for (const auto& prefix : loc_rib_.prefixes()) peer->pending.insert(prefix);
+  flush_peer(*peer);
+  arm_mrai(*peer);
 }
 
 void BgpRouter::session_down(Session& session, const std::string& reason) {
@@ -230,28 +221,23 @@ void BgpRouter::process_update(Peer& peer, const UpdateMessage& update) {
 
 void BgpRouter::import_candidate(Peer& peer, const net::Prefix& prefix,
                                  const AttrSetRef& attrs) {
+  using Put = AdjRibIn::PutResult;
   const auto sid = peer.session->id();
-  Route route;
-  route.prefix = prefix;
-  route.attributes = attrs;
-  route.learned_from = sid;
-  route.peer_bgp_id = peer.session->peer_bgp_id();
-  route.peer_address = peer.config.remote_address;
-  route.installed_at = loop().now();
-  // Re-announcements with unchanged attributes keep their age (the
-  // decision process prefers older routes) and do not count as flaps.
-  // Interning makes this the pointer-identity fast path.
-  const Route* existing = adj_rib_in_.find(prefix, sid);
-  if (existing != nullptr && existing->attributes == route.attributes) {
-    route.installed_at = existing->installed_at;
-  } else if (existing != nullptr || dampener_.has_history(sid, prefix)) {
-    // Attribute change or re-advertisement after a withdrawal: a flap.
-    note_flap(sid, prefix, /*withdrawal=*/false);
-  }
+  // A re-announcement of the stored bundle keeps its age (the decision
+  // process prefers older routes) and does not count as a flap.
+  const Put put = adj_rib_in_.put(
+      prefix, {&attrs, sid, peer.session->peer_bgp_id(),
+               peer.config.remote_address, loop().now()});
   // Dirty-prefix decision: an unchanged candidate set (a duplicate
   // re-announcement) cannot move the best path, so skip the decision
   // process entirely.
-  if (adj_rib_in_.put(route)) recompute(prefix);
+  if (put == Put::kUnchanged) return;
+  // Attribute change or re-advertisement after a withdrawal: a flap.
+  if (put == Put::kReplaced ||
+      (put == Put::kAdded && dampener_.has_history(sid, prefix))) {
+    note_flap(sid, prefix, /*withdrawal=*/false);
+  }
+  recompute(prefix);
 }
 
 void BgpRouter::reject_candidate(core::SessionId session,
@@ -282,35 +268,25 @@ void BgpRouter::recompute(const net::Prefix& prefix) {
   init_metrics();
   if (decision_runs_metric_ != nullptr) decision_runs_metric_->inc();
   const std::uint64_t best_changes_before = counters_.best_changes;
-  // Incremental best-path selection over an allocation-free visitation of
-  // the Adj-RIB-In candidates (visited in session-ascending order, so ties
-  // resolve exactly as the old select_best-over-vector did). The running
-  // winner is copied out: the Adj-RIB-In materializes each candidate into
-  // scratch storage that the next visit reuses.
-  Route best;
-  bool have_best = false;
+  // Incremental best-path selection over views of the Adj-RIB-In
+  // candidates, read in place and visited in session-ascending order, then
+  // the local route: ties resolve by visit order. A Route is built only to
+  // install a new winner.
+  RouteView best;
   std::size_t candidate_count = 0;
-  adj_rib_in_.for_each_candidate(prefix, [&](const Route& r) {
+  const auto offer = [&](const RouteView& r) {
+    ++candidate_count;
+    if (best.attributes == nullptr || compare_routes(r, best) < 0) best = r;
+  };
+  adj_rib_in_.for_each_candidate(prefix, [&](const RouteView& r) {
     if (config_.damping.enabled &&
         dampener_.is_suppressed(r.learned_from, prefix, loop().now())) {
       return;
     }
-    ++candidate_count;
-    if (!have_best || compare_routes(r, best) < 0) {
-      best = r;
-      have_best = true;
-    }
+    offer(r);
   });
   if (const auto it = local_prefixes_.find(prefix); it != local_prefixes_.end()) {
-    Route local;
-    local.prefix = prefix;
-    local.attributes = *local_attrs_;
-    local.installed_at = it->second;
-    ++candidate_count;
-    if (!have_best || compare_routes(local, best) < 0) {
-      best = local;
-      have_best = true;
-    }
+    offer({&*local_attrs_, core::SessionId::invalid(), {}, {}, it->second});
   }
 
   if (decision_candidates_metric_ != nullptr) {
@@ -318,22 +294,27 @@ void BgpRouter::recompute(const net::Prefix& prefix) {
         static_cast<std::int64_t>(candidate_count));
   }
 
-  const Route* current = loc_rib_.find(prefix);
-
-  if (!have_best) {
-    if (current == nullptr) return;
+  const LocRib::WinnerKey current = loc_rib_.winner(prefix);
+  // Without a winner every peer is sent a withdrawal.
+  ExportSource source;
+  if (best.attributes == nullptr) {
+    if (current.attrs == nullptr) return;
     loc_rib_.remove(prefix);
     if (host_ports_.count(prefix) == 0) fib_.erase(prefix);
     ++counters_.best_changes;
     logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
                  "best_lost", prefix);
   } else {
-    const bool changed = current == nullptr ||
-                         current->attributes != best.attributes ||
-                         current->learned_from != best.learned_from;
-    if (!changed) return;
-    loc_rib_.install(best);
-    if (best.is_local()) {
+    if (current.attrs != nullptr && current.learned_from == best.learned_from &&
+        *best.attributes == *current.attrs) {
+      return;
+    }
+    // `best` reads the attribute store in place, which install() may grow:
+    // from here on the Route carries the winner.
+    const Route route{prefix, *best.attributes, best.learned_from,
+                      best.peer_bgp_id, best.peer_address, best.installed_at};
+    loc_rib_.install(route);
+    if (route.is_local()) {
       // Delivered locally (to the attached host if any).
       if (const auto it = host_ports_.find(prefix); it != host_ports_.end()) {
         fib_.insert(prefix, it->second);
@@ -341,12 +322,15 @@ void BgpRouter::recompute(const net::Prefix& prefix) {
         fib_.erase(prefix);
       }
     } else {
-      fib_.insert(prefix, peers_by_session_.at(best.learned_from.value())->port);
+      fib_.insert(prefix, peers_by_session_.at(route.learned_from.value())->port);
     }
     ++counters_.best_changes;
     logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-                 "best_changed", prefix, " via [", best.attributes->as_path,
+                 "best_changed", prefix, " via [", route.attributes->as_path,
                  ']');
+    // The winner and its learned relationship are resolved once for the
+    // whole fan-out; the Loc-RIB keeps the bundle alive past `route`.
+    source = export_source(&route.attributes.get(), route.learned_from);
   }
 
   if (auto* tel = telemetry()) {
@@ -364,11 +348,6 @@ void BgpRouter::recompute(const net::Prefix& prefix) {
     }
   }
 
-  // The winner and its learned relationship are resolved once for the
-  // whole fan-out.
-  const ExportSource source =
-      export_source(have_best ? &best.attributes.get() : nullptr,
-                    best.learned_from);
   for (const auto& peer : peers_) schedule_peer_update(*peer, prefix, source);
 }
 
@@ -582,8 +561,7 @@ void BgpRouter::arm_mrai(Peer& peer) {
   if (mrai <= core::Duration::zero()) return;
   peer.mrai_armed_at = loop().now();
   peer.mrai_span_open = true;
-  const auto delay =
-      rng().jittered(mrai, config_.timers.jitter_low, config_.timers.jitter_high);
+  const auto delay = rng().jittered(mrai, kTimerJitterLow, kTimerJitterHigh);
   const auto epoch = peer.epoch;
   Peer* p = &peer;
   // Free-running tick: flush pending (if any) and always re-arm.

@@ -17,6 +17,14 @@ constexpr std::uint8_t kErrUpdate = 3;
 constexpr std::uint8_t kErrHoldTimer = 4;
 constexpr std::uint8_t kErrFsm = 5;
 constexpr std::uint8_t kErrCease = 6;
+
+/// The abstracted TCP connection setup takes a delay drawn from these
+/// bounds.
+constexpr core::Duration kConnectDelayMin = core::Duration::millis(10);
+constexpr core::Duration kConnectDelayMax = core::Duration::millis(100);
+/// An automatic restart waits this long, jittered by 75%-125%, before
+/// connecting again.
+constexpr core::Duration kConnectRetry = core::Duration::seconds(5);
 }  // namespace
 
 const char* to_string(SessionState s) {
@@ -86,8 +94,8 @@ void Session::transition(SessionState next) {
 void Session::start() {
   if (state_ != SessionState::kIdle) return;
   transition(SessionState::kConnect);
-  const auto delay = host_.session_rng().uniform_duration(
-      config_.connect_delay_min, config_.connect_delay_max);
+  const auto delay =
+      host_.session_rng().uniform_duration(kConnectDelayMin, kConnectDelayMax);
   const auto my_epoch = epoch_;
   connect_timer_ = host_.session_loop().schedule(delay, [this, my_epoch] {
     if (epoch_ != my_epoch || state_ != SessionState::kConnect) return;
@@ -124,8 +132,7 @@ void Session::stop(const std::string& reason, bool auto_restart) {
     host_.session_down(*this, reason);
   }
   if (auto_restart) {
-    const auto delay = host_.session_rng().jittered(config_.timers.connect_retry,
-                                                    0.75, 1.25);
+    const auto delay = host_.session_rng().jittered(kConnectRetry, 0.75, 1.25);
     const auto my_epoch = epoch_;
     connect_timer_ = host_.session_loop().schedule(delay, [this, my_epoch] {
       if (epoch_ != my_epoch || state_ != SessionState::kIdle) return;
@@ -313,8 +320,8 @@ void Session::arm_keepalive_timer() {
   const auto base = negotiated_hold_s_ > 0
                         ? core::Duration::seconds(negotiated_hold_s_ / 3)
                         : config_.timers.keepalive;
-  const auto delay = host_.session_rng().jittered(base, config_.timers.jitter_low,
-                                                  config_.timers.jitter_high);
+  const auto delay =
+      host_.session_rng().jittered(base, kTimerJitterLow, kTimerJitterHigh);
   const auto my_epoch = epoch_;
   keepalive_timer_ = host_.session_loop().schedule(delay, [this, my_epoch] {
     if (epoch_ != my_epoch || state_ != SessionState::kEstablished) return;

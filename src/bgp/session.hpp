@@ -86,9 +86,6 @@ struct SessionConfig {
   /// Expected peer AS (0 = accept any, collector style).
   core::AsNumber expected_peer_as{0};
   Timers timers;
-  /// Abstracted TCP connection setup bounds.
-  core::Duration connect_delay_min{core::Duration::millis(10)};
-  core::Duration connect_delay_max{core::Duration::millis(100)};
 };
 
 struct SessionCounters {

@@ -45,20 +45,22 @@ constexpr std::uint32_t default_local_pref(Relationship r) {
   return 100;
 }
 
+/// The jitter applied to the MRAI and keepalive timers, as fractions of
+/// the interval: 75%-100%, as BGP implementations do.
+inline constexpr double kTimerJitterLow = 0.75;
+inline constexpr double kTimerJitterHigh = 1.0;
+
 /// Protocol timer defaults. MRAI and keepalive follow Quagga's eBGP
-/// defaults; jitter fraction matches BGP implementations (75%-100%).
+/// defaults.
 struct Timers {
   core::Duration hold{core::Duration::seconds(90)};
   core::Duration keepalive{core::Duration::seconds(30)};
-  core::Duration connect_retry{core::Duration::seconds(5)};
   /// Minimum Route Advertisement Interval (per peer). The dominant clock of
   /// BGP path exploration and therefore of the paper's experiments. Paced
   /// the Quagga way: a free-running per-peer advertisement timer fires
   /// every (jittered) MRAI and flushes whatever announcements are pending,
   /// so a change waits for the next tick — on average half an interval.
   core::Duration mrai{core::Duration::seconds(30)};
-  double jitter_low{0.75};
-  double jitter_high{1.0};
 };
 
 /// Per-update processing cost, modelling Quagga's work per UPDATE.

@@ -14,24 +14,35 @@
 
 namespace bgpsdn::bgp::oracle {
 
-/// Adj-RIB-In: prefix -> session -> route.
+/// Adj-RIB-In: prefix -> session -> route. A re-announcement of the stored
+/// bundle keeps the route's installed-at; put() reports the case as the
+/// slab's does.
 class AdjRibIn {
  public:
-  bool put(const Route& route) {
-    auto& slot = by_prefix_[route.prefix];
+  using PutResult = bgp::AdjRibIn::PutResult;
+
+  PutResult put(const net::Prefix& prefix, const RouteView& offered) {
+    Route route{prefix, *offered.attributes, offered.learned_from,
+                offered.peer_bgp_id, offered.peer_address, offered.installed_at};
+    auto& slot = by_prefix_[prefix];
     const auto it = slot.find(route.learned_from);
     if (it == slot.end()) {
       slot.emplace(route.learned_from, route);
       ++count_;
-      return true;
+      return PutResult::kAdded;
     }
-    const Route& old = it->second;
-    const bool changed = !(old.attributes == route.attributes &&
-                           old.installed_at == route.installed_at &&
-                           old.peer_bgp_id == route.peer_bgp_id &&
-                           old.peer_address == route.peer_address);
-    it->second = route;
-    return changed;
+    Route& stored = it->second;
+    if (stored.attributes == route.attributes) {
+      if (stored.peer_bgp_id == route.peer_bgp_id &&
+          stored.peer_address == route.peer_address) {
+        return PutResult::kUnchanged;
+      }
+      route.installed_at = stored.installed_at;
+      stored = route;
+      return PutResult::kNewIdentity;
+    }
+    stored = route;
+    return PutResult::kReplaced;
   }
 
   bool erase(const net::Prefix& prefix, core::SessionId session) {
@@ -50,13 +61,6 @@ class AdjRibIn {
       if (erase(prefix, session)) affected.push_back(prefix);
     }
     return affected;
-  }
-
-  const Route* find(const net::Prefix& prefix, core::SessionId session) const {
-    const auto it = by_prefix_.find(prefix);
-    if (it == by_prefix_.end()) return nullptr;
-    const auto rit = it->second.find(session);
-    return rit == it->second.end() ? nullptr : &rit->second;
   }
 
   std::vector<const Route*> candidates(const net::Prefix& prefix) const {

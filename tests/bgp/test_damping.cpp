@@ -138,7 +138,7 @@ TEST(DampingIntegration, FlappingOriginGetsSuppressedAndRecovers) {
   // B has suppressed the route: announced by A, but not selected.
   EXPECT_GT(b.counters().routes_suppressed, 0u);
   EXPECT_EQ(b.loc_rib().find(pfx), nullptr);
-  EXPECT_EQ(b.adj_rib_in().candidates(pfx).size(), 1u);  // stored, unused
+  EXPECT_EQ(testing::candidate_count(b, pfx), 1u);  // stored, unused
 
   // After the penalty decays the route returns without any new update.
   topo.run_for(core::Duration::seconds(60));

@@ -1,6 +1,7 @@
 // The Adj-RIB-Out export path: the attribute-pool cost of one announcement
-// and of one imported UPDATE, the port order of batch sends, the flat
-// per-peer dirty set, and the MRAI wait window across session resets.
+// and of one imported UPDATE, the age and decision cost of a
+// re-announcement, the port order of batch sends, the flat per-peer dirty
+// set, and the MRAI wait window across session resets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -248,6 +249,45 @@ TEST(ImportOncePerUpdate, MultiNlriUpdateInternsOnce) {
   EXPECT_EQ(router.counters().routes_rejected_loop - loops, 2u);
   EXPECT_EQ(topo.attr_registry()->pool_stats().interns - before, 0u);
   EXPECT_TRUE(peer.received.empty());
+}
+
+// A re-announcement of the stored path is no change: the winner keeps its
+// installed-at and no decision runs. A different tail replaces the
+// candidate: the winner's installed-at moves to the new announcement and
+// one decision runs.
+TEST(ImportOncePerUpdate, ReannouncementKeepsAgeAndRunsNoDecision) {
+  MiniTopo topo;
+  auto& router = topo.add_router(1);
+  auto& provider =
+      ScriptedPeer::attach(topo, router, 2, gao(bgp::Relationship::kProvider));
+  topo.start();
+  topo.run_for(core::Duration::seconds(2));
+  ASSERT_TRUE(provider.established());
+  const auto& runs =
+      topo.net().telemetry().metrics().counter("bgp.decision.runs");
+
+  const auto prefix = pfx("10.9.0.0/16");
+  provider.announce({prefix}, {7});
+  topo.run_for(core::Duration::seconds(2));
+  const bgp::Route* route = router.loc_rib().find(prefix);
+  ASSERT_NE(route, nullptr);
+  const core::TimePoint installed = route->installed_at;
+  const std::int64_t before = runs.value();
+
+  provider.announce({prefix}, {7});
+  topo.run_for(core::Duration::seconds(2));
+  route = router.loc_rib().find(prefix);
+  ASSERT_NE(route, nullptr);
+  EXPECT_EQ(route->installed_at, installed);
+  EXPECT_EQ(runs.value(), before);
+
+  provider.announce({prefix}, {8});
+  topo.run_for(core::Duration::seconds(2));
+  route = router.loc_rib().find(prefix);
+  ASSERT_NE(route, nullptr);
+  EXPECT_EQ(route->attributes->as_path.to_string(), "2 8");
+  EXPECT_GT(route->installed_at, installed);
+  EXPECT_EQ(runs.value(), before + 1);
 }
 
 // --- the port order of batch sends ----------------------------------------------

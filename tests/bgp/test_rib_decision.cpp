@@ -1,6 +1,9 @@
 // Unit tests of the RIB structures and the decision process ladder.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "bgp/decision.hpp"
 #include "bgp/rib.hpp"
 
@@ -38,30 +41,60 @@ void edit_attrs(Route& r, Fn&& fn) {
   r.attributes = attr_store()->intern(std::move(attrs));
 }
 
+/// Offer `r` to `rib` as its session's candidate.
+AdjRibIn::PutResult put(AdjRibIn& rib, const Route& r) {
+  return rib.put(r.prefix, r.view());
+}
+
+/// "<as path> id<peer bgp id> t<installed ns>" per candidate for `prefix`,
+/// session-ascending.
+std::vector<std::string> candidates(const AdjRibIn& rib, const char* prefix) {
+  std::vector<std::string> out;
+  rib.for_each_candidate(*net::Prefix::parse(prefix), [&](const RouteView& v) {
+    out.push_back(v.attributes->get().as_path.to_string() + " id" +
+                  v.peer_bgp_id.to_string() + " t" +
+                  std::to_string(v.installed_at.nanos_since_origin()));
+  });
+  return out;
+}
+
 TEST(AdjRibIn, PutReplacesPerSession) {
+  using Put = AdjRibIn::PutResult;
   AdjRibIn rib{attr_store()};
-  rib.put(make_route("10.0.0.0/16", 1, {3, 1}));
-  rib.put(make_route("10.0.0.0/16", 1, {4, 1}));  // implicit withdraw
+  auto first = make_route("10.0.0.0/16", 1, {3, 1});
+  first.installed_at = core::TimePoint::from_nanos(5);
+  EXPECT_EQ(put(rib, first), Put::kAdded);
+  // The stored bundle offered again is no change and keeps its age; with a
+  // new peer identity it is one, and still keeps its age.
+  auto again = first;
+  again.installed_at = core::TimePoint::from_nanos(9);
+  EXPECT_EQ(put(rib, again), Put::kUnchanged);
+  again.peer_bgp_id = net::Ipv4Addr{10, 0, 0, 77};
+  EXPECT_EQ(put(rib, again), Put::kNewIdentity);
+  EXPECT_EQ(candidates(rib, "10.0.0.0/16"),
+            std::vector<std::string>{"3 1 id10.0.0.77 t5"});
+  auto next = make_route("10.0.0.0/16", 1, {4, 1});  // implicit withdraw
+  next.installed_at = core::TimePoint::from_nanos(9);
+  EXPECT_EQ(put(rib, next), Put::kReplaced);
   EXPECT_EQ(rib.route_count(), 1u);
-  const auto cands = rib.candidates(*net::Prefix::parse("10.0.0.0/16"));
-  ASSERT_EQ(cands.size(), 1u);
-  EXPECT_EQ(cands[0]->attributes->as_path.to_string(), "4 1");
+  EXPECT_EQ(candidates(rib, "10.0.0.0/16"),
+            std::vector<std::string>{"4 1 id10.0.0.1 t9"});
 }
 
 TEST(AdjRibIn, MultipleSessionsCoexist) {
   AdjRibIn rib{attr_store()};
-  rib.put(make_route("10.0.0.0/16", 1, {1}));
-  rib.put(make_route("10.0.0.0/16", 2, {2, 1}));
-  rib.put(make_route("10.1.0.0/16", 1, {1}));
+  put(rib, make_route("10.0.0.0/16", 1, {1}));
+  put(rib, make_route("10.0.0.0/16", 2, {2, 1}));
+  put(rib, make_route("10.1.0.0/16", 1, {1}));
   EXPECT_EQ(rib.route_count(), 3u);
-  EXPECT_EQ(rib.candidates(*net::Prefix::parse("10.0.0.0/16")).size(), 2u);
+  EXPECT_EQ(candidates(rib, "10.0.0.0/16").size(), 2u);
   EXPECT_EQ(rib.prefixes().size(), 2u);
 }
 
 TEST(AdjRibIn, EraseSpecific) {
   AdjRibIn rib{attr_store()};
-  rib.put(make_route("10.0.0.0/16", 1, {1}));
-  rib.put(make_route("10.0.0.0/16", 2, {2, 1}));
+  put(rib, make_route("10.0.0.0/16", 1, {1}));
+  put(rib, make_route("10.0.0.0/16", 2, {2, 1}));
   EXPECT_TRUE(rib.erase(*net::Prefix::parse("10.0.0.0/16"), core::SessionId{1}));
   EXPECT_FALSE(rib.erase(*net::Prefix::parse("10.0.0.0/16"), core::SessionId{1}));
   EXPECT_EQ(rib.route_count(), 1u);
@@ -69,23 +102,12 @@ TEST(AdjRibIn, EraseSpecific) {
 
 TEST(AdjRibIn, EraseSessionReturnsAffectedPrefixes) {
   AdjRibIn rib{attr_store()};
-  rib.put(make_route("10.0.0.0/16", 1, {1}));
-  rib.put(make_route("10.1.0.0/16", 1, {1}));
-  rib.put(make_route("10.2.0.0/16", 2, {2}));
+  put(rib, make_route("10.0.0.0/16", 1, {1}));
+  put(rib, make_route("10.1.0.0/16", 1, {1}));
+  put(rib, make_route("10.2.0.0/16", 2, {2}));
   const auto affected = rib.erase_session(core::SessionId{1});
   EXPECT_EQ(affected.size(), 2u);
   EXPECT_EQ(rib.route_count(), 1u);
-}
-
-TEST(AdjRibIn, FindExact) {
-  AdjRibIn rib{attr_store()};
-  rib.put(make_route("10.0.0.0/16", 1, {1}));
-  EXPECT_NE(rib.find(*net::Prefix::parse("10.0.0.0/16"), core::SessionId{1}),
-            nullptr);
-  EXPECT_EQ(rib.find(*net::Prefix::parse("10.0.0.0/16"), core::SessionId{9}),
-            nullptr);
-  EXPECT_EQ(rib.find(*net::Prefix::parse("10.9.0.0/16"), core::SessionId{1}),
-            nullptr);
 }
 
 TEST(LocRib, GenerationBumpsOnChange) {
@@ -119,16 +141,14 @@ TEST(AdjRibOut, SuppressesDuplicateAdvertisements) {
 TEST(Decision, LocalPrefDominates) {
   auto a = make_route("10.0.0.0/16", 1, {1, 2, 3, 4}, 200);  // longer path
   auto b = make_route("10.0.0.0/16", 2, {1}, 100);
-  EXPECT_LT(compare_routes(a, b), 0);
-  EXPECT_EQ(decide_reason(a, b), DecisionReason::kLocalPref);
+  EXPECT_LT(compare_routes(a.view(), b.view()), 0);
 }
 
 TEST(Decision, ShorterAsPathWins) {
   auto a = make_route("10.0.0.0/16", 1, {1});
   auto b = make_route("10.0.0.0/16", 2, {2, 1});
-  EXPECT_LT(compare_routes(a, b), 0);
-  EXPECT_GT(compare_routes(b, a), 0);
-  EXPECT_EQ(decide_reason(a, b), DecisionReason::kAsPathLength);
+  EXPECT_LT(compare_routes(a.view(), b.view()), 0);
+  EXPECT_GT(compare_routes(b.view(), a.view()), 0);
 }
 
 TEST(Decision, OriginBreaksPathTie) {
@@ -136,8 +156,7 @@ TEST(Decision, OriginBreaksPathTie) {
   auto b = make_route("10.0.0.0/16", 2, {2});
   edit_attrs(a, [](PathAttributes& at) { at.origin = Origin::kIgp; });
   edit_attrs(b, [](PathAttributes& at) { at.origin = Origin::kEgp; });
-  EXPECT_LT(compare_routes(a, b), 0);
-  EXPECT_EQ(decide_reason(a, b), DecisionReason::kOrigin);
+  EXPECT_LT(compare_routes(a.view(), b.view()), 0);
 }
 
 TEST(Decision, LowerMedWins) {
@@ -145,15 +164,14 @@ TEST(Decision, LowerMedWins) {
   auto b = make_route("10.0.0.0/16", 2, {2});
   edit_attrs(a, [](PathAttributes& at) { at.med = 10; });
   edit_attrs(b, [](PathAttributes& at) { at.med = 20; });
-  EXPECT_LT(compare_routes(a, b), 0);
-  EXPECT_EQ(decide_reason(a, b), DecisionReason::kMed);
+  EXPECT_LT(compare_routes(a.view(), b.view()), 0);
 }
 
 TEST(Decision, MissingMedTreatedAsZero) {
   auto a = make_route("10.0.0.0/16", 1, {1});
   auto b = make_route("10.0.0.0/16", 2, {2});
   edit_attrs(b, [](PathAttributes& at) { at.med = 5; });
-  EXPECT_LT(compare_routes(a, b), 0);  // absent (0) beats 5
+  EXPECT_LT(compare_routes(a.view(), b.view()), 0);  // absent (0) beats 5
 }
 
 TEST(Decision, OlderRouteWins) {
@@ -161,8 +179,7 @@ TEST(Decision, OlderRouteWins) {
   auto b = make_route("10.0.0.0/16", 2, {2});
   a.installed_at = core::TimePoint::from_nanos(100);
   b.installed_at = core::TimePoint::from_nanos(200);
-  EXPECT_LT(compare_routes(a, b), 0);
-  EXPECT_EQ(decide_reason(a, b), DecisionReason::kAge);
+  EXPECT_LT(compare_routes(a.view(), b.view()), 0);
 }
 
 TEST(Decision, BgpIdBreaksFinalTies) {
@@ -171,8 +188,7 @@ TEST(Decision, BgpIdBreaksFinalTies) {
   a.installed_at = b.installed_at = core::TimePoint::from_nanos(5);
   a.peer_bgp_id = net::Ipv4Addr{10, 0, 0, 1};
   b.peer_bgp_id = net::Ipv4Addr{10, 0, 0, 2};
-  EXPECT_LT(compare_routes(a, b), 0);
-  EXPECT_EQ(decide_reason(a, b), DecisionReason::kBgpId);
+  EXPECT_LT(compare_routes(a.view(), b.view()), 0);
 }
 
 TEST(Decision, PeerAddressIsLastResort) {
@@ -182,23 +198,7 @@ TEST(Decision, PeerAddressIsLastResort) {
   a.peer_bgp_id = b.peer_bgp_id = net::Ipv4Addr{10, 0, 0, 1};
   a.peer_address = net::Ipv4Addr{172, 16, 0, 1};
   b.peer_address = net::Ipv4Addr{172, 16, 0, 5};
-  EXPECT_LT(compare_routes(a, b), 0);
-  EXPECT_EQ(decide_reason(a, b), DecisionReason::kPeerAddress);
-}
-
-TEST(Decision, SelectBestScansAll) {
-  auto a = make_route("10.0.0.0/16", 1, {1, 2, 3});
-  auto b = make_route("10.0.0.0/16", 2, {1, 2});
-  auto c = make_route("10.0.0.0/16", 3, {1});
-  const std::vector<const Route*> cands{&a, &b, &c};
-  EXPECT_EQ(select_best(cands), &c);
-  EXPECT_EQ(select_best({}), nullptr);
-}
-
-TEST(Decision, ReasonStringsAreStable) {
-  EXPECT_STREQ(to_string(DecisionReason::kLocalPref), "local-pref");
-  EXPECT_STREQ(to_string(DecisionReason::kAsPathLength), "as-path-length");
-  EXPECT_STREQ(to_string(DecisionReason::kTie), "tie");
+  EXPECT_LT(compare_routes(a.view(), b.view()), 0);
 }
 
 }  // namespace

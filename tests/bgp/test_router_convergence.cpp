@@ -7,6 +7,7 @@
 namespace bgpsdn {
 namespace {
 
+using testing::candidate_count;
 using testing::MiniTopo;
 
 TEST(RouterConvergence, TwoRoutersEstablishAndExchange) {
@@ -69,7 +70,7 @@ TEST(RouterConvergence, ShortestPathWinsInTriangle) {
   ASSERT_NE(at_c, nullptr);
   EXPECT_EQ(at_c->attributes->as_path.to_string(), "1");
   // And the alternative is retained in Adj-RIB-In.
-  EXPECT_EQ(c.adj_rib_in().candidates(pfx).size(), 2u);
+  EXPECT_EQ(candidate_count(c, pfx), 2u);
 }
 
 TEST(RouterConvergence, WithdrawalRemovesEverywhere) {
@@ -90,7 +91,7 @@ TEST(RouterConvergence, WithdrawalRemovesEverywhere) {
   EXPECT_EQ(a.loc_rib().find(pfx), nullptr);
   EXPECT_EQ(b.loc_rib().find(pfx), nullptr);
   EXPECT_EQ(c.loc_rib().find(pfx), nullptr);
-  EXPECT_EQ(c.adj_rib_in().candidates(pfx).size(), 0u);
+  EXPECT_EQ(candidate_count(c, pfx), 0u);
 }
 
 TEST(RouterConvergence, CliqueWithdrawalConvergesAndHunts) {
@@ -178,8 +179,8 @@ TEST(RouterConvergence, GaoRexfordValleyFree) {
   // customer route... wait, customer routes go everywhere. The real valley:
   // a route p2 learned from peer p1 must not be re-exported to peer p1 or
   // other peers, but may go to customer cust.
-  const auto cands = cust.adj_rib_in().candidates(pfx1);
-  EXPECT_EQ(cands.size(), 2u);  // direct from p1, and via p2 (peer->customer OK)
+  // Direct from p1, and via p2 (peer->customer OK).
+  EXPECT_EQ(candidate_count(cust, pfx1), 2u);
 
   // Customer routes are preferred over peer routes at p2: p2's best for
   // pfx1 is via peer p1 (only option), but if cust announced it too, the

@@ -130,8 +130,7 @@ TEST(RouterUnits, LoopRejectionCounted) {
   topo.run_for(core::Duration::seconds(5));
   EXPECT_GE(a.counters().routes_rejected_loop, 1u);
   // And the looped path is not in A's Adj-RIB-In.
-  EXPECT_EQ(a.adj_rib_in().candidates(*net::Prefix::parse("10.0.0.0/16")).size(),
-            0u);
+  EXPECT_EQ(testing::candidate_count(a, *net::Prefix::parse("10.0.0.0/16")), 0u);
 }
 
 TEST(RouterUnits, UpdatesGroupedByAttributes) {

@@ -96,4 +96,13 @@ class MiniTopo {
   std::vector<bgp::BgpRouter*> routers_;
 };
 
+/// How many candidates `router`'s Adj-RIB-In holds for `prefix`.
+inline std::size_t candidate_count(const bgp::BgpRouter& router,
+                                   const net::Prefix& prefix) {
+  std::size_t n = 0;
+  router.adj_rib_in().for_each_candidate(prefix,
+                                         [&n](const bgp::RouteView&) { ++n; });
+  return n;
+}
+
 }  // namespace bgpsdn::testing

@@ -21,8 +21,10 @@
 #include "controller/dijkstra.hpp"
 #include "core/event_loop.hpp"
 #include "core/logger.hpp"
+#include "core/random.hpp"
 #include "framework/experiment.hpp"
 #include "net/lpm.hpp"
+#include "net/network.hpp"
 #include "sdn/flow.hpp"
 #include "topology/generators.hpp"
 
@@ -318,7 +320,14 @@ BENCHMARK(BM_IncrementalSptFlap)->Arg(8)->Arg(16)->Arg(64);
 void BM_AsTopologyDecide(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));
   controller::SwitchGraph graph;
-  speaker::ClusterBgpSpeaker speaker{{}, std::make_shared<bgp::AttrRegistry>()};
+  // The speaker is only a peering registry here; like every node it lives in
+  // a network, which is never started.
+  core::EventLoop loop;
+  core::Logger log;
+  core::Rng rng{1};
+  net::Network net{loop, log, rng};
+  auto& speaker = net.add<speaker::ClusterBgpSpeaker>(
+      "speaker", bgp::Timers{}, std::make_shared<bgp::AttrRegistry>());
   for (std::uint64_t i = 0; i < n; ++i) {
     graph.add_switch(i, core::AsNumber{static_cast<std::uint32_t>(100 + i)});
   }

@@ -434,8 +434,13 @@ fi
 # ladder over candidate views that point into the slab and the registry,
 # and the
 # controller's per-prefix tree bookkeeping (the decider oracle sweep and
-# the bridged-prefix regression). The configuration front end rides
-# along: the scenario DSL, matrix and fault-plan grammars, their seeded
+# the bridged-prefix regression). Sessions hold references to the
+# environment they are built with, and the session, speaker and
+# AS-topology fixtures own the network their nodes live in, so the FSM,
+# Loc-RIB, AS-topology, sub-cluster and speaker suites run here too, to
+# catch a fixture that tears its environment down first. The
+# configuration front end rides along: the scenario DSL, matrix and
+# fault-plan grammars, their seeded
 # mutation fuzz and the CAIDA/iPlane dataset parsers. GCC's
 # `undefined` group leaves out float-cast-overflow, the UB a NaN or
 # out-of-range number would hit on its way into an integer field, so it
@@ -448,18 +453,19 @@ cmake -B build-asan "${GENERATOR[@]}" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=$SANITIZERS"
 cmake --build build-asan -j "$(nproc)" \
   --target test_framework test_bgp test_net test_core test_controller \
-  test_topology bgpsdn_run bgpsdn_matrix
+  test_topology test_speaker bgpsdn_run bgpsdn_matrix
 ./build-asan/tests/test_framework \
   --gtest_filter='FaultPlanParse.*:FaultInjector.*:FaultDsl.*:FaultDeterminism.*:CrashRecovery.*:HybridExperiment.AttrPoolBelongsToItsExperiment:HybridExperiment.BridgedPrefixReroutesAfterClusterLinkFailure:*LayoutEquivalence.*:ScenarioNumbers.*:MatrixNumbers.*:ConfigText.*:ConfigFuzz.*:Scenario.*:Matrix.*'
 ./build-asan/tests/test_topology --gtest_filter='Datasets.*'
 ./build-asan/tests/test_controller \
-  --gtest_filter='ReplicaSet*:IncrementalDeciderOracle.*'
+  --gtest_filter='ReplicaSet*:IncrementalDeciderOracle.*:AsTopologyTest.*:SubClusterTest.*'
+./build-asan/tests/test_speaker --gtest_filter='SpeakerTest.*'
 # The HA chaos scenario + plan under ASan: elections, partition deposal and
 # the degrade/recover hooks all tear subsystems down mid-flight.
 ./build-asan/tools/bgpsdn_run --faults scenarios/ha_chaos.plan \
   scenarios/ha_chaos.bgpsdn > /dev/null
 ./build-asan/tests/test_bgp \
-  --gtest_filter='*CodecFuzz*:*LiveSessionFuzz*:AttrIntern.*:EncodeShared.*:ExportFanOut.*:ImportOncePerUpdate.*:PolicyEngine.*:RouterUnits.*:PrefixSet.*:MraiWindow.*:*LayoutEquivalence.*:PrefixTableFuzz.*:AdjRibInDefrag.*:AttrRegistry.*:AdjRibIn.*:Decision.*'
+  --gtest_filter='*CodecFuzz*:*LiveSessionFuzz*:AttrIntern.*:EncodeShared.*:ExportFanOut.*:ImportOncePerUpdate.*:PolicyEngine.*:RouterUnits.*:PrefixSet.*:MraiWindow.*:*LayoutEquivalence.*:PrefixTableFuzz.*:AdjRibInDefrag.*:AttrRegistry.*:AdjRibIn.*:Decision.*:SessionFsmTest.*:LocRib.*'
 ./build-asan/tests/test_net \
   --gtest_filter='*LinkParams*:*RuntimeLoss*:*Corruption*:Bytes.*'
 ./build-asan/tests/test_core --gtest_filter='EventLoop.*'

@@ -33,7 +33,8 @@ void RouteCollector::add_peer(core::PortId port, net::Ipv4Addr local_address,
   peer.port = port;
   peer.local_address = local_address;
   peer.remote_address = remote_address;
-  peer.session = std::make_unique<Session>(*this, sc);
+  peer.session = std::make_unique<Session>(
+      *this, SessionEnv{loop(), rng(), logger(), telemetry()}, sc);
   auto [it, fresh] = by_port_.insert_or_assign(port.value(), std::move(peer));
   by_session_[sc.id.value()] = &it->second;
   if (started_) it->second.session->start();
@@ -89,9 +90,6 @@ void RouteCollector::session_update(Session& session, UpdateMessage update) {
                "collector_rx", "from ", session.peer_as(), ' ', update);
 }
 
-core::EventLoop& RouteCollector::session_loop() { return loop(); }
-core::Rng& RouteCollector::session_rng() { return rng(); }
-core::Logger& RouteCollector::session_logger() { return logger(); }
 const std::string& RouteCollector::session_log_name() const {
   return log_component("collector");
 }

@@ -46,12 +46,8 @@ class RouteCollector : public net::Node, public SessionHost {
   void session_established(Session& session) override;
   void session_down(Session& session, const std::string& reason) override;
   void session_update(Session& session, UpdateMessage update) override;
-  core::EventLoop& session_loop() override;
-  core::Rng& session_rng() override;
-  core::Logger& session_logger() override;
   /// "collector.<name>".
   const std::string& session_log_name() const override;
-  telemetry::Telemetry* session_telemetry() override { return telemetry(); }
 
   const std::vector<RouteObservation>& observations() const { return tape_; }
   void clear() { tape_.clear(); }

@@ -5,6 +5,16 @@
 
 namespace bgpsdn::bgp {
 
+namespace {
+/// Penalty added when the route is withdrawn / when it is re-advertised or
+/// its attributes change (RFC 2439 suggested figures).
+constexpr double kWithdrawPenalty = 1000.0;
+constexpr double kUpdatePenalty = 500.0;
+/// Suppress above this, reuse below that.
+constexpr double kSuppressThreshold = 2000.0;
+constexpr double kReuseThreshold = 750.0;
+}  // namespace
+
 double FlapDampener::decayed(const State& s, core::TimePoint now) const {
   const double dt = (now - s.updated_at).to_seconds();
   if (dt <= 0.0) return s.penalty;
@@ -28,27 +38,26 @@ FlapDampener::Verdict FlapDampener::record_flap(core::SessionId session,
   const double before = decayed(s, now);
   // Suppression that already lapsed by decay is cleared before the new
   // flap is scored.
-  if (s.suppressed && before <= config_.reuse_threshold) s.suppressed = false;
-  double penalty = before + (withdrawal ? config_.withdraw_penalty
-                                        : config_.update_penalty);
+  if (s.suppressed && before <= kReuseThreshold) s.suppressed = false;
+  double penalty = before + (withdrawal ? kWithdrawPenalty : kUpdatePenalty);
   // Ceiling: a route may never stay suppressed longer than max_suppress
   // after its last flap.
   const double ceiling =
-      config_.reuse_threshold *
+      kReuseThreshold *
       std::exp2(config_.max_suppress.to_seconds() / config_.half_life.to_seconds());
   penalty = std::min(penalty, ceiling);
 
   const bool was_suppressed = s.suppressed;
   s.penalty = penalty;
   s.updated_at = now;
-  if (penalty >= config_.suppress_threshold) {
+  if (penalty >= kSuppressThreshold) {
     s.suppressed = true;
     if (!was_suppressed) ++suppressions_;
   }
   verdict.penalty = penalty;
   verdict.suppressed = s.suppressed;
   if (s.suppressed) {
-    verdict.reuse_after = time_to_reach(penalty, config_.reuse_threshold);
+    verdict.reuse_after = time_to_reach(penalty, kReuseThreshold);
   }
   return verdict;
 }
@@ -60,7 +69,7 @@ bool FlapDampener::is_suppressed(core::SessionId session,
   const auto it = state_.find({session.value(), prefix});
   if (it == state_.end() || !it->second.suppressed) return false;
   // Suppression lapses once the decayed penalty crosses the reuse line.
-  return decayed(it->second, now) > config_.reuse_threshold;
+  return decayed(it->second, now) > kReuseThreshold;
 }
 
 double FlapDampener::penalty(core::SessionId session, const net::Prefix& prefix,

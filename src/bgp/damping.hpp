@@ -18,15 +18,10 @@
 
 namespace bgpsdn::bgp {
 
+/// The penalties and thresholds are RFC 2439's suggested figures
+/// (damping.cpp); only the decay and the ceiling are settable.
 struct DampingConfig {
   bool enabled{false};
-  /// Penalty added when the route is withdrawn / when it is re-advertised
-  /// or its attributes change (RFC 2439 suggested figures).
-  double withdraw_penalty{1000.0};
-  double update_penalty{500.0};
-  /// Suppress above this, reuse below that.
-  double suppress_threshold{2000.0};
-  double reuse_threshold{750.0};
   /// Penalty halves every half_life.
   core::Duration half_life{core::Duration::seconds(900)};
   /// Penalty ceiling, expressed as the longest time a route may stay
@@ -67,7 +62,6 @@ class FlapDampener {
   /// Drop all state learned from a session (session reset).
   void clear_session(core::SessionId session);
 
-  std::size_t tracked_routes() const { return state_.size(); }
   std::uint64_t total_suppressions() const { return suppressions_; }
 
  private:

@@ -245,16 +245,21 @@ void AdjRibIn::note_usage() {
 
 LocRib::LocRib(AttrRegistryRef attrs) : attrs_{std::move(attrs)} {}
 
-bool LocRib::install(const Route& route) {
-  LocEntry* entry = table_.find(route.prefix);
-  const std::uint32_t sid = route.learned_from.value();
-  if (entry != nullptr && attrs_->at(entry->attr) == route.attributes &&
-      entry->session == sid) {
-    return false;
+const PathAttributes* LocRib::install(const net::Prefix& prefix,
+                                     const RouteView& best) {
+  LocEntry* entry = table_.find(prefix);
+  const std::uint32_t sid = best.learned_from.value();
+  if (entry != nullptr && entry->session == sid &&
+      attrs_->at(entry->attr) == *best.attributes) {
+    return nullptr;
   }
-  const std::uint32_t index = attrs_->acquire(route.attributes);
-  const std::uint32_t bgp_id = route.peer_bgp_id.bits();
-  const std::uint32_t address = route.peer_address.bits();
+  // A candidate view points into the registry's entry slab, which
+  // acquire() may grow: hold the handle before acquiring it.
+  const AttrSetRef attrs = *best.attributes;
+  const std::uint32_t index = attrs_->acquire(attrs);
+  const std::uint32_t bgp_id = best.peer_bgp_id.bits();
+  const std::uint32_t address = best.peer_address.bits();
+  const std::int64_t installed_ns = best.installed_at.nanos_since_origin();
   if (entry != nullptr) {
     attrs_->release(entry->attr);
     if (entry->session != sid) {
@@ -267,18 +272,18 @@ bool LocRib::install(const Route& route) {
     }
     entry->attr = index;
     entry->session = sid;
-    entry->installed_ns = route.installed_at.nanos_since_origin();
+    entry->installed_ns = installed_ns;
   } else {
     sessions_.add(sid, bgp_id, address);
     LocEntry fresh;
     fresh.attr = index;
     fresh.session = sid;
-    fresh.installed_ns = route.installed_at.nanos_since_origin();
-    table_.put(route.prefix, fresh);
+    fresh.installed_ns = installed_ns;
+    table_.put(prefix, fresh);
   }
   ++generation_;
   note_usage();
-  return true;
+  return &attrs.get();
 }
 
 bool LocRib::remove(const net::Prefix& prefix) {
@@ -307,9 +312,7 @@ const Route* LocRib::find(const net::Prefix& prefix) const {
 LocRib::WinnerKey LocRib::winner(const net::Prefix& prefix) const {
   const LocEntry* entry = table_.find(prefix);
   if (entry == nullptr) return {};
-  const AttrSetRef& attrs = attrs_->at(entry->attr);
-  if (!scratch_.attributes.same_set(attrs)) scratch_.attributes = attrs;
-  return {&attrs.get(), core::SessionId{entry->session}};
+  return {&attrs_->at(entry->attr).get(), core::SessionId{entry->session}};
 }
 
 std::size_t LocRib::size() const { return table_.size(); }

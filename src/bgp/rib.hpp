@@ -16,8 +16,9 @@
 // The decision process reads the Adj-RIB-In in place: for_each_candidate
 // hands out RouteViews (bundle and tiebreak inputs, no refcount touched),
 // and the one put() per imported NLRI both stores the candidate and says
-// what changed. Route is the Loc-RIB's install and read value;
-// LocRib::find() builds it in a scratch slot.
+// what changed. The decision installs its winning view into the Loc-RIB
+// with one probe (LocRib::install compares the entry in place); Route is
+// the Loc-RIB's read value, which LocRib::find() builds in a scratch slot.
 //
 // Iteration order and tie-break semantics are those of plain ordered maps:
 // candidates visit in session-ascending order, and whole-table walks
@@ -346,8 +347,13 @@ class LocRib {
  public:
   explicit LocRib(AttrRegistryRef attrs);
 
-  /// Install/replace the best route. Returns true if this changed the entry.
-  bool install(const Route& route);
+  /// Install `best` as the winner of `prefix`, in one table probe: an entry
+  /// that already holds the same bundle from the same session is no
+  /// change. Returns the installed canonical bundle (alive while it is the
+  /// winner), or nullptr when nothing changed. `best` may read the
+  /// attribute store in place; it is not read once the bundle is acquired.
+  const PathAttributes* install(const net::Prefix& prefix,
+                                const RouteView& best);
 
   /// Remove the entry. Returns true if present.
   bool remove(const net::Prefix& prefix);
@@ -364,9 +370,9 @@ class LocRib {
     core::SessionId learned_from{core::SessionId::invalid()};
   };
   /// The winner's key, read from the entry without materializing a Route.
-  /// The bundle stays alive while it is the winner. Like find(), a hit
-  /// leaves the bundle in the scratch slot: mem.attr_pool counts the
-  /// bundles that slot pins, so both lookups must pin the same ones.
+  /// The bundle stays alive while it is the winner. Unlike find(), it
+  /// leaves the scratch slot alone, so it pins no bundle and touches no
+  /// refcount.
   WinnerKey winner(const net::Prefix& prefix) const;
   std::size_t size() const;
   /// Installed prefixes, sorted.
@@ -402,6 +408,8 @@ class LocRib {
   detail::PrefixTable<LocEntry> table_;
   AttrRegistryRef attrs_;
   detail::SessionTable sessions_;
+  /// find()'s result. It holds a reference to the last bundle found, so
+  /// mem.attr_pool counts that bundle while it stays here.
   mutable Route scratch_;
   std::uint64_t generation_{0};
   std::uint64_t peak_bytes_{0};

@@ -14,6 +14,11 @@ namespace {
 /// Locally-originated routes always win the decision process.
 constexpr std::uint32_t kLocalRoutePref = 1000;
 
+/// Serialized CPU cost of one received UPDATE, modelling Quagga's work: a
+/// fixed part per UPDATE plus a part per route it carries.
+constexpr core::Duration kProcessingPerUpdate = core::Duration::micros(500);
+constexpr core::Duration kProcessingPerRoute = core::Duration::micros(50);
+
 /// peers_ is sorted by port: the lower_bound predicate.
 constexpr auto port_below = [](const auto& peer, core::PortId port) {
   return peer->port < port;
@@ -36,7 +41,8 @@ void BgpRouter::add_peer(core::PortId port, PeerConfig peer_config) {
   }
   Peer& peer = **it;
   peer.config = std::move(peer_config);
-  peer.session = std::make_unique<Session>(*this, sc);
+  peer.session = std::make_unique<Session>(
+      *this, SessionEnv{loop(), rng(), logger(), telemetry()}, sc);
   peers_by_session_[sc.id.value()] = &peer;
   if (started_) peer.session->start();
 }
@@ -154,16 +160,16 @@ void BgpRouter::session_update(Session& session, UpdateMessage update) {
   logger().log(loop().now(), core::LogLevel::kDebug, session_log_name(),
                "update_rx", "from ", session.peer_as(), ' ', update);
   const auto routes = update.nlri.size() + update.withdrawn.size();
-  if (auto* tel = telemetry(); tel != nullptr && tel->tracing()) {
+  if (telemetry().tracing()) {
     auto span = telemetry::TraceSpan::instant(loop().now(), "bgp", "update_rx",
                                               session_log_name());
     span.arg("from", session.peer_as().to_string())
         .arg("nlri", static_cast<std::int64_t>(update.nlri.size()))
         .arg("withdrawn", static_cast<std::int64_t>(update.withdrawn.size()));
-    tel->emit(span);
+    telemetry().emit(span);
   }
-  const auto cost = config_.processing.per_update +
-                    config_.processing.per_route * static_cast<std::int64_t>(routes);
+  const auto cost =
+      kProcessingPerUpdate + kProcessingPerRoute * static_cast<std::int64_t>(routes);
   const auto epoch = peer->epoch;
   enqueue_work(cost, [this, peer, epoch, update = std::move(update)] {
     if (peer->epoch != epoch || !peer->session->established()) return;
@@ -171,22 +177,16 @@ void BgpRouter::session_update(Session& session, UpdateMessage update) {
   });
 }
 
-core::EventLoop& BgpRouter::session_loop() { return loop(); }
-core::Rng& BgpRouter::session_rng() { return rng(); }
-core::Logger& BgpRouter::session_logger() { return logger(); }
-telemetry::Telemetry* BgpRouter::session_telemetry() { return telemetry(); }
-
 void BgpRouter::init_metrics() {
   if (metrics_resolved_) return;
   metrics_resolved_ = true;
-  if (auto* tel = telemetry()) {
-    auto& metrics = tel->metrics();
-    decision_runs_metric_ = &metrics.counter("bgp.decision.runs");
-    best_changes_metric_ = &metrics.counter("bgp.decision.best_changes");
-    updates_tx_metric_ = &metrics.counter("bgp.router.updates_tx");
-    decision_candidates_metric_ = &metrics.histogram("bgp.decision.candidates");
-  }
+  auto& metrics = telemetry().metrics();
+  decision_runs_metric_ = &metrics.counter("bgp.decision.runs");
+  best_changes_metric_ = &metrics.counter("bgp.decision.best_changes");
+  updates_tx_metric_ = &metrics.counter("bgp.router.updates_tx");
+  decision_candidates_metric_ = &metrics.histogram("bgp.decision.candidates");
 }
+
 const std::string& BgpRouter::session_log_name() const {
   return log_component("bgp");
 }
@@ -266,12 +266,12 @@ void BgpRouter::note_flap(core::SessionId session, const net::Prefix& prefix,
 // at internet scale it dominates the event loop)
 void BgpRouter::recompute(const net::Prefix& prefix) {
   init_metrics();
-  if (decision_runs_metric_ != nullptr) decision_runs_metric_->inc();
-  const std::uint64_t best_changes_before = counters_.best_changes;
+  decision_runs_metric_->inc();
   // Incremental best-path selection over views of the Adj-RIB-In
   // candidates, read in place and visited in session-ascending order, then
-  // the local route: ties resolve by visit order. A Route is built only to
-  // install a new winner.
+  // the local route: ties resolve by visit order. The winning view goes
+  // straight to the Loc-RIB, which compares it with the installed entry in
+  // the same probe.
   RouteView best;
   std::size_t candidate_count = 0;
   const auto offer = [&](const RouteView& r) {
@@ -289,32 +289,24 @@ void BgpRouter::recompute(const net::Prefix& prefix) {
     offer({&*local_attrs_, core::SessionId::invalid(), {}, {}, it->second});
   }
 
-  if (decision_candidates_metric_ != nullptr) {
-    decision_candidates_metric_->record(
-        static_cast<std::int64_t>(candidate_count));
-  }
+  decision_candidates_metric_->record(
+      static_cast<std::int64_t>(candidate_count));
 
-  const LocRib::WinnerKey current = loc_rib_.winner(prefix);
   // Without a winner every peer is sent a withdrawal.
   ExportSource source;
   if (best.attributes == nullptr) {
-    if (current.attrs == nullptr) return;
-    loc_rib_.remove(prefix);
+    if (!loc_rib_.remove(prefix)) return;
     if (host_ports_.count(prefix) == 0) fib_.erase(prefix);
-    ++counters_.best_changes;
     logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
                  "best_lost", prefix);
   } else {
-    if (current.attrs != nullptr && current.learned_from == best.learned_from &&
-        *best.attributes == *current.attrs) {
-      return;
-    }
-    // `best` reads the attribute store in place, which install() may grow:
-    // from here on the Route carries the winner.
-    const Route route{prefix, *best.attributes, best.learned_from,
-                      best.peer_bgp_id, best.peer_address, best.installed_at};
-    loc_rib_.install(route);
-    if (route.is_local()) {
+    // `best` may read the attribute store in place, which install() can
+    // grow: from here on only the returned bundle and the view's session
+    // are read.
+    const PathAttributes* winner = loc_rib_.install(prefix, best);
+    if (winner == nullptr) return;
+    const core::SessionId learned_from = best.learned_from;
+    if (!learned_from.is_valid()) {
       // Delivered locally (to the attached host if any).
       if (const auto it = host_ports_.find(prefix); it != host_ports_.end()) {
         fib_.insert(prefix, it->second);
@@ -322,30 +314,25 @@ void BgpRouter::recompute(const net::Prefix& prefix) {
         fib_.erase(prefix);
       }
     } else {
-      fib_.insert(prefix, peers_by_session_.at(route.learned_from.value())->port);
+      fib_.insert(prefix, peers_by_session_.at(learned_from.value())->port);
     }
-    ++counters_.best_changes;
     logger().log(loop().now(), core::LogLevel::kInfo, session_log_name(),
-                 "best_changed", prefix, " via [", route.attributes->as_path,
-                 ']');
+                 "best_changed", prefix, " via [", winner->as_path, ']');
     // The winner and its learned relationship are resolved once for the
-    // whole fan-out; the Loc-RIB keeps the bundle alive past `route`.
-    source = export_source(&route.attributes.get(), route.learned_from);
+    // whole fan-out; the Loc-RIB keeps the bundle alive.
+    source = export_source(winner, learned_from);
   }
 
-  if (auto* tel = telemetry()) {
-    if (best_changes_metric_ != nullptr &&
-        counters_.best_changes != best_changes_before) {
-      best_changes_metric_->inc();
-    }
-    if (tel->tracing()) {
-      auto span = telemetry::TraceSpan::instant(loop().now(), "bgp", "decision",
-                                                session_log_name());
-      span.arg("prefix", prefix.to_string())
-          .arg("candidates", static_cast<std::int64_t>(candidate_count))
-          .arg("best_changed", counters_.best_changes != best_changes_before);
-      tel->emit(span);
-    }
+  // Every path that reaches here changed the winner.
+  ++counters_.best_changes;
+  best_changes_metric_->inc();
+  if (telemetry().tracing()) {
+    auto span = telemetry::TraceSpan::instant(loop().now(), "bgp", "decision",
+                                              session_log_name());
+    span.arg("prefix", prefix.to_string())
+        .arg("candidates", static_cast<std::int64_t>(candidate_count))
+        .arg("best_changed", true);
+    telemetry().emit(span);
   }
 
   for (const auto& peer : peers_) schedule_peer_update(*peer, prefix, source);
@@ -424,18 +411,17 @@ void BgpRouter::flush_peer(Peer& peer) {
     // Close the MRAI window opened at arm_mrai: this flush is the gated
     // advertisement the timer was pacing.
     peer.mrai_span_open = false;
-    if (auto* tel = telemetry()) {
-      const auto now = loop().now();
-      tel->metrics()
-          .histogram("bgp.mrai.wait_ns")
-          .record((now - peer.mrai_armed_at).count_nanos());
-      if (tel->tracing()) {
-        auto span = telemetry::TraceSpan{peer.mrai_armed_at, now, "bgp",
-                                         "mrai_wait", session_log_name()};
-        span.arg("peer", peer.session->peer_as().to_string())
-            .arg("pending", static_cast<std::int64_t>(peer.pending.size()));
-        tel->emit(span);
-      }
+    auto& tel = telemetry();
+    const auto now = loop().now();
+    tel.metrics()
+        .histogram("bgp.mrai.wait_ns")
+        .record((now - peer.mrai_armed_at).count_nanos());
+    if (tel.tracing()) {
+      auto span = telemetry::TraceSpan{peer.mrai_armed_at, now, "bgp",
+                                       "mrai_wait", session_log_name()};
+      span.arg("peer", peer.session->peer_as().to_string())
+          .arg("pending", static_cast<std::int64_t>(peer.pending.size()));
+      tel.emit(span);
     }
   }
   FlushPack pack{peer.pending.size()};
@@ -498,16 +484,16 @@ void BgpRouter::emit_updates(Peer& peer, FlushPack& pack) {
   const auto transmit = [&](const UpdateMessage& m) {
     ++counters_.updates_tx;
     init_metrics();
-    if (updates_tx_metric_ != nullptr) updates_tx_metric_->inc();
+    updates_tx_metric_->inc();
     logger().log(loop().now(), core::LogLevel::kDebug, session_log_name(),
                  "update_tx", "to ", peer.session->peer_as(), ' ', m);
-    if (auto* tel = telemetry(); tel != nullptr && tel->tracing()) {
+    if (telemetry().tracing()) {
       auto span = telemetry::TraceSpan::instant(loop().now(), "bgp",
                                                 "update_tx", session_log_name());
       span.arg("to", peer.session->peer_as().to_string())
           .arg("nlri", static_cast<std::int64_t>(m.nlri.size()))
           .arg("withdrawn", static_cast<std::int64_t>(m.withdrawn.size()));
-      tel->emit(span);
+      telemetry().emit(span);
     }
     peer.session->send_update(m);
   };

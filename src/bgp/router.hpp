@@ -36,7 +36,6 @@ struct RouterConfig {
   core::AsNumber asn;
   net::Ipv4Addr router_id;
   Timers timers;
-  ProcessingModel processing;
   /// Route-flap damping (RFC 2439); disabled by default like Quagga.
   DampingConfig damping{};
   /// The simulation's attribute store, shared by every router, the speaker
@@ -101,12 +100,8 @@ class BgpRouter : public net::Node, public SessionHost {
   void session_established(Session& session) override;
   void session_down(Session& session, const std::string& reason) override;
   void session_update(Session& session, UpdateMessage update) override;
-  core::EventLoop& session_loop() override;
-  core::Rng& session_rng() override;
-  core::Logger& session_logger() override;
   /// "bgp.<name>".
   const std::string& session_log_name() const override;
-  telemetry::Telemetry* session_telemetry() override;
 
   // --- introspection ------------------------------------------------------
   core::AsNumber asn() const { return config_.asn; }

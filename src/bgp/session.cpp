@@ -49,19 +49,17 @@ const std::string& Session::log_name() {
 
 template <typename... Parts>
 void Session::log(std::string_view event, const Parts&... parts) {
-  host_.session_logger().log(host_.session_loop().now(), core::LogLevel::kDebug,
-                             log_name(), event, parts...);
+  env_.logger.log(env_.loop.now(), core::LogLevel::kDebug, log_name(), event,
+                  parts...);
 }
 
 void Session::init_metrics() {
   if (metrics_resolved_) return;
   metrics_resolved_ = true;
-  if (auto* tel = host_.session_telemetry()) {
-    auto& metrics = tel->metrics();
-    updates_tx_metric_ = &metrics.counter("bgp.session.updates_tx");
-    updates_rx_metric_ = &metrics.counter("bgp.session.updates_rx");
-    transitions_metric_ = &metrics.counter("bgp.session.transitions");
-  }
+  auto& metrics = env_.telemetry.metrics();
+  updates_tx_metric_ = &metrics.counter("bgp.session.updates_tx");
+  updates_rx_metric_ = &metrics.counter("bgp.session.updates_rx");
+  transitions_metric_ = &metrics.counter("bgp.session.transitions");
 }
 
 void Session::transition(SessionState next) {
@@ -69,25 +67,23 @@ void Session::transition(SessionState next) {
   if (prev == next) return;
   state_ = next;
   if (prev == SessionState::kIdle && next == SessionState::kConnect) {
-    connect_started_ = host_.session_loop().now();
+    connect_started_ = env_.loop.now();
   }
   init_metrics();
-  if (transitions_metric_ != nullptr) transitions_metric_->inc();
-  auto* tel = host_.session_telemetry();
-  if (tel == nullptr) return;
-  auto& metrics = tel->metrics();
+  transitions_metric_->inc();
+  auto& metrics = env_.telemetry.metrics();
   if (next == SessionState::kEstablished) {
     metrics.counter("bgp.session.established").inc();
     metrics.histogram("bgp.session.establish_ns")
-        .record((host_.session_loop().now() - connect_started_).count_nanos());
+        .record((env_.loop.now() - connect_started_).count_nanos());
   } else if (prev == SessionState::kEstablished) {
     metrics.counter("bgp.session.dropped").inc();
   }
-  if (tel->tracing()) {
-    auto span = telemetry::TraceSpan::instant(host_.session_loop().now(),
-                                              "bgp", "fsm", log_name());
+  if (env_.telemetry.tracing()) {
+    auto span = telemetry::TraceSpan::instant(env_.loop.now(), "bgp", "fsm",
+                                              log_name());
     span.arg("from", to_string(prev)).arg("to", to_string(next));
-    tel->emit(span);
+    env_.telemetry.emit(span);
   }
 }
 
@@ -95,9 +91,9 @@ void Session::start() {
   if (state_ != SessionState::kIdle) return;
   transition(SessionState::kConnect);
   const auto delay =
-      host_.session_rng().uniform_duration(kConnectDelayMin, kConnectDelayMax);
+      env_.rng.uniform_duration(kConnectDelayMin, kConnectDelayMax);
   const auto my_epoch = epoch_;
-  connect_timer_ = host_.session_loop().schedule(delay, [this, my_epoch] {
+  connect_timer_ = env_.loop.schedule(delay, [this, my_epoch] {
     if (epoch_ != my_epoch || state_ != SessionState::kConnect) return;
     // "TCP" is up: send OPEN.
     OpenMessage open;
@@ -132,9 +128,9 @@ void Session::stop(const std::string& reason, bool auto_restart) {
     host_.session_down(*this, reason);
   }
   if (auto_restart) {
-    const auto delay = host_.session_rng().jittered(kConnectRetry, 0.75, 1.25);
+    const auto delay = env_.rng.jittered(kConnectRetry, 0.75, 1.25);
     const auto my_epoch = epoch_;
-    connect_timer_ = host_.session_loop().schedule(delay, [this, my_epoch] {
+    connect_timer_ = env_.loop.schedule(delay, [this, my_epoch] {
       if (epoch_ != my_epoch || state_ != SessionState::kIdle) return;
       start();
     });
@@ -184,7 +180,7 @@ void Session::receive(const std::vector<std::byte>& wire) {
     case MessageType::kUpdate:
       ++counters_.updates_rx;
       init_metrics();
-      if (updates_rx_metric_ != nullptr) updates_rx_metric_->inc();
+      updates_rx_metric_->inc();
       on_update(std::move(std::get<UpdateMessage>(*msg)));
       break;
     case MessageType::kNotification:
@@ -229,7 +225,7 @@ void Session::on_open(const OpenMessage& m) {
 
   if (state_ == SessionState::kConnect) {
     // Simultaneous open: our OPEN has not gone out yet; send it now.
-    if (connect_timer_.is_valid()) host_.session_loop().cancel(connect_timer_);
+    if (connect_timer_.is_valid()) env_.loop.cancel(connect_timer_);
     OpenMessage open;
     open.my_as = config_.local_as;
     open.hold_time_s =
@@ -299,18 +295,18 @@ void Session::send_update(const UpdateMessage& update) {
 
 void Session::transmit_update(net::Bytes wire) {
   ++counters_.updates_tx;
-  if (updates_tx_metric_ != nullptr) updates_tx_metric_->inc();
+  updates_tx_metric_->inc();
   host_.session_transmit(*this, std::move(wire));
 }
 
 void Session::reset_hold_timer() {
-  if (hold_timer_.is_valid()) host_.session_loop().cancel(hold_timer_);
+  if (hold_timer_.is_valid()) env_.loop.cancel(hold_timer_);
   if (negotiated_hold_s_ == 0 && state_ == SessionState::kEstablished) return;
   const auto hold = negotiated_hold_s_ > 0
                         ? core::Duration::seconds(negotiated_hold_s_)
                         : config_.timers.hold;
   const auto my_epoch = epoch_;
-  hold_timer_ = host_.session_loop().schedule(hold, [this, my_epoch] {
+  hold_timer_ = env_.loop.schedule(hold, [this, my_epoch] {
     if (epoch_ != my_epoch) return;
     fail(kErrHoldTimer, 0, "hold timer expired");
   });
@@ -320,10 +316,9 @@ void Session::arm_keepalive_timer() {
   const auto base = negotiated_hold_s_ > 0
                         ? core::Duration::seconds(negotiated_hold_s_ / 3)
                         : config_.timers.keepalive;
-  const auto delay =
-      host_.session_rng().jittered(base, kTimerJitterLow, kTimerJitterHigh);
+  const auto delay = env_.rng.jittered(base, kTimerJitterLow, kTimerJitterHigh);
   const auto my_epoch = epoch_;
-  keepalive_timer_ = host_.session_loop().schedule(delay, [this, my_epoch] {
+  keepalive_timer_ = env_.loop.schedule(delay, [this, my_epoch] {
     if (epoch_ != my_epoch || state_ != SessionState::kEstablished) return;
     transmit(KeepaliveMessage{});
     arm_keepalive_timer();
@@ -331,10 +326,9 @@ void Session::arm_keepalive_timer() {
 }
 
 void Session::cancel_timers() {
-  auto& loop = host_.session_loop();
-  if (connect_timer_.is_valid()) loop.cancel(connect_timer_);
-  if (hold_timer_.is_valid()) loop.cancel(hold_timer_);
-  if (keepalive_timer_.is_valid()) loop.cancel(keepalive_timer_);
+  if (connect_timer_.is_valid()) env_.loop.cancel(connect_timer_);
+  if (hold_timer_.is_valid()) env_.loop.cancel(hold_timer_);
+  if (keepalive_timer_.is_valid()) env_.loop.cancel(keepalive_timer_);
   connect_timer_ = hold_timer_ = keepalive_timer_ = core::TimerId::invalid();
 }
 

@@ -45,8 +45,18 @@ const char* to_string(SessionState s);
 
 class Session;
 
-/// The node hosting a session implements this to supply transport, timers
-/// and route handling.
+/// What a session runs on, handed over once when it is built: the
+/// simulation's event loop, RNG, logger and telemetry hub. Each must
+/// outlive the session.
+struct SessionEnv {
+  core::EventLoop& loop;
+  core::Rng& rng;
+  core::Logger& logger;
+  telemetry::Telemetry& telemetry;
+};
+
+/// The node hosting a session implements this to supply transport and
+/// route handling.
 class SessionHost {
  public:
   virtual ~SessionHost() = default;
@@ -66,15 +76,8 @@ class SessionHost {
   /// decoded message in, so a host that keeps it pays no copy.
   virtual void session_update(Session& session, UpdateMessage update) = 0;
 
-  virtual core::EventLoop& session_loop() = 0;
-  virtual core::Rng& session_rng() = 0;
-  virtual core::Logger& session_logger() = 0;
   /// The host's log component ("bgp.AS3"); computed once, not per record.
   virtual const std::string& session_log_name() const = 0;
-
-  /// Telemetry hub for FSM/update instrumentation. Default: none (bare
-  /// test hosts); attached nodes forward their network's hub.
-  virtual telemetry::Telemetry* session_telemetry() { return nullptr; }
 };
 
 struct SessionConfig {
@@ -102,8 +105,8 @@ struct SessionCounters {
 
 class Session {
  public:
-  Session(SessionHost& host, SessionConfig config)
-      : host_{host}, config_{std::move(config)} {}
+  Session(SessionHost& host, SessionEnv env, SessionConfig config)
+      : host_{host}, env_{env}, config_{std::move(config)} {}
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
@@ -162,6 +165,7 @@ class Session {
   void log(std::string_view event, const Parts&... parts);
 
   SessionHost& host_;
+  SessionEnv env_;
   SessionConfig config_;
   SessionState state_{SessionState::kIdle};
   core::AsNumber peer_as_{0};
@@ -179,8 +183,9 @@ class Session {
   /// When the current connect attempt began (for the establish histogram).
   core::TimePoint connect_started_{};
   std::string log_name_;
-  /// Cached metric handles (network-wide aggregates); nullptr when the host
-  /// has no telemetry. Resolved once on first use.
+  /// Cached metric handles (network-wide aggregates), resolved on first
+  /// use, not at construction: a lookup creates the instrument, and a
+  /// metrics snapshot lists every created one, zero-valued or not.
   bool metrics_resolved_{false};
   telemetry::Counter* updates_tx_metric_{nullptr};
   telemetry::Counter* updates_rx_metric_{nullptr};

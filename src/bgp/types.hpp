@@ -63,10 +63,4 @@ struct Timers {
   core::Duration mrai{core::Duration::seconds(30)};
 };
 
-/// Per-update processing cost, modelling Quagga's work per UPDATE.
-struct ProcessingModel {
-  core::Duration per_update{core::Duration::micros(500)};
-  core::Duration per_route{core::Duration::micros(50)};
-};
-
 }  // namespace bgpsdn::bgp

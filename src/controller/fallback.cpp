@@ -21,14 +21,12 @@ void FallbackRouting::activate(
   ++counters_.activations;
   origins_ = origins;
   log("activate", origins.size(), " member origins");
-  if (telemetry_ != nullptr) {
-    telemetry_->metrics().counter("ctrl.fallback.activations").inc();
-    if (telemetry_->tracing()) {
-      auto span = telemetry::TraceSpan::instant(loop_.now(), "ctrl",
-                                                "fallback_activate", "fallback");
-      span.arg("origins", static_cast<std::int64_t>(origins.size()));
-      telemetry_->emit(span);
-    }
+  telemetry_.metrics().counter("ctrl.fallback.activations").inc();
+  if (telemetry_.tracing()) {
+    auto span = telemetry::TraceSpan::instant(loop_.now(), "ctrl",
+                                              "fallback_activate", "fallback");
+    span.arg("origins", static_cast<std::int64_t>(origins.size()));
+    telemetry_.emit(span);
   }
   for (const auto& [prefix, origin] : origins_) dirty_.insert(prefix);
   // Seed the external RIB from the speaker's retained Adj-RIBs-In; the
@@ -110,9 +108,7 @@ void FallbackRouting::run_recompute(std::uint64_t epoch) {
   ++counters_.recomputes;
   const auto batch = std::move(dirty_);
   dirty_.clear();
-  if (telemetry_ != nullptr) {
-    telemetry_->metrics().counter("ctrl.fallback.recomputes").inc();
-  }
+  telemetry_.metrics().counter("ctrl.fallback.recomputes").inc();
   for (const auto& prefix : batch) recompute_prefix(prefix);
 }
 
@@ -152,9 +148,7 @@ void FallbackRouting::recompute_prefix(const net::Prefix& prefix) {
     speaker_.send_relay_control(*relay, mod);
     installed[dpid] = action;
     ++counters_.flow_adds;
-    if (telemetry_ != nullptr) {
-      telemetry_->metrics().counter("ctrl.fallback.flow_adds").inc();
-    }
+    telemetry_.metrics().counter("ctrl.fallback.flow_adds").inc();
   }
   for (const auto dpid : delta.removals) {
     if (const auto relay = relay_peering_for(dpid)) {
@@ -165,9 +159,7 @@ void FallbackRouting::recompute_prefix(const net::Prefix& prefix) {
       mod.epoch = programming_epoch_;
       speaker_.send_relay_control(*relay, mod);
       ++counters_.flow_deletes;
-      if (telemetry_ != nullptr) {
-        telemetry_->metrics().counter("ctrl.fallback.flow_deletes").inc();
-      }
+      telemetry_.metrics().counter("ctrl.fallback.flow_deletes").inc();
     }
     installed.erase(dpid);
   }

@@ -57,7 +57,7 @@ struct FallbackCounters {
 class FallbackRouting : public speaker::SpeakerListener {
  public:
   FallbackRouting(core::EventLoop& loop, core::Logger& logger,
-                  telemetry::Telemetry* telemetry, const SwitchGraph& graph,
+                  telemetry::Telemetry& telemetry, const SwitchGraph& graph,
                   speaker::ClusterBgpSpeaker& speaker)
       : loop_{loop},
         logger_{logger},
@@ -108,7 +108,7 @@ class FallbackRouting : public speaker::SpeakerListener {
 
   core::EventLoop& loop_;
   core::Logger& logger_;
-  telemetry::Telemetry* telemetry_;
+  telemetry::Telemetry& telemetry_;
   const SwitchGraph& graph_;
   speaker::ClusterBgpSpeaker& speaker_;
 

@@ -40,13 +40,13 @@ void IdrController::on_crash() {
   decider_->clear();
   topology_pending_ = false;
   recompute_pending_ = false;
-  if (auto* tel = telemetry()) tel->metrics().counter("ctrl.idr.crashes").inc();
+  telemetry().metrics().counter("ctrl.idr.crashes").inc();
 }
 
 void IdrController::on_restart() {
   // Nothing to rebuild here: switches re-Hello (-> mark_all_dirty), the
   // experiment replays originations and the speaker replays its RIBs.
-  if (auto* tel = telemetry()) tel->metrics().counter("ctrl.idr.restarts").inc();
+  telemetry().metrics().counter("ctrl.idr.restarts").inc();
 }
 
 // --- controller HA hooks ----------------------------------------------------
@@ -235,32 +235,30 @@ void IdrController::run_recompute() {
   idr_counters_.prefixes_dirty += batch.size();
   logger().log(loop().now(), core::LogLevel::kInfo, idr_log_name(), "recompute",
                batch.size(), " prefixes");
-  if (auto* tel = telemetry()) {
-    auto& metrics = tel->metrics();
-    metrics.counter("ctrl.idr.recompute_passes").inc();
-    metrics.counter("ctrl.idr.prefixes_dirty")
-        .inc(static_cast<std::int64_t>(batch.size()));
-    metrics.histogram("ctrl.idr.batch_prefixes")
-        .record(static_cast<std::int64_t>(batch.size()));
-    metrics.histogram("ctrl.idr.batch_wait_ns")
-        .record((loop().now() - batch_opened_at_).count_nanos());
-    if (tel->tracing()) {
-      // The span covers the batching delay: opened at the first dirtying
-      // input, closed here where the recomputation pass runs.
-      auto span = telemetry::TraceSpan{batch_opened_at_, loop().now(), "ctrl",
-                                       "recompute_batch", idr_log_name()};
-      span.arg("prefixes", static_cast<std::int64_t>(batch.size()));
-      tel->emit(span);
-    }
+  auto& tel = telemetry();
+  auto& metrics = tel.metrics();
+  metrics.counter("ctrl.idr.recompute_passes").inc();
+  metrics.counter("ctrl.idr.prefixes_dirty")
+      .inc(static_cast<std::int64_t>(batch.size()));
+  metrics.histogram("ctrl.idr.batch_prefixes")
+      .record(static_cast<std::int64_t>(batch.size()));
+  metrics.histogram("ctrl.idr.batch_wait_ns")
+      .record((loop().now() - batch_opened_at_).count_nanos());
+  if (tel.tracing()) {
+    // The span covers the batching delay: opened at the first dirtying
+    // input, closed here where the recomputation pass runs.
+    auto span = telemetry::TraceSpan{batch_opened_at_, loop().now(), "ctrl",
+                                     "recompute_batch", idr_log_name()};
+    span.arg("prefixes", static_cast<std::int64_t>(batch.size()));
+    tel.emit(span);
   }
   for (const auto& prefix : batch) recompute_prefix(prefix);
   const std::uint64_t replayed = decider_->vertices_replayed() - replayed_before;
   idr_counters_.spt_vertices_replayed += replayed;
   idr_counters_.reference_fallbacks +=
       decider_->reference_fallbacks() - fallbacks_before;
-  if (auto* tel = telemetry(); tel != nullptr && replayed > 0) {
-    tel->metrics()
-        .counter("ctrl.idr.spt_vertices_replayed")
+  if (replayed > 0) {
+    metrics.counter("ctrl.idr.spt_vertices_replayed")
         .inc(static_cast<std::int64_t>(replayed));
   }
 }
@@ -271,8 +269,8 @@ void IdrController::recompute_prefix(const net::Prefix& prefix) {
 
   const DecisionInputs in = gather_inputs(external_routes_, origins_, prefix);
 
-  auto* tel = telemetry();
-  const bool tracing = tel != nullptr && tel->tracing();
+  auto& tel = telemetry();
+  const bool tracing = tel.tracing();
   const auto phase = [&](const char* phase_name, std::int64_t detail) {
     // Phases of one recomputation share a virtual instant; instant spans
     // keep the taxonomy (graph_transform -> dijkstra -> flow_install)
@@ -280,7 +278,7 @@ void IdrController::recompute_prefix(const net::Prefix& prefix) {
     auto span = telemetry::TraceSpan::instant(loop().now(), "ctrl", phase_name,
                                               idr_log_name());
     span.arg("prefix", prefix.to_string()).arg("n", detail);
-    tel->emit(span);
+    tel.emit(span);
   };
 
   // Decide.
@@ -325,17 +323,15 @@ void IdrController::recompute_prefix(const net::Prefix& prefix) {
     if (flow_observer_) flow_observer_(prefix, dpid, nullptr);
   }
   if (installed.empty()) installed_.erase(prefix);
-  if (tel != nullptr) {
-    const auto adds =
-        static_cast<std::int64_t>(idr_counters_.flow_adds - adds_before);
-    const auto dels =
-        static_cast<std::int64_t>(idr_counters_.flow_deletes - deletes_before);
-    auto& metrics = tel->metrics();
-    metrics.counter("ctrl.idr.prefix_recomputes").inc();
-    if (adds > 0) metrics.counter("ctrl.idr.flow_adds").inc(adds);
-    if (dels > 0) metrics.counter("ctrl.idr.flow_deletes").inc(dels);
-    if (tracing) phase("flow_install", adds + dels);
-  }
+  const auto adds =
+      static_cast<std::int64_t>(idr_counters_.flow_adds - adds_before);
+  const auto dels =
+      static_cast<std::int64_t>(idr_counters_.flow_deletes - deletes_before);
+  auto& metrics = tel.metrics();
+  metrics.counter("ctrl.idr.prefix_recomputes").inc();
+  if (adds > 0) metrics.counter("ctrl.idr.flow_adds").inc(adds);
+  if (dels > 0) metrics.counter("ctrl.idr.flow_deletes").inc(dels);
+  if (tracing) phase("flow_install", adds + dels);
 
   const AnnounceCounts sent = announce_decision(*speaker_, prefix, decision);
   idr_counters_.announces += sent.announces;

@@ -25,7 +25,7 @@ constexpr std::size_t kSnapshotGap = 64;
 
 ControllerReplicaSet::ControllerReplicaSet(core::EventLoop& loop,
                                            core::Logger& logger,
-                                           telemetry::Telemetry* telemetry,
+                                           telemetry::Telemetry& telemetry,
                                            IdrController& controller,
                                            speaker::ClusterBgpSpeaker& speaker,
                                            ReplicaSetConfig config)
@@ -46,7 +46,7 @@ ControllerReplicaSet::ControllerReplicaSet(core::EventLoop& loop,
 }
 
 void ControllerReplicaSet::count(const char* name) {
-  if (telemetry_ != nullptr) telemetry_->metrics().counter(name).inc();
+  telemetry_.metrics().counter(name).inc();
 }
 
 template <typename... Parts>
@@ -442,11 +442,9 @@ void ControllerReplicaSet::become_leader(std::size_t id) {
   log("takeover", "replica ", id, " epoch ", cluster_epoch_, ", replayed ",
       suffix, " deltas");
   count("ctrl.replica.takeovers");
-  if (telemetry_ != nullptr) {
-    telemetry_->metrics()
-        .histogram("ctrl.replica.election_latency_ns")
-        .record(last_election_latency_.count_nanos());
-  }
+  telemetry_.metrics()
+      .histogram("ctrl.replica.election_latency_ns")
+      .record(last_election_latency_.count_nanos());
   controller_.set_programming_epoch(cluster_epoch_);
   controller_.reset_for_takeover();
   controller_.adopt_shadow(std::move(r.shadow));

@@ -125,7 +125,7 @@ class ControllerReplicaSet : public speaker::SpeakerListener {
   using RecoverHook = std::function<void(std::uint32_t epoch)>;
 
   ControllerReplicaSet(core::EventLoop& loop, core::Logger& logger,
-                       telemetry::Telemetry* telemetry, IdrController& controller,
+                       telemetry::Telemetry& telemetry, IdrController& controller,
                        speaker::ClusterBgpSpeaker& speaker,
                        ReplicaSetConfig config);
   ControllerReplicaSet(const ControllerReplicaSet&) = delete;
@@ -172,7 +172,6 @@ class ControllerReplicaSet : public speaker::SpeakerListener {
   std::size_t size() const { return replicas_.size(); }
   std::optional<std::size_t> leader() const { return leader_; }
   bool degraded() const { return degraded_; }
-  bool replica_crashed(std::size_t id) const { return replicas_.at(id).crashed; }
   bool replica_partitioned(std::size_t id) const {
     return replicas_.at(id).partitioned;
   }
@@ -243,7 +242,7 @@ class ControllerReplicaSet : public speaker::SpeakerListener {
 
   core::EventLoop& loop_;
   core::Logger& logger_;
-  telemetry::Telemetry* telemetry_;
+  telemetry::Telemetry& telemetry_;
   IdrController& controller_;
   speaker::ClusterBgpSpeaker& speaker_;
   ReplicaSetConfig config_;

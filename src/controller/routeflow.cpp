@@ -9,6 +9,11 @@
 
 namespace bgpsdn::controller {
 
+namespace {
+/// Loc-RIB -> flow-table synchronization poll period.
+constexpr core::Duration kSyncInterval = core::Duration::millis(500);
+}  // namespace
+
 // --- GhostPeer ---------------------------------------------------------------
 
 void GhostPeer::configure_session(net::Ipv4Addr local, net::Ipv4Addr remote) {
@@ -22,7 +27,10 @@ void GhostPeer::configure_session(net::Ipv4Addr local, net::Ipv4Addr remote) {
   sc.remote_address = remote;
   sc.expected_peer_as = peering_.cluster_as;
   sc.timers = timers_;
-  session_ = std::make_unique<bgp::Session>(*this, sc);
+  // The mirror network's loop, RNG, logger and hub: ghost sessions record
+  // into the mirror's telemetry, not the experiment's.
+  session_ = std::make_unique<bgp::Session>(
+      *this, bgp::SessionEnv{loop(), rng(), logger(), telemetry()}, sc);
 }
 
 void GhostPeer::start() {
@@ -93,9 +101,6 @@ void GhostPeer::session_update(bgp::Session&, bgp::UpdateMessage update) {
   relay_(peering_.id, update);
 }
 
-core::EventLoop& GhostPeer::session_loop() { return loop(); }
-core::Rng& GhostPeer::session_rng() { return rng(); }
-core::Logger& GhostPeer::session_logger() { return logger(); }
 const std::string& GhostPeer::session_log_name() const {
   return log_component("ghost");
 }
@@ -202,7 +207,7 @@ void RouteFlowController::start() {
   // Periodic Loc-RIB -> flow-table synchronization (the RouteFlow "RIB to
   // flows" daemon).
   const auto tick = [this](const auto& self) -> void {
-    loop().schedule(config_.sync_interval, [this, self] {
+    loop().schedule(kSyncInterval, [this, self] {
       sync_flows();
       self(self);
     });
@@ -348,21 +353,20 @@ void RouteFlowController::sync_flows() {
       it = it->second.empty() ? installed_.erase(it) : std::next(it);
     }
   }
-  if (auto* tel = telemetry()) {
-    const auto adds =
-        static_cast<std::int64_t>(rf_counters_.flow_adds - adds_before);
-    const auto dels =
-        static_cast<std::int64_t>(rf_counters_.flow_deletes - deletes_before);
-    auto& metrics = tel->metrics();
-    metrics.counter("ctrl.routeflow.sync_passes").inc();
-    if (adds > 0) metrics.counter("ctrl.routeflow.flow_adds").inc(adds);
-    if (dels > 0) metrics.counter("ctrl.routeflow.flow_deletes").inc(dels);
-    if (tel->tracing() && (adds > 0 || dels > 0)) {
-      auto span = telemetry::TraceSpan::instant(loop().now(), "ctrl", "rf_sync",
-                                                "rf." + name());
-      span.arg("adds", adds).arg("dels", dels);
-      tel->emit(span);
-    }
+  const auto adds =
+      static_cast<std::int64_t>(rf_counters_.flow_adds - adds_before);
+  const auto dels =
+      static_cast<std::int64_t>(rf_counters_.flow_deletes - deletes_before);
+  auto& tel = telemetry();
+  auto& metrics = tel.metrics();
+  metrics.counter("ctrl.routeflow.sync_passes").inc();
+  if (adds > 0) metrics.counter("ctrl.routeflow.flow_adds").inc(adds);
+  if (dels > 0) metrics.counter("ctrl.routeflow.flow_deletes").inc(dels);
+  if (tel.tracing() && (adds > 0 || dels > 0)) {
+    auto span = telemetry::TraceSpan::instant(loop().now(), "ctrl", "rf_sync",
+                                              "rf." + name());
+    span.arg("adds", adds).arg("dels", dels);
+    tel.emit(span);
   }
 }
 

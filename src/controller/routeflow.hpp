@@ -36,8 +36,6 @@ struct RouteFlowConfig {
   /// Timers of the virtual (mirrored) BGP routers; defaults match the
   /// legacy world, as RouteFlow runs stock routing software.
   bgp::Timers timers{};
-  /// Loc-RIB -> flow-table synchronization poll period.
-  core::Duration sync_interval{core::Duration::millis(500)};
 };
 
 struct RouteFlowCounters {
@@ -82,12 +80,8 @@ class GhostPeer : public net::Node, public bgp::SessionHost {
   void session_established(bgp::Session& session) override;
   void session_down(bgp::Session& session, const std::string& reason) override;
   void session_update(bgp::Session& session, bgp::UpdateMessage update) override;
-  core::EventLoop& session_loop() override;
-  core::Rng& session_rng() override;
-  core::Logger& session_logger() override;
   /// "ghost.<name>".
   const std::string& session_log_name() const override;
-  telemetry::Telemetry* session_telemetry() override { return telemetry(); }
 
  private:
   speaker::Peering peering_;

@@ -64,7 +64,6 @@ class SwitchGraph {
   std::vector<Adjacency> neighbors(sdn::Dpid dpid, bool include_down = false) const;
 
   std::vector<SwitchInfo> all_switches() const;
-  std::size_t switch_count() const { return switches_.size(); }
   std::size_t link_count() const { return links_ / 2; }
 
   /// True if every switch can reach every other over up links (sub-cluster

@@ -1,7 +1,5 @@
 #include "core/logger.hpp"
 
-#include <ostream>
-
 namespace bgpsdn::core {
 
 const char* to_string(LogLevel level) {
@@ -31,7 +29,6 @@ std::string LogRecord::to_string() const {
 }
 
 void Logger::deliver(const LogRecord& rec) {
-  if (echo_ != nullptr) *echo_ << rec.to_string() << '\n';
   for (const auto& sink : sinks_) {
     if (sink) sink(rec);
   }

@@ -19,7 +19,6 @@
 
 #include <concepts>
 #include <functional>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -88,15 +87,15 @@ struct OwnedLogRecord {
   std::string to_string() const { return view().to_string(); }
 };
 
-/// Formats records and forwards them to registered sinks; optionally mirrors
-/// them to a stream and/or retains owning copies. Retention can be disabled
-/// for long benchmark runs.
+/// Formats records and forwards them to registered sinks, and retains
+/// owning copies. Retention can be disabled for long benchmark runs.
 class Logger {
  public:
   using Sink = std::function<void(const LogRecord&)>;
 
   /// Emit one record whose detail text is `parts`, appended in order (see
-  /// append_text). Nothing is formatted when `level` is below min_level().
+  /// append_text). Nothing is formatted when `level` is below the minimum
+  /// level.
   template <typename... Parts>
   void log(TimePoint when, LogLevel level, std::string_view component,
            std::string_view event, const Parts&... parts) {
@@ -108,13 +107,9 @@ class Logger {
 
   /// Records below this level are dropped entirely.
   void set_min_level(LogLevel level) { min_level_ = level; }
-  LogLevel min_level() const { return min_level_; }
 
   /// Keep records in memory (default true). Sinks still fire when disabled.
   void set_retain(bool retain) { retain_ = retain; }
-
-  /// Mirror records to a stream (nullptr to disable).
-  void set_echo(std::ostream* os) { echo_ = os; }
 
   /// Register a sink; returns an id for remove_sink.
   std::size_t add_sink(Sink sink);
@@ -136,7 +131,6 @@ class Logger {
 
   LogLevel min_level_{LogLevel::kInfo};
   bool retain_{true};
-  std::ostream* echo_{nullptr};
   /// The detail text of the record being delivered; cleared, never shrunk.
   std::string detail_;
   std::vector<OwnedLogRecord> records_;

@@ -79,7 +79,6 @@ void Experiment::build() {
     } else {
       controller::RouteFlowConfig rf;
       rf.timers = config_.timers;
-      rf.sync_interval = config_.routeflow_sync;
       routeflow_ = &net_.add<controller::RouteFlowController>("rfctrl", rf);
       controller_ = routeflow_;
     }
@@ -108,7 +107,7 @@ void Experiment::build() {
       // experiment's main stream (and non-HA runs never fork at all).
       rc.seed = rng_.engine()();
       replica_set_ = std::make_unique<controller::ControllerReplicaSet>(
-          loop_, log_, &net_.telemetry(), *idr_, *speaker_, rc);
+          loop_, log_, net_.telemetry(), *idr_, *speaker_, rc);
       replica_set_->set_degrade_hook(
           [this](std::uint32_t epoch) { degrade_to_fallback(epoch); });
       replica_set_->set_recover_hook(
@@ -384,7 +383,7 @@ void Experiment::degrade_to_fallback(std::uint32_t epoch) {
   for (const auto link : control_links_) net_.set_link_up(link, false);
   if (!fallback_) {
     fallback_ = std::make_unique<controller::FallbackRouting>(
-        loop_, log_, &net_.telemetry(), controller_->switch_graph(), *speaker_);
+        loop_, log_, net_.telemetry(), controller_->switch_graph(), *speaker_);
   }
   // Degradation is a leadership change: fence the fallback above every dead
   // replica's programming (0 outside HA keeps legacy behaviour).

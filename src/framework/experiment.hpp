@@ -59,8 +59,6 @@ struct ExperimentConfig {
   bool subcluster_bridging{true};
   /// Cluster controller implementation.
   ControllerStyle controller_style{ControllerStyle::kIdrCentralized};
-  /// RouteFlow mirror: RIB->flows poll period.
-  core::Duration routeflow_sync{core::Duration::millis(500)};
   /// Controller replication factor. 1 (default) keeps the paper's single
   /// controller; >= 2 models hot-standby replicas with leader election and
   /// epoch-fenced failover (requires the IDR controller style). Only when

@@ -19,10 +19,12 @@ namespace bgpsdn::net {
 class Bytes {
  public:
   Bytes() = default;
+  // The buffer is built non-const (and only held as const), so mutate()
+  // may write it in place once this is its sole owner.
   Bytes(std::vector<std::byte> data)  // NOLINT(google-explicit-constructor)
       : ptr_{data.empty()
                  ? nullptr
-                 : std::make_shared<const std::vector<std::byte>>(std::move(data))} {}
+                 : std::make_shared<std::vector<std::byte>>(std::move(data))} {}
   Bytes(std::initializer_list<std::byte> init)
       : Bytes{std::vector<std::byte>(init)} {}
 

@@ -55,13 +55,10 @@ core::EventLoop& Node::loop() const { return network().loop(); }
 core::Logger& Node::logger() const { return network().logger(); }
 core::Rng& Node::rng() const { return network().rng(); }
 
-telemetry::Telemetry* Node::telemetry() const {
-  return network_ != nullptr ? &network_->telemetry() : nullptr;
-}
+telemetry::Telemetry& Node::telemetry() const { return network().telemetry(); }
 
 core::SessionId Node::allocate_session_id() {
-  if (network_ != nullptr) return network_->session_ids().allocate();
-  return detached_session_ids_.allocate();
+  return network().session_ids().allocate();
 }
 
 void Node::send(core::PortId port, Packet packet) const {

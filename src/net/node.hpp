@@ -2,7 +2,9 @@
 //
 // BGP routers, SDN switches, hosts, the route collector and the cluster BGP
 // speaker all derive from Node. A node owns no wiring: the Network assigns
-// its id and ports and delivers packets into handle_packet().
+// its id and ports and delivers packets into handle_packet(). Every node is
+// built through Network::add, so its loop, RNG, logger, telemetry hub and
+// session ids are always the owning network's.
 #pragma once
 
 #include <cassert>
@@ -63,20 +65,17 @@ class Node {
     assert(network_ != nullptr && "node used before attach");
     return *network_;
   }
-  bool attached() const { return network_ != nullptr; }
   core::EventLoop& loop() const;
   core::Logger& logger() const;
   core::Rng& rng() const;
 
-  /// The owning network's telemetry hub, or nullptr for detached nodes
-  /// (bare unit-test instances) — callers must tolerate its absence.
-  telemetry::Telemetry* telemetry() const;
+  /// The owning network's telemetry hub (metrics + trace fan-out).
+  telemetry::Telemetry& telemetry() const;
 
-  /// Next BGP session id. Attached nodes draw from the owning Network's
-  /// allocator (ids unique network-wide — controller tables depend on it);
-  /// detached nodes (unit tests using a speaker as a bare peering registry)
-  /// fall back to a node-local counter. Never a process-wide static: two
-  /// experiments in one process must mint identical id sequences.
+  /// Next BGP session id, drawn from the owning Network's allocator: ids
+  /// are unique network-wide (controller tables depend on it), and never
+  /// process-wide, so two experiments in one process mint identical id
+  /// sequences.
   core::SessionId allocate_session_id();
 
   /// Convenience: transmit out of a local port.
@@ -100,7 +99,6 @@ class Node {
   core::NodeId id_{core::NodeId::invalid()};
   std::string name_;
   mutable std::string log_component_;
-  core::SessionIdAllocator detached_session_ids_;
 };
 
 }  // namespace bgpsdn::net

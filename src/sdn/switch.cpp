@@ -81,9 +81,7 @@ void SdnSwitch::handle_control(const net::Packet& packet) {
         logger().log(loop().now(), core::LogLevel::kWarn, log_name(),
                      "stale_flow_mod", "epoch ", fm.epoch, " < ",
                      max_epoch_seen_);
-        if (auto* tel = telemetry()) {
-          tel->metrics().counter("sdn.switch.stale_flowmods_rejected").inc();
-        }
+        telemetry().metrics().counter("sdn.switch.stale_flowmods_rejected").inc();
         break;
       }
       max_epoch_seen_ = fm.epoch;
@@ -101,19 +99,18 @@ void SdnSwitch::handle_control(const net::Packet& packet) {
                    "flow_mod",
                    fm.command == FlowModCommand::kAdd ? "add " : "del ",
                    fm.match);
-      if (auto* tel = telemetry()) {
-        tel->metrics().counter("sdn.switch.flow_mods").inc();
-        tel->metrics()
-            .histogram("sdn.switch.table_size")
-            .record(static_cast<std::int64_t>(table_.size()));
-        if (tel->tracing()) {
-          auto span = telemetry::TraceSpan::instant(loop().now(), "sdn",
-                                                    "flow_mod", log_name());
-          span.arg("op", fm.command == FlowModCommand::kAdd ? "add" : "del")
-              .arg("match", fm.match.to_string())
-              .arg("table_size", static_cast<std::int64_t>(table_.size()));
-          tel->emit(span);
-        }
+      auto& tel = telemetry();
+      tel.metrics().counter("sdn.switch.flow_mods").inc();
+      tel.metrics()
+          .histogram("sdn.switch.table_size")
+          .record(static_cast<std::int64_t>(table_.size()));
+      if (tel.tracing()) {
+        auto span = telemetry::TraceSpan::instant(loop().now(), "sdn",
+                                                  "flow_mod", log_name());
+        span.arg("op", fm.command == FlowModCommand::kAdd ? "add" : "del")
+            .arg("match", fm.match.to_string())
+            .arg("table_size", static_cast<std::int64_t>(table_.size()));
+        tel.emit(span);
       }
       break;
     }
@@ -165,14 +162,13 @@ void SdnSwitch::enter_standalone() {
   // every data rule. Relay rules survive — the cluster speaker keeps its
   // external BGP sessions and becomes the degraded control path.
   flush_data_rules("standalone_enter");
-  if (auto* tel = telemetry()) {
-    tel->metrics().counter("sdn.switch.standalone_entries").inc();
-    if (tel->tracing()) {
-      auto span = telemetry::TraceSpan::instant(loop().now(), "sdn",
-                                                "standalone", log_name());
-      span.arg("up", false);
-      tel->emit(span);
-    }
+  auto& tel = telemetry();
+  tel.metrics().counter("sdn.switch.standalone_entries").inc();
+  if (tel.tracing()) {
+    auto span = telemetry::TraceSpan::instant(loop().now(), "sdn",
+                                              "standalone", log_name());
+    span.arg("up", false);
+    tel.emit(span);
   }
 }
 
@@ -182,13 +178,11 @@ void SdnSwitch::exit_standalone() {
   // Rules installed over the degraded path are stale the moment a live
   // controller is back; flush again and re-handshake so it can repush.
   flush_data_rules("standalone_exit");
-  if (auto* tel = telemetry()) {
-    if (tel->tracing()) {
-      auto span = telemetry::TraceSpan::instant(loop().now(), "sdn",
-                                                "standalone", log_name());
-      span.arg("up", true);
-      tel->emit(span);
-    }
+  if (telemetry().tracing()) {
+    auto span = telemetry::TraceSpan::instant(loop().now(), "sdn",
+                                              "standalone", log_name());
+    span.arg("up", true);
+    telemetry().emit(span);
   }
   start();
   // Any cluster link that changed while the channel was down never produced

@@ -40,7 +40,6 @@ class SdnSwitch : public net::Node {
   /// Must be set (by the cluster builder) before start(): the port whose
   /// link leads to the controller.
   void set_controller_port(core::PortId port) { controller_port_ = port; }
-  std::optional<core::PortId> controller_port() const { return controller_port_; }
 
   /// Pre-installed rules (e.g. BGP relay paths) may be added directly by the
   /// cluster builder before start; runtime programming goes via FlowMod.

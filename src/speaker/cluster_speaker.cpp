@@ -26,7 +26,8 @@ PeeringId ClusterBgpSpeaker::add_peering(core::PortId relay_port, Peering peerin
   auto slot = std::make_unique<Slot>(attr_registry_);
   slot->info = peering;
   slot->relay_port = relay_port;
-  slot->session = std::make_unique<bgp::Session>(*this, sc);
+  slot->session = std::make_unique<bgp::Session>(
+      *this, bgp::SessionEnv{loop(), rng(), logger(), telemetry()}, sc);
   Slot* raw = slot.get();
   slots_.push_back(std::move(slot));
   by_port_[relay_port.value()] = raw;
@@ -49,15 +50,14 @@ void ClusterBgpSpeaker::announce(PeeringId id, const net::Prefix& prefix,
   ++counters_.announces_tx;
   logger().log(loop().now(), core::LogLevel::kDebug, session_log_name(),
                "speaker_announce", "peering ", id, ' ', m);
-  if (auto* tel = telemetry()) {
-    tel->metrics().counter("speaker.announces_tx").inc();
-    if (tel->tracing()) {
-      auto span = telemetry::TraceSpan::instant(loop().now(), "speaker",
-                                                "announce", session_log_name());
-      span.arg("peering", static_cast<std::int64_t>(id))
-          .arg("prefix", prefix.to_string());
-      tel->emit(span);
-    }
+  auto& tel = telemetry();
+  tel.metrics().counter("speaker.announces_tx").inc();
+  if (tel.tracing()) {
+    auto span = telemetry::TraceSpan::instant(loop().now(), "speaker",
+                                              "announce", session_log_name());
+    span.arg("peering", static_cast<std::int64_t>(id))
+        .arg("prefix", prefix.to_string());
+    tel.emit(span);
   }
   slot.session->send_update(m);
 }
@@ -72,15 +72,14 @@ void ClusterBgpSpeaker::withdraw(PeeringId id, const net::Prefix& prefix) {
   ++counters_.withdraws_tx;
   logger().log(loop().now(), core::LogLevel::kDebug, session_log_name(),
                "speaker_withdraw", "peering ", id, ' ', prefix);
-  if (auto* tel = telemetry()) {
-    tel->metrics().counter("speaker.withdraws_tx").inc();
-    if (tel->tracing()) {
-      auto span = telemetry::TraceSpan::instant(loop().now(), "speaker",
-                                                "withdraw", session_log_name());
-      span.arg("peering", static_cast<std::int64_t>(id))
-          .arg("prefix", prefix.to_string());
-      tel->emit(span);
-    }
+  auto& tel = telemetry();
+  tel.metrics().counter("speaker.withdraws_tx").inc();
+  if (tel.tracing()) {
+    auto span = telemetry::TraceSpan::instant(loop().now(), "speaker",
+                                              "withdraw", session_log_name());
+    span.arg("peering", static_cast<std::int64_t>(id))
+        .arg("prefix", prefix.to_string());
+    tel.emit(span);
   }
   slot.session->send_update(m);
 }
@@ -98,7 +97,7 @@ void ClusterBgpSpeaker::crash() {
   ++counters_.crashes;
   logger().log(loop().now(), core::LogLevel::kWarn, session_log_name(), "crash",
                "speaker process down, ", slots_.size(), " sessions lost");
-  if (auto* tel = telemetry()) tel->metrics().counter("speaker.crashes").inc();
+  telemetry().metrics().counter("speaker.crashes").inc();
   for (auto& slot : slots_) {
     // Process death sends nothing; external peers discover the outage when
     // their hold timers expire and then retry on their own. session_down()
@@ -228,15 +227,12 @@ void ClusterBgpSpeaker::session_update(bgp::Session& session,
     const auto attrs = attr_registry_->intern(update.attributes);
     for (const auto& prefix : update.nlri) slot->rib_in[prefix] = attrs;
   }
-  if (auto* tel = telemetry()) tel->metrics().counter("speaker.updates_rx").inc();
+  telemetry().metrics().counter("speaker.updates_rx").inc();
   logger().log(loop().now(), core::LogLevel::kDebug, session_log_name(),
                "speaker_rx", "peering ", slot->info.id, ' ', update);
   if (listener_ != nullptr) listener_->on_route_update(slot->info, update);
 }
 
-core::EventLoop& ClusterBgpSpeaker::session_loop() { return loop(); }
-core::Rng& ClusterBgpSpeaker::session_rng() { return rng(); }
-core::Logger& ClusterBgpSpeaker::session_logger() { return logger(); }
 const std::string& ClusterBgpSpeaker::session_log_name() const {
   return log_component("speaker");
 }

@@ -141,12 +141,8 @@ class ClusterBgpSpeaker : public net::Node, public bgp::SessionHost {
   void session_established(bgp::Session& session) override;
   void session_down(bgp::Session& session, const std::string& reason) override;
   void session_update(bgp::Session& session, bgp::UpdateMessage update) override;
-  core::EventLoop& session_loop() override;
-  core::Rng& session_rng() override;
-  core::Logger& session_logger() override;
   /// "speaker.<name>".
   const std::string& session_log_name() const override;
-  telemetry::Telemetry* session_telemetry() override { return telemetry(); }
 
  private:
   struct Slot {

@@ -49,15 +49,12 @@ class Json {
 
   Type type() const { return static_cast<Type>(value_.index()); }
   bool is_null() const { return type() == Type::kNull; }
-  bool is_bool() const { return type() == Type::kBool; }
   bool is_int() const { return type() == Type::kInt; }
   bool is_double() const { return type() == Type::kDouble; }
-  bool is_number() const { return is_int() || is_double(); }
   bool is_string() const { return type() == Type::kString; }
   bool is_array() const { return type() == Type::kArray; }
   bool is_object() const { return type() == Type::kObject; }
 
-  bool as_bool() const { return std::get<bool>(value_); }
   std::int64_t as_int() const {
     return is_double() ? static_cast<std::int64_t>(std::get<double>(value_))
                        : std::get<std::int64_t>(value_);

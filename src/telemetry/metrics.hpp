@@ -104,9 +104,6 @@ class MetricsRegistry {
   const Counter* find_counter(std::string_view name) const {
     return find(counters_, name);
   }
-  const Gauge* find_gauge(std::string_view name) const {
-    return find(gauges_, name);
-  }
   const Histogram* find_histogram(std::string_view name) const {
     return find(histograms_, name);
   }

@@ -85,18 +85,21 @@ class AdjRibIn {
 };
 
 /// Loc-RIB: prefix -> winner. A reinstall with the same attributes from the
-/// same session is not a change.
+/// same session is not a change; a change returns the installed bundle.
 class LocRib {
  public:
-  bool install(const Route& route) {
-    const auto it = routes_.find(route.prefix);
-    if (it != routes_.end() && it->second.attributes == route.attributes &&
-        it->second.learned_from == route.learned_from) {
-      return false;
+  const PathAttributes* install(const net::Prefix& prefix,
+                                const RouteView& best) {
+    const auto it = routes_.find(prefix);
+    if (it != routes_.end() && it->second.attributes == *best.attributes &&
+        it->second.learned_from == best.learned_from) {
+      return nullptr;
     }
-    routes_[route.prefix] = route;
+    Route& route = routes_[prefix];
+    route = Route{prefix, *best.attributes, best.learned_from,
+                  best.peer_bgp_id, best.peer_address, best.installed_at};
     ++generation_;
-    return true;
+    return &route.attributes.get();
   }
 
   bool remove(const net::Prefix& prefix) {

@@ -12,6 +12,7 @@
 #include "core/event_loop.hpp"
 #include "core/logger.hpp"
 #include "core/random.hpp"
+#include "telemetry/trace.hpp"
 
 namespace bgpsdn::bgp {
 namespace {
@@ -111,9 +112,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CodecFuzz,
 /// the live-session counterpart of the link-corruption fault.
 class CorruptingHost : public SessionHost {
  public:
-  CorruptingHost(core::EventLoop& loop, core::Logger& log, core::Rng& rng,
-                 std::string name)
-      : loop_{loop}, log_{log}, rng_{rng}, name_{std::move(name)} {}
+  CorruptingHost(core::EventLoop& loop, core::Rng& rng, std::string name)
+      : loop_{loop}, rng_{rng}, name_{std::move(name)} {}
 
   void connect_to(CorruptingHost& peer) { peer_ = &peer; }
   void set_corruption(double p) { corrupt_ = p; }
@@ -138,9 +138,6 @@ class CorruptingHost : public SessionHost {
   void session_established(Session&) override {}
   void session_down(Session&, const std::string&) override {}
   void session_update(Session&, UpdateMessage) override {}
-  core::EventLoop& session_loop() override { return loop_; }
-  core::Rng& session_rng() override { return rng_; }
-  core::Logger& session_logger() override { return log_; }
   const std::string& session_log_name() const override { return name_; }
 
   std::unique_ptr<Session> session;
@@ -148,7 +145,6 @@ class CorruptingHost : public SessionHost {
 
  private:
   core::EventLoop& loop_;
-  core::Logger& log_;
   core::Rng& rng_;
   std::string name_;
   CorruptingHost* peer_{nullptr};
@@ -162,10 +158,13 @@ TEST_P(LiveSessionFuzz, BitFlipsNotifyAndAutoRestartWithoutCrashing) {
   // 20% of messages. The contract under corruption: decode failures answer
   // with a NOTIFICATION and auto-restart — never UB, never a wedged FSM —
   // and once the channel heals the pair re-establishes.
+  // The sessions' environment, declared before the hosts that own them.
   core::EventLoop loop;
   core::Logger log;
   core::Rng rng{GetParam()};
-  CorruptingHost a{loop, log, rng, "a"}, b{loop, log, rng, "b"};
+  telemetry::Telemetry tel;
+  const SessionEnv env{loop, rng, log, tel};
+  CorruptingHost a{loop, rng, "a"}, b{loop, rng, "b"};
   a.connect_to(b);
   b.connect_to(a);
   const auto config = [](std::uint32_t id, std::uint32_t local_as,
@@ -182,8 +181,8 @@ TEST_P(LiveSessionFuzz, BitFlipsNotifyAndAutoRestartWithoutCrashing) {
     c.timers.keepalive = core::Duration::seconds(3);
     return c;
   };
-  a.session = std::make_unique<Session>(a, config(1, 65001, 65002));
-  b.session = std::make_unique<Session>(b, config(2, 65002, 65001));
+  a.session = std::make_unique<Session>(a, env, config(1, 65001, 65002));
+  b.session = std::make_unique<Session>(b, env, config(2, 65002, 65001));
   a.session->start();
   b.session->start();
   loop.run(loop.now() + core::Duration::seconds(2));

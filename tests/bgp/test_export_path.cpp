@@ -74,7 +74,11 @@ class ScriptedPeer : public net::Node, public bgp::SessionHost {
     sc.remote_address = p2p.left;
     sc.expected_peer_as = router.asn();
     sc.timers = router.config().timers;
-    peer.session_ = std::make_unique<bgp::Session>(peer, sc);
+    peer.session_ = std::make_unique<bgp::Session>(
+        peer,
+        bgp::SessionEnv{peer.loop(), peer.rng(), peer.logger(),
+                        peer.telemetry()},
+        sc);
     return {&peer, ends.a.port, pc};
   }
 
@@ -126,9 +130,6 @@ class ScriptedPeer : public net::Node, public bgp::SessionHost {
     received.push_back(std::to_string(loop().now().nanos_since_origin()) + " " +
                        update.to_string());
   }
-  core::EventLoop& session_loop() override { return loop(); }
-  core::Rng& session_rng() override { return rng(); }
-  core::Logger& session_logger() override { return logger(); }
   const std::string& session_log_name() const override {
     return log_component("peer");
   }

@@ -12,6 +12,7 @@
 #include "core/event_loop.hpp"
 #include "core/logger.hpp"
 #include "core/random.hpp"
+#include "telemetry/trace.hpp"
 
 namespace bgpsdn::bgp {
 namespace {
@@ -357,14 +358,13 @@ class RecordingHost : public SessionHost {
   void session_established(Session&) override {}
   void session_down(Session&, const std::string&) override {}
   void session_update(Session&, UpdateMessage) override {}
-  core::EventLoop& session_loop() override { return loop; }
-  core::Rng& session_rng() override { return rng; }
-  core::Logger& session_logger() override { return logger; }
   const std::string& session_log_name() const override { return name; }
 
+  // The environment of the session this host carries.
   core::EventLoop loop;
   core::Rng rng{7};
   core::Logger logger;
+  telemetry::Telemetry tel;
   std::string name{"host"};
   std::vector<std::vector<std::byte>> sent;
 };
@@ -421,7 +421,7 @@ TEST(EncodeShared, SendUpdateMatchesSplitEncode) {
     config.id = core::SessionId{1};
     config.local_as = core::AsNumber{65001};
     config.local_id = net::Ipv4Addr{10, 0, 0, 1};
-    Session session{host, config};
+    Session session{host, {host.loop, host.rng, host.logger, host.tel}, config};
     session.start();
     host.loop.run(host.loop.now() + core::Duration::seconds(1));
     OpenMessage open;

@@ -46,6 +46,11 @@ AdjRibIn::PutResult put(AdjRibIn& rib, const Route& r) {
   return rib.put(r.prefix, r.view());
 }
 
+/// Install `r` as its prefix's winner.
+const PathAttributes* install(LocRib& rib, const Route& r) {
+  return rib.install(r.prefix, r.view());
+}
+
 /// "<as path> id<peer bgp id> t<installed ns>" per candidate for `prefix`,
 /// session-ascending.
 std::vector<std::string> candidates(const AdjRibIn& rib, const char* prefix) {
@@ -113,14 +118,39 @@ TEST(AdjRibIn, EraseSessionReturnsAffectedPrefixes) {
 TEST(LocRib, GenerationBumpsOnChange) {
   LocRib rib{attr_store()};
   const auto g0 = rib.generation();
-  EXPECT_TRUE(rib.install(make_route("10.0.0.0/16", 1, {1})));
+  const Route first = make_route("10.0.0.0/16", 1, {1});
+  // A change returns the installed canonical bundle.
+  EXPECT_EQ(install(rib, first), &first.attributes.get());
   EXPECT_GT(rib.generation(), g0);
   // Identical reinstall is a no-op.
-  EXPECT_FALSE(rib.install(make_route("10.0.0.0/16", 1, {1})));
+  const auto g1 = rib.generation();
+  EXPECT_EQ(install(rib, make_route("10.0.0.0/16", 1, {1})), nullptr);
+  EXPECT_EQ(rib.generation(), g1);
   // Different path is a change.
-  EXPECT_TRUE(rib.install(make_route("10.0.0.0/16", 2, {2, 1})));
+  EXPECT_NE(install(rib, make_route("10.0.0.0/16", 2, {2, 1})), nullptr);
   EXPECT_TRUE(rib.remove(*net::Prefix::parse("10.0.0.0/16")));
   EXPECT_FALSE(rib.remove(*net::Prefix::parse("10.0.0.0/16")));
+}
+
+TEST(LocRib, WinnerPinsNothing) {
+  // winner() reads the entry in place and keeps no reference: once the
+  // entry is removed, a bundle nothing else holds is dead in the pool
+  // (mem.attr_pool no longer counts it).
+  const auto store = std::make_shared<AttrRegistry>();
+  LocRib rib{store};
+  const auto prefix = *net::Prefix::parse("10.0.0.0/16");
+  {
+    PathAttributes attrs;
+    attrs.as_path = AsPath{{core::AsNumber{1}}};
+    const AttrSetRef bundle = store->intern(std::move(attrs));
+    ASSERT_NE(rib.install(prefix, {&bundle, core::SessionId{1}, {}, {}, {}}),
+              nullptr);
+  }
+  ASSERT_EQ(store->pool_stats().live, 1u);
+  ASSERT_NE(rib.winner(prefix).attrs, nullptr);
+  ASSERT_TRUE(rib.remove(prefix));
+  EXPECT_EQ(store->pool_stats().live, 0u);
+  EXPECT_EQ(store->pool_live_bytes(), 0u);
 }
 
 TEST(AdjRibOut, SuppressesDuplicateAdvertisements) {

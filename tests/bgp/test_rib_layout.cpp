@@ -291,7 +291,9 @@ TEST(RibLayoutEquivalence, LocRibFuzz) {
       const auto variant = static_cast<std::uint32_t>(rng() % 3);
       const auto route = make_route(prefix, session, {session, variant + 1},
                                     static_cast<std::int64_t>(op));
-      EXPECT_EQ(slab.install(route), oracle.install(route)) << op;
+      EXPECT_EQ(slab.install(route.prefix, route.view()),
+                oracle.install(route.prefix, route.view()))
+          << op;
     } else {
       EXPECT_EQ(slab.remove(prefix_of(prefix)),
                 oracle.remove(prefix_of(prefix)))
@@ -318,7 +320,8 @@ TEST(RibLayoutEquivalence, LocRibLocalRoutes) {
   local.learned_from = core::SessionId::invalid();
   local.peer_bgp_id = net::Ipv4Addr{};
   local.peer_address = net::Ipv4Addr{};
-  EXPECT_EQ(slab.install(local), oracle.install(local));
+  EXPECT_EQ(slab.install(local.prefix, local.view()),
+            oracle.install(local.prefix, local.view()));
   const auto* c = slab.find(prefix_of(1));
   ASSERT_NE(c, nullptr);
   EXPECT_TRUE(c->is_local());
@@ -396,7 +399,8 @@ TEST(RibLayoutEquivalence, SharedRegistryDrainsWithRibs) {
       const auto route = make_route(prefix, session, {session, prefix + 1});
       rib_in.put(route.prefix, route.view());
     }
-    loc.install(make_route(prefix, 1, {1, prefix + 1}));
+    const auto winner = make_route(prefix, 1, {1, prefix + 1});
+    loc.install(winner.prefix, winner.view());
   }
   EXPECT_GT(registry->size(), 0u);
   for (std::uint32_t prefix = 0; prefix < 32; ++prefix) {

@@ -8,6 +8,7 @@
 #include "core/event_loop.hpp"
 #include "core/logger.hpp"
 #include "core/random.hpp"
+#include "telemetry/trace.hpp"
 
 namespace bgpsdn::bgp {
 namespace {
@@ -15,9 +16,8 @@ namespace {
 /// SessionHost wired straight to a peer session through the event loop.
 class Harness : public SessionHost {
  public:
-  Harness(core::EventLoop& loop, core::Logger& log, core::Rng& rng,
-          std::string name)
-      : loop_{loop}, log_{log}, rng_{rng}, name_{std::move(name)} {}
+  Harness(core::EventLoop& loop, std::string name)
+      : loop_{loop}, name_{std::move(name)} {}
 
   void connect_to(Harness& peer) { peer_ = &peer; }
   void set_link_up(bool up) { link_up_ = up; }
@@ -37,9 +37,6 @@ class Harness : public SessionHost {
   void session_update(Session&, UpdateMessage update) override {
     updates.push_back(update);
   }
-  core::EventLoop& session_loop() override { return loop_; }
-  core::Rng& session_rng() override { return rng_; }
-  core::Logger& session_logger() override { return log_; }
   const std::string& session_log_name() const override { return name_; }
 
   std::unique_ptr<Session> session;
@@ -50,8 +47,6 @@ class Harness : public SessionHost {
 
  private:
   core::EventLoop& loop_;
-  core::Logger& log_;
-  core::Rng& rng_;
   std::string name_;
   Harness* peer_{nullptr};
   bool link_up_{true};
@@ -60,12 +55,17 @@ class Harness : public SessionHost {
 class SessionFsmTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    a = std::make_unique<Harness>(loop, log, rng, "a");
-    b = std::make_unique<Harness>(loop, log, rng, "b");
+    a = std::make_unique<Harness>(loop, "a");
+    b = std::make_unique<Harness>(loop, "b");
     a->connect_to(*b);
     b->connect_to(*a);
-    a->session = std::make_unique<Session>(*a, config(1, 65001, 65002));
-    b->session = std::make_unique<Session>(*b, config(2, 65002, 65001));
+    a->session = make_session(*a, config(1, 65001, 65002));
+    b->session = make_session(*b, config(2, 65002, 65001));
+  }
+
+  std::unique_ptr<Session> make_session(Harness& host, SessionConfig c) {
+    return std::make_unique<Session>(host, SessionEnv{loop, rng, log, tel},
+                                     std::move(c));
   }
 
   SessionConfig config(std::uint32_t id, std::uint32_t local_as,
@@ -84,9 +84,11 @@ class SessionFsmTest : public ::testing::Test {
 
   void run(core::Duration d) { loop.run(loop.now() + d); }
 
+  // The sessions' environment, declared before the harnesses that own them.
   core::EventLoop loop;
   core::Logger log;
   core::Rng rng{3};
+  telemetry::Telemetry tel;
   std::unique_ptr<Harness> a, b;
 };
 
@@ -113,7 +115,7 @@ TEST_F(SessionFsmTest, OneSidedStartStillEstablishes) {
 }
 
 TEST_F(SessionFsmTest, WrongPeerAsRejected) {
-  b->session = std::make_unique<Session>(*b, config(2, 64999, 65001));
+  b->session = make_session(*b, config(2, 64999, 65001));
   a->session->start();
   b->session->start();
   run(core::Duration::seconds(3));
@@ -230,7 +232,7 @@ TEST_F(SessionFsmTest, StopResetsNegotiatedHoldTime) {
   // configured 9 s and NOTIFY/flap while the peer is merely slow to return.
   auto cb = config(2, 65002, 65001);
   cb.timers.hold = core::Duration::seconds(4);
-  b->session = std::make_unique<Session>(*b, cb);
+  b->session = make_session(*b, cb);
   a->session->start();
   b->session->start();
   run(core::Duration::seconds(2));

@@ -17,7 +17,10 @@
 
 #include "controller/as_topology.hpp"
 #include "controller/switch_graph.hpp"
+#include "core/event_loop.hpp"
+#include "core/logger.hpp"
 #include "core/random.hpp"
+#include "net/network.hpp"
 
 namespace bgpsdn::controller {
 namespace {
@@ -225,10 +228,13 @@ class OracleRun {
   core::Rng rng_;
   bool bridging_;
   SwitchGraph graph_;
-  // Speaker is only used as a peering registry and attribute store here
-  // (no network attach).
-  speaker::ClusterBgpSpeaker speaker_{{},
-                                      std::make_shared<bgp::AttrRegistry>()};
+  // The speaker serves only as a peering registry and attribute store; like
+  // every node it lives in a network, which is never started.
+  core::EventLoop loop_;
+  core::Logger logger_;
+  net::Network net_{loop_, logger_, rng_};
+  speaker::ClusterBgpSpeaker& speaker_ = net_.add<speaker::ClusterBgpSpeaker>(
+      "speaker", bgp::Timers{}, std::make_shared<bgp::AttrRegistry>());
   IncrementalDecider decider_;
   std::vector<LinkEnd> links_;
   std::vector<speaker::Peering> peerings_;

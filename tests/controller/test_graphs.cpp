@@ -5,6 +5,10 @@
 #include "controller/dijkstra.hpp"
 #include "controller/route_compiler.hpp"
 #include "controller/switch_graph.hpp"
+#include "core/event_loop.hpp"
+#include "core/logger.hpp"
+#include "core/random.hpp"
+#include "net/network.hpp"
 
 namespace bgpsdn::controller {
 using sdn::Dpid;
@@ -118,7 +122,32 @@ TEST(SwitchGraph, ComponentsAndConnectivity) {
 
 // --- AS topology transformation ------------------------------------------
 
-class AsTopologyTest : public ::testing::Test {
+/// A cluster switch graph and its speaker. The speaker serves only as a
+/// peering registry and attribute store; like every node it lives in a
+/// network, which is never started.
+class ClusterFixture : public ::testing::Test {
+ protected:
+  ExternalRoute route(speaker::PeeringId id, std::vector<std::uint32_t> path) {
+    ExternalRoute r;
+    r.peering = id;
+    std::vector<core::AsNumber> hops;
+    for (const auto as : path) hops.emplace_back(as);
+    bgp::PathAttributes attrs;
+    attrs.as_path = bgp::AsPath{std::move(hops)};
+    r.attributes = speaker.attr_registry().intern(std::move(attrs));
+    return r;
+  }
+
+  SwitchGraph graph;
+  core::EventLoop loop;
+  core::Logger logger;
+  core::Rng rng{1};
+  net::Network net{loop, logger, rng};
+  speaker::ClusterBgpSpeaker& speaker = net.add<speaker::ClusterBgpSpeaker>(
+      "speaker", bgp::Timers{}, std::make_shared<bgp::AttrRegistry>());
+};
+
+class AsTopologyTest : public ClusterFixture {
  protected:
   void SetUp() override {
     // Cluster: 1 - 2 - 3 in a line; owner ASes 10, 20, 30.
@@ -142,22 +171,6 @@ class AsTopologyTest : public ::testing::Test {
     p1.expected_peer_as = core::AsNumber{200};
     speaker.add_peering(core::PortId{1}, p1);
   }
-
-  ExternalRoute route(speaker::PeeringId id, std::vector<std::uint32_t> path) {
-    ExternalRoute r;
-    r.peering = id;
-    std::vector<core::AsNumber> hops;
-    for (const auto as : path) hops.emplace_back(as);
-    bgp::PathAttributes attrs;
-    attrs.as_path = bgp::AsPath{std::move(hops)};
-    r.attributes = speaker.attr_registry().intern(std::move(attrs));
-    return r;
-  }
-
-  SwitchGraph graph;
-  // Speaker is only used as a peering registry and attribute store here
-  // (no network attach).
-  speaker::ClusterBgpSpeaker speaker{{}, std::make_shared<bgp::AttrRegistry>()};
 };
 
 TEST_F(AsTopologyTest, SingleEgressAllSwitchesRoute) {
@@ -266,7 +279,7 @@ TEST_F(AsTopologyTest, CompileFlowsLocalOriginWithHost) {
 
 // --- sub-cluster rule (pass 2 of the transformation) ----------------------
 
-class SubClusterTest : public ::testing::Test {
+class SubClusterTest : public ClusterFixture {
  protected:
   void SetUp() override {
     // Two disjoint sub-clusters under one controller: {1} and {2}
@@ -286,20 +299,6 @@ class SubClusterTest : public ::testing::Test {
     p1.expected_peer_as = core::AsNumber{200};
     speaker.add_peering(core::PortId{1}, p1);
   }
-
-  ExternalRoute route(speaker::PeeringId id, std::vector<std::uint32_t> path) {
-    ExternalRoute r;
-    r.peering = id;
-    std::vector<core::AsNumber> hops;
-    for (const auto as : path) hops.emplace_back(as);
-    bgp::PathAttributes attrs;
-    attrs.as_path = bgp::AsPath{std::move(hops)};
-    r.attributes = speaker.attr_registry().intern(std::move(attrs));
-    return r;
-  }
-
-  SwitchGraph graph;
-  speaker::ClusterBgpSpeaker speaker{{}, std::make_shared<bgp::AttrRegistry>()};
 };
 
 TEST_F(SubClusterTest, LegacyBridgeConnectsSubClusters) {

@@ -17,7 +17,6 @@ framework::ExperimentConfig rf_config(std::uint64_t seed = 5) {
   cfg.seed = seed;
   cfg.controller_style = framework::ControllerStyle::kRouteFlowMirror;
   cfg.timers.mrai = core::Duration::millis(400);
-  cfg.routeflow_sync = core::Duration::millis(100);
   return cfg;
 }
 
@@ -138,7 +137,6 @@ TEST(RouteFlow, NoCentralizationGainVersusIdr) {
     cfg.controller_style = style;
     cfg.timers.mrai = core::Duration::seconds(2);
     cfg.recompute_delay = core::Duration::millis(200);
-    cfg.routeflow_sync = core::Duration::millis(200);
     const auto spec = topology::clique(8);
     std::set<core::AsNumber> members;
     for (std::uint32_t as = 4; as <= 8; ++as) members.insert(core::AsNumber{as});

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <sstream>
 #include <string>
 
 #include "core/logger.hpp"
@@ -151,16 +150,6 @@ TEST(Logger, FilterByEventAndComponentPrefix) {
   EXPECT_EQ(log.filter("update_tx", "bgp.AS1").size(), 1u);
   EXPECT_EQ(log.count("update_rx"), 1u);
   EXPECT_EQ(log.count("nothing"), 0u);
-}
-
-TEST(Logger, EchoStream) {
-  Logger log;
-  std::ostringstream os;
-  log.set_echo(&os);
-  log.log(TimePoint::from_nanos(1'500'000'000), LogLevel::kWarn, "net",
-          "link_down", "AS1 <-> AS2");
-  EXPECT_NE(os.str().find("[WARN] net link_down: AS1 <-> AS2"),
-            std::string::npos);
 }
 
 /// Counts how often it is formatted.
